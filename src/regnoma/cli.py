@@ -538,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("density",
                         help="closed-form limiting density on a uniform support grid")
     sp.add_argument("--beta", type=float, required=True, help="load K/N, >= 1")
-    sp.add_argument("--d", type=float, required=True, help="signature sparsity, > 1")
+    sp.add_argument("--d", type=float, required=True, help="signature sparsity, >= 1 + 1/beta")
     sp.add_argument("--points", type=int, default=512, help="grid size")
     _add_common(sp)
     sp.set_defaults(func=_cmd_density)

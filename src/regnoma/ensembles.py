@@ -15,7 +15,8 @@ ensembles are reproducible and trivially parallelizable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -236,41 +237,43 @@ def generate_regular(spec: EnsembleSpec, realization: int = 0) -> SparseSignatur
     rows = np.repeat(np.arange(n, dtype=np.int64), spec.row_degree)
     rows = rows[rng.permutation(rows.size)]
 
-    counts: dict[tuple[int, int], int] = {}
-    for e in zip(rows.tolist(), cols.tolist()):
-        counts[e] = counts.get(e, 0) + 1
+    # edge (r, c) is keyed r * K + c; before any switch, column c holds
+    # positions c*d .. c*d + d - 1, so each parallel edge is found in its block
+    keys = (rows * k + cols).tolist()
+    counts = Counter(keys)
+    dup_positions = sorted(i for key, count in counts.items() if count > 1
+                           for i in range(key % k * d, key % k * d + d)
+                           if keys[i] == key)
 
+    # a switch only creates edges of count 1, so a single pass in position
+    # order leaves no parallel edge behind
     cap = REPAIR_CAP_FACTOR * k * d
     attempts = 0
-    n_edges = rows.size
-    while True:
-        dup_positions = [i for i, e in enumerate(zip(rows.tolist(), cols.tolist()))
-                         if counts[e] > 1]
-        if not dup_positions:
-            break
-        for i in dup_positions:
-            ei = (int(rows[i]), int(cols[i]))
-            while counts.get(ei, 0) > 1:
-                if attempts >= cap:
-                    raise GenerationError(
-                        f"multi-edge repair exceeded {cap} switch attempts "
-                        f"(N={n}, K={k}, d={d}, realization={realization})"
-                    )
-                attempts += 1
-                j = int(rng.integers(n_edges))
-                ej = (int(rows[j]), int(cols[j]))
-                if i == j or ej == ei:
-                    continue
-                new_i = (ei[0], ej[1])
-                new_j = (ej[0], ei[1])
-                if counts.get(new_i, 0) or counts.get(new_j, 0):
-                    continue
-                counts[ei] -= 1
-                counts[ej] -= 1
-                counts[new_i] = counts.get(new_i, 0) + 1
-                counts[new_j] = counts.get(new_j, 0) + 1
-                cols[i], cols[j] = cols[j], cols[i]
-                ei = new_i
+    n_edges = len(keys)
+    for i in dup_positions:
+        ki = keys[i]
+        while counts[ki] > 1:
+            if attempts >= cap:
+                raise GenerationError(
+                    f"multi-edge repair exceeded {cap} switch attempts "
+                    f"(N={n}, K={k}, d={d}, realization={realization})"
+                )
+            attempts += 1
+            j = int(rng.integers(n_edges))
+            kj = keys[j]
+            if i == j or kj == ki:
+                continue
+            new_i = ki - ki % k + kj % k
+            new_j = kj - kj % k + ki % k
+            if counts[new_i] or counts[new_j]:
+                continue
+            counts[ki] -= 1
+            counts[kj] -= 1
+            counts[new_i] += 1
+            counts[new_j] += 1
+            keys[i], keys[j] = new_i, new_j
+            cols[i], cols[j] = cols[j], cols[i]
+            ki = new_i
 
     values = _draw_values(rng, n_edges, spec.entry_mode)
     return SparseSignatureMatrix(spec, rows, cols, values, realization=realization)

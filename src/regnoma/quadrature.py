@@ -3,8 +3,11 @@
 All bulk densities handled here vanish like a square root at the support
 edges (or diverge like an inverse square root at a zero lower edge).  The
 substitution ``lam = lo + (hi - lo) * sin(theta)**2`` absorbs both behaviors
-and yields an integrand analytic in theta, so Gauss-Legendre converges
-geometrically.  Node counts are doubled until the estimate is stable.
+and yields an integrand analytic in theta on [0, pi/2], so Gauss-Legendre
+converges geometrically.  :func:`support_integral` doubles its node count
+until the estimate is stable.  :func:`partial_integrals` integrates once
+over a fixed table of theta panels and adds one short rule per point over
+that point's partial panel.
 """
 
 from __future__ import annotations
@@ -15,6 +18,10 @@ from typing import Callable
 import numpy as np
 
 __all__ = ["QuadratureError", "support_integral", "partial_integrals"]
+
+# theta panels of the partial-integral table and Gauss-Legendre nodes per panel
+PANELS = 64
+PANEL_ORDER = 20
 
 
 class QuadratureError(RuntimeError):
@@ -70,23 +77,37 @@ def support_integral(density: Callable[[np.ndarray], np.ndarray],
 
 def partial_integrals(density: Callable[[np.ndarray], np.ndarray],
                       lo: float, hi: float,
-                      lams: np.ndarray,
-                      order: int = 160) -> np.ndarray:
+                      lams: np.ndarray) -> np.ndarray:
     """Vectorized integrals of ``density`` from lo to each value in ``lams``.
 
-    Each partial integral uses a fixed-order rule on its own theta interval;
-    the integrand is analytic there, so ``order`` = 160 is far beyond the
-    accuracy of the downstream 1e-8 checks.  Values are clipped to [0, 1]
+    The theta range [0, pi/2] is cut into ``PANELS`` equal panels, each
+    integrated once with a ``PANEL_ORDER``-node Gauss-Legendre rule, and the
+    panel integrals are summed cumulatively at the panel boundaries.  A
+    point then adds one ``PANEL_ORDER``-node rule over its own partial panel,
+    from the boundary below it to its theta.  A call therefore evaluates the
+    density ``PANEL_ORDER * (PANELS + len(lams))`` times.  For the limiting
+    spectral law this matches the arcsine closed form (beta = 1, d = 2) to
+    rounding, and adaptive quadrature to 1e-15 over beta in [1, 7.5] and d in
+    [2, 50].  Accuracy degrades when a support edge sits close to a pole of
+    the density just outside it: the error is ~5e-7 at beta = 1.001, d = 2,
+    and ~1e-12 at d within 1e-4 of 1 + 1/beta.  Values are clipped to [0, 1]
     against rounding at the edges.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=np.float64))
-    width = hi - lo
-    frac = np.clip((lams - lo) / width, 0.0, 1.0)
+    x, w = _nodes(PANEL_ORDER)
+    h = (np.pi / 2.0) / PANELS
+
+    def integrand(theta: np.ndarray) -> np.ndarray:
+        return _theta_eval(density, None, lo, hi, theta.ravel()).reshape(theta.shape)
+
+    starts = h * np.arange(PANELS)
+    table = integrand(starts[:, None] + (h / 2.0) * (x + 1.0)) @ w * (h / 2.0)
+    below = np.concatenate(([0.0], np.cumsum(table)))
+
+    frac = np.clip((lams - lo) / (hi - lo), 0.0, 1.0)
     theta_hi = np.arcsin(np.sqrt(frac))
-    x, w = _nodes(order)
-    theta = theta_hi[:, None] * (x[None, :] + 1.0) / 2.0
-    lam = lo + width * np.sin(theta) ** 2
-    jac = width * np.sin(2.0 * theta) * (theta_hi[:, None] / 2.0)
-    flat = density(lam.ravel()).reshape(theta.shape)
-    out = (flat * jac) @ w
-    return np.clip(out, 0.0, 1.0)
+    panel = np.minimum((theta_hi / h).astype(np.int64), PANELS - 1)
+    start = h * panel
+    half = (theta_hi - start) / 2.0
+    part = integrand(start[:, None] + half[:, None] * (x + 1.0)) @ w * half
+    return np.clip(below[panel] + part, 0.0, 1.0)

@@ -17,8 +17,11 @@ factored version avoids their cancellation error near the edges.
 
 At ``beta = 1`` the law reduces to the Kesten-McKay density of squared
 adjacency spectra of d-regular graphs; for ``d -> inf`` it converges to the
-Marchenko-Pastur law with mean beta.  The total mass is 1 and the first
-moment is beta (the normalized trace of the Gram matrix).
+Marchenko-Pastur law with mean beta.  For ``d >= 1 + 1/beta`` the total mass
+is 1 and the first moment is beta (the normalized trace of the Gram matrix).
+Below that bound the continuous part carries only mass ``beta * (d - 1)``
+and the law has an atom of mass ``1 - beta * (d - 1)`` at ``lam = beta * d``,
+which this closed form omits; :class:`DensityParams` rejects such (beta, d).
 """
 
 from __future__ import annotations
@@ -61,8 +64,9 @@ class DensityParams:
     """Parameters (beta, d) of the limiting law plus derived constants.
 
     beta : real load K/N, >= 1.
-    d : real column degree, > 1.  Non-integer d is allowed; the density
-        extends analytically and is used for the dense-limit comparisons.
+    d : real column degree, >= 1 + 1/beta, where the closed form is a
+        probability law.  Non-integer d is allowed; the density extends
+        analytically and is used for the dense-limit comparisons.
     """
 
     beta: float
@@ -71,8 +75,9 @@ class DensityParams:
     def __post_init__(self) -> None:
         if not self.beta >= 1.0:
             raise ValueError(f"load beta must be >= 1, got {self.beta}")
-        if not self.d > 1.0:
-            raise ValueError(f"degree d must be > 1, got {self.d}")
+        if not self.d >= 1.0 + 1.0 / self.beta:
+            raise ValueError(f"degree d must be >= 1 + 1/beta = {1.0 + 1.0 / self.beta}"
+                             f" at beta = {self.beta}, got {self.d}")
 
     @classmethod
     def from_ensemble(cls, spec: EnsembleSpec) -> "DensityParams":

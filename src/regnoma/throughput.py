@@ -323,10 +323,7 @@ class SweepSpec:
 
     @staticmethod
     def _check_point(beta: float, d: float) -> None:
-        if not beta >= 1.0:
-            raise ValueError(f"load beta must be >= 1, got {beta}")
-        if not d > 1.0:
-            raise ValueError(f"degree d must be > 1, got {d}")
+        DensityParams(beta=beta, d=d)  # raises ValueError outside the domain
 
     @staticmethod
     def _check_load(beta: float, d: float) -> None:

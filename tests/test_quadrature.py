@@ -57,3 +57,9 @@ class TestPartialIntegrals:
         assert (vals >= 0.0).all() and (vals <= 1.0).all()
         assert vals[0] == 0.0
         assert abs(vals[-1] - 1.0) < 1e-10
+
+    def test_semicircle_distribution_function(self):
+        grid = np.linspace(-1.0, 1.0, 201)
+        exact = 0.5 + (grid * np.sqrt(1.0 - grid**2) + np.arcsin(grid)) / math.pi
+        vals = partial_integrals(semicircle, -1.0, 1.0, grid)
+        assert np.abs(vals - exact).max() < 1e-14

@@ -1,12 +1,14 @@
 """Analytic limiting densities and empirical Gram spectra."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 from regnoma.ensembles import EnsembleSpec, EntryMode, generate_regular
+from regnoma.quadrature import support_integral
 from regnoma.spectra import (DensityParams, SpectrumSample, analytic_cdf,
                              analytic_density, empirical_spectrum,
                              kesten_mckay_density, ks_distance,
@@ -33,6 +35,28 @@ def quad_mass(density, lo, hi, weight=None):
     return val
 
 
+def quad_cdf(p, x):
+    """Distribution function by adaptive quadrature.
+
+    ``t = lo + s**2`` below the support midpoint and ``t = hi - s**2`` above
+    it remove the square-root edges before integrating.
+    """
+    lo, hi = p.lambda_minus, p.lambda_plus
+    mid = (lo + hi) / 2.0
+
+    def below(s):
+        return 2.0 * s * analytic_density(lo + s * s, p)
+
+    def above(s):
+        return 2.0 * s * analytic_density(hi - s * s, p)
+
+    opts = dict(limit=200, epsabs=1e-13, epsrel=1e-13)
+    if x <= mid:
+        return integrate.quad(below, 0.0, math.sqrt(x - lo), **opts)[0]
+    return (integrate.quad(below, 0.0, math.sqrt(mid - lo), **opts)[0]
+            + integrate.quad(above, math.sqrt(hi - x), math.sqrt(hi - mid), **opts)[0])
+
+
 class TestDensityParams:
     def test_derived_fields(self):
         p = DensityParams(beta=1.5, d=2.0)
@@ -51,6 +75,20 @@ class TestDensityParams:
     def test_domain_validation(self, beta, d):
         with pytest.raises(ValueError):
             DensityParams(beta=beta, d=d)
+
+    @pytest.mark.parametrize("beta,d", [(1.2, 1.5), (1.0, 1.9), (3.0, 1.3)])
+    def test_rejects_law_with_missing_atom(self, beta, d):
+        # below d = 1 + 1/beta the closed form carries mass beta (d - 1) < 1
+        with pytest.raises(ValueError, match=r"1 \+ 1/beta"):
+            DensityParams(beta=beta, d=d)
+
+    @pytest.mark.parametrize("beta,d", [(1.0, 2.0), (3.0, 4.0 / 3.0), (1.5, 1.0 + 1.0 / 1.5)])
+    def test_domain_bound_is_a_probability_law(self, beta, d):
+        # at the bound the upper edge meets the pole at beta * d
+        p = DensityParams(beta=beta, d=d)
+        mass = support_integral(lambda x: analytic_density(x, p),
+                                p.lambda_minus, p.lambda_plus, tol=1e-12)
+        assert abs(mass - 1.0) < 1e-10
 
     def test_edge_ordering(self):
         for beta, d in PARAM_GRID:
@@ -176,6 +214,46 @@ class TestAnalyticCdf:
                            P_DEFAULT.lambda_plus + 0.2, 101)
         vals = analytic_cdf(grid, P_DEFAULT)
         assert (np.diff(vals) >= -1e-12).all()
+
+    def test_arcsine_law_at_unit_load_degree_two(self):
+        p = DensityParams(beta=1.0, d=2.0)
+        grid = np.linspace(-0.5, 2.5, 3001)
+        exact = 2.0 / math.pi * np.arcsin(np.sqrt(np.clip(grid / 2.0, 0.0, 1.0)))
+        assert np.abs(analytic_cdf(grid, p) - exact).max() < 1e-14
+
+    @pytest.mark.parametrize("beta", [1.0, 1.05, 1.5, 3.0, 7.5])
+    @pytest.mark.parametrize("d", [2.0, 3.0, 4.0, 10.0, 50.0])
+    def test_matches_adaptive_quadrature(self, beta, d):
+        p = DensityParams(beta=beta, d=d)
+        lo, hi = p.lambda_minus, p.lambda_plus
+        grid = lo + (hi - lo) * np.array([1e-4, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1 - 1e-4])
+        ref = [quad_cdf(p, x) for x in grid]
+        assert np.abs(analytic_cdf(grid, p) - ref).max() < 1e-12
+
+    def test_unsorted_duplicate_and_outside_points(self):
+        frozen = dict(CDF_POINTS)
+        grid = np.array([2.0, -1.0, 0.3, 5.0, 1.0, 0.3, P_DEFAULT.lambda_plus,
+                         P_DEFAULT.lambda_minus, 2.0])
+        expected = [frozen[2.0], 0.0, frozen[0.3], 1.0, frozen[1.0], frozen[0.3],
+                    1.0, 0.0, frozen[2.0]]
+        vals = analytic_cdf(grid, P_DEFAULT)
+        assert np.abs(vals - expected).max() < 1e-9
+        assert abs(vals[2] - vals[5]) < 1e-15 and abs(vals[0] - vals[8]) < 1e-15
+        scalar = analytic_cdf(1.0, P_DEFAULT)
+        assert isinstance(scalar, float) and abs(scalar - vals[4]) < 1e-15
+
+    def test_pooled_call_memory_is_bounded(self):
+        # the spectrum_pool KS size: 100 trials of N = 520
+        p = DensityParams(beta=3.0, d=4.0)
+        rng = np.random.default_rng(0)
+        lam = np.sort(rng.uniform(p.lambda_minus, p.lambda_plus, 52_000))
+        tracemalloc.start()
+        try:
+            analytic_cdf(lam, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
 
 
 def sample_matrix(n=60, k=90, d=2, mode=EntryMode.RADEMACHER, seed=0,

@@ -201,6 +201,15 @@ class TestSweepSpec:
             SweepSpec(variable=SweepVariable.LOAD, values=(1.2,), d=2.0,
                       ebno_db=10.0)
 
+    def test_points_below_the_probability_law_bound_rejected(self):
+        # d >= 1 + 1/beta, the same check as DensityParams
+        with pytest.raises(ValueError, match=r"1 \+ 1/beta"):
+            SweepSpec(variable=SweepVariable.EBNO, values=(10.0,),
+                      beta=1.2, d=1.5)
+        with pytest.raises(ValueError, match=r"1 \+ 1/beta"):
+            SweepSpec(variable=SweepVariable.SPARSITY, values=(2.0, 1.5),
+                      beta=1.2, snr_db=10.0)
+
     def test_ebno_sweep_rejects_fixed_operating_point(self):
         with pytest.raises(ValueError):
             SweepSpec(variable=SweepVariable.EBNO, values=(10.0,),
