@@ -23,15 +23,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, quadrature
+from . import __version__
 from . import cavity as cavity_mod
-from . import spectra as spectra_mod
 from . import throughput as tp
+from .checks import CHECKS
 from .ensembles import EnsembleSpec, EntryMode, GenerationError, generate_regular
 from .quadrature import QuadratureError
 from .spectra import (DensityParams, SpectraError, analytic_density,
-                      empirical_spectrum, kesten_mckay_density, ks_distance,
-                      marchenko_pastur_density)
+                      empirical_spectrum, ks_distance, spectrum_histogram)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -52,22 +51,17 @@ CAVITY_COLUMNS = ("lambda", "density_closed_form", "density_cavity_scalar",
 # Output plumbing
 # ======================================================================
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    x = float(value)
-    if math.isnan(x):
-        return ""
-    return format(x, ".17g")
-
-
 def _clean(value):
-    if value is None:
-        return None
-    if isinstance(value, (bool, int, str)):
+    """The value as written out: NaN and infinities become None."""
+    if value is None or isinstance(value, (bool, int, str)):
         return value
     x = float(value)
-    return None if math.isnan(x) else x
+    return x if math.isfinite(x) else None
+
+
+def _cell(value) -> str:
+    x = _clean(value)
+    return "" if x is None else format(float(x), ".17g")
 
 
 def _table_bytes(columns, rows, fmt: str) -> bytes:
@@ -117,17 +111,6 @@ def _require_positive(name: str, value: int) -> int:
     return value
 
 
-def _ensemble_from(n: int, beta: float, d: float, mode: EntryMode,
-                   seed: int) -> EnsembleSpec:
-    if abs(d - round(d)) > 1e-9:
-        raise ValueError(f"sampled matrices need an integer degree, got {d}")
-    k = beta * n
-    if abs(k - round(k)) > 1e-9:
-        raise ValueError(f"n = {n} does not realize load beta = {beta}")
-    return EnsembleSpec(n_resources=n, n_users=int(round(k)),
-                        col_degree=int(round(d)), entry_mode=mode, seed=seed)
-
-
 # ======================================================================
 # Subcommands
 # ======================================================================
@@ -150,8 +133,8 @@ def _cmd_cavity(args: argparse.Namespace) -> int:
     scalar = cavity_mod.stieltjes_inversion(grid, p, epsilon=args.epsilon)
     have_graph = args.graph_n is not None
     if have_graph:
-        espec = _ensemble_from(args.graph_n, args.beta, args.d,
-                               EntryMode.RADEMACHER, args.seed)
+        espec = EnsembleSpec.from_load(args.graph_n, args.beta, args.d,
+                                       EntryMode.RADEMACHER, args.seed)
         matrix = generate_regular(espec, realization=0)
         graph = cavity_mod.graph_route_density(matrix, grid,
                                                epsilon=args.graph_epsilon)
@@ -191,12 +174,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     _require_positive("--trials", args.trials)
     _require_positive("--bins", args.bins)
     mode = EntryMode.parse(args.entries)
-    espec = _ensemble_from(args.n, args.beta, args.d, mode, args.seed)
+    espec = EnsembleSpec.from_load(args.n, args.beta, args.d, mode, args.seed)
     p = DensityParams.from_ensemble(espec)
     samples = [empirical_spectrum(generate_regular(espec, realization=t))
                for t in range(args.trials)]
     ks = ks_distance(samples, p, exclude_trivial=True)
-    centers, empirical = spectra_mod.spectrum_histogram(
+    centers, empirical = spectrum_histogram(
         samples, p, bins=args.bins, exclude_trivial=True)
     overlay = analytic_density(centers, p)
     rows = [{"lambda": c, "analytic_density": a, "empirical_density": e}
@@ -268,261 +251,45 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 # Validation suite
 # ======================================================================
 
-def _check_kesten_mckay() -> tuple[bool, str]:
-    worst = 0.0
-    for d in (2.0, 3.0, 10.0):
-        p = DensityParams(beta=1.0, d=d)
-        width = p.lambda_plus - p.lambda_minus
-        grid = np.linspace(p.lambda_minus + 1e-6 * width,
-                           p.lambda_plus - 1e-6 * width, 1000)
-        diff = np.abs(analytic_density(grid, p) - kesten_mckay_density(grid, d))
-        worst = max(worst, float(diff.max()))
-    return worst < 1e-12, f"max |density - Kesten-McKay| = {worst:.3e} (tol 1e-12)"
-
-
-_PARAM_GRID = tuple((beta, d) for beta in (1.0, 1.5, 2.0, 3.0)
-                    for d in (2.0, 3.0, 4.0, 10.0))
-
-
-def _check_normalization() -> tuple[bool, str]:
-    worst = 0.0
-    for beta, d in _PARAM_GRID:
-        p = DensityParams(beta=beta, d=d)
-        mass = quadrature.support_integral(
-            lambda lam: analytic_density(lam, p),
-            p.lambda_minus, p.lambda_plus, tol=1e-10)
-        worst = max(worst, abs(mass - 1.0))
-    return worst < 1e-8, f"max |mass - 1| = {worst:.3e} over 16 (beta, d) pairs (tol 1e-8)"
-
-
-def _check_first_moment() -> tuple[bool, str]:
-    worst = 0.0
-    for beta, d in _PARAM_GRID:
-        p = DensityParams(beta=beta, d=d)
-        mean = quadrature.support_integral(
-            lambda lam: analytic_density(lam, p),
-            p.lambda_minus, p.lambda_plus,
-            weight=lambda lam: lam, tol=1e-10)
-        worst = max(worst, abs(mean - beta))
-    return worst < 1e-6, f"max |mean - beta| = {worst:.3e} over 16 (beta, d) pairs (tol 1e-6)"
-
-
-def _check_mp_limit() -> tuple[bool, str]:
-    beta = 1.5
-    mp_lo = (1.0 - math.sqrt(beta)) ** 2
-    mp_hi = (1.0 + math.sqrt(beta)) ** 2
-    sups = []
-    for d in (2.0, 4.0, 10.0, 40.0, 1000.0):
-        p = DensityParams(beta=beta, d=d)
-        grid = np.linspace(min(p.lambda_minus, mp_lo),
-                           max(p.lambda_plus, mp_hi), 2001)
-        diff = np.abs(analytic_density(grid, p)
-                      - marchenko_pastur_density(grid, beta))
-        sups.append(float(diff.max()))
-    monotone = all(a > b for a, b in zip(sups, sups[1:]))
-    ok = monotone and sups[-1] < 1e-2
-    pretty = ", ".join(f"{s:.3g}" for s in sups)
-    return ok, f"sup distance over d in (2, 4, 10, 40, 1000): {pretty}"
-
-
-def _check_scalar_cavity() -> tuple[bool, str]:
-    p = DensityParams(beta=1.5, d=2.0)
-    grid = np.linspace(p.lambda_minus, p.lambda_plus, 512)
-    est = cavity_mod.stieltjes_inversion(grid, p, epsilon=1e-6)
-    interior = ((grid > p.lambda_minus + 1e-3) & (grid < p.lambda_plus - 1e-3))
-    err = np.abs(est - analytic_density(grid, p))[interior]
-    if np.isnan(err).any():
-        return False, "scalar inversion failed at interior grid points"
-    sup = float(err.max())
-    return sup < 1e-3, f"sup |inversion - closed form| = {sup:.3e} (tol 1e-3)"
-
-
-def _check_ordering() -> tuple[bool, str]:
-    target = tp.db_to_linear(10.0)
-    ok = True
-    min_gap = math.inf
-    for beta in (1.0, 1.5, 2.0, 2.5, 3.0):
-        p = DensityParams(beta=beta, d=2.0)
-        c_reg = tp.regular_throughput(tp.snr_for_ebno(target, beta, 2.0), p)
-        c_dense = tp.dense_rs_throughput(tp.snr_for_ebno(target, beta, "dense"), beta)
-        c_cw = tp.cover_wyner_bound(
-            tp.snr_for_ebno(target, beta, "cover_wyner"), beta)
-        ok = ok and (c_cw >= c_reg > c_dense)
-        min_gap = min(min_gap, c_reg - c_dense)
-    return ok, f"min regular - dense gap = {min_gap:.4f} at Eb/N0 = 10 dB"
-
-
-def _check_small_snr_slope() -> tuple[bool, str]:
-    snr = 1e-6
-    p = DensityParams(beta=1.5, d=2.0)
-    slope = snr * p.beta / (2.0 * tp.LN2)
-    rel_reg = abs(tp.regular_throughput(snr, p) / slope - 1.0)
-    rel_dense = abs(tp.dense_rs_throughput(snr, p.beta) / slope - 1.0)
-    worst = max(rel_reg, rel_dense)
-    return worst < 1e-3, f"max relative slope error = {worst:.3e} (tol 1e-3)"
-
-
-def _check_quadrature_stability() -> tuple[bool, str]:
-    p = DensityParams(beta=1.5, d=2.0)
-    c_a = tp.regular_throughput(10.0, p)
-    c_b = 0.5 * quadrature.support_integral(
-        lambda lam: analytic_density(lam, p),
-        p.lambda_minus, p.lambda_plus,
-        weight=lambda lam: np.log1p(10.0 * lam) / tp.LN2,
-        tol=1e-9, n_start=64)
-    diff = abs(c_a - c_b)
-    return diff < 1e-9, f"|C(n) - C(2n)| = {diff:.3e} (tol 1e-9)"
-
-
-def _check_ebno_round_trip() -> tuple[bool, str]:
-    target = tp.db_to_linear(10.0)
-    p = DensityParams(beta=1.5, d=2.0)
-    snr = tp.snr_for_ebno(target, p.beta, p.d)
-    back = tp.ebno_from_snr(snr, p.beta, tp.regular_throughput(snr, p))
-    rel = abs(back / target - 1.0)
-    return rel < 1e-6, f"round-trip relative error = {rel:.3e} (tol 1e-6)"
-
-
-def _pooled_nontrivial(espec: EnsembleSpec, trials: int) -> np.ndarray:
-    parts = [empirical_spectrum(generate_regular(espec, realization=t)).nontrivial()
-             for t in range(trials)]
-    return np.sort(np.concatenate(parts))
-
-
-def _two_sample_ks(a: np.ndarray, b: np.ndarray) -> float:
-    both = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, both, side="right") / a.size
-    cdf_b = np.searchsorted(b, both, side="right") / b.size
-    return float(np.max(np.abs(cdf_a - cdf_b)))
-
-
-def _sorted_ks(pooled: np.ndarray, p: DensityParams) -> float:
-    n = pooled.size
-    cdf = spectra_mod.analytic_cdf(pooled, p)
-    i = np.arange(1, n + 1, dtype=np.float64)
-    return float(max(np.max(np.abs(cdf - i / n)),
-                     np.max(np.abs(cdf - (i - 1.0) / n))))
-
-
-def _check_scaled_spectrum(seed: int) -> tuple[bool, str]:
-    p = DensityParams(beta=1.5, d=2.0)
-    pools = {}
-    for mode in (EntryMode.ONES, EntryMode.RADEMACHER):
-        espec = EnsembleSpec(n_resources=520, n_users=780, col_degree=2,
-                             entry_mode=mode, seed=seed)
-        pools[mode] = _pooled_nontrivial(espec, 200)
-    ks_ones = _sorted_ks(pools[EntryMode.ONES], p)
-    ks_rad = _sorted_ks(pools[EntryMode.RADEMACHER], p)
-    ks_cross = _two_sample_ks(pools[EntryMode.ONES], pools[EntryMode.RADEMACHER])
-    ok = max(ks_ones, ks_rad, ks_cross) < 0.02
-    return ok, (f"KS ones = {ks_ones:.4f}, rademacher = {ks_rad:.4f}, "
-                f"cross = {ks_cross:.4f} (tol 0.02)")
-
-
-def _check_full_scale_spectrum(seed: int) -> tuple[bool, str]:
-    p = DensityParams(beta=1.5, d=2.0)
-    espec = EnsembleSpec(n_resources=2600, n_users=3900, col_degree=2,
-                         entry_mode=EntryMode.RADEMACHER, seed=seed)
-    pooled = _pooled_nontrivial(espec, 1000)
-    ks = _sorted_ks(pooled, p)
-    return ks < 0.02, f"KS over 1000 realizations at 2600x3900 = {ks:.4f} (tol 0.02)"
-
-
-def _check_graph_route(seed: int) -> tuple[bool, str]:
-    p = DensityParams(beta=1.5, d=2.0)
-    espec = EnsembleSpec(n_resources=1000, n_users=1500, col_degree=2,
-                         entry_mode=EntryMode.RADEMACHER, seed=seed)
-    matrix = generate_regular(espec, realization=0)
-    width = p.lambda_plus - p.lambda_minus
-    grid = np.linspace(p.lambda_minus + 0.03 * width,
-                       p.lambda_plus - 0.03 * width, 64)
-    est = cavity_mod.graph_route_density(matrix, grid)
-    sup = float(np.max(np.abs(est - analytic_density(grid, p))))
-    return sup < 0.05, f"sup |graph route - closed form| = {sup:.4f} (tol 0.05)"
-
-
-def _check_mc_vs_quadrature(seed: int, threads: int) -> tuple[bool, str]:
-    p = DensityParams(beta=1.5, d=2.0)
-    espec = EnsembleSpec(n_resources=200, n_users=300, col_degree=2,
-                         entry_mode=EntryMode.RADEMACHER, seed=seed)
-    res = tp.finite_n_throughput_mc(espec, 10.0, 100, threads=threads)
-    asymptotic = tp.regular_throughput(10.0, p)
-    diff = abs(res.mean - asymptotic)
-    bound = 3.0 * res.stderr + 0.01
-    return diff < bound, (f"|MC - quadrature| = {diff:.4f} "
-                          f"(bound 3 stderr + 0.01 = {bound:.4f})")
-
-
-def _check_regular_vs_irregular(seed: int, threads: int) -> tuple[bool, str]:
-    espec = EnsembleSpec(n_resources=200, n_users=300, col_degree=2,
-                         entry_mode=EntryMode.RADEMACHER, seed=seed)
-    reg = tp.finite_n_throughput_mc(espec, 10.0, 200, threads=threads)
-    irr = tp.finite_n_throughput_mc(espec, 10.0, 200, irregular=True,
-                                    threads=threads)
-    gap = reg.mean - irr.mean
-    pooled = math.hypot(reg.stderr, irr.stderr)
-    return gap > 5.0 * pooled, (f"regular - irregular = {gap:.4f}, "
-                                f"pooled stderr = {pooled:.5f} (need > 5x)")
-
-
 def _cmd_validate(args: argparse.Namespace) -> int:
-    if args.inject_sign_flip:
-        spectra_mod._DENSITY_SIGN = -1.0
-    try:
-        checks: list[tuple[str, object]] = [
-            ("kesten_mckay_identity", _check_kesten_mckay),
-            ("density_normalization", _check_normalization),
-            ("density_first_moment", _check_first_moment),
-            ("marchenko_pastur_limit", _check_mp_limit),
-            ("scalar_cavity_agreement", _check_scalar_cavity),
-            ("throughput_ordering", _check_ordering),
-            ("small_snr_slope", _check_small_snr_slope),
-            ("quadrature_stability", _check_quadrature_stability),
-            ("ebno_round_trip", _check_ebno_round_trip),
-        ]
-        if args.level == "full":
-            seed, threads = args.seed, args.threads
-            checks += [
-                ("scaled_spectrum_ks", lambda: _check_scaled_spectrum(seed)),
-                ("graph_route_agreement", lambda: _check_graph_route(seed)),
-                ("mc_vs_quadrature", lambda: _check_mc_vs_quadrature(seed, threads)),
-                ("regular_vs_irregular", lambda: _check_regular_vs_irregular(seed, threads)),
-                ("full_scale_spectrum_ks", lambda: _check_full_scale_spectrum(seed)),
-            ]
-        lines = []
-        n_fail = 0
-        for name, fn in checks:
-            try:
-                ok, detail = fn()
-            except (ValueError, *NUMERICAL_ERRORS) as exc:
-                ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-            if not ok:
-                n_fail += 1
-            lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        lines.append(f"{len(checks) - n_fail}/{len(checks)} checks passed")
-        report = "\n".join(lines) + "\n"
-        sys.stdout.write(report)
-        if args.out is not None:
-            data = report.encode()
-            Path(args.out).write_bytes(data)
-            _write_manifest(args, args.out, data,
-                            {"level": args.level, "n_checks": len(checks),
-                             "n_failed": n_fail})
-        return EXIT_OK if n_fail == 0 else EXIT_NUMERICAL
-    finally:
-        spectra_mod._DENSITY_SIGN = 1.0
+    density = ((lambda lam, p: -analytic_density(lam, p)) if args.inject_sign_flip
+               else analytic_density)
+    checks = [c for c in CHECKS if args.level == "full" or c.level == "fast"]
+    lines = []
+    n_fail = 0
+    for check in checks:
+        try:
+            gates = check.run(density, args.seed, args.threads)
+            ok = all(g.passed for g in gates)
+            detail = "; ".join(map(str, gates))
+        except (ValueError, *NUMERICAL_ERRORS) as exc:
+            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+        n_fail += not ok
+        lines.append(f"{'PASS' if ok else 'FAIL'} {check.name}: {detail}")
+    lines.append(f"{len(checks) - n_fail}/{len(checks)} checks passed")
+    report = "\n".join(lines) + "\n"
+    sys.stdout.write(report)
+    if args.out is not None:
+        data = report.encode()
+        Path(args.out).write_bytes(data)
+        _write_manifest(args, args.out, data,
+                        {"level": args.level, "n_checks": len(checks),
+                         "n_failed": n_fail})
+    return EXIT_OK if n_fail == 0 else EXIT_NUMERICAL
 
 
 # ======================================================================
 # Parser
 # ======================================================================
 
-def _add_common(sp: argparse.ArgumentParser, out_required: bool = True) -> None:
-    sp.add_argument("--out", required=out_required,
-                    help="output file path" + ("" if out_required else " (optional report copy)"))
+def _add_common(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--out", required=True, help="output file path")
     sp.add_argument("--format", choices=("csv", "json"), default="csv",
                     help="output table format")
     sp.add_argument("--seed", type=int, default=0, help="base RNG seed")
+
+
+def _add_threads(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--threads", type=int, default=1,
                     help="worker cap for Monte Carlo trials; results are thread-count independent")
 
@@ -587,6 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--entries", choices=("ones", "rademacher"),
                     default="rademacher")
     _add_common(sp)
+    _add_threads(sp)
     sp.set_defaults(func=_cmd_throughput)
 
     sp = sub.add_parser("sweep", help="throughput curves over a parameter grid")
@@ -611,6 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--entries", choices=("ones", "rademacher"),
                     default="rademacher")
     _add_common(sp)
+    _add_threads(sp)
     sp.set_defaults(func=_cmd_sweep)
 
     sp = sub.add_parser("validate",
@@ -619,7 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="fast runs in seconds; full adds sampled-ensemble checks (minutes)")
     sp.add_argument("--inject-sign-flip", action="store_true",
                     help=argparse.SUPPRESS)
-    _add_common(sp, out_required=False)
+    sp.add_argument("--out", default=None, help="optional copy of the report")
+    sp.add_argument("--seed", type=int, default=0,
+                    help="base RNG seed of the sampled-ensemble checks")
+    _add_threads(sp)
     sp.set_defaults(func=_cmd_validate)
 
     return parser

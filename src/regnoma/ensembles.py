@@ -111,6 +111,22 @@ class EnsembleSpec:
         if not 0 <= self.seed < MAX_SEED:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
 
+    @classmethod
+    def from_load(cls, n: int, beta: float, d: float, entry_mode: EntryMode,
+                  seed: int) -> "EnsembleSpec":
+        """Spec with ``n`` resources at real load ``beta`` and degree ``d``.
+
+        Raises ValueError unless ``d`` is an integer and ``beta * n`` a whole
+        number of users.
+        """
+        if abs(d - round(d)) > 1e-9:
+            raise ValueError(f"sampled matrices need an integer degree, got {d}")
+        k = beta * n
+        if abs(k - round(k)) > 1e-9:
+            raise ValueError(f"n = {n} resources do not realize load beta = {beta}")
+        return cls(n_resources=n, n_users=int(round(k)), col_degree=int(round(d)),
+                   entry_mode=entry_mode, seed=seed)
+
     @property
     def beta(self) -> float:
         """Load K / N."""

@@ -50,10 +50,6 @@ __all__ = [
 
 TRIVIAL_TOL = 1e-6
 
-# test hook used by the self-check command to prove corruption is caught;
-# anything other than +1.0 deliberately breaks the density
-_DENSITY_SIGN = 1.0
-
 
 class SpectraError(RuntimeError):
     """Raised when an eigendecomposition fails."""
@@ -117,8 +113,7 @@ def analytic_density(lam: np.ndarray | float, p: DensityParams) -> np.ndarray | 
     m = (lam > lo) & (lam < hi)
     x = lam[m]
     bd = p.beta * p.d
-    out[m] = (_DENSITY_SIGN * bd / (2.0 * np.pi)
-              * np.sqrt((hi - x) * (x - lo)) / ((bd - x) * x))
+    out[m] = bd / (2.0 * np.pi) * np.sqrt((hi - x) * (x - lo)) / ((bd - x) * x)
     return float(out[0]) if scalar else out
 
 

@@ -335,18 +335,6 @@ class SweepSpec:
                 f"got beta={beta}, d={d}")
 
 
-def _mc_ensemble_spec(beta: float, d: float, spec: SweepSpec) -> EnsembleSpec:
-    if abs(d - round(d)) > 1e-9:
-        raise ValueError(f"Monte Carlo curves need an integer degree, got {d}")
-    n = spec.mc_n
-    k = beta * n
-    if abs(k - round(k)) > 1e-9:
-        raise ValueError(f"mc_n = {n} does not realize load beta = {beta}")
-    return EnsembleSpec(n_resources=n, n_users=int(round(k)),
-                        col_degree=int(round(d)), entry_mode=spec.entry_mode,
-                        seed=spec.seed)
-
-
 def _sweep_point(spec: SweepSpec, x: float) -> dict[str, float | None]:
     beta = x if spec.variable is SweepVariable.LOAD else spec.beta
     d = x if spec.variable is SweepVariable.SPARSITY else spec.d
@@ -376,7 +364,7 @@ def _sweep_point(spec: SweepSpec, x: float) -> dict[str, float | None]:
         else:
             if mc_snr is None:
                 mc_snr = curve_snr(d)
-            ens = _mc_ensemble_spec(beta, d, spec)
+            ens = EnsembleSpec.from_load(spec.mc_n, beta, d, spec.entry_mode, spec.seed)
             res = finite_n_throughput_mc(ens, mc_snr, spec.mc_trials,
                                          irregular=(curve is Curve.IRREGULAR_MC),
                                          threads=spec.threads)

@@ -1,168 +1,101 @@
 """Release gate: one test per acceptance criterion, each with a runtime budget.
 
-Every test prints as a single pass/fail line under pytest -v.  Tolerances
-and budgets are fixed; do not loosen them to make a failing build green.
+Each test runs the registry entries of ``regnoma.checks`` that serve its
+criterion, the same entries ``regnoma validate`` runs, and prints as a
+single pass/fail line under pytest -v.  Tolerances and budgets are fixed;
+do not loosen them to make a failing build green.
 """
 
 import time
 
-import numpy as np
-import pytest
-from scipy import integrate, stats
+from regnoma.checks import CHECKS
+from regnoma.spectra import analytic_density
 
-from regnoma.cavity import graph_route_density, stieltjes_inversion
-from regnoma.ensembles import EnsembleSpec, EntryMode, generate_regular
-from regnoma.quadrature import support_integral
-from regnoma.spectra import (DensityParams, analytic_density,
-                             empirical_spectrum, kesten_mckay_density,
-                             ks_distance, marchenko_pastur_density)
-from regnoma.throughput import (Curve, SweepSpec, SweepVariable, db_to_linear,
-                                dense_rs_throughput, finite_n_throughput_mc,
-                                regular_throughput, snr_for_ebno, sweep)
+# seeds and worker caps of the sampled-ensemble criteria
+SEED = {4: 0, 5: 0, 6: 1, 8: 2}
+THREADS = 4
+BUDGET_S = {1: 1.0, 2: 5.0, 3: 5.0, 4: 120.0, 5: 180.0, 6: 300.0, 7: 30.0,
+            8: 300.0, 9: 1.0}
 
-LN2 = np.log(2.0)
+# (check, measured quantity) -> (criterion, level, op, tolerance), in
+# validate's order; a tolerance changed in the registry fails until it is
+# changed here as well
+PINNED = {
+    ("kesten_mckay_identity", "max_abs_diff"): (1, "fast", "<", 1e-12),
+    ("density_normalization", "max_abs_mass_err"): (2, "fast", "<", 1e-8),
+    ("density_first_moment", "max_abs_mean_err"): (2, "fast", "<", 1e-6),
+    ("marchenko_pastur_limit", "min_sup_decrease"): (3, "fast", ">", 0.0),
+    ("marchenko_pastur_limit", "sup_abs_diff_d1000"): (3, "fast", "<", 1e-2),
+    ("scalar_cavity_agreement", "n_failed_points"): (4, "fast", "==", 0),
+    ("scalar_cavity_agreement", "interior_sup_abs_err"): (4, "fast", "<", 1e-3),
+    ("throughput_ordering", "n_failed_rows"): (7, "fast", "==", 0),
+    ("throughput_ordering", "min_regular_minus_dense_rs"): (7, "fast", ">", 0.0),
+    ("throughput_ordering", "min_cover_wyner_minus_regular"): (7, "fast", ">=", 0.0),
+    ("throughput_ordering", "min_cover_wyner_minus_dense_rs"): (7, "fast", ">=", 0.0),
+    ("small_snr_slope", "regular_rel_slope_err"): (9, "fast", "<", 1e-3),
+    ("small_snr_slope", "dense_rs_rel_slope_err"): (9, "fast", "<", 1e-3),
+    ("quadrature_stability", "abs_diff_doubled_start"): (None, "fast", "<", 1e-9),
+    ("ebno_round_trip", "rel_err"): (None, "fast", "<", 1e-6),
+    ("scaled_spectrum_ks", "ks_ones"): (5, "full", "<", 0.02),
+    ("scaled_spectrum_ks", "ks_rademacher"): (5, "full", "<", 0.02),
+    ("scaled_spectrum_ks", "ks_ones_vs_rademacher"): (5, "full", "<", 0.02),
+    ("graph_route_agreement", "sup_abs_err"): (4, "full", "<", 0.05),
+    ("mc_vs_quadrature", "abs_err_minus_3_stderr"): (None, "full", "<", 0.01),
+    ("finite_n_vs_asymptotic", "n_failed_trials"): (6, "full", "==", 0),
+    ("finite_n_vs_asymptotic", "max_rel_err"): (6, "full", "<", 0.05),
+    ("regular_vs_irregular", "gap_over_pooled_stderr"): (8, "full", ">", 5.0),
+    ("full_scale_spectrum_ks", "ks"): (None, "full", "<", 0.02),
+}
 
 
-def spec_for(n, k, d, mode, seed=0):
-    return EnsembleSpec(n_resources=n, n_users=k, col_degree=d,
-                        entry_mode=mode, seed=seed)
+def run_criterion(criterion):
+    checks = [c for c in CHECKS if c.criterion == criterion]
+    assert checks
+    start = time.perf_counter()
+    gates = [g for c in checks
+             for g in c.run(analytic_density, SEED.get(criterion, 0), THREADS)]
+    elapsed = time.perf_counter() - start
+    assert [str(g) for g in gates if not g.passed] == []
+    assert elapsed < BUDGET_S[criterion]
 
 
-def pooled_nontrivial(spec, trials):
-    vals = [empirical_spectrum(generate_regular(spec, realization=t)).nontrivial()
-            for t in range(trials)]
-    return np.sort(np.concatenate(vals))
+def test_registry_matches_pinned_tolerances():
+    registry = {(c.name, b.quantity): (c.criterion, c.level, b.op, b.tolerance)
+                for c in CHECKS for b in c.bounds}
+    assert list(registry.items()) == list(PINNED.items())
 
 
 def test_criterion_1_kesten_mckay_identity():
-    start = time.perf_counter()
-    worst = 0.0
-    for d in (2.0, 3.0, 10.0):
-        p = DensityParams(beta=1.0, d=d)
-        width = p.lambda_plus - p.lambda_minus
-        grid = np.linspace(p.lambda_minus + 1e-6 * width,
-                           p.lambda_plus - 1e-6 * width, 1000)
-        diff = np.abs(analytic_density(grid, p) - kesten_mckay_density(grid, d))
-        worst = max(worst, float(diff.max()))
-    assert worst < 1e-12
-    assert time.perf_counter() - start < 1.0
+    run_criterion(1)
 
 
 def test_criterion_2_normalization_and_first_moment():
-    start = time.perf_counter()
-    for beta in (1.0, 1.5, 2.0, 3.0):
-        for d in (2.0, 3.0, 4.0, 10.0):
-            p = DensityParams(beta=beta, d=d)
-            mass = support_integral(lambda lam: analytic_density(lam, p),
-                                    p.lambda_minus, p.lambda_plus, tol=1e-10)
-            mean = support_integral(lambda lam: lam * analytic_density(lam, p),
-                                    p.lambda_minus, p.lambda_plus, tol=1e-10)
-            assert abs(mass - 1.0) < 1e-8
-            assert abs(mean - beta) < 1e-6
-    assert time.perf_counter() - start < 5.0
+    run_criterion(2)
 
 
 def test_criterion_3_marchenko_pastur_limit():
-    start = time.perf_counter()
-    beta = 1.5
-    mp_lo, mp_hi = (1.0 - np.sqrt(beta)) ** 2, (1.0 + np.sqrt(beta)) ** 2
-    lo = min(mp_lo, *(DensityParams(beta=beta, d=d).lambda_minus
-                      for d in (2.0, 4.0, 10.0, 40.0, 1000.0)))
-    hi = max(mp_hi, *(DensityParams(beta=beta, d=d).lambda_plus
-                      for d in (2.0, 4.0, 10.0, 40.0, 1000.0)))
-    grid = np.linspace(lo, hi, 2001)
-    mp = marchenko_pastur_density(grid, beta)
-    sups = [float(np.abs(analytic_density(grid, DensityParams(beta=beta, d=d))
-                         - mp).max())
-            for d in (2.0, 4.0, 10.0, 40.0, 1000.0)]
-    assert all(a > b for a, b in zip(sups, sups[1:]))
-    assert sups[-1] < 1e-2
-    assert time.perf_counter() - start < 5.0
+    run_criterion(3)
 
 
 def test_criterion_4_three_route_density_agreement():
-    start = time.perf_counter()
-    p = DensityParams(beta=1.5, d=2.0)
-    width = p.lambda_plus - p.lambda_minus
-
-    grid = np.linspace(p.lambda_minus, p.lambda_plus, 512)
-    scalar = stieltjes_inversion(grid, p, epsilon=1e-6)
-    closed = analytic_density(grid, p)
-    interior = ((grid > p.lambda_minus + 1e-3) & (grid < p.lambda_plus - 1e-3))
-    assert not np.isnan(scalar).any()
-    assert float(np.abs(scalar - closed)[interior].max()) < 1e-3
-
-    espec = spec_for(1000, 1500, 2, EntryMode.RADEMACHER)
-    matrix = generate_regular(espec, realization=0)
-    ggrid = np.linspace(p.lambda_minus + 0.03 * width,
-                        p.lambda_plus - 0.03 * width, 64)
-    graph = graph_route_density(matrix, ggrid)
-    assert float(np.abs(graph - analytic_density(ggrid, p)).max()) < 0.05
-    assert time.perf_counter() - start < 120.0
+    run_criterion(4)
 
 
 def test_criterion_5_scaled_pooled_spectrum_both_entry_modes():
-    start = time.perf_counter()
-    p = DensityParams(beta=1.5, d=2.0)
-    trials = 200
-    pooled = {}
-    for mode in (EntryMode.ONES, EntryMode.RADEMACHER):
-        espec = spec_for(520, 780, 2, mode)
-        samples = [empirical_spectrum(generate_regular(espec, realization=t))
-                   for t in range(trials)]
-        assert ks_distance(samples, p, exclude_trivial=True) < 0.02
-        pooled[mode] = np.concatenate([s.nontrivial() for s in samples])
-    cross = stats.ks_2samp(pooled[EntryMode.ONES],
-                           pooled[EntryMode.RADEMACHER]).statistic
-    assert cross < 0.02
-    assert time.perf_counter() - start < 180.0
+    run_criterion(5)
 
 
 def test_criterion_6_finite_n_throughput_matches_asymptotic():
-    start = time.perf_counter()
-    p = DensityParams(beta=1.5, d=2.0)
-    espec = spec_for(10, 15, 2, EntryMode.RADEMACHER, seed=1)
-    for ebno_db in (4.0, 7.0, 10.0, 13.0):
-        snr = snr_for_ebno(db_to_linear(ebno_db), 1.5, 2.0)
-        asymptotic = regular_throughput(snr, p)
-        mc = finite_n_throughput_mc(espec, snr, 10_000, threads=4)
-        assert mc.n_failed == 0
-        assert abs(mc.mean - asymptotic) / asymptotic < 0.05
-    assert time.perf_counter() - start < 300.0
+    run_criterion(6)
 
 
 def test_criterion_7_throughput_ordering_across_loads():
-    start = time.perf_counter()
-    rows = sweep(SweepSpec(variable=SweepVariable.LOAD,
-                           values=(1.0, 1.5, 2.0, 2.5, 3.0),
-                           d=2.0, ebno_db=10.0))
-    for row in rows:
-        assert not row["failed"]
-        assert row["regular"] > row["dense_rs"]
-        assert row["cover_wyner"] >= row["regular"]
-        assert row["cover_wyner"] >= row["dense_rs"]
-    assert time.perf_counter() - start < 30.0
+    run_criterion(7)
 
 
 def test_criterion_8_regular_beats_irregular_by_clear_margin():
-    start = time.perf_counter()
-    espec = spec_for(200, 300, 2, EntryMode.RADEMACHER, seed=2)
-    snr = 10.0
-    trials = 200
-    reg = finite_n_throughput_mc(espec, snr, trials, threads=4)
-    irr = finite_n_throughput_mc(espec, snr, trials, irregular=True, threads=4)
-    gap = reg.mean - irr.mean
-    pooled_stderr = float(np.hypot(reg.stderr, irr.stderr))
-    assert gap > 5.0 * pooled_stderr
-    assert time.perf_counter() - start < 300.0
+    run_criterion(8)
 
 
 def test_criterion_9_small_snr_slope_is_half_load_over_ln2():
-    start = time.perf_counter()
-    snr = 1e-6
-    slope = 1.5 / (2.0 * LN2)
-    reg = regular_throughput(snr, DensityParams(beta=1.5, d=2.0)) / snr
-    dense = dense_rs_throughput(snr, 1.5) / snr
-    assert abs(reg / slope - 1.0) < 1e-3
-    assert abs(dense / slope - 1.0) < 1e-3
-    assert time.perf_counter() - start < 1.0
+    run_criterion(9)

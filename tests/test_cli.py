@@ -3,14 +3,16 @@
 import csv
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import regnoma
 from regnoma import cli
-from regnoma import spectra
 from regnoma.cavity import CavityError
 from regnoma.spectra import DensityParams, kesten_mckay_density
 from regnoma.throughput import db_to_linear, regular_throughput
@@ -30,12 +32,37 @@ def read_manifest(path):
         return json.load(fh)
 
 
+def run_python(*args):
+    """Run a fresh interpreter that imports this checkout's regnoma."""
+    src = str(Path(regnoma.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 class TestEntryPoint:
     def test_installed_script_reports_version(self):
-        proc = subprocess.run([sys.executable, "-m", "regnoma.cli", "--version"],
-                              capture_output=True, text=True)
+        proc = run_python("-m", "regnoma.cli", "--version")
         assert proc.returncode == 0
         assert "regnoma 0.1.0" in proc.stdout
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats costs about a second to import; only validate --level full needs it
+        proc = run_python("-c", "import sys, regnoma.cli; "
+                                "print('scipy.stats' in sys.modules)")
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("argv", [
+        ["density", "--beta", "1", "--d", "2", "--threads", "2"],
+        ["cavity", "--beta", "1.5", "--d", "2", "--threads", "2"],
+        ["simulate", "--n", "10", "--beta", "1.5", "--d", "2", "--threads", "2"],
+        ["validate", "--format", "json"],
+    ])
+    def test_flags_a_subcommand_does_not_read_are_rejected(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            run(argv + ["--out", str(tmp_path / "x.csv")])
+        assert excinfo.value.code == 2
 
 
 class TestDensity:
@@ -196,6 +223,29 @@ class TestThroughput:
                  "--out", str(tmp_path / "x.csv")])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("fmt, blank", [("csv", ""), ("json", None)])
+    def test_single_trial_stderr_is_written_blank(self, tmp_path, fmt, blank):
+        # one trial has no standard error; the infinite value is left out
+        out = tmp_path / f"tp.{fmt}"
+        assert run(["throughput", "--beta", "1.5", "--d", "2", "--snr-db", "10",
+                    "--curves", "regular_mc", "--mc-n", "10", "--mc-trials", "1",
+                    "--format", fmt, "--out", str(out)]) == 0
+        row = (read_csv(out) if fmt == "csv" else json.loads(out.read_text())["rows"])[0]
+        assert row["regular_mc_stderr"] == blank
+        assert float(row["regular_mc"]) > 0.0
+
+    @pytest.mark.parametrize("argv", [
+        ["throughput", "--beta", "1.5", "--d", "2.5", "--snr-db", "10", "--mc-n", "10"],
+        ["throughput", "--beta", "1.5", "--d", "2", "--snr-db", "10", "--mc-n", "7"],
+        ["sweep", "--variable", "ebno", "--values", "10", "--beta", "1.5",
+         "--d", "2.5", "--mc-n", "10"],
+        ["sweep", "--variable", "load", "--values", "1.5", "--d", "2",
+         "--snr-db", "10", "--mc-n", "7"],
+    ])
+    def test_unrealizable_monte_carlo_ensemble_exits_2(self, tmp_path, argv):
+        assert run(argv + ["--curves", "regular,regular_mc", "--mc-trials", "2",
+                           "--out", str(tmp_path / "x.csv")]) == 2
+
     def test_unknown_curve_exits_2(self, tmp_path):
         assert run(["throughput", "--beta", "1.5", "--d", "2",
                     "--snr-db", "10", "--curves", "bogus",
@@ -237,9 +287,12 @@ class TestValidate:
     def test_injected_sign_flip_is_detected(self, capsys):
         assert run(["validate", "--level", "fast", "--inject-sign-flip"]) == 3
         out = capsys.readouterr().out
-        assert "FAIL" in out
-        # the corruption hook is restored even on failure
-        assert spectra._DENSITY_SIGN == 1.0
+        for name in ("kesten_mckay_identity", "density_normalization",
+                     "density_first_moment", "marchenko_pastur_limit",
+                     "scalar_cavity_agreement"):
+            assert f"FAIL {name}: " in out
+        # the corrupted density does not outlive its run
+        assert run(["validate", "--level", "fast"]) == 0
 
     def test_report_file_and_manifest(self, tmp_path, capsys):
         out = tmp_path / "report.txt"
