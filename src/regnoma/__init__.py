@@ -18,8 +18,9 @@ from .spectra import (DensityParams, SpectraError, SpectrumSample,
                       kesten_mckay_density, ks_distance,
                       marchenko_pastur_density, spectrum_histogram)
 from .cavity import (CavityError, CavityState, GraphCavityMessages,
-                     cavity_on_graph, gram_density_from_adjacency_transform,
-                     graph_route_density, solve_fixed_point,
+                     GraphRouteDensity, LiftedGraph, cavity_on_graph,
+                     gram_density_from_adjacency_transform,
+                     graph_route_density, lift_graph, solve_fixed_point,
                      stieltjes_inversion)
 from .throughput import (Curve, MCResult, SweepSpec, SweepVariable,
                          cover_wyner_bound, db_to_linear, dense_rs_throughput,
@@ -55,9 +56,12 @@ __all__ = [
     "CavityError",
     "CavityState",
     "GraphCavityMessages",
+    "GraphRouteDensity",
+    "LiftedGraph",
     "cavity_on_graph",
     "gram_density_from_adjacency_transform",
     "graph_route_density",
+    "lift_graph",
     "solve_fixed_point",
     "stieltjes_inversion",
     "Curve",

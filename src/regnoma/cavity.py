@@ -19,6 +19,23 @@ squared entries, so both entry modes produce identical variances.  The node
 variances estimate the diagonal of the adjacency resolvent; their mean
 estimates the adjacency Cauchy transform, which maps to the Gram transform
 through :func:`gram_density_from_adjacency_transform`.
+
+The sweeps run lifted, on classes of directed edges (as in counting belief
+propagation).  All messages start at 1/z, so edges whose computation trees
+agree hold one value at every sweep.  :func:`lift_graph` finds the
+coarsest such partition that is equitable: starting from one class, it
+splits edge u -> v by (its class, the class of u, the class of v -> u),
+where a node's class is the *ordered* sequence of its in-edge classes,
+until nothing splits.  Every member of a class then computes its update
+from the same inputs.  Ordered rather than multiset sequences make those
+inputs the same bits, not just the same numbers: ``np.bincount`` sums a
+node's in-edges in edge-index order, and nodes of one class sum equal
+values in equal order.  So a sweep that updates one value per class, with
+a bincount over one member's in-edges per node class, reproduces the
+per-edge sweep bit for bit, including the sweep count and the largest
+change.  A biregular graph with beta > 1 has two classes (one per
+orientation) and beta = 1 has one; a graph without symmetry has about 2E,
+and the same loop then updates every edge.
 """
 
 from __future__ import annotations
@@ -33,9 +50,12 @@ from .ensembles import SparseSignatureMatrix
 __all__ = [
     "CavityState",
     "GraphCavityMessages",
+    "GraphRouteDensity",
+    "LiftedGraph",
     "CavityError",
     "solve_fixed_point",
     "stieltjes_inversion",
+    "lift_graph",
     "cavity_on_graph",
     "gram_density_from_adjacency_transform",
     "graph_route_density",
@@ -190,6 +210,82 @@ def stieltjes_inversion(lambda_grid: np.ndarray, p: DensityParams,
 # Message passing on a sampled graph
 # ======================================================================
 
+@dataclass(frozen=True)
+class LiftedGraph:
+    """The bipartite graph of A with its directed edges grouped into classes.
+
+    Nodes 0..N-1 are resources, N..N+K-1 are users.  Directed edge ``e``
+    runs ``src[e] -> dst[e]``; there are exactly two per nonzero of A.
+    ``edge_class`` and ``node_class`` label every edge and node with its
+    class.  Per class, ``src_class`` is the class of the tail node and
+    ``rev_class`` the class of the reverse edge.  Per node class, the
+    in-edge classes of one member are listed in edge-index order by the
+    parallel arrays ``in_node`` (the node class) and ``in_class``.
+    """
+
+    src: np.ndarray
+    dst: np.ndarray
+    edge_class: np.ndarray
+    node_class: np.ndarray
+    src_class: np.ndarray
+    rev_class: np.ndarray
+    in_node: np.ndarray
+    in_class: np.ndarray
+
+    @property
+    def n_classes(self) -> int:
+        return self.src_class.size
+
+
+def _row_classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows in sorted order and the index of each row among them."""
+    unique, inverse = np.unique(rows, axis=0, return_inverse=True)
+    return unique, inverse.ravel()
+
+
+def lift_graph(matrix: SparseSignatureMatrix) -> LiftedGraph:
+    """Group the directed edges of A's bipartite graph into update classes.
+
+    Refinement starts from one class.  Each round labels every node by the
+    ordered sequence of its in-edge classes and splits edge ``u -> v`` by
+    (its class, the label of ``u``, the class of ``v -> u``), until no
+    class splits.  Members of a class then take the same floating-point
+    inputs at every sweep of :func:`cavity_on_graph`.
+    """
+    n, k = matrix.spec.n_resources, matrix.spec.n_users
+    n_nodes = n + k
+    n_edges = matrix.nnz
+    src = np.concatenate([matrix.rows, matrix.cols + n])
+    dst = np.concatenate([matrix.cols + n, matrix.rows])
+    rev = np.concatenate([np.arange(n_edges, 2 * n_edges), np.arange(n_edges)])
+
+    # in-edges of each node in edge-index order, the order bincount sums them;
+    # short rows are padded with -1, so rows of different lengths differ
+    by_dst = np.argsort(dst, kind="stable")
+    degree = np.bincount(dst, minlength=n_nodes)
+    slot = np.arange(2 * n_edges) - np.repeat(np.cumsum(degree) - degree, degree)
+    in_rows = np.full((n_nodes, degree.max()), -1, dtype=np.int64)
+
+    edge_class = np.zeros(2 * n_edges, dtype=np.int64)
+    n_classes = 1
+    while True:
+        in_rows[dst[by_dst], slot] = edge_class[by_dst]
+        sequences, node_class = _row_classes(in_rows)
+        _, refined = _row_classes(
+            np.stack([edge_class, node_class[src], edge_class[rev]], axis=1))
+        split = int(refined.max()) + 1
+        if split == n_classes:
+            break
+        edge_class, n_classes = refined, split
+
+    filled = sequences >= 0
+    first = np.unique(edge_class, return_index=True)[1]
+    return LiftedGraph(src=src, dst=dst, edge_class=edge_class, node_class=node_class,
+                       src_class=node_class[src[first]],
+                       rev_class=edge_class[rev[first]],
+                       in_node=np.nonzero(filled)[0], in_class=sequences[filled])
+
+
 @dataclass
 class GraphCavityMessages:
     """Converged directed-edge messages and node variances on one graph.
@@ -213,33 +309,35 @@ class GraphCavityMessages:
         return complex(self.node_variances.mean())
 
 
-def cavity_on_graph(matrix: SparseSignatureMatrix, z: complex,
+def cavity_on_graph(graph: SparseSignatureMatrix | LiftedGraph, z: complex,
                     tol: float = 1e-8,
                     damping: float = DEFAULT_DAMPING,
                     max_sweeps: int = 10_000) -> GraphCavityMessages:
     """Run damped synchronous message passing on the bipartite graph of A.
 
     Updates use squared entry values, which are 1 in both entry modes, so
-    only the support of A matters.  Raises :class:`CavityError` when the
-    largest per-sweep message change stays above ``tol`` after
-    ``max_sweeps`` sweeps.
+    only the support of A matters.  A matrix is lifted first; pass the
+    :class:`LiftedGraph` to reuse the lift across points.  Each sweep
+    updates one message per edge class and the result is expanded to every
+    edge.  Raises :class:`CavityError` when the largest per-sweep message
+    change stays above ``tol`` after ``max_sweeps`` sweeps.
     """
     z = complex(z)
     if not z.imag > 0.0:
         raise ValueError(f"need Im z > 0, got z = {z}")
-    n, k = matrix.spec.n_resources, matrix.spec.n_users
-    n_nodes = n + k
-    n_edges = matrix.nnz
-    src = np.concatenate([matrix.rows, matrix.cols + n])
-    dst = np.concatenate([matrix.cols + n, matrix.rows])
-    rev = np.concatenate([np.arange(n_edges, 2 * n_edges), np.arange(n_edges)])
+    g = graph if isinstance(graph, LiftedGraph) else lift_graph(graph)
+    n_node_classes = int(g.node_class.max()) + 1
 
-    msg = np.full(2 * n_edges, 1.0 / z, dtype=complex)
+    def incoming(msg: np.ndarray) -> np.ndarray:
+        return (np.bincount(g.in_node, weights=msg.real[g.in_class],
+                            minlength=n_node_classes)
+                + 1j * np.bincount(g.in_node, weights=msg.imag[g.in_class],
+                                   minlength=n_node_classes))
+
+    msg = np.full(g.n_classes, 1.0 / z, dtype=complex)
     change = np.inf
     for sweep in range(1, max_sweeps + 1):
-        incoming = (np.bincount(dst, weights=msg.real, minlength=n_nodes)
-                    + 1j * np.bincount(dst, weights=msg.imag, minlength=n_nodes))
-        prop = 1.0 / (z - (incoming[src] - msg[rev]))
+        prop = 1.0 / (z - (incoming(msg)[g.src_class] - msg[g.rev_class]))
         new = (1.0 - damping) * msg + damping * prop
         change = float(np.max(np.abs(new - msg)))
         msg = new
@@ -248,11 +346,9 @@ def cavity_on_graph(matrix: SparseSignatureMatrix, z: complex,
     else:
         raise CavityError(
             f"messages did not converge at z = {z}: change {change} after {max_sweeps} sweeps")
-    incoming = (np.bincount(dst, weights=msg.real, minlength=n_nodes)
-                + 1j * np.bincount(dst, weights=msg.imag, minlength=n_nodes))
-    variances = 1.0 / (z - incoming)
-    return GraphCavityMessages(z=z, src=src, dst=dst, messages=msg,
-                               node_variances=variances, sweeps=sweep,
+    variances = 1.0 / (z - incoming(msg))
+    return GraphCavityMessages(z=z, src=g.src, dst=g.dst, messages=msg[g.edge_class],
+                               node_variances=variances[g.node_class], sweeps=sweep,
                                max_change=change)
 
 
@@ -280,26 +376,52 @@ def gram_density_from_adjacency_transform(g_adj: complex, z: complex,
     return (1.0 + beta) / 2.0 * d * g_adj / z - (beta - 1.0) * d / (2.0 * z * z)
 
 
+@dataclass(frozen=True)
+class GraphRouteDensity:
+    """Graph-route density on a grid with its message-passing diagnostics.
+
+    ``density`` is NaN where the messages did not converge; ``sweeps``
+    holds the sweeps run at each point (``max_sweeps`` where they stalled)
+    and ``n_classes`` the edge classes each sweep updated.
+    """
+
+    density: np.ndarray
+    sweeps: np.ndarray
+    n_classes: int
+
+    @property
+    def n_failed(self) -> int:
+        return int(np.isnan(self.density).sum())
+
+
 def graph_route_density(matrix: SparseSignatureMatrix,
                         lambda_grid: np.ndarray,
                         epsilon: float = 5e-3,
                         tol: float = 1e-8,
-                        max_sweeps: int = 10_000) -> np.ndarray:
+                        max_sweeps: int = 10_000) -> GraphRouteDensity:
     """Gram density estimate from message passing on one sampled matrix.
 
     Each Gram point ``lam`` maps to the adjacency point
     ``z = sqrt(d (lam + i eps))`` on the principal branch, so the transform
     lands exactly at ``w = lam + i eps``.  The default ``epsilon`` trades
-    the Lorentzian smoothing bias against finite-size roughness.
+    the Lorentzian smoothing bias against finite-size roughness.  The
+    matrix is lifted once for the whole grid.  A point whose messages do
+    not converge is NaN and the batch continues.
     """
     p = DensityParams.from_ensemble(matrix.spec)
+    graph = lift_graph(matrix)
     grid = np.atleast_1d(np.asarray(lambda_grid, dtype=np.float64))
-    out = np.empty(grid.shape)
+    out = np.full(grid.shape, np.nan)
+    sweeps = np.full(grid.shape, max_sweeps, dtype=np.int64)
     for i, lam in enumerate(grid):
         z = complex(np.sqrt(complex(p.d * lam, p.d * epsilon)))
         if z.imag < 0.0:
             z = -z
-        run = cavity_on_graph(matrix, z, tol=tol, max_sweeps=max_sweeps)
+        try:
+            run = cavity_on_graph(graph, z, tol=tol, max_sweeps=max_sweeps)
+        except CavityError:
+            continue
         g = gram_density_from_adjacency_transform(run.mean_variance, z, p)
         out[i] = -g.imag / np.pi
-    return out
+        sweeps[i] = run.sweeps
+    return GraphRouteDensity(density=out, sweeps=sweeps, n_classes=graph.n_classes)

@@ -28,10 +28,9 @@ from .cavity import graph_route_density, stieltjes_inversion
 from .ensembles import EnsembleSpec, EntryMode, generate_regular
 from .spectra import (DensityParams, empirical_spectrum, kesten_mckay_density,
                       ks_distance, marchenko_pastur_density)
+from .throughput import Density
 
 __all__ = ["Bound", "Gate", "Check", "CHECKS"]
-
-Density = Callable[[np.ndarray, DensityParams], np.ndarray]
 
 _OPS = {"<": operator.lt, ">": operator.gt, ">=": operator.ge, "==": operator.eq}
 
@@ -140,7 +139,7 @@ def _scalar_cavity(density, seed, threads):
 def _ordering(density, seed, threads):
     rows = tp.sweep(tp.SweepSpec(variable=tp.SweepVariable.LOAD,
                                  values=(1.0, 1.5, 2.0, 2.5, 3.0),
-                                 d=2.0, ebno_db=10.0))
+                                 d=2.0, ebno_db=10.0), density)
     reg, dense, cw = (_column(rows, k) for k in ("regular", "dense_rs", "cover_wyner"))
     return (sum(row["failed"] for row in rows), np.min(reg - dense),
             np.min(cw - reg), np.min(cw - dense))
@@ -149,7 +148,7 @@ def _ordering(density, seed, threads):
 def _small_snr_slope(density, seed, threads):
     snr, p = 1e-6, DensityParams(beta=1.5, d=2.0)
     slope = p.beta / (2.0 * tp.LN2)
-    return (abs(tp.regular_throughput(snr, p) / snr / slope - 1.0),
+    return (abs(tp.regular_throughput(snr, p, density=density) / snr / slope - 1.0),
             abs(tp.dense_rs_throughput(snr, p.beta) / snr / slope - 1.0))
 
 
@@ -163,8 +162,8 @@ def _quadrature_stability(density, seed, threads):
 
 def _ebno_round_trip(density, seed, threads):
     target, p = tp.db_to_linear(10.0), DensityParams(beta=1.5, d=2.0)
-    snr = tp.snr_for_ebno(target, p.beta, p.d)
-    back = tp.ebno_from_snr(snr, p.beta, tp.regular_throughput(snr, p))
+    snr = tp.snr_for_ebno(target, p.beta, p.d, density)
+    back = tp.ebno_from_snr(snr, p.beta, tp.regular_throughput(snr, p, density=density))
     return (abs(back / target - 1.0),)
 
 
@@ -197,12 +196,14 @@ def _graph_route(density, seed, threads):
     width = p.lambda_plus - p.lambda_minus
     grid = np.linspace(p.lambda_minus + 0.03 * width,
                        p.lambda_plus - 0.03 * width, 64)
-    return (np.max(np.abs(graph_route_density(matrix, grid) - density(grid, p))),)
+    route = graph_route_density(matrix, grid)
+    return (np.max(np.abs(route.density - density(grid, p))),)  # NaN fails the gate
 
 
 def _mc_vs_quadrature(density, seed, threads):
     res = tp.finite_n_throughput_mc(_spec(200, seed), 10.0, 100, threads=threads)
-    asymptotic = tp.regular_throughput(10.0, DensityParams(beta=1.5, d=2.0))
+    asymptotic = tp.regular_throughput(10.0, DensityParams(beta=1.5, d=2.0),
+                                       density=density)
     return (abs(res.mean - asymptotic) - 3.0 * res.stderr,)
 
 
@@ -210,8 +211,8 @@ def _finite_n_vs_asymptotic(density, seed, threads):
     p, espec = DensityParams(beta=1.5, d=2.0), _spec(10, seed)
     n_failed, rel_errs = 0, []
     for ebno_db in (4.0, 7.0, 10.0, 13.0):
-        snr = tp.snr_for_ebno(tp.db_to_linear(ebno_db), p.beta, p.d)
-        asymptotic = tp.regular_throughput(snr, p)
+        snr = tp.snr_for_ebno(tp.db_to_linear(ebno_db), p.beta, p.d, density)
+        asymptotic = tp.regular_throughput(snr, p, density=density)
         mc = tp.finite_n_throughput_mc(espec, snr, 10_000, threads=threads)
         n_failed += mc.n_failed
         rel_errs.append(abs(mc.mean - asymptotic) / asymptotic)

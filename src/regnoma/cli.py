@@ -132,14 +132,20 @@ def _cmd_cavity(args: argparse.Namespace) -> int:
     closed = analytic_density(grid, p)
     scalar = cavity_mod.stieltjes_inversion(grid, p, epsilon=args.epsilon)
     have_graph = args.graph_n is not None
+    graph = np.full(grid.size, np.nan)
+    graph_results = dict.fromkeys(("n_failed_graph", "graph_sweeps_total",
+                                   "graph_sweeps_max", "graph_message_classes"))
     if have_graph:
         espec = EnsembleSpec.from_load(args.graph_n, args.beta, args.d,
                                        EntryMode.RADEMACHER, args.seed)
         matrix = generate_regular(espec, realization=0)
-        graph = cavity_mod.graph_route_density(matrix, grid,
+        route = cavity_mod.graph_route_density(matrix, grid,
                                                epsilon=args.graph_epsilon)
-    else:
-        graph = np.full(grid.size, np.nan)
+        graph = route.density
+        graph_results = {"n_failed_graph": route.n_failed,
+                         "graph_sweeps_total": int(route.sweeps.sum()),
+                         "graph_sweeps_max": int(route.sweeps.max()),
+                         "graph_message_classes": route.n_classes}
     err_scalar = np.abs(scalar - closed)
     err_graph = np.abs(graph - closed)
     rows = []
@@ -161,6 +167,7 @@ def _cmd_cavity(args: argparse.Namespace) -> int:
         "n_failed_scalar": int(np.isnan(scalar).sum()),
         "sup_abs_err_scalar_interior": _sup_or_none(err_scalar[interior]),
         "sup_abs_err_graph": _sup_or_none(err_graph) if have_graph else None,
+        **graph_results,
     }
     return _emit(args, CAVITY_COLUMNS, rows, results)
 

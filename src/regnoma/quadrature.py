@@ -22,6 +22,8 @@ __all__ = ["QuadratureError", "support_integral", "partial_integrals"]
 # theta panels of the partial-integral table and Gauss-Legendre nodes per panel
 PANELS = 64
 PANEL_ORDER = 20
+# points per block of partial panels; bounds the temporaries of a large call
+BLOCK = 65_536
 
 
 class QuadratureError(RuntimeError):
@@ -85,13 +87,14 @@ def partial_integrals(density: Callable[[np.ndarray], np.ndarray],
     panel integrals are summed cumulatively at the panel boundaries.  A
     point then adds one ``PANEL_ORDER``-node rule over its own partial panel,
     from the boundary below it to its theta.  A call therefore evaluates the
-    density ``PANEL_ORDER * (PANELS + len(lams))`` times.  For the limiting
-    spectral law this matches the arcsine closed form (beta = 1, d = 2) to
-    rounding, and adaptive quadrature to 1e-15 over beta in [1, 7.5] and d in
-    [2, 50].  Accuracy degrades when a support edge sits close to a pole of
-    the density just outside it: the error is ~5e-7 at beta = 1.001, d = 2,
-    and ~1e-12 at d within 1e-4 of 1 + 1/beta.  Values are clipped to [0, 1]
-    against rounding at the edges.
+    density ``PANEL_ORDER * (PANELS + len(lams))`` times, ``BLOCK`` points at
+    a time, so its temporaries stay bounded however many points it gets.
+    For the limiting spectral law this matches the arcsine closed form
+    (beta = 1, d = 2) to rounding, and adaptive quadrature to 1e-15 over
+    beta in [1, 7.5] and d in [2, 50].  Accuracy degrades when a support
+    edge sits close to a pole of the density just outside it: the error is
+    ~5e-7 at beta = 1.001, d = 2, and ~1e-12 at d within 1e-4 of
+    1 + 1/beta.  Values are clipped to [0, 1] against rounding at the edges.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=np.float64))
     x, w = _nodes(PANEL_ORDER)
@@ -104,10 +107,13 @@ def partial_integrals(density: Callable[[np.ndarray], np.ndarray],
     table = integrand(starts[:, None] + (h / 2.0) * (x + 1.0)) @ w * (h / 2.0)
     below = np.concatenate(([0.0], np.cumsum(table)))
 
-    frac = np.clip((lams - lo) / (hi - lo), 0.0, 1.0)
-    theta_hi = np.arcsin(np.sqrt(frac))
-    panel = np.minimum((theta_hi / h).astype(np.int64), PANELS - 1)
-    start = h * panel
-    half = (theta_hi - start) / 2.0
-    part = integrand(start[:, None] + half[:, None] * (x + 1.0)) @ w * half
-    return np.clip(below[panel] + part, 0.0, 1.0)
+    parts = []
+    for block in np.split(lams, np.arange(BLOCK, lams.size, BLOCK)):
+        frac = np.clip((block - lo) / (hi - lo), 0.0, 1.0)
+        theta_hi = np.arcsin(np.sqrt(frac))
+        panel = np.minimum((theta_hi / h).astype(np.int64), PANELS - 1)
+        start = h * panel
+        half = (theta_hi - start) / 2.0
+        part = integrand(start[:, None] + half[:, None] * (x + 1.0)) @ w * half
+        parts.append(np.clip(below[panel] + part, 0.0, 1.0))
+    return np.concatenate(parts)

@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 LN2 = math.log(2.0)
+Density = Callable[[np.ndarray, DensityParams], np.ndarray]
 SNR_BRACKET = (1e-6, 1e6)
 
 
@@ -67,13 +68,18 @@ def _check_snr(snr: float) -> float:
     return snr
 
 
-def regular_throughput(snr: float, p: DensityParams, tol: float = 1e-9) -> float:
-    """Asymptotic throughput of the regular ensemble, bits per resource use."""
+def regular_throughput(snr: float, p: DensityParams, tol: float = 1e-9,
+                       density: Density = analytic_density) -> float:
+    """Asymptotic throughput of the regular ensemble, bits per resource use.
+
+    ``density(lam, p)`` is the law integrated over the support; it defaults
+    to the closed form.
+    """
     snr = _check_snr(snr)
     if snr == 0.0:
         return 0.0
     return 0.5 * quadrature.support_integral(
-        lambda lam: analytic_density(lam, p),
+        lambda lam: density(lam, p),
         p.lambda_minus, p.lambda_plus,
         weight=lambda lam: np.log1p(snr * lam) / LN2,
         tol=tol)
@@ -107,7 +113,8 @@ def ebno_from_snr(snr: float, beta: float, c: float) -> float:
     return beta * snr / (2.0 * c)
 
 
-def _curve_throughput(beta: float, d: float | str) -> Callable[[float], float]:
+def _curve_throughput(beta: float, d: float | str,
+                      density: Density) -> Callable[[float], float]:
     if isinstance(d, str):
         token = d.lower()
         if token == "dense":
@@ -116,19 +123,21 @@ def _curve_throughput(beta: float, d: float | str) -> Callable[[float], float]:
             return lambda snr: cover_wyner_bound(snr, beta)
         raise ValueError(f"unknown curve selector {d!r}")
     p = DensityParams(beta=beta, d=float(d))
-    return lambda snr: regular_throughput(snr, p)
+    return lambda snr: regular_throughput(snr, p, density=density)
 
 
-def snr_for_ebno(ebno_target: float, beta: float, d: float | str) -> float:
+def snr_for_ebno(ebno_target: float, beta: float, d: float | str,
+                 density: Density = analytic_density) -> float:
     """Invert the Eb/N0 map on the curve selected by ``d``.
 
     ``d`` is a degree for the regular curve or the string ``"dense"`` for
     the dense reference (``"cover_wyner"`` is also accepted).  The map is
     monotone increasing in snr with infimum ln 2, so the target (linear)
-    must exceed ln 2; bisection runs on the bracket [1e-6, 1e6].
+    must exceed ln 2; bisection runs on the bracket [1e-6, 1e6].  The
+    regular curve integrates ``density`` (see :func:`regular_throughput`).
     """
     target = float(ebno_target)
-    cfun = _curve_throughput(beta, d)
+    cfun = _curve_throughput(beta, d, density)
     lo, hi = SNR_BRACKET
     f_lo = ebno_from_snr(lo, beta, cfun(lo)) - target
     f_hi = ebno_from_snr(hi, beta, cfun(hi)) - target
@@ -335,17 +344,17 @@ class SweepSpec:
                 f"got beta={beta}, d={d}")
 
 
-def _sweep_point(spec: SweepSpec, x: float) -> dict[str, float | None]:
+def _sweep_point(spec: SweepSpec, x: float, density: Density) -> dict[str, float | None]:
     beta = x if spec.variable is SweepVariable.LOAD else spec.beta
     d = x if spec.variable is SweepVariable.SPARSITY else spec.d
     p = DensityParams(beta=beta, d=float(d))
 
     def curve_snr(selector: float | str) -> float:
         if spec.variable is SweepVariable.EBNO:
-            return snr_for_ebno(db_to_linear(x), beta, selector)
+            return snr_for_ebno(db_to_linear(x), beta, selector, density)
         if spec.snr_db is not None:
             return db_to_linear(spec.snr_db)
-        return snr_for_ebno(db_to_linear(spec.ebno_db), beta, selector)
+        return snr_for_ebno(db_to_linear(spec.ebno_db), beta, selector, density)
 
     row: dict[str, float | None] = {
         "x": float(x),
@@ -356,7 +365,7 @@ def _sweep_point(spec: SweepSpec, x: float) -> dict[str, float | None]:
     mc_snr: float | None = None
     for curve in spec.curves:
         if curve is Curve.REGULAR:
-            row["regular"] = regular_throughput(curve_snr(d), p)
+            row["regular"] = regular_throughput(curve_snr(d), p, density=density)
         elif curve is Curve.DENSE_RS:
             row["dense_rs"] = dense_rs_throughput(curve_snr("dense"), beta)
         elif curve is Curve.COVER_WYNER:
@@ -374,7 +383,8 @@ def _sweep_point(spec: SweepSpec, x: float) -> dict[str, float | None]:
     return row
 
 
-def sweep(spec: SweepSpec) -> list[dict[str, float | bool | None]]:
+def sweep(spec: SweepSpec,
+          density: Density = analytic_density) -> list[dict[str, float | bool | None]]:
     """Evaluate the requested curves at every sweep point.
 
     Returns one mapping per point with fixed keys ``x``, ``regular``,
@@ -382,11 +392,12 @@ def sweep(spec: SweepSpec) -> list[dict[str, float | bool | None]]:
     ``irregular_mc`` and ``irregular_mc_stderr``; curves that were not
     requested stay None.  A numerical failure at one point leaves that
     row's curve cells None under a ``failed`` flag and the batch continues.
+    The regular curve integrates ``density`` (see :func:`regular_throughput`).
     """
     rows = []
     for x in spec.values:
         try:
-            row = _sweep_point(spec, x)
+            row = _sweep_point(spec, x, density)
             row["failed"] = False
         except (quadrature.QuadratureError, GenerationError, SpectraError,
                 np.linalg.LinAlgError):

@@ -4,14 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from regnoma.cavity import (CavityError, cavity_on_graph,
                             gram_density_from_adjacency_transform,
-                            graph_route_density, solve_fixed_point,
+                            graph_route_density, lift_graph, solve_fixed_point,
                             stieltjes_inversion)
-from regnoma.ensembles import (EnsembleSpec, EntryMode,
-                               SparseSignatureMatrix, generate_regular)
+from regnoma.ensembles import (EnsembleSpec, EntryMode, GenerationError,
+                               SparseSignatureMatrix, generate_irregular,
+                               generate_regular, load_matrix)
 from regnoma.spectra import DensityParams, analytic_density, kesten_mckay_density
 
 P_DEFAULT = DensityParams(beta=1.5, d=2.0)
@@ -188,6 +191,123 @@ class TestCavityOnGraph:
             cavity_on_graph(sample_matrix(30, 45, 2), 1.5 - 0.05j)
 
 
+def per_edge_sweep(matrix, z, tol=1e-8, damping=0.5, max_sweeps=10_000):
+    """Reference message passing that updates every directed edge per sweep.
+
+    Returns (messages, node variances, sweeps, max change); raises
+    CavityError when the sweeps do not converge.
+    """
+    n, k = matrix.spec.n_resources, matrix.spec.n_users
+    n_nodes = n + k
+    n_edges = matrix.nnz
+    src = np.concatenate([matrix.rows, matrix.cols + n])
+    dst = np.concatenate([matrix.cols + n, matrix.rows])
+    rev = np.concatenate([np.arange(n_edges, 2 * n_edges), np.arange(n_edges)])
+    msg = np.full(2 * n_edges, 1.0 / z, dtype=complex)
+    for sweep in range(1, max_sweeps + 1):
+        incoming = (np.bincount(dst, weights=msg.real, minlength=n_nodes)
+                    + 1j * np.bincount(dst, weights=msg.imag, minlength=n_nodes))
+        prop = 1.0 / (z - (incoming[src] - msg[rev]))
+        new = (1.0 - damping) * msg + damping * prop
+        change = float(np.max(np.abs(new - msg)))
+        msg = new
+        if change < tol:
+            break
+    else:
+        raise CavityError("reference sweep did not converge")
+    incoming = (np.bincount(dst, weights=msg.real, minlength=n_nodes)
+                + 1j * np.bincount(dst, weights=msg.imag, minlength=n_nodes))
+    return msg, 1.0 / (z - incoming), sweep, change
+
+
+def assert_matches_reference(matrix, z, **kwargs):
+    try:
+        want = per_edge_sweep(matrix, z, **kwargs)
+    except CavityError:
+        with pytest.raises(CavityError):
+            cavity_on_graph(matrix, z, **kwargs)
+        return
+    got = cavity_on_graph(matrix, z, **kwargs)
+    assert np.array_equal(got.messages, want[0])
+    assert np.array_equal(got.node_variances, want[1])
+    assert got.sweeps == want[2]
+    assert got.max_change == want[3]
+
+
+def mixed_degree_matrix(tmp_path):
+    # resource degrees 4, 3, 2, 3 and user degrees 1 to 3, through the file format
+    path = tmp_path / "mixed.txt"
+    entries = [(0, 0), (0, 1), (0, 2), (0, 5), (1, 0), (1, 3), (1, 4),
+               (2, 1), (2, 5), (3, 2), (3, 4), (3, 5)]
+    path.write_text("4 6 2 ones 0\n" + "".join(f"{r} {c} 1\n" for r, c in entries))
+    return load_matrix(path)
+
+
+ORACLE_Z = (1.5 + 0.05j, 0.4 + 0.01j, 2.2 + 0.3j, -1.0 + 0.2j)
+
+
+class TestLiftedMessagePassing:
+    @pytest.mark.parametrize("n,k,d", [(30, 45, 2), (100, 300, 4), (200, 300, 2),
+                                       (60, 60, 3)])
+    @pytest.mark.parametrize("z", ORACLE_Z)
+    def test_biregular_graphs_match_per_edge_sweep(self, n, k, d, z):
+        assert_matches_reference(sample_matrix(n, k, d, seed=5), z)
+
+    @pytest.mark.parametrize("n,k", [(50, 75), (200, 300)])
+    @pytest.mark.parametrize("z", ORACLE_Z)
+    def test_bernoulli_graphs_match_per_edge_sweep(self, n, k, z):
+        spec = EnsembleSpec(n, k, 2, EntryMode.RADEMACHER, seed=5)
+        assert_matches_reference(generate_irregular(spec), z)
+
+    @pytest.mark.parametrize("z", ORACLE_Z)
+    def test_tree_and_mixed_degree_file_match_per_edge_sweep(self, z, tmp_path):
+        assert_matches_reference(tree_matrix(), z, tol=1e-14)
+        assert_matches_reference(mixed_degree_matrix(tmp_path), z)
+
+    def test_stall_matches_per_edge_sweep(self):
+        assert_matches_reference(sample_matrix(30, 45, 2), 1.5 + 0.05j, max_sweeps=3)
+
+    @pytest.mark.parametrize("n,k,d,classes", [
+        (1000, 1500, 2, 2),   # beta = 1.5, one class per orientation
+        (100, 300, 4, 2),     # beta = 3
+        (60, 60, 3, 1),       # beta = 1: both orientations look alike
+    ])
+    def test_class_counts_on_biregular_graphs(self, n, k, d, classes):
+        assert lift_graph(sample_matrix(n, k, d, seed=2)).n_classes == classes
+
+    def test_partition_is_equitable(self):
+        # members of a class share their tail's class and their reverse's
+        # class, and every node of a class has the same ordered in-sequence
+        m = generate_irregular(EnsembleSpec(200, 300, 2, EntryMode.ONES, seed=1))
+        g = lift_graph(m)
+        n_edges = m.nnz
+        rev = np.concatenate([np.arange(n_edges, 2 * n_edges), np.arange(n_edges)])
+        assert np.array_equal(g.src_class[g.edge_class], g.node_class[g.src])
+        assert np.array_equal(g.rev_class[g.edge_class], g.edge_class[rev])
+        for node in range(m.spec.n_resources + m.spec.n_users):
+            mine = g.edge_class[np.flatnonzero(g.dst == node)]
+            assert np.array_equal(mine, g.in_class[g.in_node == g.node_class[node]])
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(d=st.integers(2, 4), extra=st.integers(0, 3), t=st.integers(1, 8),
+           bernoulli=st.booleans(), seed=st.integers(0, 2**32),
+           re=st.floats(-4.0, 4.0), im=st.floats(0.01, 2.0))
+    def test_lifted_equals_per_edge_sweep(self, d, extra, t, bernoulli, seed, re, im):
+        # n = t d resources and k = t r users give row degree r = d + extra
+        spec = EnsembleSpec(t * d, t * (d + extra), d, EntryMode.ONES, seed)
+        if bernoulli:
+            assume(spec.n_resources > d)
+            m = generate_irregular(spec)
+            assume(m.nnz > 0)
+        else:
+            try:
+                m = generate_regular(spec)
+            except GenerationError:
+                assume(False)
+        assert_matches_reference(m, complex(re, im), max_sweeps=2000)
+
+
 def empirical_transform(eigs, w):
     return complex(np.mean(1.0 / (w - eigs)))
 
@@ -250,4 +370,30 @@ class TestGraphRouteDensity:
         grid = np.linspace(P_DEFAULT.lambda_minus + 0.05 * width,
                            P_DEFAULT.lambda_plus - 0.05 * width, 32)
         est = graph_route_density(m, grid)
-        assert np.abs(est - analytic_density(grid, P_DEFAULT)).max() < 0.05
+        assert np.abs(est.density - analytic_density(grid, P_DEFAULT)).max() < 0.05
+        assert est.n_failed == 0
+        assert est.n_classes == 2
+
+    def test_diagnostics_match_per_point_runs(self):
+        m = sample_matrix(100, 150, 2, seed=3)
+        p = DensityParams.from_ensemble(m.spec)
+        grid = np.linspace(0.5, 2.5, 5)
+        est = graph_route_density(m, grid, epsilon=1e-2)
+        for lam, rho, sweeps in zip(grid, est.density, est.sweeps):
+            z = np.sqrt(complex(p.d * lam, p.d * 1e-2))
+            run = cavity_on_graph(m, z)
+            g = gram_density_from_adjacency_transform(run.mean_variance, z, p)
+            assert rho == -g.imag / math.pi
+            assert sweeps == run.sweeps
+
+    def test_stalled_points_are_nan_and_the_batch_continues(self):
+        # one sweep from uniform messages converges nowhere; with a looser
+        # budget the same grid converges everywhere
+        m = sample_matrix(30, 45, 2)
+        grid = np.linspace(0.5, 2.5, 4)
+        stalled = graph_route_density(m, grid, max_sweeps=1)
+        assert np.isnan(stalled.density).all()
+        assert stalled.n_failed == 4
+        assert (stalled.sweeps == 1).all()
+        ok = graph_route_density(m, grid)
+        assert ok.n_failed == 0 and np.isfinite(ok.density).all()

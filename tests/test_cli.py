@@ -132,6 +132,9 @@ class TestCavity:
         assert manifest["results"]["n_failed_scalar"] == 0
         assert manifest["results"]["sup_abs_err_scalar_interior"] < 1e-3
         assert manifest["results"]["sup_abs_err_graph"] is None
+        for key in ("n_failed_graph", "graph_sweeps_total", "graph_sweeps_max",
+                    "graph_message_classes"):
+            assert manifest["results"][key] is None
 
     def test_graph_columns_empty_without_sampled_matrix(self, tmp_path):
         out = tmp_path / "cavity.json"
@@ -147,8 +150,27 @@ class TestCavity:
                     "--graph-n", "200", "--out", str(out)]) == 0
         rows = read_csv(out)
         assert all(r["density_cavity_graph"] != "" for r in rows)
-        sup = read_manifest(out)["results"]["sup_abs_err_graph"]
-        assert 0.0 < sup < 0.5
+        results = read_manifest(out)["results"]
+        assert 0.0 < results["sup_abs_err_graph"] < 0.5
+        assert results["n_failed_graph"] == 0
+        assert results["graph_message_classes"] == 2
+        assert 0 < results["graph_sweeps_max"] < results["graph_sweeps_total"]
+
+    def test_stalled_graph_points_are_blank_and_counted(self, tmp_path, monkeypatch):
+        stalled = cli.cavity_mod.graph_route_density
+
+        def one_sweep(matrix, grid, epsilon):
+            return stalled(matrix, grid, epsilon=epsilon, max_sweeps=1)
+
+        monkeypatch.setattr(cli.cavity_mod, "graph_route_density", one_sweep)
+        out = tmp_path / "cavity.csv"
+        assert run(["cavity", "--beta", "1.5", "--d", "2", "--points", "6",
+                    "--graph-n", "20", "--out", str(out)]) == 0
+        assert all(r["density_cavity_graph"] == "" for r in read_csv(out))
+        results = read_manifest(out)["results"]
+        assert results["n_failed_graph"] == 6
+        assert results["graph_sweeps_total"] == 6
+        assert results["sup_abs_err_graph"] is None
 
     def test_out_of_range_epsilon_exits_2(self, tmp_path):
         assert run(["cavity", "--beta", "1.5", "--d", "2",
@@ -289,7 +311,8 @@ class TestValidate:
         out = capsys.readouterr().out
         for name in ("kesten_mckay_identity", "density_normalization",
                      "density_first_moment", "marchenko_pastur_limit",
-                     "scalar_cavity_agreement"):
+                     "scalar_cavity_agreement", "throughput_ordering",
+                     "small_snr_slope", "ebno_round_trip"):
             assert f"FAIL {name}: " in out
         # the corrupted density does not outlive its run
         assert run(["validate", "--level", "fast"]) == 0

@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate
 
 from regnoma.ensembles import EnsembleSpec, EntryMode, generate_regular
-from regnoma.quadrature import support_integral
+from regnoma.quadrature import BLOCK, support_integral
 from regnoma.spectra import (DensityParams, SpectrumSample, analytic_cdf,
                              analytic_density, empirical_spectrum,
                              kesten_mckay_density, ks_distance,
@@ -254,6 +254,22 @@ class TestAnalyticCdf:
         finally:
             tracemalloc.stop()
         assert peak < 100e6
+
+    def test_large_call_runs_in_bounded_blocks(self):
+        # the 2.6M-point full-scale KS would need ~3 GB as one block
+        p = DensityParams(beta=1.5, d=2.0)
+        rng = np.random.default_rng(1)
+        lam = np.sort(rng.uniform(p.lambda_minus - 0.1, p.lambda_plus + 0.1, 520_000))
+        tracemalloc.start()
+        try:
+            whole = analytic_cdf(lam, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
+        blocks = [analytic_cdf(lam[i:i + BLOCK], p) for i in range(0, lam.size, BLOCK)]
+        assert len(blocks) > 1
+        assert np.array_equal(whole, np.concatenate(blocks))
 
 
 def sample_matrix(n=60, k=90, d=2, mode=EntryMode.RADEMACHER, seed=0,

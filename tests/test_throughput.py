@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from regnoma.ensembles import EnsembleSpec, EntryMode, GenerationError
-from regnoma.spectra import DensityParams
+from regnoma.spectra import DensityParams, analytic_density
 from regnoma.throughput import (LN2, Curve, MCResult, SweepSpec, SweepVariable,
                                 cover_wyner_bound, db_to_linear,
                                 dense_rs_throughput, ebno_from_snr,
@@ -48,6 +48,22 @@ class TestRegularThroughput:
     def test_rejects_negative_snr(self):
         with pytest.raises(ValueError):
             regular_throughput(-1.0, P_DEFAULT)
+
+    def test_integrates_the_density_it_is_given(self):
+        # the closed form by default; a scaled law scales every regular value
+        def halved(lam, p):
+            return 0.5 * analytic_density(lam, p)
+
+        snr = 10.0
+        full = regular_throughput(snr, P_DEFAULT)
+        assert regular_throughput(snr, P_DEFAULT, density=analytic_density) == full
+        assert abs(regular_throughput(snr, P_DEFAULT, density=halved) - 0.5 * full) < 1e-12
+        spec = SweepSpec(variable=SweepVariable.LOAD, values=(1.5,), d=2.0,
+                         snr_db=10.0, curves=(Curve.REGULAR,))
+        assert abs(sweep(spec, halved)[0]["regular"] - 0.5 * full) < 1e-12
+        # half the throughput doubles Eb/N0 at every snr, so the target comes sooner
+        target = db_to_linear(10.0)
+        assert snr_for_ebno(target, 1.5, 2.0, halved) < snr_for_ebno(target, 1.5, 2.0)
 
 
 class TestDenseRsThroughput:
