@@ -6,11 +6,10 @@ bounds its measurements must meet, and a function that measures them.
 ``validate`` runs the registry and ``tests/test_acceptance.py`` runs it one
 criterion at a time, so both hold the same checks at the same tolerances.
 
-A measuring function takes ``(density, seed, threads)``.  ``density(lam, p)``
-is the closed form that the check evaluates wherever it compares against
-it; callers pass :func:`~regnoma.spectra.analytic_density`, or a corrupted
-copy to show that the checks catch it.  ``seed`` seeds the sampled
-ensembles and ``threads`` caps the Monte Carlo workers.
+A measuring function takes ``(density, seed)``.  ``density(lam, p)`` is
+the closed form that the check evaluates wherever it compares against it;
+callers pass :func:`~regnoma.spectra.analytic_density`, or a corrupted copy
+to show that the checks catch it.  ``seed`` seeds the sampled ensembles.
 """
 
 from __future__ import annotations
@@ -55,6 +54,17 @@ class Gate:
     def passed(self) -> bool:
         return bool(_OPS[self.bound.op](self.value, self.bound.tolerance))
 
+    @property
+    def margin(self) -> float:
+        """Distance to the tolerance, positive when the gate passes with room;
+        an equality gate has no room and reads ``-|value - tolerance|``."""
+        b = self.bound
+        if b.op == "==":
+            return 0.0 - abs(self.value - b.tolerance)  # 0.0, not -0.0, when met
+        if b.op == "<":
+            return b.tolerance - self.value
+        return self.value - b.tolerance
+
     def __str__(self) -> str:
         b = self.bound
         return f"{b.quantity} = {self.value:.4g} (need {b.op} {b.tolerance:g})"
@@ -67,11 +77,11 @@ class Check:
     name: str
     level: str
     criterion: int | None
-    measure: Callable[[Density, int, int], tuple[float, ...]]
+    measure: Callable[[Density, int], tuple[float, ...]]
     bounds: tuple[Bound, ...]
 
-    def run(self, density: Density, seed: int, threads: int) -> list[Gate]:
-        values = self.measure(density, seed, threads)
+    def run(self, density: Density, seed: int) -> list[Gate]:
+        values = self.measure(density, seed)
         return [Gate(b, float(v)) for b, v in zip(self.bounds, values, strict=True)]
 
 
@@ -83,7 +93,7 @@ def _column(rows: list[dict], key: str) -> np.ndarray:
 # Closed-form and scalar-route checks
 # ======================================================================
 
-def _kesten_mckay(density, seed, threads):
+def _kesten_mckay(density, seed):
     diffs = []
     for d in (2.0, 3.0, 10.0):
         p = DensityParams(beta=1.0, d=d)
@@ -103,15 +113,15 @@ def _moment(density, p: DensityParams, power: int) -> float:
                                        p.lambda_minus, p.lambda_plus, tol=1e-10)
 
 
-def _normalization(density, seed, threads):
+def _normalization(density, seed):
     return (np.max([abs(_moment(density, p, 0) - 1.0) for p in _MOMENT_GRID]),)
 
 
-def _first_moment(density, seed, threads):
+def _first_moment(density, seed):
     return (np.max([abs(_moment(density, p, 1) - p.beta) for p in _MOMENT_GRID]),)
 
 
-def _marchenko_pastur(density, seed, threads):
+def _marchenko_pastur(density, seed):
     beta, degrees = 1.5, (2.0, 4.0, 10.0, 40.0, 1000.0)
     params = [DensityParams(beta=beta, d=d) for d in degrees]
     lo = min((1.0 - math.sqrt(beta)) ** 2, *(p.lambda_minus for p in params))
@@ -122,7 +132,7 @@ def _marchenko_pastur(density, seed, threads):
     return np.min(sups[:-1] - sups[1:]), sups[-1]
 
 
-def _scalar_cavity(density, seed, threads):
+def _scalar_cavity(density, seed):
     p = DensityParams(beta=1.5, d=2.0)
     grid = np.linspace(p.lambda_minus, p.lambda_plus, 512)
     scalar = stieltjes_inversion(grid, p, epsilon=1e-6)
@@ -136,7 +146,7 @@ def _scalar_cavity(density, seed, threads):
 # Throughput checks
 # ======================================================================
 
-def _ordering(density, seed, threads):
+def _ordering(density, seed):
     rows = tp.sweep(tp.SweepSpec(variable=tp.SweepVariable.LOAD,
                                  values=(1.0, 1.5, 2.0, 2.5, 3.0),
                                  d=2.0, ebno_db=10.0), density)
@@ -145,14 +155,14 @@ def _ordering(density, seed, threads):
             np.min(cw - reg), np.min(cw - dense))
 
 
-def _small_snr_slope(density, seed, threads):
+def _small_snr_slope(density, seed):
     snr, p = 1e-6, DensityParams(beta=1.5, d=2.0)
     slope = p.beta / (2.0 * tp.LN2)
     return (abs(tp.regular_throughput(snr, p, density=density) / snr / slope - 1.0),
             abs(tp.dense_rs_throughput(snr, p.beta) / snr / slope - 1.0))
 
 
-def _quadrature_stability(density, seed, threads):
+def _quadrature_stability(density, seed):
     p = DensityParams(beta=1.5, d=2.0)
     doubled = 0.5 * quadrature.support_integral(
         lambda lam: density(lam, p), p.lambda_minus, p.lambda_plus,
@@ -160,7 +170,7 @@ def _quadrature_stability(density, seed, threads):
     return (abs(tp.regular_throughput(10.0, p) - doubled),)
 
 
-def _ebno_round_trip(density, seed, threads):
+def _ebno_round_trip(density, seed):
     target, p = tp.db_to_linear(10.0), DensityParams(beta=1.5, d=2.0)
     snr = tp.snr_for_ebno(target, p.beta, p.d, density)
     back = tp.ebno_from_snr(snr, p.beta, tp.regular_throughput(snr, p, density=density))
@@ -176,7 +186,7 @@ def _spec(n: int, seed: int, mode: EntryMode = EntryMode.RADEMACHER) -> Ensemble
     return EnsembleSpec.from_load(n, 1.5, 2, mode, seed)
 
 
-def _scaled_spectrum(density, seed, threads):
+def _scaled_spectrum(density, seed):
     from scipy.stats import ks_2samp  # ~1 s to import; keep it off the CLI start-up
 
     p = DensityParams(beta=1.5, d=2.0)
@@ -190,7 +200,7 @@ def _scaled_spectrum(density, seed, threads):
     return (*ks, ks_2samp(*pools).statistic)
 
 
-def _graph_route(density, seed, threads):
+def _graph_route(density, seed):
     p = DensityParams(beta=1.5, d=2.0)
     matrix = generate_regular(_spec(1000, seed), realization=0)
     width = p.lambda_plus - p.lambda_minus
@@ -200,33 +210,33 @@ def _graph_route(density, seed, threads):
     return (np.max(np.abs(route.density - density(grid, p))),)  # NaN fails the gate
 
 
-def _mc_vs_quadrature(density, seed, threads):
-    res = tp.finite_n_throughput_mc(_spec(200, seed), 10.0, 100, threads=threads)
+def _mc_vs_quadrature(density, seed):
+    res = tp.finite_n_throughput_mc(_spec(200, seed), 10.0, 100)
     asymptotic = tp.regular_throughput(10.0, DensityParams(beta=1.5, d=2.0),
                                        density=density)
     return (abs(res.mean - asymptotic) - 3.0 * res.stderr,)
 
 
-def _finite_n_vs_asymptotic(density, seed, threads):
+def _finite_n_vs_asymptotic(density, seed):
     p, espec = DensityParams(beta=1.5, d=2.0), _spec(10, seed)
     n_failed, rel_errs = 0, []
     for ebno_db in (4.0, 7.0, 10.0, 13.0):
         snr = tp.snr_for_ebno(tp.db_to_linear(ebno_db), p.beta, p.d, density)
         asymptotic = tp.regular_throughput(snr, p, density=density)
-        mc = tp.finite_n_throughput_mc(espec, snr, 10_000, threads=threads)
+        mc = tp.finite_n_throughput_mc(espec, snr, 10_000)
         n_failed += mc.n_failed
         rel_errs.append(abs(mc.mean - asymptotic) / asymptotic)
     return n_failed, np.max(rel_errs)
 
 
-def _regular_vs_irregular(density, seed, threads):
+def _regular_vs_irregular(density, seed):
     espec = _spec(200, seed)
-    reg = tp.finite_n_throughput_mc(espec, 10.0, 200, threads=threads)
-    irr = tp.finite_n_throughput_mc(espec, 10.0, 200, irregular=True, threads=threads)
+    reg = tp.finite_n_throughput_mc(espec, 10.0, 200)
+    irr = tp.finite_n_throughput_mc(espec, 10.0, 200, irregular=True)
     return ((reg.mean - irr.mean) / math.hypot(reg.stderr, irr.stderr),)
 
 
-def _full_scale_spectrum(density, seed, threads):
+def _full_scale_spectrum(density, seed):
     espec = _spec(2600, seed)
     samples = [empirical_spectrum(generate_regular(espec, realization=t))
                for t in range(1000)]

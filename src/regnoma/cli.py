@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from . import cavity as cavity_mod
 from . import throughput as tp
-from .checks import CHECKS
+from .checks import CHECKS, Gate
 from .ensembles import EnsembleSpec, EntryMode, GenerationError, generate_regular
 from .quadrature import QuadratureError
 from .spectra import (DensityParams, SpectraError, analytic_density,
@@ -39,10 +39,6 @@ EXIT_NUMERICAL = 3
 NUMERICAL_ERRORS = (cavity_mod.CavityError, QuadratureError, GenerationError,
                     SpectraError, np.linalg.LinAlgError)
 
-SWEEP_COLUMNS = ("x", "regular", "dense_rs", "cover_wyner",
-                 "regular_mc", "regular_mc_stderr",
-                 "irregular_mc", "irregular_mc_stderr")
-
 CAVITY_COLUMNS = ("lambda", "density_closed_form", "density_cavity_scalar",
                   "density_cavity_graph", "abs_err_scalar", "abs_err_graph")
 
@@ -53,6 +49,10 @@ CAVITY_COLUMNS = ("lambda", "density_closed_form", "density_cavity_scalar",
 
 def _clean(value):
     """The value as written out: NaN and infinities become None."""
+    if isinstance(value, dict):
+        return {k: _clean(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_clean(v) for v in value]
     if value is None or isinstance(value, (bool, int, str)):
         return value
     x = float(value)
@@ -90,8 +90,7 @@ def _write_manifest(args: argparse.Namespace, out_path: str, data: bytes,
             "path": out_path,
             "sha256": hashlib.sha256(data).hexdigest(),
         },
-        "results": {k: _clean(v) if not isinstance(v, list) else v
-                    for k, v in results.items()},
+        "results": _clean(results),
     }
     payload = (json.dumps(manifest, indent=2, sort_keys=True,
                           allow_nan=False) + "\n").encode()
@@ -217,14 +216,13 @@ def _emit_sweep_rows(args: argparse.Namespace, spec: tp.SweepSpec,
     if x_override is not None:
         for row in rows:
             row["x"] = x_override
-    return _emit(args, SWEEP_COLUMNS, rows, {"failed_points": failed})
+    return _emit(args, tp.SWEEP_COLUMNS, rows, {"failed_points": failed})
 
 
 def _cmd_throughput(args: argparse.Namespace) -> int:
     common = dict(curves=_parse_curves(args.curves),
                   mc_n=args.mc_n, mc_trials=args.mc_trials, seed=args.seed,
-                  entry_mode=EntryMode.parse(args.entries),
-                  threads=args.threads)
+                  entry_mode=EntryMode.parse(args.entries))
     if args.ebno_db is not None:
         spec = tp.SweepSpec(variable=tp.SweepVariable.EBNO,
                             values=(args.ebno_db,),
@@ -243,8 +241,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                   beta=args.beta, d=args.d,
                   snr_db=args.snr_db, ebno_db=args.ebno_db,
                   mc_n=args.mc_n, mc_trials=args.mc_trials, seed=args.seed,
-                  entry_mode=EntryMode.parse(args.entries),
-                  threads=args.threads)
+                  entry_mode=EntryMode.parse(args.entries))
     if args.values is not None:
         values = tuple(float(t) for t in args.values.split(","))
         spec = tp.SweepSpec(variable=variable, values=values, **common)
@@ -262,17 +259,22 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     density = ((lambda lam, p: -analytic_density(lam, p)) if args.inject_sign_flip
                else analytic_density)
     checks = [c for c in CHECKS if args.level == "full" or c.level == "fast"]
-    lines = []
+    lines, records = [], []
     n_fail = 0
     for check in checks:
         try:
-            gates = check.run(density, args.seed, args.threads)
+            gates = check.run(density, args.seed)
             ok = all(g.passed for g in gates)
             detail = "; ".join(map(str, gates))
         except (ValueError, *NUMERICAL_ERRORS) as exc:
+            gates = [Gate(b, math.nan) for b in check.bounds]  # recorded as null
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         n_fail += not ok
         lines.append(f"{'PASS' if ok else 'FAIL'} {check.name}: {detail}")
+        records.extend({"check": check.name, "quantity": g.bound.quantity,
+                        "op": g.bound.op, "tolerance": g.bound.tolerance,
+                        "value": g.value, "margin": g.margin, "passed": g.passed}
+                       for g in gates)
     lines.append(f"{len(checks) - n_fail}/{len(checks)} checks passed")
     report = "\n".join(lines) + "\n"
     sys.stdout.write(report)
@@ -281,7 +283,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         Path(args.out).write_bytes(data)
         _write_manifest(args, args.out, data,
                         {"level": args.level, "n_checks": len(checks),
-                         "n_failed": n_fail})
+                         "n_failed": n_fail, "gates": records})
     return EXIT_OK if n_fail == 0 else EXIT_NUMERICAL
 
 
@@ -294,11 +296,6 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--format", choices=("csv", "json"), default="csv",
                     help="output table format")
     sp.add_argument("--seed", type=int, default=0, help="base RNG seed")
-
-
-def _add_threads(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--threads", type=int, default=1,
-                    help="worker cap for Monte Carlo trials; results are thread-count independent")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -361,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--entries", choices=("ones", "rademacher"),
                     default="rademacher")
     _add_common(sp)
-    _add_threads(sp)
     sp.set_defaults(func=_cmd_throughput)
 
     sp = sub.add_parser("sweep", help="throughput curves over a parameter grid")
@@ -386,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--entries", choices=("ones", "rademacher"),
                     default="rademacher")
     _add_common(sp)
-    _add_threads(sp)
     sp.set_defaults(func=_cmd_sweep)
 
     sp = sub.add_parser("validate",
@@ -398,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None, help="optional copy of the report")
     sp.add_argument("--seed", type=int, default=0,
                     help="base RNG seed of the sampled-ensemble checks")
-    _add_threads(sp)
     sp.set_defaults(func=_cmd_validate)
 
     return parser

@@ -17,7 +17,6 @@ every curve.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -32,6 +31,7 @@ from .spectra import (DensityParams, SpectraError, analytic_density,
 
 __all__ = [
     "Curve",
+    "SWEEP_COLUMNS",
     "SweepVariable",
     "SweepSpec",
     "MCResult",
@@ -182,34 +182,24 @@ def _trial_throughput(spec: EnsembleSpec, snr: float, trial: int,
 
 
 def finite_n_throughput_mc(spec: EnsembleSpec, snr: float, trials: int,
-                           irregular: bool = False,
-                           threads: int = 1) -> MCResult:
+                           irregular: bool = False) -> MCResult:
     """Average finite-size throughput over sampled realizations.
 
     Trial ``t`` runs on the PCG64 stream seeded with ``spec.seed XOR t``;
-    results are accumulated in trial order, so the estimate does not depend
-    on ``threads``.  Every eigenvalue enters the per-trial sum, including
-    the deterministic one of ONES-mode matrices, matching the finite-size
-    formula exactly.  Failed trials are skipped and counted.
+    trials run serially in trial order.  Every eigenvalue enters the
+    per-trial sum, including the deterministic one of ONES-mode matrices,
+    matching the finite-size formula exactly.  Failed trials are skipped
+    and counted.
     """
     snr = _check_snr(snr)
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     values = np.full(trials, np.nan)
-
-    def run(t: int) -> tuple[int, float]:
+    for t in range(trials):
         try:
-            return t, _trial_throughput(spec, snr, t, irregular)
+            values[t] = _trial_throughput(spec, snr, t, irregular)
         except (GenerationError, SpectraError, np.linalg.LinAlgError):
-            return t, np.nan
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for t, v in pool.map(run, range(trials)):
-                values[t] = v
-    else:
-        for t in range(trials):
-            values[t] = run(t)[1]
+            pass  # stays NaN and is counted as failed
 
     good = values[np.isfinite(values)]
     n_failed = trials - good.size
@@ -254,6 +244,10 @@ class SweepVariable(Enum):
 
 _MC_CURVES = (Curve.REGULAR_MC, Curve.IRREGULAR_MC)
 
+SWEEP_COLUMNS = ("x", "regular", "dense_rs", "cover_wyner",
+                 "regular_mc", "regular_mc_stderr",
+                 "irregular_mc", "irregular_mc_stderr")
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -278,7 +272,6 @@ class SweepSpec:
     mc_trials: int | None = None
     seed: int = 0
     entry_mode: EntryMode = EntryMode.RADEMACHER
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if not self.values:
@@ -293,11 +286,11 @@ class SweepSpec:
         elif self.variable is SweepVariable.SPARSITY:
             if self.beta is None:
                 raise ValueError("SPARSITY sweep needs a fixed load beta")
-            self._check_point(self.beta, min(self.values))
+            DensityParams(beta=self.beta, d=min(self.values))
         else:
             if self.beta is None or self.d is None:
                 raise ValueError("EBNO sweep needs fixed beta and d")
-            self._check_point(self.beta, self.d)
+            DensityParams(beta=self.beta, d=self.d)
         if self.variable is SweepVariable.EBNO:
             if self.snr_db is not None or self.ebno_db is not None:
                 raise ValueError("EBNO sweep carries the operating point on the axis")
@@ -331,12 +324,8 @@ class SweepSpec:
         return cls(variable=variable, values=tuple(float(x) for x in grid), **fixed)
 
     @staticmethod
-    def _check_point(beta: float, d: float) -> None:
-        DensityParams(beta=beta, d=d)  # raises ValueError outside the domain
-
-    @staticmethod
     def _check_load(beta: float, d: float) -> None:
-        SweepSpec._check_point(beta, d)
+        DensityParams(beta=beta, d=d)  # raises ValueError outside the domain
         bd = beta * d
         if abs(bd - round(bd)) > 1e-9 or round(bd) <= 1:
             raise ValueError(
@@ -356,12 +345,8 @@ def _sweep_point(spec: SweepSpec, x: float, density: Density) -> dict[str, float
             return db_to_linear(spec.snr_db)
         return snr_for_ebno(db_to_linear(spec.ebno_db), beta, selector, density)
 
-    row: dict[str, float | None] = {
-        "x": float(x),
-        "regular": None, "dense_rs": None, "cover_wyner": None,
-        "regular_mc": None, "regular_mc_stderr": None,
-        "irregular_mc": None, "irregular_mc_stderr": None,
-    }
+    row: dict[str, float | None] = dict.fromkeys(SWEEP_COLUMNS)
+    row["x"] = float(x)
     mc_snr: float | None = None
     for curve in spec.curves:
         if curve is Curve.REGULAR:
@@ -375,8 +360,7 @@ def _sweep_point(spec: SweepSpec, x: float, density: Density) -> dict[str, float
                 mc_snr = curve_snr(d)
             ens = EnsembleSpec.from_load(spec.mc_n, beta, d, spec.entry_mode, spec.seed)
             res = finite_n_throughput_mc(ens, mc_snr, spec.mc_trials,
-                                         irregular=(curve is Curve.IRREGULAR_MC),
-                                         threads=spec.threads)
+                                         irregular=(curve is Curve.IRREGULAR_MC))
             key = "irregular_mc" if curve is Curve.IRREGULAR_MC else "regular_mc"
             row[key] = res.mean
             row[key + "_stderr"] = res.stderr
@@ -387,11 +371,10 @@ def sweep(spec: SweepSpec,
           density: Density = analytic_density) -> list[dict[str, float | bool | None]]:
     """Evaluate the requested curves at every sweep point.
 
-    Returns one mapping per point with fixed keys ``x``, ``regular``,
-    ``dense_rs``, ``cover_wyner``, ``regular_mc``, ``regular_mc_stderr``,
-    ``irregular_mc`` and ``irregular_mc_stderr``; curves that were not
-    requested stay None.  A numerical failure at one point leaves that
-    row's curve cells None under a ``failed`` flag and the batch continues.
+    Returns one mapping per point with the keys of ``SWEEP_COLUMNS`` plus
+    ``failed``; curves that were not requested stay None.  A numerical
+    failure at one point leaves that row's curve cells None under a
+    ``failed`` flag and the batch continues.
     The regular curve integrates ``density`` (see :func:`regular_throughput`).
     """
     rows = []
@@ -401,11 +384,7 @@ def sweep(spec: SweepSpec,
             row["failed"] = False
         except (quadrature.QuadratureError, GenerationError, SpectraError,
                 np.linalg.LinAlgError):
-            row = {
-                "x": float(x), "failed": True,
-                "regular": None, "dense_rs": None, "cover_wyner": None,
-                "regular_mc": None, "regular_mc_stderr": None,
-                "irregular_mc": None, "irregular_mc_stderr": None,
-            }
+            row = dict.fromkeys(SWEEP_COLUMNS)
+            row.update(x=float(x), failed=True)
         rows.append(row)
     return rows

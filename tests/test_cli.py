@@ -16,6 +16,7 @@ from regnoma import cli
 from regnoma.cavity import CavityError
 from regnoma.spectra import DensityParams, kesten_mckay_density
 from regnoma.throughput import db_to_linear, regular_throughput
+from test_acceptance import PINNED
 
 
 def run(args):
@@ -58,6 +59,10 @@ class TestEntryPoint:
         ["cavity", "--beta", "1.5", "--d", "2", "--threads", "2"],
         ["simulate", "--n", "10", "--beta", "1.5", "--d", "2", "--threads", "2"],
         ["validate", "--format", "json"],
+        ["throughput", "--beta", "1.5", "--d", "2", "--snr-db", "10", "--threads", "2"],
+        ["sweep", "--variable", "load", "--values", "1.5", "--d", "2",
+         "--ebno-db", "10", "--threads", "2"],
+        ["validate", "--threads", "2"],
     ])
     def test_flags_a_subcommand_does_not_read_are_rejected(self, tmp_path, argv):
         with pytest.raises(SystemExit) as excinfo:
@@ -306,14 +311,24 @@ class TestValidate:
         assert len(lines) == 10
         assert all(line.startswith("PASS ") for line in lines[:-1])
 
-    def test_injected_sign_flip_is_detected(self, capsys):
-        assert run(["validate", "--level", "fast", "--inject-sign-flip"]) == 3
+    def test_injected_sign_flip_is_detected(self, tmp_path, capsys):
+        report = tmp_path / "r.txt"
+        assert run(["validate", "--level", "fast", "--inject-sign-flip",
+                    "--out", str(report)]) == 3
         out = capsys.readouterr().out
         for name in ("kesten_mckay_identity", "density_normalization",
                      "density_first_moment", "marchenko_pastur_limit",
                      "scalar_cavity_agreement", "throughput_ordering",
                      "small_snr_slope", "ebno_round_trip"):
             assert f"FAIL {name}: " in out
+        gates = read_manifest(report)["results"]["gates"]
+        assert any(g["margin"] is not None and g["margin"] < 0.0 for g in gates)
+        # these two checks raise, so their bounds carry no measurement
+        raised = [g for g in gates
+                  if g["check"] in ("throughput_ordering", "ebno_round_trip")]
+        assert len(raised) == 5
+        assert all(g["value"] is None and g["margin"] is None and not g["passed"]
+                   for g in raised)
         # the corrupted density does not outlive its run
         assert run(["validate", "--level", "fast"]) == 0
 
@@ -322,9 +337,18 @@ class TestValidate:
         assert run(["validate", "--level", "fast", "--out", str(out)]) == 0
         capsys.readouterr()
         assert out.read_text().strip().endswith("9/9 checks passed")
-        manifest = read_manifest(out)
-        assert manifest["results"] == {"level": "fast", "n_checks": 9,
-                                       "n_failed": 0}
+        manifest = Path(str(out) + ".manifest.json").read_bytes()
+        results = json.loads(manifest)["results"]
+        gates = results.pop("gates")
+        assert results == {"level": "fast", "n_checks": 9, "n_failed": 0}
+        fast = [(check, quantity, op, tol) for (check, quantity), (_, level, op, tol)
+                in PINNED.items() if level == "fast"]
+        assert len(gates) == len(fast) == 15
+        assert [(g["check"], g["quantity"], g["op"], g["tolerance"])
+                for g in gates] == fast
+        assert all(g["passed"] and g["margin"] >= 0.0 for g in gates)
+        assert run(["validate", "--level", "fast", "--out", str(out)]) == 0
+        assert Path(str(out) + ".manifest.json").read_bytes() == manifest
 
 
 class TestNumericalExit:
