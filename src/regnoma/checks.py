@@ -170,6 +170,20 @@ def _quadrature_stability(density, seed):
     return (abs(tp.regular_throughput(10.0, p) - doubled),)
 
 
+def _closed_form_vs_quadrature(density, seed):
+    # the closed-form regular curve against the quadrature of the given law
+    errs = []
+    for beta in (1.0, 1.5, 3.0):
+        for d in (2.0, 4.0, 10.0):
+            p = DensityParams(beta=beta, d=d)
+            for snr in (1e-3, 1.0, 10.0, 1e3, 1e5):
+                quad = 0.5 * quadrature.support_integral(
+                    lambda lam: density(lam, p), p.lambda_minus, p.lambda_plus,
+                    weight=lambda lam: np.log1p(snr * lam) / tp.LN2)
+                errs.append(abs(tp.regular_throughput(snr, p) / quad - 1.0))
+    return (max(errs),)
+
+
 def _ebno_round_trip(density, seed):
     target, p = tp.db_to_linear(10.0), DensityParams(beta=1.5, d=2.0)
     snr = tp.snr_for_ebno(target, p.beta, p.d, density)
@@ -265,6 +279,8 @@ CHECKS = (
           (Bound("abs_diff_doubled_start", "<", 1e-9),)),
     Check("ebno_round_trip", "fast", None, _ebno_round_trip,
           (Bound("rel_err", "<", 1e-6),)),
+    Check("throughput_closed_form_vs_quadrature", "fast", None, _closed_form_vs_quadrature,
+          (Bound("max_rel_err", "<", 1e-9),)),
     Check("scaled_spectrum_ks", "full", 5, _scaled_spectrum,
           (Bound("ks_ones", "<", 0.02), Bound("ks_rademacher", "<", 0.02),
            Bound("ks_ones_vs_rademacher", "<", 0.02))),

@@ -10,12 +10,15 @@ dense-spreading (Marchenko-Pastur) reference, or bounded by the orthogonal
 multiple-access value ``1/2 log2(1 + beta snr)``.  The finite-size
 counterpart averages ``1/(2N) sum log2(1 + snr lam_i)`` over sampled
 matrices.  Energy-per-bit ratios follow from ``Eb/N0 = beta snr / (2 C)``
-and are inverted by bisection; the small-snr limit of that map is ln 2 for
-every curve.
+and are inverted by a bracketed secant search in log snr; the small-snr
+limit of that map is ln 2 for every curve.  The regular curve has an exact
+closed form (see :func:`regular_throughput`); the dense reference is
+integrated numerically.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -49,6 +52,7 @@ __all__ = [
 LN2 = math.log(2.0)
 Density = Callable[[np.ndarray, DensityParams], np.ndarray]
 SNR_BRACKET = (1e-6, 1e6)
+LOG_SNR_TOL = 1e-14  # final bracket width of the Eb/N0 inversion, in ln snr
 
 
 def db_to_linear(x_db: float) -> float:
@@ -72,12 +76,36 @@ def regular_throughput(snr: float, p: DensityParams, tol: float = 1e-9,
                        density: Density = analytic_density) -> float:
     """Asymptotic throughput of the regular ensemble, bits per resource use.
 
-    ``density(lam, p)`` is the law integrated over the support; it defaults
-    to the closed form.
+    For the default ``density``, the closed form, or a ``functools.wraps``
+    wrapper of it, the integral is exact: with ``t2 = snr / d``,
+    ``b = (beta d - 1) t2`` and ``q = 1 + (d - 1) t2 - b``,
+
+        u = 2 / (q + sqrt(q^2 + 4 b)),    r = 1 / (1 + b u),
+        2 ln2 C = ln(1 + beta d t2 u) + beta ln(1 + d t2 r)
+                  - beta d ln(1 + t2 u r).
+
+    This is the Bethe free energy of ``log det(I + snr A A^T / d) / N`` on
+    the biregular tree, the local limit of the sampled graphs: ``u`` and
+    ``r`` are the user-side and resource-side cavity variances of the
+    precision matrix ``[[I, i t A], [i t A^T, I]]``, and their fixed point
+    is the quadratic solved for ``u``.  The energy is stationary in both,
+    so rounding in ``u`` enters ``C`` only at second order.
+
+    Any other ``density(lam, p)`` is integrated over the support to the
+    absolute tolerance ``tol``, which applies to that path alone.
     """
     snr = _check_snr(snr)
     if snr == 0.0:
         return 0.0
+    if inspect.unwrap(density) is inspect.unwrap(analytic_density):
+        t2 = snr / p.d
+        bd = p.beta * p.d
+        b = (bd - 1.0) * t2
+        q = 1.0 + (p.d - 1.0) * t2 - b
+        u = 2.0 / (q + math.sqrt(q * q + 4.0 * b))
+        r = 1.0 / (1.0 + b * u)
+        return (math.log1p(bd * t2 * u) + p.beta * math.log1p(p.d * t2 * r)
+                - bd * math.log1p(t2 * u * r)) / (2.0 * LN2)
     return 0.5 * quadrature.support_integral(
         lambda lam: density(lam, p),
         p.lambda_minus, p.lambda_plus,
@@ -133,29 +161,52 @@ def snr_for_ebno(ebno_target: float, beta: float, d: float | str,
     ``d`` is a degree for the regular curve or the string ``"dense"`` for
     the dense reference (``"cover_wyner"`` is also accepted).  The map is
     monotone increasing in snr with infimum ln 2, so the target (linear)
-    must exceed ln 2; bisection runs on the bracket [1e-6, 1e6].  The
-    regular curve integrates ``density`` (see :func:`regular_throughput`).
+    must exceed ln 2.  The root is bracketed in log snr on [1e-6, 1e6] and
+    found by the Illinois variant of regula falsi: a secant step on the
+    bracket that halves the kept end's residual when the same end is kept
+    twice, and a bisection step when a secant point falls outside the
+    bracket.  It stops when the bracket is narrower than a relative 1e-14
+    in snr.  The regular curve integrates ``density`` (see
+    :func:`regular_throughput`).
     """
     target = float(ebno_target)
     cfun = _curve_throughput(beta, d, density)
+
+    def ebno(snr: float) -> float:
+        return ebno_from_snr(snr, beta, cfun(snr))
+
     lo, hi = SNR_BRACKET
-    f_lo = ebno_from_snr(lo, beta, cfun(lo)) - target
-    f_hi = ebno_from_snr(hi, beta, cfun(hi)) - target
-    if not f_lo < 0.0:
+    e_lo, e_hi = ebno(lo), ebno(hi)
+    if not e_lo < target:
         raise ValueError(
             f"Eb/N0 target {target} is below the minimum achievable "
             f"(ln 2 = {LN2:.6f} as snr -> 0); bracket failure")
-    if not f_hi > 0.0:
+    if not e_hi > target:
         raise ValueError(f"Eb/N0 target {target} not reachable below snr = {hi}")
+    # the residual ln(Eb/N0 / target) is close to linear in ln snr away from ln 2
+    f_lo, f_hi = math.log(e_lo / target), math.log(e_hi / target)
+    x_lo, x_hi = math.log(lo), math.log(hi)
+    kept = 0  # -1 after the low end moved, +1 after the high end moved
     for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if ebno_from_snr(mid, beta, cfun(mid)) < target:
-            lo = mid
+        x = x_hi - f_hi * (x_hi - x_lo) / (f_hi - f_lo)
+        if not x_lo <= x <= x_hi:
+            x = 0.5 * (x_lo + x_hi)
+        # a point within rounding of an end would barely shrink the bracket
+        x = min(max(x, x_lo + 0.5 * LOG_SNR_TOL), x_hi - 0.5 * LOG_SNR_TOL)
+        f = math.log(ebno(math.exp(x)) / target)
+        if f < 0.0:
+            x_lo, f_lo = x, f
+            if kept < 0:
+                f_hi *= 0.5
+            kept = -1
         else:
-            hi = mid
-        if hi / lo < 1.0 + 1e-14:
+            x_hi, f_hi = x, f
+            if kept > 0:
+                f_lo *= 0.5
+            kept = 1
+        if x_hi - x_lo < LOG_SNR_TOL:
             break
-    return math.sqrt(lo * hi)
+    return math.exp(0.5 * (x_lo + x_hi))
 
 
 # ======================================================================

@@ -35,6 +35,7 @@ PINNED = {
     ("small_snr_slope", "dense_rs_rel_slope_err"): (9, "fast", "<", 1e-3),
     ("quadrature_stability", "abs_diff_doubled_start"): (None, "fast", "<", 1e-9),
     ("ebno_round_trip", "rel_err"): (None, "fast", "<", 1e-6),
+    ("throughput_closed_form_vs_quadrature", "max_rel_err"): (None, "fast", "<", 1e-9),
     ("scaled_spectrum_ks", "ks_ones"): (5, "full", "<", 0.02),
     ("scaled_spectrum_ks", "ks_rademacher"): (5, "full", "<", 0.02),
     ("scaled_spectrum_ks", "ks_ones_vs_rademacher"): (5, "full", "<", 0.02),

@@ -307,8 +307,8 @@ class TestValidate:
     def test_fast_suite_passes(self, capsys):
         assert run(["validate", "--level", "fast"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[-1] == "9/9 checks passed"
-        assert len(lines) == 10
+        assert lines[-1] == "10/10 checks passed"
+        assert len(lines) == 11
         assert all(line.startswith("PASS ") for line in lines[:-1])
 
     def test_injected_sign_flip_is_detected(self, tmp_path, capsys):
@@ -319,8 +319,10 @@ class TestValidate:
         for name in ("kesten_mckay_identity", "density_normalization",
                      "density_first_moment", "marchenko_pastur_limit",
                      "scalar_cavity_agreement", "throughput_ordering",
-                     "small_snr_slope", "ebno_round_trip"):
+                     "small_snr_slope", "ebno_round_trip",
+                     "throughput_closed_form_vs_quadrature"):
             assert f"FAIL {name}: " in out
+        assert out.strip().endswith("0/10 checks passed")
         gates = read_manifest(report)["results"]["gates"]
         assert any(g["margin"] is not None and g["margin"] < 0.0 for g in gates)
         # these two checks raise, so their bounds carry no measurement
@@ -336,14 +338,14 @@ class TestValidate:
         out = tmp_path / "report.txt"
         assert run(["validate", "--level", "fast", "--out", str(out)]) == 0
         capsys.readouterr()
-        assert out.read_text().strip().endswith("9/9 checks passed")
+        assert out.read_text().strip().endswith("10/10 checks passed")
         manifest = Path(str(out) + ".manifest.json").read_bytes()
         results = json.loads(manifest)["results"]
         gates = results.pop("gates")
-        assert results == {"level": "fast", "n_checks": 9, "n_failed": 0}
+        assert results == {"level": "fast", "n_checks": 10, "n_failed": 0}
         fast = [(check, quantity, op, tol) for (check, quantity), (_, level, op, tol)
                 in PINNED.items() if level == "fast"]
-        assert len(gates) == len(fast) == 15
+        assert len(gates) == len(fast) == 16
         assert [(g["check"], g["quantity"], g["op"], g["tolerance"])
                 for g in gates] == fast
         assert all(g["passed"] and g["margin"] >= 0.0 for g in gates)

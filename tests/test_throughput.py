@@ -1,10 +1,15 @@
 """Throughput quadrature, baselines, Eb/N0 mapping, Monte Carlo, sweeps."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from regnoma import quadrature
+from regnoma import throughput as tp
 from regnoma.ensembles import EnsembleSpec, EntryMode, GenerationError
 from regnoma.spectra import DensityParams, analytic_density
 from regnoma.throughput import (LN2, SWEEP_COLUMNS, Curve, MCResult, SweepSpec,
@@ -66,6 +71,60 @@ class TestRegularThroughput:
         assert snr_for_ebno(target, 1.5, 2.0, halved) < snr_for_ebno(target, 1.5, 2.0)
 
 
+class TestRegularClosedForm:
+    @staticmethod
+    def quadrature_throughput(snr, p):
+        # the integral of the closed-form law, to a tolerance relative to its scale
+        return 0.5 * quadrature.support_integral(
+            lambda lam: analytic_density(lam, p), p.lambda_minus, p.lambda_plus,
+            weight=lambda lam: np.log1p(snr * lam) / LN2,
+            tol=1e-13 * cover_wyner_bound(snr, p.beta))
+
+    # d stays 0.01 or more above 1 + 1/beta: nearer, a pole of the density sits
+    # next to a support edge and the node-doubling quadrature is no oracle
+    @settings(max_examples=200, deadline=None)
+    @given(beta=st.floats(1.0, 8.0), log_gap=st.floats(-2.0, 1.7),
+           log_snr=st.floats(-4.0, 5.99), ratio=st.floats(1.01, 100.0))
+    def test_equals_quadrature_and_is_increasing_concave_and_bounded(
+            self, beta, log_gap, log_snr, ratio):
+        p = DensityParams(beta=beta, d=1.0 + 1.0 / beta + 10.0 ** log_gap)
+        lo = 10.0 ** log_snr
+        hi = min(ratio * lo, 1e6)
+        c_lo, c_mid, c_hi = (regular_throughput(s, p) for s in (lo, 0.5 * (lo + hi), hi))
+        assert abs(c_lo / self.quadrature_throughput(lo, p) - 1.0) < 1e-12
+        assert c_lo < c_mid < c_hi
+        assert c_mid >= 0.5 * (c_lo + c_hi)
+        assert c_hi <= cover_wyner_bound(hi, beta)
+
+    # references: 40-digit tanh-sinh integrals (mpmath) of the law over its
+    # support, subdivided toward both edges; at these points a pole of the
+    # density, at 0 or at beta d, lies within 1e-12 of a support edge
+    @pytest.mark.parametrize("beta, d, snr, reference", [
+        (1.5, 1.6666668, 0.2, 0.18396337267840911326),
+        (2.0, 1.5000000001, 1.4, 0.9237053430926282956),
+        (1.000001, 2.0, 75.0, 2.7320759943338220815),
+        (3.0, 1.3333333334, 1000.0, 5.7380500906566276603),
+    ])
+    def test_exact_next_to_the_domain_boundary(self, beta, d, snr, reference):
+        c = regular_throughput(snr, DensityParams(beta=beta, d=d))
+        assert abs(c / reference - 1.0) < 1e-14
+
+    def test_ignores_the_quadrature_tolerance(self):
+        assert regular_throughput(10.0, P_DEFAULT, tol=1e-3) == regular_throughput(10.0, P_DEFAULT)
+
+    def test_a_wrapped_closed_form_is_not_integrated(self, monkeypatch):
+        @functools.wraps(analytic_density)
+        def wrapped(lam, p):
+            return analytic_density(lam, p)
+
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("integrated the closed form")
+
+        closed = regular_throughput(10.0, P_DEFAULT)
+        monkeypatch.setattr(quadrature, "support_integral", no_quadrature)
+        assert regular_throughput(10.0, P_DEFAULT, density=wrapped) == closed
+
+
 class TestDenseRsThroughput:
     def test_vanishes_with_snr(self):
         assert dense_rs_throughput(0.0, 1.5) == 0.0
@@ -83,6 +142,16 @@ class TestDenseRsThroughput:
     def test_unit_load_edge_singularity_integrable(self):
         # beta = 1 puts an inverse-square-root edge at the origin
         assert 0.0 < dense_rs_throughput(10.0, 1.0) < cover_wyner_bound(10.0, 1.0)
+
+    @pytest.mark.parametrize("beta", [1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("snr", [0.1, 10.0, 1000.0])
+    def test_matches_verdu_shamai_closed_form(self, beta, snr):
+        # Verdu and Shamai, IEEE Trans. IT 45 (1999), per resource
+        f = (math.sqrt(snr * (1.0 + math.sqrt(beta)) ** 2 + 1.0)
+             - math.sqrt(snr * (1.0 - math.sqrt(beta)) ** 2 + 1.0)) ** 2
+        two_c = (beta * math.log2(1.0 + snr - f / 4.0) + math.log2(1.0 + beta * snr - f / 4.0)
+                 - math.log2(math.e) * f / (4.0 * snr))
+        assert abs(dense_rs_throughput(snr, beta) / (0.5 * two_c) - 1.0) < 1e-12
 
 
 class TestCoverWynerBound:
@@ -132,8 +201,10 @@ class TestEbnoMapping:
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_inverse_rejects_unreachable_targets(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="below the minimum achievable"):
             snr_for_ebno(0.5 * LN2, 1.5, 2.0)
+        with pytest.raises(ValueError, match="not reachable below snr = 1000000.0"):
+            snr_for_ebno(1e9, 1.5, "dense")
 
     def test_inverse_locates_ten_db_point_in_unit_decade(self):
         snr = snr_for_ebno(db_to_linear(10.0), 1.5, 2.0)
@@ -148,6 +219,49 @@ class TestEbnoMapping:
     def test_unknown_selector(self):
         with pytest.raises(ValueError):
             snr_for_ebno(db_to_linear(10.0), 1.5, "nonsense")
+
+
+def bisection_snr_for_ebno(target, beta, d):
+    """The geometric bisection that snr_for_ebno replaced, kept as its reference."""
+    cfun = tp._curve_throughput(beta, d, analytic_density)
+    lo, hi = tp.SNR_BRACKET
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)
+        if ebno_from_snr(mid, beta, cfun(mid)) < target:
+            lo = mid
+        else:
+            hi = mid
+        if hi / lo < 1.0 + 1e-14:
+            break
+    return math.sqrt(lo * hi)
+
+
+class TestSecantInversion:
+    @pytest.fixture
+    def quadrature_calls(self, monkeypatch):
+        calls = []
+        real = quadrature.support_integral
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "support_integral", counting)
+        return calls
+
+    @pytest.mark.parametrize("selector", [2.0, "dense", "cover_wyner"])
+    def test_agrees_with_bisection_on_the_fine_grid(self, selector, quadrature_calls):
+        per_inversion = []
+        for ebno_db in np.linspace(0.0, 20.0, 201):
+            target = db_to_linear(ebno_db)
+            quadrature_calls.clear()
+            snr = snr_for_ebno(target, 1.5, selector)
+            per_inversion.append(len(quadrature_calls))
+            assert abs(snr / bisection_snr_for_ebno(target, 1.5, selector) - 1.0) < 1e-13
+        if selector == "dense":
+            assert 0 < max(per_inversion) <= 20
+        else:  # closed forms, no quadrature
+            assert max(per_inversion) == 0
 
 
 class TestDbHelpers:
