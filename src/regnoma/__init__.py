@@ -9,25 +9,23 @@ by Stieltjes inversion, and message passing on sampled bipartite graphs.
 """
 
 from .ensembles import (EnsembleSpec, EntryMode, GenerationError,
-                        SparseSignatureMatrix, cycle_diagnostics,
-                        generate_irregular, generate_regular, load_matrix,
-                        stream)
+                        SparseSignatureMatrix, generate_irregular,
+                        generate_regular, stream)
 from .quadrature import QuadratureError, partial_integrals, support_integral
 from .spectra import (DensityParams, SpectraError, SpectrumSample,
                       analytic_cdf, analytic_density, empirical_spectrum,
                       kesten_mckay_density, ks_distance,
                       marchenko_pastur_density, spectrum_histogram)
-from .cavity import (CavityError, CavityState, GraphCavityMessages,
-                     GraphRouteDensity, LiftedGraph, cavity_on_graph,
+from .cavity import (CavityError, GraphCavityMessages, GraphRouteDensity,
+                     LiftedGraph, cavity_on_graph,
                      gram_density_from_adjacency_transform,
-                     graph_route_density, lift_graph, solve_fixed_point,
-                     stieltjes_inversion)
+                     graph_route_density, lift_graph, stieltjes_inversion)
 from .throughput import (Curve, MCResult, SweepSpec, SweepVariable,
                          cover_wyner_bound, db_to_linear, dense_rs_throughput,
                          ebno_from_snr, finite_n_throughput_mc, linear_to_db,
                          regular_throughput, snr_for_ebno, sweep)
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "__version__",
@@ -35,10 +33,8 @@ __all__ = [
     "EntryMode",
     "GenerationError",
     "SparseSignatureMatrix",
-    "cycle_diagnostics",
     "generate_irregular",
     "generate_regular",
-    "load_matrix",
     "stream",
     "QuadratureError",
     "partial_integrals",
@@ -54,7 +50,6 @@ __all__ = [
     "marchenko_pastur_density",
     "spectrum_histogram",
     "CavityError",
-    "CavityState",
     "GraphCavityMessages",
     "GraphRouteDensity",
     "LiftedGraph",
@@ -62,7 +57,6 @@ __all__ = [
     "gram_density_from_adjacency_transform",
     "graph_route_density",
     "lift_graph",
-    "solve_fixed_point",
     "stieltjes_inversion",
     "Curve",
     "MCResult",

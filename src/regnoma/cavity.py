@@ -11,6 +11,9 @@ with alpha = (d-1)/d and gamma = (beta d - 1)/d.  ``delta_tilde`` is the
 Cauchy transform of the limiting law of A A^T / d, so the density follows
 from the boundary values:  rho(lam) = -Im delta_tilde(lam + i eps) / pi.
 For Im z > 0 the physical branch has nonpositive imaginary parts.
+:func:`stieltjes_inversion` solves the pair on a whole grid at once: damped
+iteration first, then the closed-form quadratic root where the iteration
+stalls.  A point without a physical root is NaN, not an error.
 
 The same message-passing runs on a sampled finite matrix: each directed
 edge of the bipartite graph carries a message updated from the incoming
@@ -48,12 +51,10 @@ from .spectra import DensityParams
 from .ensembles import SparseSignatureMatrix
 
 __all__ = [
-    "CavityState",
     "GraphCavityMessages",
     "GraphRouteDensity",
     "LiftedGraph",
     "CavityError",
-    "solve_fixed_point",
     "stieltjes_inversion",
     "lift_graph",
     "cavity_on_graph",
@@ -61,61 +62,44 @@ __all__ = [
     "graph_route_density",
 ]
 
-DEFAULT_DAMPING = 0.5
+DAMPING = 0.5
 DEFAULT_EPSILON = 1e-6
+# stopping rule of the scalar iteration; points that miss it take the quadratic root
+ITER_TOL = 1e-12
+MAX_ITER = 100_000
 _IM_SLACK = 1e-12
 
 
 class CavityError(RuntimeError):
-    """Raised on non-convergence or a physical-branch violation."""
-
-
-@dataclass(frozen=True)
-class CavityState:
-    """Converged cavity pair at one spectral point.
-
-    ``residual`` is the larger fixed-point equation residual;
-    ``used_fallback`` marks roots obtained from the closed-form quadratic
-    rather than damped iteration.
-    """
-
-    z: complex
-    delta: complex
-    delta_tilde: complex
-    iterations: int
-    residual: float
-    used_fallback: bool
+    """Raised when message passing on a graph does not converge."""
 
 
 def _delta_tilde(z: np.ndarray, delta: np.ndarray, p: DensityParams) -> np.ndarray:
     return 1.0 / (z - p.beta / (1.0 - p.alpha * delta))
 
 
-def _iterate(z: np.ndarray, p: DensityParams, tol: float, damping: float,
-             max_iter: int, init: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Damped fixed-point iteration, vectorized over z.
+def _iterate(z: np.ndarray, p: DensityParams) -> tuple[np.ndarray, np.ndarray]:
+    """Damped fixed-point iteration from delta = 0, vectorized over z.
 
-    Returns (delta, residual, iterations); points that stall keep their last
-    iterate and a residual above tol.
+    Returns (delta, residual); points that stall keep their last iterate
+    and a residual of at least ``ITER_TOL``.
     """
-    delta = init.astype(complex).copy()
+    delta = np.zeros(z.shape, dtype=complex)
     residual = np.full(z.shape, np.inf)
-    iters = np.zeros(z.shape, dtype=np.int64)
     active = np.ones(z.shape, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if not active.any():
             break
         za, da = z[active], delta[active]
         prop = 1.0 / (za - p.gamma / (1.0 - p.alpha * da))
-        new = (1.0 - damping) * da + damping * prop
+        new = (1.0 - DAMPING) * da + DAMPING * prop
         res = np.abs(new - da)
         delta[active] = new
         residual[active] = res
-        iters[active] += 1
-        still = res >= tol
+        still = res >= ITER_TOL
         idx = np.flatnonzero(active)
         active[idx[~still]] = False
-    return delta, residual, iters
+    return delta, residual
 
 
 def _quadratic_roots(z: np.ndarray, p: DensityParams) -> tuple[np.ndarray, np.ndarray]:
@@ -138,48 +122,30 @@ def _physical_root(z: np.ndarray, p: DensityParams) -> np.ndarray:
     return pick
 
 
-def solve_fixed_point(z: complex, p: DensityParams,
-                      tol: float = 1e-12,
-                      damping: float = DEFAULT_DAMPING,
-                      max_iter: int = 100_000,
-                      init: complex = 0.0) -> CavityState:
-    """Solve the scalar cavity equations at one point with Im z > 0.
+def _cauchy_transform(z: np.ndarray, p: DensityParams) -> tuple[np.ndarray, np.ndarray]:
+    """Physical cavity pair (delta, delta_tilde) at points with Im z > 0.
 
-    Damped iteration (the physical relaxation) runs first; if it stalls
-    before ``max_iter`` updates reach ``tol``, the equivalent quadratic is
-    solved in closed form and the root with nonpositive imaginary part is
-    selected, which guarantees termination.  A converged root with positive
-    imaginary part raises :class:`CavityError`.
+    Damped iteration (the physical relaxation) runs first; points where it
+    stalls before ``MAX_ITER`` updates reach ``ITER_TOL`` take the root of
+    the equivalent quadratic with nonpositive imaginary part.  Points with
+    no physical root, or whose pair leaves the branch Im <= 0, are NaN.
     """
-    z = complex(z)
-    if not z.imag > 0.0:
-        raise ValueError(f"need Im z > 0, got z = {z}")
-    za = np.array([z])
-    delta, residual, iters = _iterate(za, p, tol, damping, max_iter,
-                                      np.array([complex(init)]))
-    used_fallback = False
-    if residual[0] >= tol:
-        delta = _physical_root(za, p)
-        used_fallback = True
-        if np.isnan(delta[0]):
-            raise CavityError(f"no physical root at z = {z}")
-        fp = 1.0 / (za - p.gamma / (1.0 - p.alpha * delta))
-        residual = np.abs(fp - delta)
-    if delta[0].imag > _IM_SLACK:
-        raise CavityError(f"branch violation at z = {z}: Im delta = {delta[0].imag}")
-    dt = _delta_tilde(za, delta, p)[0]
-    if dt.imag > _IM_SLACK:
-        raise CavityError(f"branch violation at z = {z}: Im delta_tilde = {dt.imag}")
-    return CavityState(z=z, delta=complex(delta[0]), delta_tilde=complex(dt),
-                       iterations=int(iters[0]), residual=float(residual[0]),
-                       used_fallback=used_fallback)
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    if not np.all(z.imag > 0.0):
+        raise ValueError("need Im z > 0 at every point")
+    delta, residual = _iterate(z, p)
+    stalled = residual >= ITER_TOL
+    if stalled.any():
+        delta[stalled] = _physical_root(z[stalled], p)
+    delta_tilde = _delta_tilde(z, delta, p)
+    bad = np.isnan(delta) | (delta.imag > _IM_SLACK) | (delta_tilde.imag > _IM_SLACK)
+    # a real nan would leave Im = 0 and read as a zero density
+    delta[bad] = delta_tilde[bad] = complex(np.nan, np.nan)
+    return delta, delta_tilde
 
 
 def stieltjes_inversion(lambda_grid: np.ndarray, p: DensityParams,
-                        epsilon: float = DEFAULT_EPSILON,
-                        tol: float = 1e-12,
-                        damping: float = DEFAULT_DAMPING,
-                        max_iter: int = 100_000) -> np.ndarray:
+                        epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
     """Boundary-value density on a real grid: -Im delta_tilde(lam + i eps) / pi.
 
     ``epsilon`` must lie in (0, 1e-3] and the grid inside the padded support
@@ -192,18 +158,8 @@ def stieltjes_inversion(lambda_grid: np.ndarray, p: DensityParams,
     lo, hi = p.lambda_minus - 1.0, p.lambda_plus + 1.0
     if grid.min() < lo or grid.max() > hi:
         raise ValueError(f"grid must stay inside [{lo}, {hi}]")
-    z = grid + 1j * epsilon
-    delta, residual, _ = _iterate(z, p, tol, damping, max_iter,
-                                  np.zeros(z.shape, complex))
-    stalled = residual >= tol
-    if stalled.any():
-        delta[stalled] = _physical_root(z[stalled], p)
-    bad = np.isnan(delta) | (delta.imag > _IM_SLACK)
-    dt = _delta_tilde(z, delta, p)
-    bad |= dt.imag > _IM_SLACK
-    dens = -dt.imag / np.pi
-    dens[bad] = np.nan
-    return dens
+    _, delta_tilde = _cauchy_transform(grid + 1j * epsilon, p)
+    return -delta_tilde.imag / np.pi
 
 
 # ======================================================================
@@ -311,7 +267,6 @@ class GraphCavityMessages:
 
 def cavity_on_graph(graph: SparseSignatureMatrix | LiftedGraph, z: complex,
                     tol: float = 1e-8,
-                    damping: float = DEFAULT_DAMPING,
                     max_sweeps: int = 10_000) -> GraphCavityMessages:
     """Run damped synchronous message passing on the bipartite graph of A.
 
@@ -338,7 +293,7 @@ def cavity_on_graph(graph: SparseSignatureMatrix | LiftedGraph, z: complex,
     change = np.inf
     for sweep in range(1, max_sweeps + 1):
         prop = 1.0 / (z - (incoming(msg)[g.src_class] - msg[g.rev_class]))
-        new = (1.0 - damping) * msg + damping * prop
+        new = (1.0 - DAMPING) * msg + DAMPING * prop
         change = float(np.max(np.abs(new - msg)))
         msg = new
         if change < tol:
@@ -397,17 +352,18 @@ class GraphRouteDensity:
 def graph_route_density(matrix: SparseSignatureMatrix,
                         lambda_grid: np.ndarray,
                         epsilon: float = 5e-3,
-                        tol: float = 1e-8,
                         max_sweeps: int = 10_000) -> GraphRouteDensity:
     """Gram density estimate from message passing on one sampled matrix.
 
     Each Gram point ``lam`` maps to the adjacency point
     ``z = sqrt(d (lam + i eps))`` on the principal branch, so the transform
     lands exactly at ``w = lam + i eps``.  The default ``epsilon`` trades
-    the Lorentzian smoothing bias against finite-size roughness.  The
-    matrix is lifted once for the whole grid.  A point whose messages do
-    not converge is NaN and the batch continues.
+    the Lorentzian smoothing bias against finite-size roughness; it must be
+    finite and positive.  The matrix is lifted once for the whole grid.  A
+    point whose messages do not converge is NaN and the batch continues.
     """
+    if not 0.0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     p = DensityParams.from_ensemble(matrix.spec)
     graph = lift_graph(matrix)
     grid = np.atleast_1d(np.asarray(lambda_grid, dtype=np.float64))
@@ -415,10 +371,8 @@ def graph_route_density(matrix: SparseSignatureMatrix,
     sweeps = np.full(grid.shape, max_sweeps, dtype=np.int64)
     for i, lam in enumerate(grid):
         z = complex(np.sqrt(complex(p.d * lam, p.d * epsilon)))
-        if z.imag < 0.0:
-            z = -z
         try:
-            run = cavity_on_graph(graph, z, tol=tol, max_sweeps=max_sweeps)
+            run = cavity_on_graph(graph, z, max_sweeps=max_sweeps)
         except CavityError:
             continue
         g = gram_density_from_adjacency_transform(run.mean_variance, z, p)

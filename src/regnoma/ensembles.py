@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -29,8 +28,6 @@ __all__ = [
     "GenerationError",
     "generate_regular",
     "generate_irregular",
-    "cycle_diagnostics",
-    "load_matrix",
 ]
 
 
@@ -139,7 +136,7 @@ class EnsembleSpec:
 
 
 # ======================================================================
-# Matrix container and text serialization
+# Matrix container
 # ======================================================================
 
 @dataclass
@@ -183,48 +180,6 @@ class SparseSignatureMatrix:
         """Dense N x N Gram matrix A A^T / d."""
         a = self.to_dense()
         return (a @ a.T) / self.spec.col_degree
-
-    def save(self, path: str | Path) -> None:
-        """Write the text format: header ``N K d mode seed`` then entry rows."""
-        spec = self.spec
-        lines = [f"{spec.n_resources} {spec.n_users} {spec.col_degree} "
-                 f"{spec.entry_mode.value} {spec.seed}"]
-        for r, c, v in zip(self.rows, self.cols, self.values):
-            lines.append(f"{r} {c} {v:.0f}")
-        Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_matrix(path: str | Path) -> SparseSignatureMatrix:
-    """Load the text format written by :meth:`SparseSignatureMatrix.save`.
-
-    Degrees are checked against the header; a matrix that is not exactly
-    (d, beta*d)-regular is flagged irregular.
-    """
-    text = Path(path).read_text().strip().split("\n")
-    head = text[0].split()
-    if len(head) != 5:
-        raise ValueError(f"malformed header {text[0]!r}")
-    n, k, d = int(head[0]), int(head[1]), int(head[2])
-    mode, seed = EntryMode.parse(head[3]), int(head[4])
-    spec = EnsembleSpec(n, k, d, mode, seed)
-    body = np.array([line.split() for line in text[1:]], dtype=np.float64)
-    if body.ndim != 2 or body.shape[1] != 3:
-        raise ValueError("malformed entry rows")
-    rows = body[:, 0].astype(np.int64)
-    cols = body[:, 1].astype(np.int64)
-    values = body[:, 2]
-    if rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= k:
-        raise ValueError("entry index out of range")
-    if not np.all(np.abs(values) == 1.0):
-        raise ValueError("entries must be +-1")
-    m = SparseSignatureMatrix(spec, rows, cols, values)
-    pairs = m.rows * k + m.cols
-    if np.unique(pairs).size != pairs.size:
-        raise ValueError("duplicate entries in file")
-    regular = (np.all(m.column_degrees() == d)
-               and np.all(m.row_degrees() == spec.row_degree))
-    m.irregular = not regular
-    return m
 
 
 # ======================================================================
@@ -322,90 +277,3 @@ def generate_irregular(spec: EnsembleSpec, realization: int = 0) -> SparseSignat
     return SparseSignatureMatrix(spec, rows, cols, values,
                                  irregular=True, realization=realization)
 
-
-# ======================================================================
-# Short-cycle diagnostics
-# ======================================================================
-
-def _quad_count(matrix: SparseSignatureMatrix) -> int:
-    # number of 4-cycles: pairs of rows with >= 2 common columns,
-    # sum over row pairs of C(common, 2)
-    import scipy.sparse as sp
-
-    spec = matrix.spec
-    b = sp.csr_matrix((np.ones(matrix.nnz), (matrix.rows, matrix.cols)),
-                      shape=(spec.n_resources, spec.n_users))
-    m = (b @ b.T).tocoo()
-    off = m.row != m.col
-    common = m.data[off]
-    return int(np.sum(common * (common - 1)) // 4)
-
-
-def _hex_count(matrix: SparseSignatureMatrix) -> int:
-    # number of 6-cycles from tr((B B^T)^3) with closed-walk corrections:
-    # subtract walks revisiting a row, then column-coincidence terms by
-    # inclusion-exclusion over the triple overlaps
-    import scipy.sparse as sp
-
-    spec = matrix.spec
-    b = sp.csr_matrix((np.ones(matrix.nnz), (matrix.rows, matrix.cols)),
-                      shape=(spec.n_resources, spec.n_users))
-    m = (b @ b.T).tocsr()
-    r = m.diagonal()
-    tr_m3 = (m @ m).multiply(m.T).sum()
-    m_off = m.copy()
-    m_off.setdiag(0)
-    m_off.eliminate_zeros()
-    mixed = 3.0 * float((m_off.multiply(m_off)).dot(np.ones(spec.n_resources)) @ r)
-    s3 = tr_m3 - float(np.sum(r**3)) - mixed
-
-    mt = (b.T @ b).tocsr()
-    c = matrix.column_degrees().astype(np.float64)
-    diag_mt2 = np.asarray(mt.multiply(mt).sum(axis=1)).ravel()
-    row_deg_sum = b.T @ r
-    corr = 3.0 * float(np.sum((c - 2.0) * (diag_mt2 - row_deg_sum)))
-    corr2 = 2.0 * float(np.sum(c * (c - 1.0) * (c - 2.0)))
-    return int(round((s3 - corr + corr2) / 6.0))
-
-
-def _oct_count(matrix: SparseSignatureMatrix) -> int:
-    # exact 8-cycle count by rooted path enumeration: the smallest node on
-    # each cycle is the root and both orientations are found, hence the /2
-    spec = matrix.spec
-    n_nodes = spec.n_resources + spec.n_users
-    adj: list[list[int]] = [[] for _ in range(n_nodes)]
-    for r, c in zip(matrix.rows.tolist(), matrix.cols.tolist()):
-        u, v = r, spec.n_resources + c
-        adj[u].append(v)
-        adj[v].append(u)
-
-    total = 0
-    length = 8
-    for root in range(n_nodes):
-        stack = [(root, 0, frozenset((root,)))]
-        while stack:
-            node, depth, seen = stack.pop()
-            for nxt in adj[node]:
-                if nxt == root and depth == length - 1:
-                    total += 1
-                elif nxt > root and nxt not in seen and depth < length - 1:
-                    stack.append((nxt, depth + 1, seen | {nxt}))
-    return total // 2
-
-
-def cycle_diagnostics(matrix: SparseSignatureMatrix, max_len: int = 4) -> int:
-    """Count simple cycles of length <= max_len in the bipartite graph.
-
-    The graph is bipartite so all cycles have even length; supported lengths
-    are 4, 6 and 8.  Lengths 4 and 6 use trace and common-neighbor closed
-    forms, length 8 uses rooted path enumeration whose cost grows with the
-    degrees as (d * beta * d)**4 per node, the reason for the length cap.
-    """
-    if max_len % 2 != 0 or not 4 <= max_len <= 8:
-        raise ValueError(f"max_len must be 4, 6 or 8, got {max_len}")
-    total = _quad_count(matrix)
-    if max_len >= 6:
-        total += _hex_count(matrix)
-    if max_len >= 8:
-        total += _oct_count(matrix)
-    return total

@@ -72,7 +72,7 @@ def _check_snr(snr: float) -> float:
     return snr
 
 
-def regular_throughput(snr: float, p: DensityParams, tol: float = 1e-9,
+def regular_throughput(snr: float, p: DensityParams,
                        density: Density = analytic_density) -> float:
     """Asymptotic throughput of the regular ensemble, bits per resource use.
 
@@ -91,8 +91,8 @@ def regular_throughput(snr: float, p: DensityParams, tol: float = 1e-9,
     is the quadratic solved for ``u``.  The energy is stationary in both,
     so rounding in ``u`` enters ``C`` only at second order.
 
-    Any other ``density(lam, p)`` is integrated over the support to the
-    absolute tolerance ``tol``, which applies to that path alone.
+    Any other ``density(lam, p)`` is integrated over the support by
+    :func:`quadrature.support_integral` at its default tolerance.
     """
     snr = _check_snr(snr)
     if snr == 0.0:
@@ -109,11 +109,10 @@ def regular_throughput(snr: float, p: DensityParams, tol: float = 1e-9,
     return 0.5 * quadrature.support_integral(
         lambda lam: density(lam, p),
         p.lambda_minus, p.lambda_plus,
-        weight=lambda lam: np.log1p(snr * lam) / LN2,
-        tol=tol)
+        weight=lambda lam: np.log1p(snr * lam) / LN2)
 
 
-def dense_rs_throughput(snr: float, beta: float, tol: float = 1e-9) -> float:
+def dense_rs_throughput(snr: float, beta: float) -> float:
     """Dense random-spreading reference throughput from the Marchenko-Pastur law."""
     snr = _check_snr(snr)
     if snr == 0.0:
@@ -123,8 +122,7 @@ def dense_rs_throughput(snr: float, beta: float, tol: float = 1e-9) -> float:
     return 0.5 * quadrature.support_integral(
         lambda lam: marchenko_pastur_density(lam, beta),
         lo, hi,
-        weight=lambda lam: np.log1p(snr * lam) / LN2,
-        tol=tol)
+        weight=lambda lam: np.log1p(snr * lam) / LN2)
 
 
 def cover_wyner_bound(snr: float, beta: float) -> float:

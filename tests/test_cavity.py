@@ -6,24 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from scipy import integrate
 
-from regnoma.cavity import (CavityError, cavity_on_graph,
+from regnoma import cavity
+from regnoma.cavity import (ITER_TOL, CavityError, _cauchy_transform, _iterate,
+                            _physical_root, cavity_on_graph,
                             gram_density_from_adjacency_transform,
-                            graph_route_density, lift_graph, solve_fixed_point,
-                            stieltjes_inversion)
+                            graph_route_density, lift_graph, stieltjes_inversion)
 from regnoma.ensembles import (EnsembleSpec, EntryMode, GenerationError,
                                SparseSignatureMatrix, generate_irregular,
-                               generate_regular, load_matrix)
+                               generate_regular)
 from regnoma.spectra import DensityParams, analytic_density, kesten_mckay_density
 
 P_DEFAULT = DensityParams(beta=1.5, d=2.0)
-
-
-def second_moment(p):
-    val, _ = integrate.quad(lambda x: x * x * analytic_density(x, p),
-                            p.lambda_minus, p.lambda_plus, limit=200)
-    return val
 
 
 def sample_matrix(n, k, d, mode=EntryMode.RADEMACHER, seed=0, realization=0):
@@ -32,51 +26,65 @@ def sample_matrix(n, k, d, mode=EntryMode.RADEMACHER, seed=0, realization=0):
     return generate_regular(spec, realization=realization)
 
 
+# random admissible (beta, d): d lies 0.01 to 50 above the boundary 1 + 1/beta
+admissible = st.builds(
+    lambda beta, log_gap: DensityParams(beta, 1.0 + 1.0 / beta + 10.0 ** log_gap),
+    st.floats(1.0, 8.0), st.floats(-2.0, 1.7))
+
+
 class TestSolveFixedPoint:
+    """The scalar fixed point as the inversion solves it, over a grid of z."""
+
     def test_resolvent_asymptotics_at_large_z(self):
         z = 1e6 + 1j
-        st = solve_fixed_point(z, P_DEFAULT)
-        assert abs(st.delta * z - 1.0) < 1e-4
-        assert abs(st.delta_tilde * z - 1.0) < 1e-4
+        delta, delta_tilde = _cauchy_transform(z, P_DEFAULT)
+        assert abs(delta[0] * z - 1.0) < 1e-4
+        assert abs(delta_tilde[0] * z - 1.0) < 1e-4
 
-    def test_series_expansion_carries_first_two_moments(self):
-        # z G(z) = 1 + beta/z + m2/z^2 + ..., m2 from direct integration
-        m2 = second_moment(P_DEFAULT)
-        for z in (1e3 + 1j, 1e4 + 1j):
-            st = solve_fixed_point(z, P_DEFAULT)
-            resid = abs(z * st.delta_tilde - 1.0 - P_DEFAULT.beta / z)
-            assert resid < 2.0 * m2 / abs(z) ** 2
+    @settings(max_examples=100, deadline=None)
+    @given(p=admissible)
+    def test_series_expansion_carries_first_two_moments(self, p):
+        # z G(z) = 1 + beta/z + m2/z^2 + ..., with the exact second moment
+        m2 = p.beta * (p.beta + p.alpha)
+        z = np.array([1e3 + 1j, 1e4 + 1j])
+        _, delta_tilde = _cauchy_transform(z, p)
+        assert not np.isnan(delta_tilde).any()
+        resid = np.abs(z * delta_tilde - 1.0 - p.beta / z)
+        assert np.all(resid < 2.0 * m2 / np.abs(z) ** 2)
 
     def test_boundary_density_matches_closed_form(self):
-        st = solve_fixed_point(1.5 + 1e-6j, P_DEFAULT)
-        dens = -st.delta_tilde.imag / math.pi
+        _, delta_tilde = _cauchy_transform(1.5 + 1e-6j, P_DEFAULT)
+        dens = -delta_tilde[0].imag / math.pi
         assert abs(dens - analytic_density(1.5, P_DEFAULT)) < 1e-3
 
-    def test_residual_below_tolerance(self):
-        st = solve_fixed_point(1.0 + 0.1j, P_DEFAULT, tol=1e-12)
-        assert st.residual < 1e-12
-
-    def test_initialization_independent(self):
-        for lam in np.linspace(0.2, 2.8, 9):
-            z = lam + 1e-4j
-            for beta, d in ((1.0, 2.0), (1.5, 2.0), (2.0, 3.0)):
-                p = DensityParams(beta=beta, d=d)
-                a = solve_fixed_point(z, p, init=0.0)
-                b = solve_fixed_point(z, p, init=1.0 / z)
-                assert abs(a.delta - b.delta) < 1e-10
-
-    def test_herglotz_branch(self):
-        for lam in np.linspace(0.0, 3.5, 15):
+    @pytest.mark.parametrize("beta", [1.0, 1.5, 2.0, 3.0, 7.5])
+    def test_converged_iteration_is_the_physical_root(self, beta):
+        # the damped iteration and the quadratic fallback pick one branch
+        for gap in (0.01, 0.3, 1.0, 3.0, 30.0):
+            p = DensityParams(beta=beta, d=1.0 + 1.0 / beta + gap)
+            lam = np.linspace(p.lambda_minus - 0.5, p.lambda_plus + 0.5, 25)
             for eps in (1e-6, 1e-4, 1e-2, 1.0):
-                st = solve_fixed_point(lam + 1j * eps, P_DEFAULT)
-                assert st.delta.imag <= 1e-12
-                assert st.delta_tilde.imag <= 1e-12
+                z = lam + 1j * eps
+                delta, residual = _iterate(z, p)
+                converged = residual < ITER_TOL
+                assert converged.any()
+                root = _physical_root(z[converged], p)
+                assert np.all(np.abs(delta[converged] - root) < 1e-8 * np.abs(root))
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=admissible, log_eps=st.floats(-6.0, 0.0))
+    def test_herglotz_branch(self, p, log_eps):
+        lam = np.linspace(p.lambda_minus - 1.0, p.lambda_plus + 1.0, 50)
+        delta, delta_tilde = _cauchy_transform(lam + 1j * 10.0 ** log_eps, p)
+        assert not np.isnan(delta).any() and not np.isnan(delta_tilde).any()
+        assert np.all(delta.imag <= 1e-12)
+        assert np.all(delta_tilde.imag <= 1e-12)
 
     def test_requires_upper_half_plane(self):
         with pytest.raises(ValueError):
-            solve_fixed_point(1.0 - 0.1j, P_DEFAULT)
+            _cauchy_transform(1.0 - 0.1j, P_DEFAULT)
         with pytest.raises(ValueError):
-            solve_fixed_point(1.0 + 0.0j, P_DEFAULT)
+            _cauchy_transform(np.array([1.0 + 0.1j, 1.0 + 0.0j]), P_DEFAULT)
 
 
 class TestStieltjesInversion:
@@ -116,6 +124,28 @@ class TestStieltjesInversion:
         with pytest.raises(ValueError):
             stieltjes_inversion(np.array([P_DEFAULT.lambda_plus + 2.0]),
                                 P_DEFAULT)
+
+    @pytest.mark.parametrize("failure", ["no_root", "wrong_branch"])
+    def test_failed_points_are_nan(self, monkeypatch, failure):
+        grid = np.linspace(P_DEFAULT.lambda_minus + 0.1, P_DEFAULT.lambda_plus - 0.1, 8)
+        fail = np.arange(grid.size) % 2 == 0
+
+        def root(z, p):
+            r = _physical_root(z, p)
+            bad = (np.conj(r) if failure == "wrong_branch"
+                   else np.full(r.shape, complex(np.nan, np.nan)))
+            return np.where(fail, bad, r)
+
+        # one update stalls every point, so each takes the (patched) root
+        monkeypatch.setattr(cavity, "MAX_ITER", 1)
+        monkeypatch.setattr(cavity, "_physical_root", root)
+        for v in _cauchy_transform(grid + 1e-6j, P_DEFAULT):
+            assert np.isnan(v.real[fail]).all() and np.isnan(v.imag[fail]).all()
+            assert np.isfinite(v[~fail]).all()
+        dens = stieltjes_inversion(grid, P_DEFAULT, epsilon=1e-6)
+        assert np.isnan(dens[fail]).all()
+        np.testing.assert_allclose(dens[~fail], analytic_density(grid[~fail], P_DEFAULT),
+                                   atol=1e-3)
 
 
 def tree_matrix():
@@ -234,13 +264,13 @@ def assert_matches_reference(matrix, z, **kwargs):
     assert got.max_change == want[3]
 
 
-def mixed_degree_matrix(tmp_path):
-    # resource degrees 4, 3, 2, 3 and user degrees 1 to 3, through the file format
-    path = tmp_path / "mixed.txt"
-    entries = [(0, 0), (0, 1), (0, 2), (0, 5), (1, 0), (1, 3), (1, 4),
-               (2, 1), (2, 5), (3, 2), (3, 4), (3, 5)]
-    path.write_text("4 6 2 ones 0\n" + "".join(f"{r} {c} 1\n" for r, c in entries))
-    return load_matrix(path)
+def mixed_degree_matrix():
+    # resource degrees 4, 3, 2, 3 and user degrees 1 to 3
+    rows, cols = np.array([(0, 0), (0, 1), (0, 2), (0, 5), (1, 0), (1, 3), (1, 4),
+                           (2, 1), (2, 5), (3, 2), (3, 4), (3, 5)]).T
+    return SparseSignatureMatrix(spec=EnsembleSpec(4, 6, 2, EntryMode.ONES, 0),
+                                 rows=rows, cols=cols, values=np.ones(rows.size),
+                                 irregular=True)
 
 
 ORACLE_Z = (1.5 + 0.05j, 0.4 + 0.01j, 2.2 + 0.3j, -1.0 + 0.2j)
@@ -260,9 +290,9 @@ class TestLiftedMessagePassing:
         assert_matches_reference(generate_irregular(spec), z)
 
     @pytest.mark.parametrize("z", ORACLE_Z)
-    def test_tree_and_mixed_degree_file_match_per_edge_sweep(self, z, tmp_path):
+    def test_tree_and_mixed_degree_file_match_per_edge_sweep(self, z):
         assert_matches_reference(tree_matrix(), z, tol=1e-14)
-        assert_matches_reference(mixed_degree_matrix(tmp_path), z)
+        assert_matches_reference(mixed_degree_matrix(), z)
 
     def test_stall_matches_per_edge_sweep(self):
         assert_matches_reference(sample_matrix(30, 45, 2), 1.5 + 0.05j, max_sweeps=3)
@@ -397,3 +427,9 @@ class TestGraphRouteDensity:
         assert (stalled.sweeps == 1).all()
         ok = graph_route_density(m, grid)
         assert ok.n_failed == 0 and np.isfinite(ok.density).all()
+
+    @pytest.mark.parametrize("eps", [0.0, -5e-3, math.nan, math.inf])
+    def test_epsilon_domain(self, eps):
+        # a negative epsilon would map to the conjugate point and mirror the density
+        with pytest.raises(ValueError, match="epsilon"):
+            graph_route_density(sample_matrix(30, 45, 2), np.array([1.0]), epsilon=eps)

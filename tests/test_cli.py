@@ -14,7 +14,8 @@ import pytest
 import regnoma
 from regnoma import cli
 from regnoma.cavity import CavityError
-from regnoma.spectra import DensityParams, kesten_mckay_density
+from regnoma.checks import CHECKS
+from regnoma.spectra import DensityParams, analytic_density, kesten_mckay_density
 from regnoma.throughput import db_to_linear, regular_throughput
 from test_acceptance import PINNED
 
@@ -33,6 +34,14 @@ def read_manifest(path):
         return json.load(fh)
 
 
+def no_root_anywhere(monkeypatch):
+    # one update stalls every point of the scalar inversion, and no point
+    # then has a physical root
+    monkeypatch.setattr(cli.cavity_mod, "MAX_ITER", 1)
+    monkeypatch.setattr(cli.cavity_mod, "_physical_root",
+                        lambda z, p: np.full(z.shape, complex(np.nan, np.nan)))
+
+
 def run_python(*args):
     """Run a fresh interpreter that imports this checkout's regnoma."""
     src = str(Path(regnoma.__file__).resolve().parent.parent)
@@ -45,7 +54,7 @@ class TestEntryPoint:
     def test_installed_script_reports_version(self):
         proc = run_python("-m", "regnoma.cli", "--version")
         assert proc.returncode == 0
-        assert "regnoma 0.1.0" in proc.stdout
+        assert "regnoma 0.2.0" in proc.stdout
 
     def test_import_leaves_scipy_stats_unloaded(self):
         # scipy.stats costs about a second to import; only validate --level full needs it
@@ -177,9 +186,26 @@ class TestCavity:
         assert results["graph_sweeps_total"] == 6
         assert results["sup_abs_err_graph"] is None
 
+    def test_failed_scalar_points_are_blank_and_counted(self, tmp_path, monkeypatch):
+        no_root_anywhere(monkeypatch)
+        out = tmp_path / "cavity.csv"
+        assert run(["cavity", "--beta", "1.5", "--d", "2", "--points", "6",
+                    "--out", str(out)]) == 0
+        assert all(r["density_cavity_scalar"] == "" for r in read_csv(out))
+        results = read_manifest(out)["results"]
+        assert results["n_failed_scalar"] == 6
+        assert results["sup_abs_err_scalar_interior"] is None
+
     def test_out_of_range_epsilon_exits_2(self, tmp_path):
         assert run(["cavity", "--beta", "1.5", "--d", "2",
                     "--epsilon", "2e-3", "--out", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("eps", ["-0.005", "0"])
+    def test_nonpositive_graph_epsilon_exits_2_without_output(self, tmp_path, capsys, eps):
+        assert run(["cavity", "--beta", "1.5", "--d", "2", "--graph-n", "100",
+                    "--graph-epsilon", eps, "--out", str(tmp_path / "x.csv")]) == 2
+        assert "epsilon" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSimulate:
@@ -310,6 +336,12 @@ class TestValidate:
         assert lines[-1] == "10/10 checks passed"
         assert len(lines) == 11
         assert all(line.startswith("PASS ") for line in lines[:-1])
+
+    def test_failed_scalar_points_fail_the_cavity_check(self, monkeypatch):
+        no_root_anywhere(monkeypatch)
+        check = next(c for c in CHECKS if c.name == "scalar_cavity_agreement")
+        n_failed = check.run(analytic_density, 0)[0]
+        assert n_failed.value == 512 and not n_failed.passed
 
     def test_injected_sign_flip_is_detected(self, tmp_path, capsys):
         report = tmp_path / "r.txt"

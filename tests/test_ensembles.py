@@ -1,15 +1,13 @@
-"""Samplers, serialization, and structural diagnostics."""
+"""Ensemble specs, samplers and their random streams."""
 
 import hashlib
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import sparse, stats
 
 from regnoma.ensembles import (EnsembleSpec, EntryMode, GenerationError,
-                               SparseSignatureMatrix, cycle_diagnostics,
-                               generate_irregular, generate_regular,
-                               load_matrix, stream)
+                               generate_irregular, generate_regular, stream)
 
 
 def make_spec(n, k, d, mode=EntryMode.RADEMACHER, seed=0):
@@ -96,6 +94,25 @@ class TestGenerateRegular:
         assert (m.column_degrees() == 4).all()
         assert (m.row_degrees() == 6).all()
 
+    def test_locally_tree_like_at_full_scale(self):
+        # a pair of resources sharing c users closes c(c-1)/2 four-cycles,
+        # and the off-diagonal of B B^T holds every pair twice
+        m = generate_regular(make_spec(2600, 3900, 2, seed=1))
+        b = sparse.csr_matrix((np.ones(m.nnz), (m.rows, m.cols)), shape=(2600, 3900))
+        common = (b @ b.T).tocoo()
+        c = common.data[common.row != common.col]
+        assert np.sum(c * (c - 1)) / 4 / 2600 < 0.05
+
+    def test_generation_failure_reports_cap(self, monkeypatch):
+        from regnoma import ensembles
+        # with a zero switch budget any realization containing a parallel
+        # edge must report failure instead of looping
+        monkeypatch.setattr(ensembles, "REPAIR_CAP_FACTOR", 0)
+        spec = make_spec(6, 9, 4, seed=0)
+        with pytest.raises(GenerationError, match="switch attempts"):
+            for t in range(50):
+                generate_regular(spec, realization=t)
+
 
 # SHA-256 over (rows, cols, values) of every draw for seeds DIGEST_SEEDS and
 # realizations DIGEST_REALIZATIONS, recorded from the tuple-keyed repair the
@@ -176,40 +193,6 @@ class TestGenerateIrregular:
         assert chi2 < stats.chi2.ppf(0.99, kmax)
 
 
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        m = generate_regular(make_spec(30, 45, 2, seed=4), realization=2)
-        path = tmp_path / "matrix.txt"
-        m.save(path)
-        back = load_matrix(path)
-        assert back.spec == m.spec
-        assert np.array_equal(back.rows, m.rows)
-        assert np.array_equal(back.cols, m.cols)
-        assert np.array_equal(back.values, m.values)
-        assert back.irregular == m.irregular
-
-    def test_round_trip_irregular(self, tmp_path):
-        m = generate_irregular(make_spec(50, 75, 2, seed=4))
-        path = tmp_path / "matrix.txt"
-        m.save(path)
-        assert load_matrix(path).irregular
-
-    @pytest.mark.parametrize("mutation", [
-        lambda lines: ["5 5 2 ones"] + lines[1:],           # short header
-        lambda lines: lines[:1] + ["0 0 2.5"] + lines[2:],  # bad value
-        lambda lines: lines + [lines[-1]],                  # duplicate entry
-        lambda lines: lines[:1] + ["999 0 1"] + lines[2:],  # row out of range
-    ])
-    def test_corrupt_files_rejected(self, tmp_path, mutation):
-        m = generate_regular(make_spec(10, 15, 2, seed=0))
-        path = tmp_path / "matrix.txt"
-        m.save(path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(mutation(lines)) + "\n")
-        with pytest.raises(ValueError):
-            load_matrix(path)
-
-
 class TestStream:
     def test_deterministic_per_index(self):
         a = stream(123, 7).random(5)
@@ -218,69 +201,3 @@ class TestStream:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-
-def tree_matrix():
-    # acyclic support is impossible for exact biregular degrees, so mark it
-    # irregular: resources {0, 1}, users {0, 1, 2}, path-shaped
-    spec = make_spec(2, 3, 2, EntryMode.ONES)
-    return SparseSignatureMatrix(
-        spec=spec,
-        rows=np.array([0, 0, 1, 1]),
-        cols=np.array([0, 1, 1, 2]),
-        values=np.ones(4),
-        irregular=True)
-
-
-def nx_cycle_count(matrix, max_len):
-    nx = pytest.importorskip("networkx")
-    g = nx.Graph()
-    n = matrix.spec.n_resources
-    g.add_nodes_from(range(n + matrix.spec.n_users))
-    g.add_edges_from(zip(matrix.rows.tolist(),
-                         (matrix.cols + n).tolist()))
-    return sum(1 for cyc in nx.simple_cycles(g, length_bound=max_len))
-
-
-class TestCycleDiagnostics:
-    def test_complete_bipartite_two_by_two(self):
-        m = generate_regular(make_spec(2, 2, 2, EntryMode.ONES))
-        assert cycle_diagnostics(m, 4) == 1
-
-    def test_tree_has_no_cycles(self):
-        m = tree_matrix()
-        for max_len in (4, 6, 8):
-            assert cycle_diagnostics(m, max_len) == 0
-
-    @pytest.mark.parametrize("max_len", [3, 5, 10, 12])
-    def test_length_guard(self, max_len):
-        m = generate_regular(make_spec(10, 15, 2))
-        with pytest.raises(ValueError):
-            cycle_diagnostics(m, max_len)
-
-    @pytest.mark.parametrize("n,k,d,seed", [
-        (10, 15, 2, 0), (10, 15, 2, 3), (12, 12, 3, 1), (8, 16, 2, 2),
-    ])
-    @pytest.mark.parametrize("max_len", [4, 6, 8])
-    def test_counts_match_cycle_enumeration(self, n, k, d, seed, max_len):
-        m = generate_regular(make_spec(n, k, d, seed=seed))
-        assert cycle_diagnostics(m, max_len) == nx_cycle_count(m, max_len)
-
-    def test_enumeration_agrees_on_irregular_support(self):
-        m = generate_irregular(make_spec(20, 30, 2, seed=5))
-        for max_len in (4, 6, 8):
-            assert cycle_diagnostics(m, max_len) == nx_cycle_count(m, max_len)
-
-    def test_locally_tree_like_at_full_scale(self):
-        m = generate_regular(make_spec(2600, 3900, 2, seed=1))
-        per_resource = cycle_diagnostics(m, 4) / 2600
-        assert per_resource < 0.05
-
-    def test_generation_failure_reports_cap(self, monkeypatch):
-        from regnoma import ensembles
-        # with a zero switch budget any realization containing a parallel
-        # edge must report failure instead of looping
-        monkeypatch.setattr(ensembles, "REPAIR_CAP_FACTOR", 0)
-        spec = make_spec(6, 9, 4, seed=0)
-        with pytest.raises(GenerationError, match="switch attempts"):
-            for t in range(50):
-                generate_regular(spec, realization=t)

@@ -109,9 +109,6 @@ class TestRegularClosedForm:
         c = regular_throughput(snr, DensityParams(beta=beta, d=d))
         assert abs(c / reference - 1.0) < 1e-14
 
-    def test_ignores_the_quadrature_tolerance(self):
-        assert regular_throughput(10.0, P_DEFAULT, tol=1e-3) == regular_throughput(10.0, P_DEFAULT)
-
     def test_a_wrapped_closed_form_is_not_integrated(self, monkeypatch):
         @functools.wraps(analytic_density)
         def wrapped(lam, p):
