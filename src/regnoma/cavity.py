@@ -349,6 +349,16 @@ class GraphRouteDensity:
         return int(np.isnan(self.density).sum())
 
 
+def check_graph_epsilon(epsilon: float) -> None:
+    """Reject a graph-route offset that is not finite and positive.
+
+    A negative offset evaluates the conjugate transform, a mirror-image
+    density; zero puts the evaluation point on the spectrum.
+    """
+    if not 0.0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
+
+
 def graph_route_density(matrix: SparseSignatureMatrix,
                         lambda_grid: np.ndarray,
                         epsilon: float = 5e-3,
@@ -359,11 +369,11 @@ def graph_route_density(matrix: SparseSignatureMatrix,
     ``z = sqrt(d (lam + i eps))`` on the principal branch, so the transform
     lands exactly at ``w = lam + i eps``.  The default ``epsilon`` trades
     the Lorentzian smoothing bias against finite-size roughness; it must be
-    finite and positive.  The matrix is lifted once for the whole grid.  A
-    point whose messages do not converge is NaN and the batch continues.
+    finite and positive (:func:`check_graph_epsilon`).  The matrix is lifted
+    once for the whole grid.  A point whose messages do not converge is NaN
+    and the batch continues.
     """
-    if not 0.0 < epsilon < np.inf:
-        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
+    check_graph_epsilon(epsilon)
     p = DensityParams.from_ensemble(matrix.spec)
     graph = lift_graph(matrix)
     grid = np.atleast_1d(np.asarray(lambda_grid, dtype=np.float64))

@@ -7,9 +7,12 @@ bounds its measurements must meet, and a function that measures them.
 criterion at a time, so both hold the same checks at the same tolerances.
 
 A measuring function takes ``(density, seed)``.  ``density(lam, p)`` is
-the closed form that the check evaluates wherever it compares against it;
+the law that the check evaluates wherever it reads the closed form;
 callers pass :func:`~regnoma.spectra.analytic_density`, or a corrupted copy
-to show that the checks catch it.  ``seed`` seeds the sampled ensembles.
+to show that the checks catch it.  The throughput layer takes no density,
+so a corrupted law reaches only the checks that evaluate ``density``
+themselves; the others measure the same values under either law.  ``seed``
+seeds the sampled ensembles.
 """
 
 from __future__ import annotations
@@ -27,9 +30,10 @@ from .cavity import graph_route_density, stieltjes_inversion
 from .ensembles import EnsembleSpec, EntryMode, generate_regular
 from .spectra import (DensityParams, empirical_spectrum, kesten_mckay_density,
                       ks_distance, marchenko_pastur_density)
-from .throughput import Density
 
 __all__ = ["Bound", "Gate", "Check", "CHECKS"]
+
+Density = Callable[[np.ndarray, DensityParams], np.ndarray]
 
 _OPS = {"<": operator.lt, ">": operator.gt, ">=": operator.ge, "==": operator.eq}
 
@@ -149,7 +153,7 @@ def _scalar_cavity(density, seed):
 def _ordering(density, seed):
     rows = tp.sweep(tp.SweepSpec(variable=tp.SweepVariable.LOAD,
                                  values=(1.0, 1.5, 2.0, 2.5, 3.0),
-                                 d=2.0, ebno_db=10.0), density)
+                                 d=2.0, ebno_db=10.0))
     reg, dense, cw = (_column(rows, k) for k in ("regular", "dense_rs", "cover_wyner"))
     return (sum(row["failed"] for row in rows), np.min(reg - dense),
             np.min(cw - reg), np.min(cw - dense))
@@ -158,7 +162,7 @@ def _ordering(density, seed):
 def _small_snr_slope(density, seed):
     snr, p = 1e-6, DensityParams(beta=1.5, d=2.0)
     slope = p.beta / (2.0 * tp.LN2)
-    return (abs(tp.regular_throughput(snr, p, density=density) / snr / slope - 1.0),
+    return (abs(tp.regular_throughput(snr, p) / snr / slope - 1.0),
             abs(tp.dense_rs_throughput(snr, p.beta) / snr / slope - 1.0))
 
 
@@ -186,8 +190,8 @@ def _closed_form_vs_quadrature(density, seed):
 
 def _ebno_round_trip(density, seed):
     target, p = tp.db_to_linear(10.0), DensityParams(beta=1.5, d=2.0)
-    snr = tp.snr_for_ebno(target, p.beta, p.d, density)
-    back = tp.ebno_from_snr(snr, p.beta, tp.regular_throughput(snr, p, density=density))
+    snr = tp.snr_for_ebno(target, p.beta, p.d)
+    back = tp.ebno_from_snr(snr, p.beta, tp.regular_throughput(snr, p))
     return (abs(back / target - 1.0),)
 
 
@@ -209,7 +213,7 @@ def _scaled_spectrum(density, seed):
         espec = _spec(520, seed, mode)
         samples = [empirical_spectrum(generate_regular(espec, realization=t))
                    for t in range(200)]
-        ks.append(ks_distance(samples, p, exclude_trivial=True))
+        ks.append(ks_distance(samples, p))
         pools.append(np.concatenate([s.nontrivial() for s in samples]))
     return (*ks, ks_2samp(*pools).statistic)
 
@@ -226,8 +230,7 @@ def _graph_route(density, seed):
 
 def _mc_vs_quadrature(density, seed):
     res = tp.finite_n_throughput_mc(_spec(200, seed), 10.0, 100)
-    asymptotic = tp.regular_throughput(10.0, DensityParams(beta=1.5, d=2.0),
-                                       density=density)
+    asymptotic = tp.regular_throughput(10.0, DensityParams(beta=1.5, d=2.0))
     return (abs(res.mean - asymptotic) - 3.0 * res.stderr,)
 
 
@@ -235,8 +238,8 @@ def _finite_n_vs_asymptotic(density, seed):
     p, espec = DensityParams(beta=1.5, d=2.0), _spec(10, seed)
     n_failed, rel_errs = 0, []
     for ebno_db in (4.0, 7.0, 10.0, 13.0):
-        snr = tp.snr_for_ebno(tp.db_to_linear(ebno_db), p.beta, p.d, density)
-        asymptotic = tp.regular_throughput(snr, p, density=density)
+        snr = tp.snr_for_ebno(tp.db_to_linear(ebno_db), p.beta, p.d)
+        asymptotic = tp.regular_throughput(snr, p)
         mc = tp.finite_n_throughput_mc(espec, snr, 10_000)
         n_failed += mc.n_failed
         rel_errs.append(abs(mc.mean - asymptotic) / asymptotic)
@@ -254,7 +257,7 @@ def _full_scale_spectrum(density, seed):
     espec = _spec(2600, seed)
     samples = [empirical_spectrum(generate_regular(espec, realization=t))
                for t in range(1000)]
-    return (ks_distance(samples, DensityParams(beta=1.5, d=2.0), exclude_trivial=True),)
+    return (ks_distance(samples, DensityParams(beta=1.5, d=2.0)),)
 
 
 CHECKS = (

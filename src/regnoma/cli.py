@@ -127,16 +127,18 @@ def _cmd_density(args: argparse.Namespace) -> int:
 def _cmd_cavity(args: argparse.Namespace) -> int:
     _require_positive("--points", args.points)
     p = DensityParams(beta=args.beta, d=args.d)
+    have_graph = args.graph_n is not None
+    if have_graph:  # a bad graph route is a usage error before any work
+        cavity_mod.check_graph_epsilon(args.graph_epsilon)
+        espec = EnsembleSpec.from_load(args.graph_n, args.beta, args.d,
+                                       EntryMode.RADEMACHER, args.seed)
     grid = np.linspace(p.lambda_minus, p.lambda_plus, args.points)
     closed = analytic_density(grid, p)
     scalar = cavity_mod.stieltjes_inversion(grid, p, epsilon=args.epsilon)
-    have_graph = args.graph_n is not None
     graph = np.full(grid.size, np.nan)
     graph_results = dict.fromkeys(("n_failed_graph", "graph_sweeps_total",
                                    "graph_sweeps_max", "graph_message_classes"))
     if have_graph:
-        espec = EnsembleSpec.from_load(args.graph_n, args.beta, args.d,
-                                       EntryMode.RADEMACHER, args.seed)
         matrix = generate_regular(espec, realization=0)
         route = cavity_mod.graph_route_density(matrix, grid,
                                                epsilon=args.graph_epsilon)
@@ -184,9 +186,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     p = DensityParams.from_ensemble(espec)
     samples = [empirical_spectrum(generate_regular(espec, realization=t))
                for t in range(args.trials)]
-    ks = ks_distance(samples, p, exclude_trivial=True)
-    centers, empirical = spectrum_histogram(
-        samples, p, bins=args.bins, exclude_trivial=True)
+    ks = ks_distance(samples, p)
+    centers, empirical = spectrum_histogram(samples, p, bins=args.bins)
     overlay = analytic_density(centers, p)
     rows = [{"lambda": c, "analytic_density": a, "empirical_density": e}
             for c, a, e in zip(centers, overlay, empirical)]

@@ -209,11 +209,11 @@ def empirical_spectrum(matrix: SparseSignatureMatrix) -> SpectrumSample:
     return SpectrumSample(eigenvalues=eigs, trivial=trivial, spec=spec)
 
 
-def _pool(samples: Iterable[SpectrumSample] | SpectrumSample,
-          exclude_trivial: bool) -> np.ndarray:
+def _pool(samples: Iterable[SpectrumSample] | SpectrumSample) -> np.ndarray:
+    """Sorted pooled eigenvalues, flagged trivial values dropped."""
     if isinstance(samples, SpectrumSample):
         samples = [samples]
-    parts = [s.nontrivial() if exclude_trivial else s.eigenvalues for s in samples]
+    parts = [s.nontrivial() for s in samples]
     if not parts:
         raise ValueError("need at least one spectrum sample")
     pooled = np.concatenate(parts)
@@ -223,10 +223,9 @@ def _pool(samples: Iterable[SpectrumSample] | SpectrumSample,
 
 
 def ks_distance(samples: Iterable[SpectrumSample] | SpectrumSample,
-                p: DensityParams,
-                exclude_trivial: bool = True) -> float:
-    """Kolmogorov-Smirnov distance of pooled eigenvalues to the analytic law."""
-    pooled = _pool(samples, exclude_trivial)
+                p: DensityParams) -> float:
+    """Kolmogorov-Smirnov distance of pooled nontrivial eigenvalues to the analytic law."""
+    pooled = _pool(samples)
     n = pooled.size
     cdf = analytic_cdf(pooled, p)
     i = np.arange(1, n + 1, dtype=np.float64)
@@ -236,16 +235,14 @@ def ks_distance(samples: Iterable[SpectrumSample] | SpectrumSample,
 
 def spectrum_histogram(samples: Iterable[SpectrumSample] | SpectrumSample,
                        p: DensityParams,
-                       bins: int = 100,
-                       exclude_trivial: bool = True
-                       ) -> tuple[np.ndarray, np.ndarray]:
+                       bins: int = 100) -> tuple[np.ndarray, np.ndarray]:
     """Density-normalized histogram over ``[lambda_minus - 0.1, lambda_plus + 0.1]``.
 
-    Returns (bin centers, empirical density).  Eigenvalues outside the
-    padded range (for example flagged trivial values kept on purpose) land
-    in the edge bins via clipping so mass is never silently dropped.
+    Returns (bin centers, empirical density) of the pooled nontrivial
+    eigenvalues.  Eigenvalues outside the padded range land in the edge
+    bins via clipping so mass is never silently dropped.
     """
-    pooled = _pool(samples, exclude_trivial)
+    pooled = _pool(samples)
     lo, hi = p.lambda_minus - 0.1, p.lambda_plus + 0.1
     edges = np.linspace(lo, hi, bins + 1)
     counts, _ = np.histogram(np.clip(pooled, lo, hi), bins=edges)

@@ -11,14 +11,13 @@ multiple-access value ``1/2 log2(1 + beta snr)``.  The finite-size
 counterpart averages ``1/(2N) sum log2(1 + snr lam_i)`` over sampled
 matrices.  Energy-per-bit ratios follow from ``Eb/N0 = beta snr / (2 C)``
 and are inverted by a bracketed secant search in log snr; the small-snr
-limit of that map is ln 2 for every curve.  The regular curve has an exact
-closed form (see :func:`regular_throughput`); the dense reference is
-integrated numerically.
+limit of that map is ln 2 for every curve.  The regular curve is always its
+exact closed form (see :func:`regular_throughput`), so no function here
+takes a density; the dense reference is integrated numerically.
 """
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -29,8 +28,7 @@ import numpy as np
 from . import quadrature
 from .ensembles import (EnsembleSpec, EntryMode, GenerationError,
                         generate_irregular, generate_regular)
-from .spectra import (DensityParams, SpectraError, analytic_density,
-                      marchenko_pastur_density)
+from .spectra import DensityParams, SpectraError, marchenko_pastur_density
 
 __all__ = [
     "Curve",
@@ -50,7 +48,6 @@ __all__ = [
 ]
 
 LN2 = math.log(2.0)
-Density = Callable[[np.ndarray, DensityParams], np.ndarray]
 SNR_BRACKET = (1e-6, 1e6)
 LOG_SNR_TOL = 1e-14  # final bracket width of the Eb/N0 inversion, in ln snr
 
@@ -72,13 +69,11 @@ def _check_snr(snr: float) -> float:
     return snr
 
 
-def regular_throughput(snr: float, p: DensityParams,
-                       density: Density = analytic_density) -> float:
+def regular_throughput(snr: float, p: DensityParams) -> float:
     """Asymptotic throughput of the regular ensemble, bits per resource use.
 
-    For the default ``density``, the closed form, or a ``functools.wraps``
-    wrapper of it, the integral is exact: with ``t2 = snr / d``,
-    ``b = (beta d - 1) t2`` and ``q = 1 + (d - 1) t2 - b``,
+    The spectral average of the closed-form law is exact: with
+    ``t2 = snr / d``, ``b = (beta d - 1) t2`` and ``q = 1 + (d - 1) t2 - b``,
 
         u = 2 / (q + sqrt(q^2 + 4 b)),    r = 1 / (1 + b u),
         2 ln2 C = ln(1 + beta d t2 u) + beta ln(1 + d t2 r)
@@ -90,26 +85,18 @@ def regular_throughput(snr: float, p: DensityParams,
     precision matrix ``[[I, i t A], [i t A^T, I]]``, and their fixed point
     is the quadratic solved for ``u``.  The energy is stationary in both,
     so rounding in ``u`` enters ``C`` only at second order.
-
-    Any other ``density(lam, p)`` is integrated over the support by
-    :func:`quadrature.support_integral` at its default tolerance.
     """
     snr = _check_snr(snr)
     if snr == 0.0:
         return 0.0
-    if inspect.unwrap(density) is inspect.unwrap(analytic_density):
-        t2 = snr / p.d
-        bd = p.beta * p.d
-        b = (bd - 1.0) * t2
-        q = 1.0 + (p.d - 1.0) * t2 - b
-        u = 2.0 / (q + math.sqrt(q * q + 4.0 * b))
-        r = 1.0 / (1.0 + b * u)
-        return (math.log1p(bd * t2 * u) + p.beta * math.log1p(p.d * t2 * r)
-                - bd * math.log1p(t2 * u * r)) / (2.0 * LN2)
-    return 0.5 * quadrature.support_integral(
-        lambda lam: density(lam, p),
-        p.lambda_minus, p.lambda_plus,
-        weight=lambda lam: np.log1p(snr * lam) / LN2)
+    t2 = snr / p.d
+    bd = p.beta * p.d
+    b = (bd - 1.0) * t2
+    q = 1.0 + (p.d - 1.0) * t2 - b
+    u = 2.0 / (q + math.sqrt(q * q + 4.0 * b))
+    r = 1.0 / (1.0 + b * u)
+    return (math.log1p(bd * t2 * u) + p.beta * math.log1p(p.d * t2 * r)
+            - bd * math.log1p(t2 * u * r)) / (2.0 * LN2)
 
 
 def dense_rs_throughput(snr: float, beta: float) -> float:
@@ -139,8 +126,7 @@ def ebno_from_snr(snr: float, beta: float, c: float) -> float:
     return beta * snr / (2.0 * c)
 
 
-def _curve_throughput(beta: float, d: float | str,
-                      density: Density) -> Callable[[float], float]:
+def _curve_throughput(beta: float, d: float | str) -> Callable[[float], float]:
     if isinstance(d, str):
         token = d.lower()
         if token == "dense":
@@ -149,11 +135,10 @@ def _curve_throughput(beta: float, d: float | str,
             return lambda snr: cover_wyner_bound(snr, beta)
         raise ValueError(f"unknown curve selector {d!r}")
     p = DensityParams(beta=beta, d=float(d))
-    return lambda snr: regular_throughput(snr, p, density=density)
+    return lambda snr: regular_throughput(snr, p)
 
 
-def snr_for_ebno(ebno_target: float, beta: float, d: float | str,
-                 density: Density = analytic_density) -> float:
+def snr_for_ebno(ebno_target: float, beta: float, d: float | str) -> float:
     """Invert the Eb/N0 map on the curve selected by ``d``.
 
     ``d`` is a degree for the regular curve or the string ``"dense"`` for
@@ -164,11 +149,11 @@ def snr_for_ebno(ebno_target: float, beta: float, d: float | str,
     bracket that halves the kept end's residual when the same end is kept
     twice, and a bisection step when a secant point falls outside the
     bracket.  It stops when the bracket is narrower than a relative 1e-14
-    in snr.  The regular curve integrates ``density`` (see
-    :func:`regular_throughput`).
+    in snr.  Only the dense curve is integrated; the regular and
+    Cover-Wyner curves are closed forms.
     """
     target = float(ebno_target)
-    cfun = _curve_throughput(beta, d, density)
+    cfun = _curve_throughput(beta, d)
 
     def ebno(snr: float) -> float:
         return ebno_from_snr(snr, beta, cfun(snr))
@@ -382,24 +367,24 @@ class SweepSpec:
                 f"got beta={beta}, d={d}")
 
 
-def _sweep_point(spec: SweepSpec, x: float, density: Density) -> dict[str, float | None]:
+def _sweep_point(spec: SweepSpec, x: float) -> dict[str, float | None]:
     beta = x if spec.variable is SweepVariable.LOAD else spec.beta
     d = x if spec.variable is SweepVariable.SPARSITY else spec.d
     p = DensityParams(beta=beta, d=float(d))
 
     def curve_snr(selector: float | str) -> float:
         if spec.variable is SweepVariable.EBNO:
-            return snr_for_ebno(db_to_linear(x), beta, selector, density)
+            return snr_for_ebno(db_to_linear(x), beta, selector)
         if spec.snr_db is not None:
             return db_to_linear(spec.snr_db)
-        return snr_for_ebno(db_to_linear(spec.ebno_db), beta, selector, density)
+        return snr_for_ebno(db_to_linear(spec.ebno_db), beta, selector)
 
     row: dict[str, float | None] = dict.fromkeys(SWEEP_COLUMNS)
     row["x"] = float(x)
     mc_snr: float | None = None
     for curve in spec.curves:
         if curve is Curve.REGULAR:
-            row["regular"] = regular_throughput(curve_snr(d), p, density=density)
+            row["regular"] = regular_throughput(curve_snr(d), p)
         elif curve is Curve.DENSE_RS:
             row["dense_rs"] = dense_rs_throughput(curve_snr("dense"), beta)
         elif curve is Curve.COVER_WYNER:
@@ -416,20 +401,20 @@ def _sweep_point(spec: SweepSpec, x: float, density: Density) -> dict[str, float
     return row
 
 
-def sweep(spec: SweepSpec,
-          density: Density = analytic_density) -> list[dict[str, float | bool | None]]:
+def sweep(spec: SweepSpec) -> list[dict[str, float | bool | None]]:
     """Evaluate the requested curves at every sweep point.
 
     Returns one mapping per point with the keys of ``SWEEP_COLUMNS`` plus
     ``failed``; curves that were not requested stay None.  A numerical
     failure at one point leaves that row's curve cells None under a
-    ``failed`` flag and the batch continues.
-    The regular curve integrates ``density`` (see :func:`regular_throughput`).
+    ``failed`` flag and the batch continues.  Of the asymptotic curves only
+    ``dense_rs`` is integrated; ``regular`` and ``cover_wyner`` are closed
+    forms.
     """
     rows = []
     for x in spec.values:
         try:
-            row = _sweep_point(spec, x, density)
+            row = _sweep_point(spec, x)
             row["failed"] = False
         except (quadrature.QuadratureError, GenerationError, SpectraError,
                 np.linalg.LinAlgError):

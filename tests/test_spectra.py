@@ -353,7 +353,7 @@ class TestKsDistance:
         sample = SpectrumSample(eigenvalues=np.array([3.0]),
                                 trivial=np.array([True]), spec=None)
         with pytest.raises(ValueError):
-            ks_distance(sample, P_DEFAULT, exclude_trivial=True)
+            ks_distance(sample, P_DEFAULT)
 
     def test_entry_modes_indistinguishable(self):
         a = np.concatenate([s.nontrivial()

@@ -1,6 +1,5 @@
 """Throughput quadrature, baselines, Eb/N0 mapping, Monte Carlo, sweeps."""
 
-import functools
 import math
 
 import numpy as np
@@ -54,22 +53,6 @@ class TestRegularThroughput:
         with pytest.raises(ValueError):
             regular_throughput(-1.0, P_DEFAULT)
 
-    def test_integrates_the_density_it_is_given(self):
-        # the closed form by default; a scaled law scales every regular value
-        def halved(lam, p):
-            return 0.5 * analytic_density(lam, p)
-
-        snr = 10.0
-        full = regular_throughput(snr, P_DEFAULT)
-        assert regular_throughput(snr, P_DEFAULT, density=analytic_density) == full
-        assert abs(regular_throughput(snr, P_DEFAULT, density=halved) - 0.5 * full) < 1e-12
-        spec = SweepSpec(variable=SweepVariable.LOAD, values=(1.5,), d=2.0,
-                         snr_db=10.0, curves=(Curve.REGULAR,))
-        assert abs(sweep(spec, halved)[0]["regular"] - 0.5 * full) < 1e-12
-        # half the throughput doubles Eb/N0 at every snr, so the target comes sooner
-        target = db_to_linear(10.0)
-        assert snr_for_ebno(target, 1.5, 2.0, halved) < snr_for_ebno(target, 1.5, 2.0)
-
 
 class TestRegularClosedForm:
     @staticmethod
@@ -108,18 +91,6 @@ class TestRegularClosedForm:
     def test_exact_next_to_the_domain_boundary(self, beta, d, snr, reference):
         c = regular_throughput(snr, DensityParams(beta=beta, d=d))
         assert abs(c / reference - 1.0) < 1e-14
-
-    def test_a_wrapped_closed_form_is_not_integrated(self, monkeypatch):
-        @functools.wraps(analytic_density)
-        def wrapped(lam, p):
-            return analytic_density(lam, p)
-
-        def no_quadrature(*args, **kwargs):
-            raise AssertionError("integrated the closed form")
-
-        closed = regular_throughput(10.0, P_DEFAULT)
-        monkeypatch.setattr(quadrature, "support_integral", no_quadrature)
-        assert regular_throughput(10.0, P_DEFAULT, density=wrapped) == closed
 
 
 class TestDenseRsThroughput:
@@ -220,7 +191,7 @@ class TestEbnoMapping:
 
 def bisection_snr_for_ebno(target, beta, d):
     """The geometric bisection that snr_for_ebno replaced, kept as its reference."""
-    cfun = tp._curve_throughput(beta, d, analytic_density)
+    cfun = tp._curve_throughput(beta, d)
     lo, hi = tp.SNR_BRACKET
     for _ in range(200):
         mid = math.sqrt(lo * hi)
@@ -233,19 +204,20 @@ def bisection_snr_for_ebno(target, beta, d):
     return math.sqrt(lo * hi)
 
 
+@pytest.fixture
+def quadrature_calls(monkeypatch):
+    calls = []
+    real = quadrature.support_integral
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "support_integral", counting)
+    return calls
+
+
 class TestSecantInversion:
-    @pytest.fixture
-    def quadrature_calls(self, monkeypatch):
-        calls = []
-        real = quadrature.support_integral
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(quadrature, "support_integral", counting)
-        return calls
-
     @pytest.mark.parametrize("selector", [2.0, "dense", "cover_wyner"])
     def test_agrees_with_bisection_on_the_fine_grid(self, selector, quadrature_calls):
         per_inversion = []
@@ -394,6 +366,19 @@ class TestSweep:
         for key in ("regular", "dense_rs", "cover_wyner"):
             vals = [row[key] for row in rows]
             assert all(a < b for a, b in zip(vals, vals[1:]))
+
+    def test_only_the_dense_curve_is_integrated(self, quadrature_calls):
+        values = (0.0, 10.0, 20.0)
+        closed = SweepSpec(variable=SweepVariable.EBNO, values=values,
+                           beta=1.5, d=2.0,
+                           curves=(Curve.REGULAR, Curve.COVER_WYNER))
+        assert not any(row["failed"] for row in sweep(closed))
+        assert quadrature_calls == []
+        with_dense = SweepSpec(variable=SweepVariable.EBNO, values=values,
+                               beta=1.5, d=2.0,
+                               curves=(Curve.REGULAR, Curve.DENSE_RS, Curve.COVER_WYNER))
+        assert not any(row["failed"] for row in sweep(with_dense))
+        assert len(quadrature_calls) > 0
 
     def test_mc_curves_carry_errors(self):
         spec = SweepSpec(variable=SweepVariable.EBNO, values=(10.0,),
