@@ -12,12 +12,12 @@ from .ensembles import (EnsembleSpec, EntryMode, GenerationError,
                         SparseSignatureMatrix, generate_irregular,
                         generate_regular, stream)
 from .quadrature import QuadratureError, partial_integrals, support_integral
-from .spectra import (DensityParams, SpectraError, SpectrumSample,
-                      analytic_cdf, analytic_density, empirical_spectrum,
+from .spectra import (DensityParams, SpectrumSample, analytic_cdf,
+                      analytic_density, empirical_spectrum,
                       kesten_mckay_density, ks_distance,
                       marchenko_pastur_density, spectrum_histogram)
-from .cavity import (CavityError, GraphCavityMessages, GraphRouteDensity,
-                     LiftedGraph, cavity_on_graph,
+from .cavity import (GraphCavityMessages, GraphRouteDensity, LiftedGraph,
+                     cavity_on_graph,
                      gram_density_from_adjacency_transform,
                      graph_route_density, lift_graph, stieltjes_inversion)
 from .throughput import (Curve, MCResult, SweepSpec, SweepVariable,
@@ -25,7 +25,7 @@ from .throughput import (Curve, MCResult, SweepSpec, SweepVariable,
                          ebno_from_snr, finite_n_throughput_mc, linear_to_db,
                          regular_throughput, snr_for_ebno, sweep)
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "__version__",
@@ -40,7 +40,6 @@ __all__ = [
     "partial_integrals",
     "support_integral",
     "DensityParams",
-    "SpectraError",
     "SpectrumSample",
     "analytic_cdf",
     "analytic_density",
@@ -49,7 +48,6 @@ __all__ = [
     "ks_distance",
     "marchenko_pastur_density",
     "spectrum_histogram",
-    "CavityError",
     "GraphCavityMessages",
     "GraphRouteDensity",
     "LiftedGraph",

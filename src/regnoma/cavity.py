@@ -21,7 +21,8 @@ messages at its tail, excluding the reverse edge.  Messages depend only on
 squared entries, so both entry modes produce identical variances.  The node
 variances estimate the diagonal of the adjacency resolvent; their mean
 estimates the adjacency Cauchy transform, which maps to the Gram transform
-through :func:`gram_density_from_adjacency_transform`.
+through :func:`gram_density_from_adjacency_transform`.  A run that misses
+its stopping rule is NaN too, so both routes fail a point the same way.
 
 The sweeps run lifted, on classes of directed edges (as in counting belief
 propagation).  All messages start at 1/z, so edges whose computation trees
@@ -54,7 +55,6 @@ __all__ = [
     "GraphCavityMessages",
     "GraphRouteDensity",
     "LiftedGraph",
-    "CavityError",
     "stieltjes_inversion",
     "lift_graph",
     "cavity_on_graph",
@@ -64,18 +64,20 @@ __all__ = [
 
 DAMPING = 0.5
 DEFAULT_EPSILON = 1e-6
+GRAPH_EPSILON = 5e-3
 # stopping rule of the scalar iteration; points that miss it take the quadratic root
 ITER_TOL = 1e-12
 MAX_ITER = 100_000
 _IM_SLACK = 1e-12
-
-
-class CavityError(RuntimeError):
-    """Raised when message passing on a graph does not converge."""
+# stopping rule of graph message passing; a run that misses it is NaN
+GRAPH_TOL = 1e-8
+MAX_SWEEPS = 10_000
 
 
 def _delta_tilde(z: np.ndarray, delta: np.ndarray, p: DensityParams) -> np.ndarray:
-    return 1.0 / (z - p.beta / (1.0 - p.alpha * delta))
+    # a failed point (nan delta) stays nan without a warning
+    with np.errstate(invalid="ignore"):
+        return 1.0 / (z - p.beta / (1.0 - p.alpha * delta))
 
 
 def _iterate(z: np.ndarray, p: DensityParams) -> tuple[np.ndarray, np.ndarray]:
@@ -244,12 +246,14 @@ def lift_graph(matrix: SparseSignatureMatrix) -> LiftedGraph:
 
 @dataclass
 class GraphCavityMessages:
-    """Converged directed-edge messages and node variances on one graph.
+    """Directed-edge messages and node variances on one graph.
 
     Nodes 0..N-1 are resources, N..N+K-1 are users.  ``messages[e]`` is the
     variance passed along directed edge ``src[e] -> dst[e]``; there are
     exactly two directed edges per nonzero of A.  ``mean_variance`` is the
-    plug-in estimate of the adjacency Cauchy transform at ``z``.
+    plug-in estimate of the adjacency Cauchy transform at ``z``.  A run that
+    stalled (``sweeps == MAX_SWEEPS`` and ``max_change >= GRAPH_TOL``) keeps
+    its last messages, and its node variances are NaN.
     """
 
     z: complex
@@ -265,17 +269,17 @@ class GraphCavityMessages:
         return complex(self.node_variances.mean())
 
 
-def cavity_on_graph(graph: SparseSignatureMatrix | LiftedGraph, z: complex,
-                    tol: float = 1e-8,
-                    max_sweeps: int = 10_000) -> GraphCavityMessages:
+def cavity_on_graph(graph: SparseSignatureMatrix | LiftedGraph,
+                    z: complex) -> GraphCavityMessages:
     """Run damped synchronous message passing on the bipartite graph of A.
 
     Updates use squared entry values, which are 1 in both entry modes, so
     only the support of A matters.  A matrix is lifted first; pass the
     :class:`LiftedGraph` to reuse the lift across points.  Each sweep
     updates one message per edge class and the result is expanded to every
-    edge.  Raises :class:`CavityError` when the largest per-sweep message
-    change stays above ``tol`` after ``max_sweeps`` sweeps.
+    edge.  When the largest per-sweep message change is still at least
+    ``GRAPH_TOL`` after ``MAX_SWEEPS`` sweeps, the node variances (and so
+    ``mean_variance``) are a complex NaN; nothing is raised.
     """
     z = complex(z)
     if not z.imag > 0.0:
@@ -291,17 +295,16 @@ def cavity_on_graph(graph: SparseSignatureMatrix | LiftedGraph, z: complex,
 
     msg = np.full(g.n_classes, 1.0 / z, dtype=complex)
     change = np.inf
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, MAX_SWEEPS + 1):
         prop = 1.0 / (z - (incoming(msg)[g.src_class] - msg[g.rev_class]))
         new = (1.0 - DAMPING) * msg + DAMPING * prop
         change = float(np.max(np.abs(new - msg)))
         msg = new
-        if change < tol:
+        if change < GRAPH_TOL:
+            variances = 1.0 / (z - incoming(msg))
             break
     else:
-        raise CavityError(
-            f"messages did not converge at z = {z}: change {change} after {max_sweeps} sweeps")
-    variances = 1.0 / (z - incoming(msg))
+        variances = np.full(n_node_classes, complex(np.nan, np.nan))
     return GraphCavityMessages(z=z, src=g.src, dst=g.dst, messages=msg[g.edge_class],
                                node_variances=variances[g.node_class], sweeps=sweep,
                                max_change=change)
@@ -336,7 +339,7 @@ class GraphRouteDensity:
     """Graph-route density on a grid with its message-passing diagnostics.
 
     ``density`` is NaN where the messages did not converge; ``sweeps``
-    holds the sweeps run at each point (``max_sweeps`` where they stalled)
+    holds the sweeps run at each point (``MAX_SWEEPS`` where they stalled)
     and ``n_classes`` the edge classes each sweep updated.
     """
 
@@ -361,8 +364,7 @@ def check_graph_epsilon(epsilon: float) -> None:
 
 def graph_route_density(matrix: SparseSignatureMatrix,
                         lambda_grid: np.ndarray,
-                        epsilon: float = 5e-3,
-                        max_sweeps: int = 10_000) -> GraphRouteDensity:
+                        epsilon: float = GRAPH_EPSILON) -> GraphRouteDensity:
     """Gram density estimate from message passing on one sampled matrix.
 
     Each Gram point ``lam`` maps to the adjacency point
@@ -371,20 +373,17 @@ def graph_route_density(matrix: SparseSignatureMatrix,
     the Lorentzian smoothing bias against finite-size roughness; it must be
     finite and positive (:func:`check_graph_epsilon`).  The matrix is lifted
     once for the whole grid.  A point whose messages do not converge is NaN
-    and the batch continues.
+    (:func:`cavity_on_graph`) and the batch continues.
     """
     check_graph_epsilon(epsilon)
     p = DensityParams.from_ensemble(matrix.spec)
     graph = lift_graph(matrix)
     grid = np.atleast_1d(np.asarray(lambda_grid, dtype=np.float64))
-    out = np.full(grid.shape, np.nan)
-    sweeps = np.full(grid.shape, max_sweeps, dtype=np.int64)
+    out = np.empty(grid.shape)
+    sweeps = np.empty(grid.shape, dtype=np.int64)
     for i, lam in enumerate(grid):
         z = complex(np.sqrt(complex(p.d * lam, p.d * epsilon)))
-        try:
-            run = cavity_on_graph(graph, z, max_sweeps=max_sweeps)
-        except CavityError:
-            continue
+        run = cavity_on_graph(graph, z)
         g = gram_density_from_adjacency_transform(run.mean_variance, z, p)
         out[i] = -g.imag / np.pi
         sweeps[i] = run.sweeps

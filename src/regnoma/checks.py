@@ -228,7 +228,7 @@ def _graph_route(density, seed):
     return (np.max(np.abs(route.density - density(grid, p))),)  # NaN fails the gate
 
 
-def _mc_vs_quadrature(density, seed):
+def _mc_vs_closed_form(density, seed):
     res = tp.finite_n_throughput_mc(_spec(200, seed), 10.0, 100)
     asymptotic = tp.regular_throughput(10.0, DensityParams(beta=1.5, d=2.0))
     return (abs(res.mean - asymptotic) - 3.0 * res.stderr,)
@@ -289,7 +289,7 @@ CHECKS = (
            Bound("ks_ones_vs_rademacher", "<", 0.02))),
     Check("graph_route_agreement", "full", 4, _graph_route,
           (Bound("sup_abs_err", "<", 0.05),)),
-    Check("mc_vs_quadrature", "full", None, _mc_vs_quadrature,
+    Check("mc_vs_closed_form", "full", None, _mc_vs_closed_form,
           (Bound("abs_err_minus_3_stderr", "<", 0.01),)),
     Check("finite_n_vs_asymptotic", "full", 6, _finite_n_vs_asymptotic,
           (Bound("n_failed_trials", "==", 0), Bound("max_rel_err", "<", 0.05))),

@@ -8,8 +8,9 @@ package version, output checksum); reruns with identical flags produce
 byte-identical output and manifest.
 
 Exit codes: 0 on success, 2 for usage errors (bad flags or values), 3 for
-numerical failures (non-convergence, generation failure, eigensolver
-breakdown, failed validation checks).
+numerical failures (one of ``throughput.NUMERICAL_ERRORS``: quadrature
+non-convergence, generation failure, eigensolver breakdown; or failed
+validation checks).
 """
 
 from __future__ import annotations
@@ -27,17 +28,13 @@ from . import __version__
 from . import cavity as cavity_mod
 from . import throughput as tp
 from .checks import CHECKS, Gate
-from .ensembles import EnsembleSpec, EntryMode, GenerationError, generate_regular
-from .quadrature import QuadratureError
-from .spectra import (DensityParams, SpectraError, analytic_density,
-                      empirical_spectrum, ks_distance, spectrum_histogram)
+from .ensembles import EnsembleSpec, EntryMode, generate_regular
+from .spectra import (DensityParams, analytic_density, empirical_spectrum,
+                      ks_distance, spectrum_histogram)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
-
-NUMERICAL_ERRORS = (cavity_mod.CavityError, QuadratureError, GenerationError,
-                    SpectraError, np.linalg.LinAlgError)
 
 CAVITY_COLUMNS = ("lambda", "density_closed_form", "density_cavity_scalar",
                   "density_cavity_graph", "abs_err_scalar", "abs_err_graph")
@@ -213,11 +210,12 @@ def _parse_curves(token: str) -> tuple[tp.Curve, ...]:
 def _emit_sweep_rows(args: argparse.Namespace, spec: tp.SweepSpec,
                      x_override: float | None = None) -> int:
     rows = tp.sweep(spec)
-    failed = [row["x"] for row in rows if row.pop("failed")]
+    results = {"failed_points": [row["x"] for row in rows if row["failed"]],
+               "failed_mc_trials": sum(row["failed_mc_trials"] for row in rows)}
     if x_override is not None:
         for row in rows:
             row["x"] = x_override
-    return _emit(args, tp.SWEEP_COLUMNS, rows, {"failed_points": failed})
+    return _emit(args, tp.SWEEP_COLUMNS, rows, results)
 
 
 def _cmd_throughput(args: argparse.Namespace) -> int:
@@ -267,7 +265,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             gates = check.run(density, args.seed)
             ok = all(g.passed for g in gates)
             detail = "; ".join(map(str, gates))
-        except (ValueError, *NUMERICAL_ERRORS) as exc:
+        except tp.NUMERICAL_ERRORS as exc:
             gates = [Gate(b, math.nan) for b in check.bounds]  # recorded as null
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         n_fail += not ok
@@ -319,12 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="closed form vs scalar cavity inversion (and optional per-graph route)")
     sp.add_argument("--beta", type=float, required=True)
     sp.add_argument("--d", type=float, required=True)
-    sp.add_argument("--epsilon", type=float, default=1e-6,
+    sp.add_argument("--epsilon", type=float, default=cavity_mod.DEFAULT_EPSILON,
                     help="imaginary offset for the scalar inversion, in (0, 1e-3]")
     sp.add_argument("--points", type=int, default=512)
     sp.add_argument("--graph-n", type=int, default=None,
                     help="sample one n-resource matrix and add the message-passing route")
-    sp.add_argument("--graph-epsilon", type=float, default=5e-3,
+    sp.add_argument("--graph-epsilon", type=float, default=cavity_mod.GRAPH_EPSILON,
                     help="imaginary offset for the per-graph route")
     _add_common(sp)
     sp.set_defaults(func=_cmd_cavity)
@@ -404,12 +402,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except tp.NUMERICAL_ERRORS as exc:  # first: LinAlgError is a ValueError
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

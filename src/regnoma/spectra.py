@@ -38,7 +38,6 @@ from .ensembles import EnsembleSpec, EntryMode, SparseSignatureMatrix
 __all__ = [
     "DensityParams",
     "SpectrumSample",
-    "SpectraError",
     "analytic_density",
     "kesten_mckay_density",
     "marchenko_pastur_density",
@@ -49,10 +48,6 @@ __all__ = [
 ]
 
 TRIVIAL_TOL = 1e-6
-
-
-class SpectraError(RuntimeError):
-    """Raised when an eigendecomposition fails."""
 
 
 @dataclass(frozen=True)
@@ -193,14 +188,11 @@ class SpectrumSample:
 
 
 def empirical_spectrum(matrix: SparseSignatureMatrix) -> SpectrumSample:
-    """Eigendecompose A A^T / d and flag deterministic eigenvalues."""
-    gram = matrix.gram()
-    try:
-        eigs = np.linalg.eigvalsh(gram)
-    except np.linalg.LinAlgError as exc:
-        raise SpectraError(
-            f"eigendecomposition failed for realization {matrix.realization}"
-        ) from exc
+    """Eigendecompose A A^T / d and flag deterministic eigenvalues.
+
+    A failed eigensolve raises ``np.linalg.LinAlgError``.
+    """
+    eigs = np.linalg.eigvalsh(matrix.gram())
     spec = matrix.spec
     trivial = np.zeros(eigs.size, dtype=bool)
     if spec.entry_mode is EntryMode.ONES and not matrix.irregular:

@@ -28,9 +28,10 @@ import numpy as np
 from . import quadrature
 from .ensembles import (EnsembleSpec, EntryMode, GenerationError,
                         generate_irregular, generate_regular)
-from .spectra import DensityParams, SpectraError, marchenko_pastur_density
+from .spectra import DensityParams, marchenko_pastur_density
 
 __all__ = [
+    "NUMERICAL_ERRORS",
     "Curve",
     "SWEEP_COLUMNS",
     "SweepVariable",
@@ -50,6 +51,10 @@ __all__ = [
 LN2 = math.log(2.0)
 SNR_BRACKET = (1e-6, 1e6)
 LOG_SNR_TOL = 1e-14  # final bracket width of the Eb/N0 inversion, in ln snr
+
+# what a single numerical result raises; batches catch exactly these, mark
+# the item failed and count it (density routes return NaN per point instead)
+NUMERICAL_ERRORS = (quadrature.QuadratureError, GenerationError, np.linalg.LinAlgError)
 
 
 def db_to_linear(x_db: float) -> float:
@@ -232,7 +237,7 @@ def finite_n_throughput_mc(spec: EnsembleSpec, snr: float, trials: int,
     for t in range(trials):
         try:
             values[t] = _trial_throughput(spec, snr, t, irregular)
-        except (GenerationError, SpectraError, np.linalg.LinAlgError):
+        except (GenerationError, np.linalg.LinAlgError):
             pass  # stays NaN and is counted as failed
 
     good = values[np.isfinite(values)]
@@ -380,7 +385,7 @@ def _sweep_point(spec: SweepSpec, x: float) -> dict[str, float | None]:
         return snr_for_ebno(db_to_linear(spec.ebno_db), beta, selector)
 
     row: dict[str, float | None] = dict.fromkeys(SWEEP_COLUMNS)
-    row["x"] = float(x)
+    row.update(x=float(x), failed_mc_trials=0)
     mc_snr: float | None = None
     for curve in spec.curves:
         if curve is Curve.REGULAR:
@@ -398,6 +403,7 @@ def _sweep_point(spec: SweepSpec, x: float) -> dict[str, float | None]:
             key = "irregular_mc" if curve is Curve.IRREGULAR_MC else "regular_mc"
             row[key] = res.mean
             row[key + "_stderr"] = res.stderr
+            row["failed_mc_trials"] += res.n_failed
     return row
 
 
@@ -405,20 +411,20 @@ def sweep(spec: SweepSpec) -> list[dict[str, float | bool | None]]:
     """Evaluate the requested curves at every sweep point.
 
     Returns one mapping per point with the keys of ``SWEEP_COLUMNS`` plus
-    ``failed``; curves that were not requested stay None.  A numerical
-    failure at one point leaves that row's curve cells None under a
-    ``failed`` flag and the batch continues.  Of the asymptotic curves only
-    ``dense_rs`` is integrated; ``regular`` and ``cover_wyner`` are closed
-    forms.
+    ``failed_mc_trials`` (Monte Carlo trials skipped at that point) and
+    ``failed``; curves that were not requested stay None.  A point that
+    raises one of ``NUMERICAL_ERRORS`` leaves that row's curve cells None
+    under a ``failed`` flag, with no trial count, and the batch continues.
+    Of the asymptotic curves only ``dense_rs`` is integrated; ``regular``
+    and ``cover_wyner`` are closed forms.
     """
     rows = []
     for x in spec.values:
         try:
             row = _sweep_point(spec, x)
             row["failed"] = False
-        except (quadrature.QuadratureError, GenerationError, SpectraError,
-                np.linalg.LinAlgError):
+        except NUMERICAL_ERRORS:
             row = dict.fromkeys(SWEEP_COLUMNS)
-            row.update(x=float(x), failed=True)
+            row.update(x=float(x), failed_mc_trials=0, failed=True)
         rows.append(row)
     return rows

@@ -40,7 +40,7 @@ PINNED = {
     ("scaled_spectrum_ks", "ks_rademacher"): (5, "full", "<", 0.02),
     ("scaled_spectrum_ks", "ks_ones_vs_rademacher"): (5, "full", "<", 0.02),
     ("graph_route_agreement", "sup_abs_err"): (4, "full", "<", 0.05),
-    ("mc_vs_quadrature", "abs_err_minus_3_stderr"): (None, "full", "<", 0.01),
+    ("mc_vs_closed_form", "abs_err_minus_3_stderr"): (None, "full", "<", 0.01),
     ("finite_n_vs_asymptotic", "n_failed_trials"): (6, "full", "==", 0),
     ("finite_n_vs_asymptotic", "max_rel_err"): (6, "full", "<", 0.05),
     ("regular_vs_irregular", "gap_over_pooled_stderr"): (8, "full", ">", 5.0),

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, manifests, determinism, exit codes."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 
 import regnoma
 from regnoma import cli
-from regnoma.cavity import CavityError
+from regnoma.ensembles import GenerationError
 from regnoma.checks import CHECKS
 from regnoma.spectra import DensityParams, analytic_density, kesten_mckay_density
 from regnoma.throughput import db_to_linear, regular_throughput
@@ -54,7 +55,7 @@ class TestEntryPoint:
     def test_installed_script_reports_version(self):
         proc = run_python("-m", "regnoma.cli", "--version")
         assert proc.returncode == 0
-        assert "regnoma 0.3.0" in proc.stdout
+        assert "regnoma 0.4.0" in proc.stdout
 
     def test_import_leaves_scipy_stats_unloaded(self):
         # scipy.stats costs about a second to import; only validate --level full needs it
@@ -171,12 +172,7 @@ class TestCavity:
         assert 0 < results["graph_sweeps_max"] < results["graph_sweeps_total"]
 
     def test_stalled_graph_points_are_blank_and_counted(self, tmp_path, monkeypatch):
-        stalled = cli.cavity_mod.graph_route_density
-
-        def one_sweep(matrix, grid, epsilon):
-            return stalled(matrix, grid, epsilon=epsilon, max_sweeps=1)
-
-        monkeypatch.setattr(cli.cavity_mod, "graph_route_density", one_sweep)
+        monkeypatch.setattr(cli.cavity_mod, "MAX_SWEEPS", 1)
         out = tmp_path / "cavity.csv"
         assert run(["cavity", "--beta", "1.5", "--d", "2", "--points", "6",
                     "--graph-n", "20", "--out", str(out)]) == 0
@@ -322,7 +318,26 @@ class TestSweep:
         for r in rows:
             assert (float(r["cover_wyner"]) >= float(r["regular"])
                     > float(r["dense_rs"]))
-        assert read_manifest(out)["results"]["failed_points"] == []
+        assert read_manifest(out)["results"] == {"failed_points": [],
+                                                 "failed_mc_trials": 0}
+
+    def test_failed_mc_trials_reach_the_manifest(self, tmp_path, monkeypatch):
+        real_generate = cli.tp.generate_regular
+
+        def flaky(spec, realization=0):
+            if realization == 0:
+                raise GenerationError("forced")
+            return real_generate(spec, realization=realization)
+
+        monkeypatch.setattr(cli.tp, "generate_regular", flaky)
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--variable", "ebno", "--values", "8,10",
+                    "--beta", "1.5", "--d", "2", "--curves", "regular,regular_mc",
+                    "--mc-n", "10", "--mc-trials", "4", "--out", str(out)]) == 0
+        assert read_manifest(out)["results"] == {"failed_points": [],
+                                                 "failed_mc_trials": 2}
+        assert out.read_text().splitlines()[0] == ",".join(cli.tp.SWEEP_COLUMNS)
+        assert all(r["regular_mc"] != "" for r in read_csv(out))
 
     def test_range_grid_keeps_admissible_loads(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -382,6 +397,21 @@ class TestValidate:
         # the corrupted density does not outlive its run
         assert run(["validate", "--level", "fast"]) == 0
 
+    def test_a_raising_check_fails_and_the_batch_continues(self, tmp_path, monkeypatch,
+                                                          capsys):
+        def broken(density, seed):
+            raise GenerationError("forced")
+
+        first = dataclasses.replace(cli.CHECKS[0], measure=broken)
+        monkeypatch.setattr(cli, "CHECKS", (first, *cli.CHECKS[1:]))
+        report = tmp_path / "r.txt"
+        assert run(["validate", "--level", "fast", "--out", str(report)]) == 3
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == f"FAIL {first.name}: raised GenerationError: forced"
+        assert lines[-1] == "9/10 checks passed"
+        gates = read_manifest(report)["results"]["gates"]
+        assert [g["value"] for g in gates if g["check"] == first.name] == [None]
+
     def test_report_file_and_manifest(self, tmp_path, capsys):
         out = tmp_path / "report.txt"
         assert run(["validate", "--level", "fast", "--out", str(out)]) == 0
@@ -402,10 +432,25 @@ class TestValidate:
 
 
 class TestNumericalExit:
-    def test_cavity_nonconvergence_exits_3(self, tmp_path, monkeypatch):
-        def broken(grid, p, epsilon=1e-6):
-            raise CavityError("forced non-convergence")
+    def test_cavity_generation_failure_exits_3(self, tmp_path, monkeypatch, capsys):
+        def broken(spec, realization=0):
+            raise GenerationError("forced generation failure")
 
-        monkeypatch.setattr(cli.cavity_mod, "stieltjes_inversion", broken)
+        monkeypatch.setattr(cli, "generate_regular", broken)
+        out = tmp_path / "x.csv"
         assert run(["cavity", "--beta", "1.5", "--d", "2", "--points", "8",
-                    "--out", str(tmp_path / "x.csv")]) == 3
+                    "--graph-n", "20", "--out", str(out)]) == 3
+        assert "forced generation failure" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_simulate_eigensolver_failure_exits_3(self, tmp_path, monkeypatch, capsys):
+        def broken(a, *args, **kwargs):
+            raise np.linalg.LinAlgError("forced eigensolver failure")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", broken)
+        out = tmp_path / "x.csv"
+        assert run(["simulate", "--n", "10", "--beta", "1.5", "--d", "2",
+                    "--trials", "2", "--out", str(out)]) == 3
+        assert "forced eigensolver failure" in capsys.readouterr().err
+        assert not out.exists()
+        assert not Path(str(out) + ".manifest.json").exists()

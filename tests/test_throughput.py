@@ -387,7 +387,8 @@ class TestSweep:
                                  Curve.IRREGULAR_MC),
                          mc_n=10, mc_trials=200, seed=1)
         row = sweep(spec)[0]
-        assert list(row) == [*SWEEP_COLUMNS, "failed"]
+        assert list(row) == [*SWEEP_COLUMNS, "failed_mc_trials", "failed"]
+        assert row["failed_mc_trials"] == 0
         assert row["regular_mc_stderr"] > 0.0
         assert row["irregular_mc_stderr"] > 0.0
         assert abs(row["regular_mc"] - row["regular"]) < 0.1
@@ -403,9 +404,30 @@ class TestSweep:
                          beta=1.5, d=2.0,
                          curves=(Curve.REGULAR_MC,), mc_n=10, mc_trials=5)
         rows = sweep(spec)
-        assert all(list(row) == [*SWEEP_COLUMNS, "failed"] for row in rows)
+        assert all(list(row) == [*SWEEP_COLUMNS, "failed_mc_trials", "failed"]
+                   for row in rows)
         assert [row["failed"] for row in rows] == [True, True]
         assert all(row["regular_mc"] is None for row in rows)
+
+    def test_failed_mc_trials_are_counted_per_row(self, monkeypatch):
+        from regnoma.ensembles import generate_regular as real_generate
+
+        def flaky(spec, realization=0):
+            if realization in (1, 3):
+                raise GenerationError("forced")
+            return real_generate(spec, realization=realization)
+
+        monkeypatch.setattr(tp, "generate_regular", flaky)
+        spec = SweepSpec(variable=SweepVariable.EBNO, values=(8.0, 10.0),
+                         beta=1.5, d=2.0,
+                         curves=(Curve.REGULAR, Curve.REGULAR_MC,
+                                 Curve.IRREGULAR_MC),
+                         mc_n=10, mc_trials=5)
+        rows = sweep(spec)
+        # the irregular sampler is not patched, so only the regular curve loses trials
+        assert [row["failed_mc_trials"] for row in rows] == [2, 2]
+        assert not any(row["failed"] for row in rows)
+        assert all(np.isfinite(row["regular_mc"]) for row in rows)
 
     def test_mc_rejects_fractional_degree(self):
         spec = SweepSpec(variable=SweepVariable.SPARSITY, values=(2.5,),
