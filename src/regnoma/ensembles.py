@@ -54,6 +54,12 @@ MAX_SEED = 2**64
 # switch-attempt budget of the multi-edge repair, as a multiple of K*d
 REPAIR_CAP_FACTOR = 100
 
+# largest N*K for which gram() takes the dense product, whose N*N*K cost
+# wins at small sizes over the pair sum's fixed ~20 us.  Measured on a
+# 2-vCPU VM: the two cross near N*K = 8e3 at d = 2 and 3e4 at d = 4; dense
+# takes 4-8 us at (10, 15, 2), and 7-10 ms at (520, 1560, 4) against 1.4 ms
+DENSE_GRAM_MAX_CELLS = 10_000
+
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:
     """Return the PCG64 stream for realization ``index`` of a seeded ensemble."""
@@ -177,9 +183,35 @@ class SparseSignatureMatrix:
         return out
 
     def gram(self) -> np.ndarray:
-        """Dense N x N Gram matrix A A^T / d."""
-        a = self.to_dense()
-        return (a @ a.T) / self.spec.col_degree
+        """Dense N x N Gram matrix A A^T / d.
+
+        Small matrices (N*K <= ``DENSE_GRAM_MAX_CELLS``) take the dense
+        product.  Larger ones sum, for each column, the products ``v v'`` of
+        its entry pairs into cell ``(r, r')`` with one ``np.bincount``: the
+        dense A is never formed, and the cost is the sum of squared column
+        degrees instead of N*N*K.  Every product is +-1 and every sum a small
+        integer, so both paths give the same bits.
+        """
+        n, k = self.spec.n_resources, self.spec.n_users
+        if n * k <= DENSE_GRAM_MAX_CELLS:
+            a = self.to_dense()
+            return (a @ a.T) / self.spec.col_degree
+        order = np.argsort(self.cols, kind="stable")
+        rows, cols, values = self.rows[order], self.cols[order], self.values[order]
+        degrees = np.bincount(cols, minlength=k)
+        # entry i pairs with the degrees[cols[i]] entries of its column, which
+        # start at position col_start[cols[i]] of the column-sorted arrays
+        per_entry = degrees[cols]
+        col_start = np.cumsum(degrees) - degrees
+        run_start = np.cumsum(per_entry) - per_entry
+        first = np.repeat(np.arange(rows.size), per_entry)
+        second = np.arange(first.size) + np.repeat(col_start[cols] - run_start, per_entry)
+        g = np.bincount(rows[first] * n + rows[second],
+                        weights=values[first] * values[second], minlength=n * n)
+        # an empty weight array makes bincount return integers
+        g = g.astype(np.float64, copy=False).reshape(n, n)
+        g /= self.spec.col_degree
+        return g
 
 
 # ======================================================================
@@ -189,7 +221,8 @@ class SparseSignatureMatrix:
 def _draw_values(rng: np.random.Generator, n: int, mode: EntryMode) -> np.ndarray:
     if mode is EntryMode.ONES:
         return np.ones(n)
-    return rng.choice(np.array([-1.0, 1.0]), size=n)
+    # the draws rng.choice(np.array([-1.0, 1.0]), size=n) makes, at half the cost
+    return np.array([-1.0, 1.0])[rng.integers(0, 2, size=n)]
 
 
 def generate_regular(spec: EnsembleSpec, realization: int = 0) -> SparseSignatureMatrix:

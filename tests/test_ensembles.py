@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from scipy import sparse, stats
 
+from regnoma import ensembles
 from regnoma.ensembles import (EnsembleSpec, EntryMode, GenerationError,
-                               generate_irregular, generate_regular, stream)
+                               SparseSignatureMatrix, generate_irregular,
+                               generate_regular, stream)
 
 
 def make_spec(n, k, d, mode=EntryMode.RADEMACHER, seed=0):
@@ -104,7 +106,6 @@ class TestGenerateRegular:
         assert np.sum(c * (c - 1)) / 4 / 2600 < 0.05
 
     def test_generation_failure_reports_cap(self, monkeypatch):
-        from regnoma import ensembles
         # with a zero switch budget any realization containing a parallel
         # edge must report failure instead of looping
         monkeypatch.setattr(ensembles, "REPAIR_CAP_FACTOR", 0)
@@ -191,6 +192,63 @@ class TestGenerateIrregular:
         expected = pmf * deg.size
         chi2 = float(((observed - expected) ** 2 / expected).sum())
         assert chi2 < stats.chi2.ppf(0.99, kmax)
+
+
+def dense_gram(m):
+    a = m.to_dense()
+    return (a @ a.T) / m.spec.col_degree
+
+
+class TestGram:
+    @pytest.mark.parametrize("n,k,d,pair_sum", [
+        (10, 15, 2, False),
+        (30, 45, 2, False),
+        (200, 300, 2, True),
+        (100, 300, 4, True),
+    ])
+    @pytest.mark.parametrize("gen", [generate_regular, generate_irregular])
+    @pytest.mark.parametrize("mode", list(EntryMode))
+    def test_bit_equal_to_dense_product(self, n, k, d, pair_sum, gen, mode):
+        assert (n * k > ensembles.DENSE_GRAM_MAX_CELLS) == pair_sum
+        spec = make_spec(n, k, d, mode, seed=4)
+        for t in range(3):
+            m = gen(spec, realization=t)
+            assert m.gram().tobytes() == dense_gram(m).tobytes()
+
+    def test_irregular_with_empty_rows_and_columns(self):
+        spec = make_spec(200, 300, 2, seed=6)
+        assert 200 * 300 > ensembles.DENSE_GRAM_MAX_CELLS
+        m = generate_irregular(spec)
+        for degrees in (m.column_degrees(), m.row_degrees()):
+            assert (degrees == 0).any() and (degrees == 1).any()
+        assert m.gram().tobytes() == dense_gram(m).tobytes()
+
+    @pytest.mark.parametrize("pair_sum", [False, True])
+    def test_hand_built_three_by_three(self, monkeypatch, pair_sum):
+        # columns of degree 3, 1 and 0: A = [[1, 0, 0], [-1, -1, 0], [1, 0, 0]]
+        if pair_sum:
+            monkeypatch.setattr(ensembles, "DENSE_GRAM_MAX_CELLS", 0)
+        m = SparseSignatureMatrix(make_spec(3, 3, 2), rows=np.array([0, 1, 2, 1]),
+                                  cols=np.array([0, 0, 0, 1]),
+                                  values=np.array([1.0, -1.0, 1.0, -1.0]), irregular=True)
+        expected = np.array([[1.0, -1.0, 1.0], [-1.0, 2.0, -1.0], [1.0, -1.0, 1.0]]) / 2
+        assert m.gram().tobytes() == expected.tobytes()
+
+    def test_matrix_without_entries(self):
+        empty = np.zeros(0, dtype=np.int64)
+        m = SparseSignatureMatrix(make_spec(200, 300, 2), rows=empty, cols=empty,
+                                  values=np.zeros(0), irregular=True)
+        assert m.gram().tobytes() == np.zeros((200, 200)).tobytes()
+
+    def test_large_matrices_are_never_densified(self, monkeypatch):
+        m = generate_regular(make_spec(520, 1560, 4, seed=5))
+        expected = dense_gram(m)
+
+        def refuse(self):
+            raise AssertionError("to_dense called above the crossover")
+
+        monkeypatch.setattr(SparseSignatureMatrix, "to_dense", refuse)
+        assert m.gram().tobytes() == expected.tobytes()
 
 
 class TestStream:
