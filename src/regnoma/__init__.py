@@ -16,16 +16,15 @@ from .spectra import (DensityParams, SpectrumSample, analytic_cdf,
                       analytic_density, empirical_spectrum,
                       kesten_mckay_density, ks_distance,
                       marchenko_pastur_density, spectrum_histogram)
-from .cavity import (GraphCavityMessages, GraphRouteDensity, LiftedGraph,
-                     cavity_on_graph,
+from .cavity import (GraphCavityMessages, GraphRouteDensity, cavity_on_graph,
                      gram_density_from_adjacency_transform,
-                     graph_route_density, lift_graph, stieltjes_inversion)
+                     graph_route_density, stieltjes_inversion)
 from .throughput import (Curve, MCResult, SweepSpec, SweepVariable,
                          cover_wyner_bound, db_to_linear, dense_rs_throughput,
                          ebno_from_snr, finite_n_throughput_mc, linear_to_db,
                          regular_throughput, snr_for_ebno, sweep)
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "__version__",
@@ -50,11 +49,9 @@ __all__ = [
     "spectrum_histogram",
     "GraphCavityMessages",
     "GraphRouteDensity",
-    "LiftedGraph",
     "cavity_on_graph",
     "gram_density_from_adjacency_transform",
     "graph_route_density",
-    "lift_graph",
     "stieltjes_inversion",
     "Curve",
     "MCResult",

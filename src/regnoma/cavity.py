@@ -24,22 +24,16 @@ estimates the adjacency Cauchy transform, which maps to the Gram transform
 through :func:`gram_density_from_adjacency_transform`.  A run that misses
 its stopping rule is NaN too, so both routes fail a point the same way.
 
-The sweeps run lifted, on classes of directed edges (as in counting belief
-propagation).  All messages start at 1/z, so edges whose computation trees
-agree hold one value at every sweep.  :func:`lift_graph` finds the
-coarsest such partition that is equitable: starting from one class, it
-splits edge u -> v by (its class, the class of u, the class of v -> u),
-where a node's class is the *ordered* sequence of its in-edge classes,
-until nothing splits.  Every member of a class then computes its update
-from the same inputs.  Ordered rather than multiset sequences make those
-inputs the same bits, not just the same numbers: ``np.bincount`` sums a
-node's in-edges in edge-index order, and nodes of one class sum equal
-values in equal order.  So a sweep that updates one value per class, with
-a bincount over one member's in-edges per node class, reproduces the
-per-edge sweep bit for bit, including the sweep count and the largest
-change.  A biregular graph with beta > 1 has two classes (one per
-orientation) and beta = 1 has one; a graph without symmetry has about 2E,
-and the same loop then updates every edge.
+The sweeps run on classes of directed edges that hold one value at every
+sweep, by a rule read from the matrix.  On a regular matrix
+(:attr:`~regnoma.ensembles.SparseSignatureMatrix.regular`) all messages
+start at 1/z and all nodes of a side have the same degree, so each
+orientation is a class: two classes, or one when the row and column
+degrees agree.  Every other matrix runs one class per directed edge.  The
+in-edges of a node of a regular matrix carry equal values, and
+``np.bincount`` sums them in the same order either way, so the class sweep
+reproduces the per-edge sweep bit for bit, including the sweep count and
+the largest change.
 """
 
 from __future__ import annotations
@@ -54,9 +48,7 @@ from .ensembles import SparseSignatureMatrix
 __all__ = [
     "GraphCavityMessages",
     "GraphRouteDensity",
-    "LiftedGraph",
     "stieltjes_inversion",
-    "lift_graph",
     "cavity_on_graph",
     "gram_density_from_adjacency_transform",
     "graph_route_density",
@@ -169,8 +161,8 @@ def stieltjes_inversion(lambda_grid: np.ndarray, p: DensityParams,
 # ======================================================================
 
 @dataclass(frozen=True)
-class LiftedGraph:
-    """The bipartite graph of A with its directed edges grouped into classes.
+class _Classes:
+    """The directed edges of A's bipartite graph grouped into update classes.
 
     Nodes 0..N-1 are resources, N..N+K-1 are users.  Directed edge ``e``
     runs ``src[e] -> dst[e]``; there are exactly two per nonzero of A.
@@ -195,53 +187,28 @@ class LiftedGraph:
         return self.src_class.size
 
 
-def _row_classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows in sorted order and the index of each row among them."""
-    unique, inverse = np.unique(rows, axis=0, return_inverse=True)
-    return unique, inverse.ravel()
-
-
-def lift_graph(matrix: SparseSignatureMatrix) -> LiftedGraph:
-    """Group the directed edges of A's bipartite graph into update classes.
-
-    Refinement starts from one class.  Each round labels every node by the
-    ordered sequence of its in-edge classes and splits edge ``u -> v`` by
-    (its class, the label of ``u``, the class of ``v -> u``), until no
-    class splits.  Members of a class then take the same floating-point
-    inputs at every sweep of :func:`cavity_on_graph`.
-    """
+def _update_classes(matrix: SparseSignatureMatrix) -> _Classes:
+    """Orientation classes on a regular matrix, one class per edge otherwise."""
     n, k = matrix.spec.n_resources, matrix.spec.n_users
-    n_nodes = n + k
     n_edges = matrix.nnz
     src = np.concatenate([matrix.rows, matrix.cols + n])
     dst = np.concatenate([matrix.cols + n, matrix.rows])
     rev = np.concatenate([np.arange(n_edges, 2 * n_edges), np.arange(n_edges)])
-
-    # in-edges of each node in edge-index order, the order bincount sums them;
-    # short rows are padded with -1, so rows of different lengths differ
-    by_dst = np.argsort(dst, kind="stable")
-    degree = np.bincount(dst, minlength=n_nodes)
-    slot = np.arange(2 * n_edges) - np.repeat(np.cumsum(degree) - degree, degree)
-    in_rows = np.full((n_nodes, degree.max()), -1, dtype=np.int64)
-
-    edge_class = np.zeros(2 * n_edges, dtype=np.int64)
-    n_classes = 1
-    while True:
-        in_rows[dst[by_dst], slot] = edge_class[by_dst]
-        sequences, node_class = _row_classes(in_rows)
-        _, refined = _row_classes(
-            np.stack([edge_class, node_class[src], edge_class[rev]], axis=1))
-        split = int(refined.max()) + 1
-        if split == n_classes:
-            break
-        edge_class, n_classes = refined, split
-
-    filled = sequences >= 0
-    first = np.unique(edge_class, return_index=True)[1]
-    return LiftedGraph(src=src, dst=dst, edge_class=edge_class, node_class=node_class,
-                       src_class=node_class[src[first]],
-                       rev_class=edge_class[rev[first]],
-                       in_node=np.nonzero(filled)[0], in_class=sequences[filled])
+    if not matrix.regular:
+        edges = np.arange(2 * n_edges)
+        return _Classes(src=src, dst=dst, edge_class=edges, node_class=np.arange(n + k),
+                        src_class=src, rev_class=rev, in_node=dst, in_class=edges)
+    # class 0 holds the resources and their out-edges, class `user` the users
+    # and theirs; equal degrees make both sides one class
+    row, col = matrix.spec.row_degree, matrix.spec.col_degree
+    user = int(row != col)
+    classes = np.arange(user + 1)
+    in_degree = np.array([row, col])[classes]
+    return _Classes(src=src, dst=dst, edge_class=np.repeat([0, user], n_edges),
+                    node_class=np.repeat([0, user], [n, k]),
+                    src_class=classes, rev_class=classes[::-1],
+                    in_node=np.repeat(classes, in_degree),
+                    in_class=np.repeat(classes[::-1], in_degree))
 
 
 @dataclass
@@ -269,22 +236,21 @@ class GraphCavityMessages:
         return complex(self.node_variances.mean())
 
 
-def cavity_on_graph(graph: SparseSignatureMatrix | LiftedGraph,
-                    z: complex) -> GraphCavityMessages:
+def cavity_on_graph(matrix: SparseSignatureMatrix, z: complex) -> GraphCavityMessages:
     """Run damped synchronous message passing on the bipartite graph of A.
 
     Updates use squared entry values, which are 1 in both entry modes, so
-    only the support of A matters.  A matrix is lifted first; pass the
-    :class:`LiftedGraph` to reuse the lift across points.  Each sweep
-    updates one message per edge class and the result is expanded to every
-    edge.  When the largest per-sweep message change is still at least
-    ``GRAPH_TOL`` after ``MAX_SWEEPS`` sweeps, the node variances (and so
-    ``mean_variance``) are a complex NaN; nothing is raised.
+    only the support of A matters.  Each sweep updates one message per edge
+    class -- one per orientation on a regular matrix, one per directed edge
+    otherwise -- and the result is expanded to every edge.  When the
+    largest per-sweep message change is still at least ``GRAPH_TOL`` after
+    ``MAX_SWEEPS`` sweeps, the node variances (and so ``mean_variance``) are
+    a complex NaN; nothing is raised.
     """
     z = complex(z)
     if not z.imag > 0.0:
         raise ValueError(f"need Im z > 0, got z = {z}")
-    g = graph if isinstance(graph, LiftedGraph) else lift_graph(graph)
+    g = _update_classes(matrix)
     n_node_classes = int(g.node_class.max()) + 1
 
     def incoming(msg: np.ndarray) -> np.ndarray:
@@ -371,20 +337,20 @@ def graph_route_density(matrix: SparseSignatureMatrix,
     ``z = sqrt(d (lam + i eps))`` on the principal branch, so the transform
     lands exactly at ``w = lam + i eps``.  The default ``epsilon`` trades
     the Lorentzian smoothing bias against finite-size roughness; it must be
-    finite and positive (:func:`check_graph_epsilon`).  The matrix is lifted
-    once for the whole grid.  A point whose messages do not converge is NaN
-    (:func:`cavity_on_graph`) and the batch continues.
+    finite and positive (:func:`check_graph_epsilon`).  A point whose
+    messages do not converge is NaN (:func:`cavity_on_graph`) and the batch
+    continues.
     """
     check_graph_epsilon(epsilon)
     p = DensityParams.from_ensemble(matrix.spec)
-    graph = lift_graph(matrix)
     grid = np.atleast_1d(np.asarray(lambda_grid, dtype=np.float64))
     out = np.empty(grid.shape)
     sweeps = np.empty(grid.shape, dtype=np.int64)
     for i, lam in enumerate(grid):
         z = complex(np.sqrt(complex(p.d * lam, p.d * epsilon)))
-        run = cavity_on_graph(graph, z)
+        run = cavity_on_graph(matrix, z)
         g = gram_density_from_adjacency_transform(run.mean_variance, z, p)
         out[i] = -g.imag / np.pi
         sweeps[i] = run.sweeps
-    return GraphRouteDensity(density=out, sweeps=sweeps, n_classes=graph.n_classes)
+    return GraphRouteDensity(density=out, sweeps=sweeps,
+                             n_classes=_update_classes(matrix).n_classes)

@@ -6,13 +6,9 @@ bounds its measurements must meet, and a function that measures them.
 ``validate`` runs the registry and ``tests/test_acceptance.py`` runs it one
 criterion at a time, so both hold the same checks at the same tolerances.
 
-A measuring function takes ``(density, seed)``.  ``density(lam, p)`` is
-the law that the check evaluates wherever it reads the closed form;
-callers pass :func:`~regnoma.spectra.analytic_density`, or a corrupted copy
-to show that the checks catch it.  The throughput layer takes no density,
-so a corrupted law reaches only the checks that evaluate ``density``
-themselves; the others measure the same values under either law.  ``seed``
-seeds the sampled ensembles.
+A measuring function takes the ``seed`` of the sampled ensembles.
+Wherever it reads the closed-form law, it calls this module's
+``analytic_density``.
 """
 
 from __future__ import annotations
@@ -28,12 +24,10 @@ from . import quadrature
 from . import throughput as tp
 from .cavity import graph_route_density, stieltjes_inversion
 from .ensembles import EnsembleSpec, EntryMode, generate_regular
-from .spectra import (DensityParams, empirical_spectrum, kesten_mckay_density,
-                      ks_distance, marchenko_pastur_density)
+from .spectra import (DensityParams, analytic_density, empirical_spectrum,
+                      kesten_mckay_density, ks_distance, marchenko_pastur_density)
 
 __all__ = ["Bound", "Gate", "Check", "CHECKS"]
-
-Density = Callable[[np.ndarray, DensityParams], np.ndarray]
 
 _OPS = {"<": operator.lt, ">": operator.gt, ">=": operator.ge, "==": operator.eq}
 
@@ -81,11 +75,11 @@ class Check:
     name: str
     level: str
     criterion: int | None
-    measure: Callable[[Density, int], tuple[float, ...]]
+    measure: Callable[[int], tuple[float, ...]]
     bounds: tuple[Bound, ...]
 
-    def run(self, density: Density, seed: int) -> list[Gate]:
-        values = self.measure(density, seed)
+    def run(self, seed: int) -> list[Gate]:
+        values = self.measure(seed)
         return [Gate(b, float(v)) for b, v in zip(self.bounds, values, strict=True)]
 
 
@@ -97,14 +91,14 @@ def _column(rows: list[dict], key: str) -> np.ndarray:
 # Closed-form and scalar-route checks
 # ======================================================================
 
-def _kesten_mckay(density, seed):
+def _kesten_mckay(seed):
     diffs = []
     for d in (2.0, 3.0, 10.0):
         p = DensityParams(beta=1.0, d=d)
         width = p.lambda_plus - p.lambda_minus
         grid = np.linspace(p.lambda_minus + 1e-6 * width,
                            p.lambda_plus - 1e-6 * width, 1000)
-        diffs.append(np.abs(density(grid, p) - kesten_mckay_density(grid, d)))
+        diffs.append(np.abs(analytic_density(grid, p) - kesten_mckay_density(grid, d)))
     return (np.max(diffs),)
 
 
@@ -112,45 +106,47 @@ _MOMENT_GRID = tuple(DensityParams(beta=beta, d=d) for beta in (1.0, 1.5, 2.0, 3
                      for d in (2.0, 3.0, 4.0, 10.0))
 
 
-def _moment(density, p: DensityParams, power: int) -> float:
-    return quadrature.support_integral(lambda lam: lam ** power * density(lam, p),
-                                       p.lambda_minus, p.lambda_plus, tol=1e-10)
+def _moment(p: DensityParams, power: int) -> float:
+    # support_integral: tol is absolute, and a pole just outside an edge can fool it
+    return quadrature.support_integral(
+        lambda lam: lam ** power * analytic_density(lam, p),
+        p.lambda_minus, p.lambda_plus, tol=1e-10)
 
 
-def _normalization(density, seed):
-    return (np.max([abs(_moment(density, p, 0) - 1.0) for p in _MOMENT_GRID]),)
+def _normalization(seed):
+    return (np.max([abs(_moment(p, 0) - 1.0) for p in _MOMENT_GRID]),)
 
 
-def _first_moment(density, seed):
-    return (np.max([abs(_moment(density, p, 1) - p.beta) for p in _MOMENT_GRID]),)
+def _first_moment(seed):
+    return (np.max([abs(_moment(p, 1) - p.beta) for p in _MOMENT_GRID]),)
 
 
-def _marchenko_pastur(density, seed):
+def _marchenko_pastur(seed):
     beta, degrees = 1.5, (2.0, 4.0, 10.0, 40.0, 1000.0)
     params = [DensityParams(beta=beta, d=d) for d in degrees]
     lo = min((1.0 - math.sqrt(beta)) ** 2, *(p.lambda_minus for p in params))
     hi = max((1.0 + math.sqrt(beta)) ** 2, *(p.lambda_plus for p in params))
     grid = np.linspace(lo, hi, 2001)
     mp = marchenko_pastur_density(grid, beta)
-    sups = np.array([np.abs(density(grid, p) - mp).max() for p in params])
+    sups = np.array([np.abs(analytic_density(grid, p) - mp).max() for p in params])
     return np.min(sups[:-1] - sups[1:]), sups[-1]
 
 
-def _scalar_cavity(density, seed):
+def _scalar_cavity(seed):
     p = DensityParams(beta=1.5, d=2.0)
     grid = np.linspace(p.lambda_minus, p.lambda_plus, 512)
     scalar = stieltjes_inversion(grid, p, epsilon=1e-6)
     # the inversion is ill-conditioned right at the square-root edges
     interior = (grid > p.lambda_minus + 1e-3) & (grid < p.lambda_plus - 1e-3)
     return (int(np.isnan(scalar).sum()),
-            np.max(np.abs(scalar - density(grid, p))[interior]))
+            np.max(np.abs(scalar - analytic_density(grid, p))[interior]))
 
 
 # ======================================================================
 # Throughput checks
 # ======================================================================
 
-def _ordering(density, seed):
+def _ordering(seed):
     rows = tp.sweep(tp.SweepSpec(variable=tp.SweepVariable.LOAD,
                                  values=(1.0, 1.5, 2.0, 2.5, 3.0),
                                  d=2.0, ebno_db=10.0))
@@ -159,36 +155,39 @@ def _ordering(density, seed):
             np.min(cw - reg), np.min(cw - dense))
 
 
-def _small_snr_slope(density, seed):
+def _small_snr_slope(seed):
     snr, p = 1e-6, DensityParams(beta=1.5, d=2.0)
     slope = p.beta / (2.0 * tp.LN2)
     return (abs(tp.regular_throughput(snr, p) / snr / slope - 1.0),
             abs(tp.dense_rs_throughput(snr, p.beta) / snr / slope - 1.0))
 
 
-def _quadrature_stability(density, seed):
+def _quadrature_stability(seed):
+    # support_integral: tol is absolute, and a pole just outside an edge can fool it
     p = DensityParams(beta=1.5, d=2.0)
     doubled = 0.5 * quadrature.support_integral(
-        lambda lam: density(lam, p), p.lambda_minus, p.lambda_plus,
+        lambda lam: analytic_density(lam, p), p.lambda_minus, p.lambda_plus,
         weight=lambda lam: np.log1p(10.0 * lam) / tp.LN2, tol=1e-9, n_start=64)
     return (abs(tp.regular_throughput(10.0, p) - doubled),)
 
 
-def _closed_form_vs_quadrature(density, seed):
-    # the closed-form regular curve against the quadrature of the given law
+def _closed_form_vs_quadrature(seed):
+    # the closed-form regular curve against the quadrature of the closed-form law
+    # support_integral: tol is absolute, and a pole just outside an edge can fool it
     errs = []
     for beta in (1.0, 1.5, 3.0):
         for d in (2.0, 4.0, 10.0):
             p = DensityParams(beta=beta, d=d)
             for snr in (1e-3, 1.0, 10.0, 1e3, 1e5):
                 quad = 0.5 * quadrature.support_integral(
-                    lambda lam: density(lam, p), p.lambda_minus, p.lambda_plus,
+                    lambda lam: analytic_density(lam, p),
+                    p.lambda_minus, p.lambda_plus,
                     weight=lambda lam: np.log1p(snr * lam) / tp.LN2)
                 errs.append(abs(tp.regular_throughput(snr, p) / quad - 1.0))
     return (max(errs),)
 
 
-def _ebno_round_trip(density, seed):
+def _ebno_round_trip(seed):
     target, p = tp.db_to_linear(10.0), DensityParams(beta=1.5, d=2.0)
     snr = tp.snr_for_ebno(target, p.beta, p.d)
     back = tp.ebno_from_snr(snr, p.beta, tp.regular_throughput(snr, p))
@@ -204,7 +203,7 @@ def _spec(n: int, seed: int, mode: EntryMode = EntryMode.RADEMACHER) -> Ensemble
     return EnsembleSpec.from_load(n, 1.5, 2, mode, seed)
 
 
-def _scaled_spectrum(density, seed):
+def _scaled_spectrum(seed):
     from scipy.stats import ks_2samp  # ~1 s to import; keep it off the CLI start-up
 
     p = DensityParams(beta=1.5, d=2.0)
@@ -218,23 +217,24 @@ def _scaled_spectrum(density, seed):
     return (*ks, ks_2samp(*pools).statistic)
 
 
-def _graph_route(density, seed):
+def _graph_route(seed):
     p = DensityParams(beta=1.5, d=2.0)
     matrix = generate_regular(_spec(1000, seed), realization=0)
     width = p.lambda_plus - p.lambda_minus
     grid = np.linspace(p.lambda_minus + 0.03 * width,
                        p.lambda_plus - 0.03 * width, 64)
     route = graph_route_density(matrix, grid)
-    return (np.max(np.abs(route.density - density(grid, p))),)  # NaN fails the gate
+    # NaN fails the gate
+    return (np.max(np.abs(route.density - analytic_density(grid, p))),)
 
 
-def _mc_vs_closed_form(density, seed):
+def _mc_vs_closed_form(seed):
     res = tp.finite_n_throughput_mc(_spec(200, seed), 10.0, 100)
     asymptotic = tp.regular_throughput(10.0, DensityParams(beta=1.5, d=2.0))
     return (abs(res.mean - asymptotic) - 3.0 * res.stderr,)
 
 
-def _finite_n_vs_asymptotic(density, seed):
+def _finite_n_vs_asymptotic(seed):
     p, espec = DensityParams(beta=1.5, d=2.0), _spec(10, seed)
     n_failed, rel_errs = 0, []
     for ebno_db in (4.0, 7.0, 10.0, 13.0):
@@ -246,14 +246,14 @@ def _finite_n_vs_asymptotic(density, seed):
     return n_failed, np.max(rel_errs)
 
 
-def _regular_vs_irregular(density, seed):
+def _regular_vs_irregular(seed):
     espec = _spec(200, seed)
     reg = tp.finite_n_throughput_mc(espec, 10.0, 200)
     irr = tp.finite_n_throughput_mc(espec, 10.0, 200, irregular=True)
     return ((reg.mean - irr.mean) / math.hypot(reg.stderr, irr.stderr),)
 
 
-def _full_scale_spectrum(density, seed):
+def _full_scale_spectrum(seed):
     espec = _spec(2600, seed)
     samples = [empirical_spectrum(generate_regular(espec, realization=t))
                for t in range(1000)]

@@ -255,14 +255,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 # ======================================================================
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    density = ((lambda lam, p: -analytic_density(lam, p)) if args.inject_sign_flip
-               else analytic_density)
     checks = [c for c in CHECKS if args.level == "full" or c.level == "fast"]
     lines, records = [], []
     n_fail = 0
     for check in checks:
         try:
-            gates = check.run(density, args.seed)
+            gates = check.run(args.seed)
             ok = all(g.passed for g in gates)
             detail = "; ".join(map(str, gates))
         except tp.NUMERICAL_ERRORS as exc:
@@ -387,8 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run the numerical invariant suite and report pass/fail")
     sp.add_argument("--level", choices=("fast", "full"), default="fast",
                     help="fast runs in seconds; full adds sampled-ensemble checks (minutes)")
-    sp.add_argument("--inject-sign-flip", action="store_true",
-                    help=argparse.SUPPRESS)
     sp.add_argument("--out", default=None, help="optional copy of the report")
     sp.add_argument("--seed", type=int, default=0,
                     help="base RNG seed of the sampled-ensemble checks")

@@ -9,8 +9,13 @@ Bernoulli(d/N) entries is provided for comparison experiments.
 Sampling uses the configuration model: column stubs are matched to row stubs
 by a uniform random permutation, then parallel edges are removed with
 degree-preserving double-edge switches.  Randomness comes from the PCG64
-generator; the stream for realization ``i`` is seeded with ``seed XOR i`` so
-ensembles are reproducible and trivially parallelizable.
+generator; the stream for realization ``i`` is seeded with ``seed XOR i``, so
+every realization can be drawn on its own and reruns are reproducible.  The
+streams of different seeds are not independent: ``seed XOR i`` runs over
+the same values for every seed that agrees above the bits of ``i``.  For any
+seed below 16, for instance, realizations 0..1999 draw the same 2000
+streams in another order, so Monte Carlo averages over them agree across
+those seeds.
 """
 
 from __future__ import annotations
@@ -62,7 +67,12 @@ DENSE_GRAM_MAX_CELLS = 10_000
 
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:
-    """Return the PCG64 stream for realization ``index`` of a seeded ensemble."""
+    """Return the PCG64 stream for realization ``index`` of a seeded ensemble.
+
+    The stream is seeded with ``seed XOR index``, so seeds collide: for
+    seeds below 16 the indices 0..1999 yield one set of 2000 streams,
+    permuted.
+    """
     return np.random.Generator(np.random.PCG64(seed ^ index))
 
 
@@ -149,16 +159,13 @@ class EnsembleSpec:
 class SparseSignatureMatrix:
     """A sampled N x K signature matrix in coordinate form.
 
-    Entries are stored as parallel arrays sorted by (row, col).  ``irregular``
-    marks matrices whose degrees are not exactly regular, which waives the
-    degree invariants downstream.
+    Entries are stored as parallel arrays sorted by (row, col).
     """
 
     spec: EnsembleSpec
     rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
-    irregular: bool = False
     realization: int = 0
 
     def __post_init__(self) -> None:
@@ -170,6 +177,13 @@ class SparseSignatureMatrix:
     @property
     def nnz(self) -> int:
         return self.rows.size
+
+    @property
+    def regular(self) -> bool:
+        """Whether every column holds ``spec.col_degree`` entries and every
+        row ``spec.row_degree``: the one test of regularity downstream."""
+        return bool((self.column_degrees() == self.spec.col_degree).all()
+                    and (self.row_degrees() == self.spec.row_degree).all())
 
     def column_degrees(self) -> np.ndarray:
         return np.bincount(self.cols, minlength=self.spec.n_users)
@@ -287,7 +301,7 @@ def generate_irregular(spec: EnsembleSpec, realization: int = 0) -> SparseSignat
     """Sample the i.i.d. reference ensemble: each entry nonzero w.p. d/N.
 
     Column degrees are then Binomial(N, d/N), close to Poisson(d) for large N.
-    The result is flagged irregular.  Requires d/N < 1.
+    Requires d/N < 1.
     """
     n, k, d = spec.n_resources, spec.n_users, spec.col_degree
     p = d / n
@@ -307,6 +321,5 @@ def generate_irregular(spec: EnsembleSpec, realization: int = 0) -> SparseSignat
     rows = np.concatenate(rows_parts)
     cols = np.concatenate(cols_parts)
     values = _draw_values(rng, rows.size, spec.entry_mode)
-    return SparseSignatureMatrix(spec, rows, cols, values,
-                                 irregular=True, realization=realization)
+    return SparseSignatureMatrix(spec, rows, cols, values, realization=realization)
 

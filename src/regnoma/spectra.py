@@ -195,7 +195,7 @@ def empirical_spectrum(matrix: SparseSignatureMatrix) -> SpectrumSample:
     eigs = np.linalg.eigvalsh(matrix.gram())
     spec = matrix.spec
     trivial = np.zeros(eigs.size, dtype=bool)
-    if spec.entry_mode is EntryMode.ONES and not matrix.irregular:
+    if spec.entry_mode is EntryMode.ONES and matrix.regular:
         bd = float(spec.beta * spec.col_degree)
         trivial = np.abs(eigs - bd) <= TRIVIAL_TOL
     return SpectrumSample(eigenvalues=eigs, trivial=trivial, spec=spec)

@@ -13,7 +13,7 @@ from regnoma import cavity
 from regnoma.cavity import (ITER_TOL, _cauchy_transform, _iterate,
                             _physical_root, cavity_on_graph,
                             gram_density_from_adjacency_transform,
-                            graph_route_density, lift_graph, stieltjes_inversion)
+                            graph_route_density, stieltjes_inversion)
 from regnoma.ensembles import (EnsembleSpec, EntryMode, GenerationError,
                                SparseSignatureMatrix, generate_irregular,
                                generate_regular)
@@ -157,8 +157,7 @@ def tree_matrix():
         spec=spec,
         rows=np.array([0, 0, 1, 1]),
         cols=np.array([0, 1, 1, 2]),
-        values=np.ones(4),
-        irregular=True)
+        values=np.ones(4))
 
 
 def dense_resolvent_diagonal(matrix, z):
@@ -272,8 +271,16 @@ def mixed_degree_matrix():
     rows, cols = np.array([(0, 0), (0, 1), (0, 2), (0, 5), (1, 0), (1, 3), (1, 4),
                            (2, 1), (2, 5), (3, 2), (3, 4), (3, 5)]).T
     return SparseSignatureMatrix(spec=EnsembleSpec(4, 6, 2, EntryMode.ONES, 0),
-                                 rows=rows, cols=cols, values=np.ones(rows.size),
-                                 irregular=True)
+                                 rows=rows, cols=cols, values=np.ones(rows.size))
+
+
+def column_regular_matrix():
+    # every user has degree 2, as the spec asks, but the resources have
+    # degrees 4, 3, 3, 2 instead of 3
+    rows, cols = np.array([(0, 0), (1, 0), (0, 1), (2, 1), (0, 2), (3, 2), (0, 3),
+                           (1, 3), (1, 4), (2, 4), (2, 5), (3, 5)]).T
+    return SparseSignatureMatrix(spec=EnsembleSpec(4, 6, 2, EntryMode.ONES, 0),
+                                 rows=rows, cols=cols, values=np.ones(rows.size))
 
 
 ORACLE_Z = (1.5 + 0.05j, 0.4 + 0.01j, 2.2 + 0.3j, -1.0 + 0.2j)
@@ -303,26 +310,28 @@ class TestLiftedMessagePassing:
         monkeypatch.setattr(cavity, "MAX_SWEEPS", 3)
         assert_matches_reference(sample_matrix(30, 45, 2), 1.5 + 0.05j)
 
+    @pytest.mark.parametrize("z", ORACLE_Z)
+    def test_column_regular_row_irregular_matrix_matches_per_edge_sweep(self, z):
+        assert_matches_reference(column_regular_matrix(), z)
+
     @pytest.mark.parametrize("n,k,d,classes", [
         (1000, 1500, 2, 2),   # beta = 1.5, one class per orientation
         (100, 300, 4, 2),     # beta = 3
         (60, 60, 3, 1),       # beta = 1: both orientations look alike
     ])
     def test_class_counts_on_biregular_graphs(self, n, k, d, classes):
-        assert lift_graph(sample_matrix(n, k, d, seed=2)).n_classes == classes
+        route = graph_route_density(sample_matrix(n, k, d, seed=2), np.array([1.0]))
+        assert route.n_classes == classes
 
-    def test_partition_is_equitable(self):
-        # members of a class share their tail's class and their reverse's
-        # class, and every node of a class has the same ordered in-sequence
-        m = generate_irregular(EnsembleSpec(200, 300, 2, EntryMode.ONES, seed=1))
-        g = lift_graph(m)
-        n_edges = m.nnz
-        rev = np.concatenate([np.arange(n_edges, 2 * n_edges), np.arange(n_edges)])
-        assert np.array_equal(g.src_class[g.edge_class], g.node_class[g.src])
-        assert np.array_equal(g.rev_class[g.edge_class], g.edge_class[rev])
-        for node in range(m.spec.n_resources + m.spec.n_users):
-            mine = g.edge_class[np.flatnonzero(g.dst == node)]
-            assert np.array_equal(mine, g.in_class[g.in_node == g.node_class[node]])
+    @pytest.mark.parametrize("matrix", [
+        generate_irregular(EnsembleSpec(200, 300, 2, EntryMode.ONES, seed=1)),
+        mixed_degree_matrix(),
+        column_regular_matrix(),
+    ], ids=["bernoulli", "mixed_degree", "column_regular"])
+    def test_other_graphs_run_one_class_per_directed_edge(self, matrix):
+        assert not matrix.regular
+        route = graph_route_density(matrix, np.array([1.0]))
+        assert route.n_classes == 2 * matrix.nnz
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import regnoma
-from regnoma import cli
+from regnoma import checks, cli
 from regnoma.ensembles import GenerationError
 from regnoma.checks import CHECKS
 from regnoma.spectra import DensityParams, analytic_density, kesten_mckay_density
@@ -55,7 +55,7 @@ class TestEntryPoint:
     def test_installed_script_reports_version(self):
         proc = run_python("-m", "regnoma.cli", "--version")
         assert proc.returncode == 0
-        assert "regnoma 0.4.0" in proc.stdout
+        assert "regnoma 0.5.0" in proc.stdout
 
     def test_import_leaves_scipy_unloaded(self):
         # every CLI run pays the start-up: scipy.stats costs about a second to
@@ -172,6 +172,21 @@ class TestCavity:
         assert results["n_failed_graph"] == 0
         assert results["graph_message_classes"] == 2
         assert 0 < results["graph_sweeps_max"] < results["graph_sweeps_total"]
+
+    @pytest.mark.parametrize("argv,classes,sha256", [
+        (["--beta", "1.5", "--d", "2", "--graph-n", "200"], 2,
+         "c281450b6eda47248e781fb2cf11104cf435f774de613d5367a8353a2cbc7930"),
+        (["--beta", "1", "--d", "3", "--graph-n", "60"], 1,
+         "2a9239d604a785e9e8d0f510367ef3dc8e1750c4dcc6c8230ddde7e7138b556c"),
+    ])
+    def test_graph_route_bytes_are_pinned(self, tmp_path, argv, classes, sha256):
+        # the class sweep must reproduce the per-edge sweep bit for bit, and
+        # these digests came from a route that did; they cover every column
+        out = tmp_path / "cavity.csv"
+        assert run(["cavity", *argv, "--points", "16", "--seed", "5",
+                    "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+        assert read_manifest(out)["results"]["graph_message_classes"] == classes
 
     def test_stalled_graph_points_are_blank_and_counted(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli.cavity_mod, "MAX_SWEEPS", 1)
@@ -364,20 +379,20 @@ class TestValidate:
     def test_failed_scalar_points_fail_the_cavity_check(self, monkeypatch):
         no_root_anywhere(monkeypatch)
         check = next(c for c in CHECKS if c.name == "scalar_cavity_agreement")
-        n_failed = check.run(analytic_density, 0)[0]
+        n_failed = check.run(0)[0]
         assert n_failed.value == 512 and not n_failed.passed
 
-    def test_injected_sign_flip_is_detected(self, tmp_path, capsys):
-        def flipped(lam, p):
-            return -analytic_density(lam, p)
-
+    def test_injected_sign_flip_is_detected(self, tmp_path, capsys, monkeypatch):
         # a check that reads the law must fail by its gates under the flip,
         # and one whose measurements do not move must still pass
+        fast = [c for c in CHECKS if c.level == "fast"]
+        true_values = {c.name: [g.value for g in c.run(0)] for c in fast}
+        monkeypatch.setattr(checks, "analytic_density",
+                            lambda lam, p: -analytic_density(lam, p))
         reads_law = []
-        for check in (c for c in CHECKS if c.level == "fast"):
-            true_values = [g.value for g in check.run(analytic_density, 0)]
-            gates = check.run(flipped, 0)
-            if [g.value for g in gates] != true_values:
+        for check in fast:
+            gates = check.run(0)
+            if [g.value for g in gates] != true_values[check.name]:
                 reads_law.append(check.name)
                 assert all(np.isfinite(g.value) for g in gates), check.name
                 assert not all(g.passed for g in gates), check.name
@@ -389,19 +404,19 @@ class TestValidate:
             "throughput_closed_form_vs_quadrature"]
 
         report = tmp_path / "r.txt"
-        assert run(["validate", "--level", "fast", "--inject-sign-flip",
-                    "--out", str(report)]) == 3
+        assert run(["validate", "--level", "fast", "--out", str(report)]) == 3
         out = capsys.readouterr().out
         assert "raised" not in out
         assert out.strip().endswith("3/10 checks passed")
         gates = read_manifest(report)["results"]["gates"]
         assert all(g["value"] is not None for g in gates)
-        # the corrupted density does not outlive its run
+        # the corrupted density does not outlive its patch
+        monkeypatch.undo()
         assert run(["validate", "--level", "fast"]) == 0
 
     def test_a_raising_check_fails_and_the_batch_continues(self, tmp_path, monkeypatch,
                                                           capsys):
-        def broken(density, seed):
+        def broken(seed):
             raise GenerationError("forced")
 
         first = dataclasses.replace(cli.CHECKS[0], measure=broken)

@@ -180,7 +180,7 @@ class TestGenerateIrregular:
 
     def test_flagged_irregular(self):
         m = generate_irregular(make_spec(200, 300, 2, seed=1))
-        assert m.irregular
+        assert not m.regular
 
     def test_column_degrees_pass_poisson_goodness_of_fit(self):
         spec = make_spec(1000, 10_000, 2, seed=9)
@@ -192,6 +192,29 @@ class TestGenerateIrregular:
         expected = pmf * deg.size
         chi2 = float(((observed - expected) ** 2 / expected).sum())
         assert chi2 < stats.chi2.ppf(0.99, kmax)
+
+
+class TestRegular:
+    @pytest.mark.parametrize("n,k,d", [(10, 15, 2), (60, 60, 3), (100, 300, 4)])
+    @pytest.mark.parametrize("mode", list(EntryMode))
+    def test_regular_draws(self, n, k, d, mode):
+        spec = make_spec(n, k, d, mode, seed=3)
+        assert all(generate_regular(spec, realization=t).regular for t in range(3))
+
+    @pytest.mark.parametrize("axis", ["row", "col"])
+    def test_one_moved_entry_breaks_it(self, axis):
+        # moving one entry along a row keeps the row degrees and breaks two
+        # column degrees, and moving it along a column does the reverse
+        m = generate_regular(make_spec(10, 15, 2, EntryMode.ONES, seed=3))
+        rows, cols = m.rows.copy(), m.cols.copy()
+        dense = m.to_dense()
+        if axis == "row":
+            cols[0] = np.flatnonzero(dense[rows[0]] == 0)[0]
+        else:
+            rows[0] = np.flatnonzero(dense[:, cols[0]] == 0)[0]
+        moved = SparseSignatureMatrix(m.spec, rows, cols, m.values.copy())
+        assert moved.nnz == m.nnz and not moved.regular
+        assert (moved.row_degrees() == m.row_degrees()).all() == (axis == "row")
 
 
 def dense_gram(m):
@@ -230,14 +253,14 @@ class TestGram:
             monkeypatch.setattr(ensembles, "DENSE_GRAM_MAX_CELLS", 0)
         m = SparseSignatureMatrix(make_spec(3, 3, 2), rows=np.array([0, 1, 2, 1]),
                                   cols=np.array([0, 0, 0, 1]),
-                                  values=np.array([1.0, -1.0, 1.0, -1.0]), irregular=True)
+                                  values=np.array([1.0, -1.0, 1.0, -1.0]))
         expected = np.array([[1.0, -1.0, 1.0], [-1.0, 2.0, -1.0], [1.0, -1.0, 1.0]]) / 2
         assert m.gram().tobytes() == expected.tobytes()
 
     def test_matrix_without_entries(self):
         empty = np.zeros(0, dtype=np.int64)
         m = SparseSignatureMatrix(make_spec(200, 300, 2), rows=empty, cols=empty,
-                                  values=np.zeros(0), irregular=True)
+                                  values=np.zeros(0))
         assert m.gram().tobytes() == np.zeros((200, 200)).tobytes()
 
     def test_large_matrices_are_never_densified(self, monkeypatch):
