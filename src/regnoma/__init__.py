@@ -24,7 +24,7 @@ from .throughput import (Curve, MCResult, SweepSpec, SweepVariable,
                          ebno_from_snr, finite_n_throughput_mc, linear_to_db,
                          regular_throughput, snr_for_ebno, sweep)
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "__version__",

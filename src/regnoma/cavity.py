@@ -264,7 +264,7 @@ def cavity_on_graph(matrix: SparseSignatureMatrix, z: complex) -> GraphCavityMes
     for sweep in range(1, MAX_SWEEPS + 1):
         prop = 1.0 / (z - (incoming(msg)[g.src_class] - msg[g.rev_class]))
         new = (1.0 - DAMPING) * msg + DAMPING * prop
-        change = float(np.max(np.abs(new - msg)))
+        change = float(np.max(np.abs(new - msg), initial=0.0))
         msg = new
         if change < GRAPH_TOL:
             variances = 1.0 / (z - incoming(msg))

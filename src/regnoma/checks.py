@@ -150,7 +150,7 @@ def _ordering(seed):
     rows = tp.sweep(tp.SweepSpec(variable=tp.SweepVariable.LOAD,
                                  values=(1.0, 1.5, 2.0, 2.5, 3.0),
                                  d=2.0, ebno_db=10.0))
-    reg, dense, cw = (_column(rows, k) for k in ("regular", "dense_rs", "cover_wyner"))
+    reg, dense, cw = (_column(rows, c.value) for c in tp.DEFAULT_CURVES)
     return (sum(row["failed"] for row in rows), np.min(reg - dense),
             np.min(cw - reg), np.min(cw - dense))
 

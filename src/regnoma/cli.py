@@ -145,17 +145,9 @@ def _cmd_cavity(args: argparse.Namespace) -> int:
                          "graph_sweeps_max": int(route.sweeps.max()),
                          "graph_message_classes": route.n_classes}
     err_scalar = np.abs(scalar - closed)
-    err_graph = np.abs(graph - closed)
-    rows = []
-    for i, lam in enumerate(grid):
-        rows.append({
-            "lambda": lam,
-            "density_closed_form": closed[i],
-            "density_cavity_scalar": scalar[i],
-            "density_cavity_graph": graph[i] if have_graph else None,
-            "abs_err_scalar": err_scalar[i],
-            "abs_err_graph": err_graph[i] if have_graph else None,
-        })
+    err_graph = np.abs(graph - closed)  # NaN, written as missing, without a graph
+    rows = [dict(zip(CAVITY_COLUMNS, cells))
+            for cells in zip(grid, closed, scalar, graph, err_scalar, err_graph)]
     # square-root edges are ill-conditioned for the inversion; the summary
     # statistic excludes their immediate neighborhoods
     interior = ((grid > p.lambda_minus + 1e-3) & (grid < p.lambda_plus - 1e-3))
@@ -164,7 +156,7 @@ def _cmd_cavity(args: argparse.Namespace) -> int:
         "lambda_plus": p.lambda_plus,
         "n_failed_scalar": int(np.isnan(scalar).sum()),
         "sup_abs_err_scalar_interior": _sup_or_none(err_scalar[interior]),
-        "sup_abs_err_graph": _sup_or_none(err_graph) if have_graph else None,
+        "sup_abs_err_graph": _sup_or_none(err_graph),
         **graph_results,
     }
     return _emit(args, CAVITY_COLUMNS, rows, results)
@@ -178,8 +170,8 @@ def _sup_or_none(err: np.ndarray):
 def _cmd_simulate(args: argparse.Namespace) -> int:
     _require_positive("--trials", args.trials)
     _require_positive("--bins", args.bins)
-    mode = EntryMode.parse(args.entries)
-    espec = EnsembleSpec.from_load(args.n, args.beta, args.d, mode, args.seed)
+    espec = EnsembleSpec.from_load(args.n, args.beta, args.d,
+                                   EntryMode(args.entries), args.seed)
     p = DensityParams.from_ensemble(espec)
     samples = [empirical_spectrum(generate_regular(espec, realization=t))
                for t in range(args.trials)]
@@ -201,10 +193,22 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _parse_curves(token: str) -> tuple[tp.Curve, ...]:
+    """The comma-separated curve names of ``--curves``, in any case."""
     names = [t.strip() for t in token.split(",") if t.strip()]
     if not names:
         raise ValueError("need at least one curve")
-    return tuple(tp.Curve.parse(name) for name in names)
+    known = {c.value: c for c in tp.Curve}
+    for name in names:
+        if name.lower() not in known:
+            raise ValueError(f"unknown curve {name!r}")
+    return tuple(known[name.lower()] for name in names)
+
+
+def _sweep_fields(args: argparse.Namespace) -> dict:
+    """The ``SweepSpec`` fields that ``throughput`` and ``sweep`` share."""
+    return dict(curves=_parse_curves(args.curves), beta=args.beta, d=args.d,
+                mc_n=args.mc_n, mc_trials=args.mc_trials, seed=args.seed,
+                entry_mode=EntryMode(args.entries))
 
 
 def _emit_sweep_rows(args: argparse.Namespace, spec: tp.SweepSpec,
@@ -219,28 +223,19 @@ def _emit_sweep_rows(args: argparse.Namespace, spec: tp.SweepSpec,
 
 
 def _cmd_throughput(args: argparse.Namespace) -> int:
-    common = dict(curves=_parse_curves(args.curves),
-                  mc_n=args.mc_n, mc_trials=args.mc_trials, seed=args.seed,
-                  entry_mode=EntryMode.parse(args.entries))
     if args.ebno_db is not None:
         spec = tp.SweepSpec(variable=tp.SweepVariable.EBNO,
-                            values=(args.ebno_db,),
-                            beta=args.beta, d=args.d, **common)
+                            values=(args.ebno_db,), **_sweep_fields(args))
         return _emit_sweep_rows(args, spec)
-    spec = tp.SweepSpec(variable=tp.SweepVariable.SPARSITY,
-                        values=(args.d,),
-                        beta=args.beta, snr_db=args.snr_db, **common)
+    spec = tp.SweepSpec(variable=tp.SweepVariable.SPARSITY, values=(args.d,),
+                        snr_db=args.snr_db, **_sweep_fields(args))
     # the row abscissa is the operating point, not the degree
     return _emit_sweep_rows(args, spec, x_override=args.snr_db)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    variable = tp.SweepVariable.parse(args.variable)
-    common = dict(curves=_parse_curves(args.curves),
-                  beta=args.beta, d=args.d,
-                  snr_db=args.snr_db, ebno_db=args.ebno_db,
-                  mc_n=args.mc_n, mc_trials=args.mc_trials, seed=args.seed,
-                  entry_mode=EntryMode.parse(args.entries))
+    variable = tp.SweepVariable(args.variable)
+    common = dict(snr_db=args.snr_db, ebno_db=args.ebno_db, **_sweep_fields(args))
     if args.values is not None:
         values = tuple(float(t) for t in args.values.split(","))
         spec = tp.SweepSpec(variable=variable, values=values, **common)
@@ -288,11 +283,31 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 # Parser
 # ======================================================================
 
+def _names(enum) -> list[str]:
+    return [member.value for member in enum]
+
+
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out", required=True, help="output file path")
     sp.add_argument("--format", choices=("csv", "json"), default="csv",
                     help="output table format")
     sp.add_argument("--seed", type=int, default=0, help="base RNG seed")
+
+
+def _add_entries(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--entries", choices=_names(EntryMode),
+                    default=EntryMode.RADEMACHER.value, help="nonzero entry mode")
+
+
+def _add_curve_options(sp: argparse.ArgumentParser) -> None:
+    """The curve and Monte Carlo options of ``throughput`` and ``sweep``."""
+    sp.add_argument("--curves", default=",".join(_names(tp.DEFAULT_CURVES)),
+                    help=f"comma-separated subset of {', '.join(_names(tp.Curve))}")
+    sp.add_argument("--mc-n", type=int, default=None,
+                    help="resources per Monte Carlo matrix")
+    sp.add_argument("--mc-trials", type=int, default=None,
+                    help="Monte Carlo trials")
+    _add_entries(sp)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,8 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--beta", type=float, required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--trials", type=int, default=100, help="number of realizations")
-    sp.add_argument("--entries", choices=("ones", "rademacher"),
-                    default="rademacher", help="nonzero entry mode")
+    _add_entries(sp)
     sp.add_argument("--bins", type=int, default=100, help="histogram bins")
     _add_common(sp)
     sp.set_defaults(func=_cmd_simulate)
@@ -346,20 +360,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-user SNR in dB")
     point.add_argument("--ebno-db", type=float, default=None,
                        help="energy per bit over noise density in dB")
-    sp.add_argument("--curves", default="regular,dense_rs,cover_wyner",
-                    help="comma-separated subset of regular, dense_rs, cover_wyner, regular_mc, irregular_mc")
-    sp.add_argument("--mc-n", type=int, default=None,
-                    help="resources per Monte Carlo matrix")
-    sp.add_argument("--mc-trials", type=int, default=None,
-                    help="Monte Carlo trials")
-    sp.add_argument("--entries", choices=("ones", "rademacher"),
-                    default="rademacher")
+    _add_curve_options(sp)
     _add_common(sp)
     sp.set_defaults(func=_cmd_throughput)
 
     sp = sub.add_parser("sweep", help="throughput curves over a parameter grid")
     sp.add_argument("--variable", required=True,
-                    choices=("load", "sparsity", "ebno"),
+                    choices=_names(tp.SweepVariable),
                     help="swept quantity; ebno sweeps read the grid in dB")
     grid = sp.add_mutually_exclusive_group(required=True)
     grid.add_argument("--values", default=None,
@@ -373,11 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="fixed sparsity (load and ebno sweeps)")
     sp.add_argument("--snr-db", type=float, default=None)
     sp.add_argument("--ebno-db", type=float, default=None)
-    sp.add_argument("--curves", default="regular,dense_rs,cover_wyner")
-    sp.add_argument("--mc-n", type=int, default=None)
-    sp.add_argument("--mc-trials", type=int, default=None)
-    sp.add_argument("--entries", choices=("ones", "rademacher"),
-                    default="rademacher")
+    _add_curve_options(sp)
     _add_common(sp)
     sp.set_defaults(func=_cmd_sweep)
 

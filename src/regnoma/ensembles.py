@@ -46,13 +46,6 @@ class EntryMode(Enum):
     ONES = "ones"
     RADEMACHER = "rademacher"
 
-    @classmethod
-    def parse(cls, token: str) -> "EntryMode":
-        try:
-            return cls(token.lower())
-        except ValueError:
-            raise ValueError(f"unknown entry mode {token!r}") from None
-
 
 MAX_SEED = 2**64
 

@@ -33,6 +33,7 @@ from .spectra import DensityParams, marchenko_pastur_density
 __all__ = [
     "NUMERICAL_ERRORS",
     "Curve",
+    "DEFAULT_CURVES",
     "SWEEP_COLUMNS",
     "SweepVariable",
     "SweepSpec",
@@ -55,6 +56,22 @@ LOG_SNR_TOL = 1e-14  # final bracket width of the Eb/N0 inversion, in ln snr
 # what a single numerical result raises; batches catch exactly these, mark
 # the item failed and count it (density routes return NaN per point instead)
 NUMERICAL_ERRORS = (quadrature.QuadratureError, GenerationError, np.linalg.LinAlgError)
+
+
+class Curve(Enum):
+    """A throughput curve; its value names the curve's sweep column."""
+
+    REGULAR = "regular"
+    DENSE_RS = "dense_rs"
+    COVER_WYNER = "cover_wyner"
+    REGULAR_MC = "regular_mc"
+    IRREGULAR_MC = "irregular_mc"
+
+
+DEFAULT_CURVES = (Curve.REGULAR, Curve.DENSE_RS, Curve.COVER_WYNER)
+# the curves snr_for_ebno selects by name; the others run at the regular
+# curve's snr, selected by the degree
+_NAMED_CURVES = (Curve.DENSE_RS, Curve.COVER_WYNER)
 
 
 def db_to_linear(x_db: float) -> float:
@@ -131,23 +148,23 @@ def ebno_from_snr(snr: float, beta: float, c: float) -> float:
     return beta * snr / (2.0 * c)
 
 
-def _curve_throughput(beta: float, d: float | str) -> Callable[[float], float]:
-    if isinstance(d, str):
-        token = d.lower()
-        if token == "dense":
-            return lambda snr: dense_rs_throughput(snr, beta)
-        if token == "cover_wyner":
-            return lambda snr: cover_wyner_bound(snr, beta)
+def _curve_throughput(beta: float, d: float | Curve) -> Callable[[float], float]:
+    if d is Curve.DENSE_RS:
+        return lambda snr: dense_rs_throughput(snr, beta)
+    if d is Curve.COVER_WYNER:
+        return lambda snr: cover_wyner_bound(snr, beta)
+    if isinstance(d, (Curve, str)):
         raise ValueError(f"unknown curve selector {d!r}")
     p = DensityParams(beta=beta, d=float(d))
     return lambda snr: regular_throughput(snr, p)
 
 
-def snr_for_ebno(ebno_target: float, beta: float, d: float | str) -> float:
+def snr_for_ebno(ebno_target: float, beta: float, d: float | Curve) -> float:
     """Invert the Eb/N0 map on the curve selected by ``d``.
 
-    ``d`` is a degree for the regular curve or the string ``"dense"`` for
-    the dense reference (``"cover_wyner"`` is also accepted).  The map is
+    ``d`` is a degree for the regular curve, or ``Curve.DENSE_RS`` or
+    ``Curve.COVER_WYNER`` for the dense reference or the ceiling; any other
+    selector raises ``ValueError``.  The map is
     monotone increasing in snr with infimum ln 2, so the target (linear)
     must exceed ln 2.  The root is bracketed in log snr on [1e-6, 1e6] and
     found by the Illinois variant of regula falsi: a secant step on the
@@ -256,39 +273,17 @@ def finite_n_throughput_mc(spec: EnsembleSpec, snr: float, trials: int,
 # Curve sweeps
 # ======================================================================
 
-class Curve(Enum):
-    REGULAR = "regular"
-    DENSE_RS = "dense_rs"
-    COVER_WYNER = "cover_wyner"
-    REGULAR_MC = "regular_mc"
-    IRREGULAR_MC = "irregular_mc"
-
-    @classmethod
-    def parse(cls, token: str) -> "Curve":
-        try:
-            return cls(token.lower())
-        except ValueError:
-            raise ValueError(f"unknown curve {token!r}") from None
-
-
 class SweepVariable(Enum):
     LOAD = "load"
     SPARSITY = "sparsity"
     EBNO = "ebno"
 
-    @classmethod
-    def parse(cls, token: str) -> "SweepVariable":
-        try:
-            return cls(token.lower())
-        except ValueError:
-            raise ValueError(f"unknown sweep variable {token!r}") from None
-
 
 _MC_CURVES = (Curve.REGULAR_MC, Curve.IRREGULAR_MC)
 
-SWEEP_COLUMNS = ("x", "regular", "dense_rs", "cover_wyner",
-                 "regular_mc", "regular_mc_stderr",
-                 "irregular_mc", "irregular_mc_stderr")
+# a column per curve, and an MC curve's standard error after its mean
+SWEEP_COLUMNS = ("x", *(key for c in Curve for key in (
+    (c.value, c.value + "_stderr") if c in _MC_CURVES else (c.value,))))
 
 
 @dataclass(frozen=True)
@@ -305,7 +300,7 @@ class SweepSpec:
 
     variable: SweepVariable
     values: tuple[float, ...]
-    curves: tuple[Curve, ...] = (Curve.REGULAR, Curve.DENSE_RS, Curve.COVER_WYNER)
+    curves: tuple[Curve, ...] = DEFAULT_CURVES
     beta: float | None = None
     d: float | None = None
     snr_db: float | None = None
@@ -375,39 +370,29 @@ class SweepSpec:
                 f"got beta={beta}, d={d}")
 
 
-def _sweep_point(spec: SweepSpec, x: float) -> dict[str, float | None]:
+def _sweep_point(spec: SweepSpec, x: float) -> dict[str, float]:
+    """The requested curves' cells of one sweep row and its failed MC trials."""
     beta = x if spec.variable is SweepVariable.LOAD else spec.beta
     d = x if spec.variable is SweepVariable.SPARSITY else spec.d
-    p = DensityParams(beta=beta, d=float(d))
-
-    def curve_snr(selector: float | str) -> float:
-        if spec.variable is SweepVariable.EBNO:
-            return snr_for_ebno(db_to_linear(x), beta, selector)
-        if spec.snr_db is not None:
-            return db_to_linear(spec.snr_db)
-        return snr_for_ebno(db_to_linear(spec.ebno_db), beta, selector)
-
-    row: dict[str, float | None] = dict.fromkeys(SWEEP_COLUMNS)
-    row.update(x=float(x), failed_mc_trials=0)
-    mc_snr: float | None = None
+    ebno_db = x if spec.variable is SweepVariable.EBNO else spec.ebno_db
+    snrs: dict[float | Curve, float] = {}  # one Eb/N0 inversion per selector
+    cells: dict[str, float] = {"failed_mc_trials": 0}
     for curve in spec.curves:
-        if curve is Curve.REGULAR:
-            row["regular"] = regular_throughput(curve_snr(d), p)
-        elif curve is Curve.DENSE_RS:
-            row["dense_rs"] = dense_rs_throughput(curve_snr("dense"), beta)
-        elif curve is Curve.COVER_WYNER:
-            row["cover_wyner"] = cover_wyner_bound(curve_snr("cover_wyner"), beta)
-        else:
-            if mc_snr is None:
-                mc_snr = curve_snr(d)
+        selector = curve if curve in _NAMED_CURVES else d
+        if selector not in snrs:
+            snrs[selector] = (db_to_linear(spec.snr_db) if ebno_db is None else
+                              snr_for_ebno(db_to_linear(ebno_db), beta, selector))
+        snr = snrs[selector]
+        if curve in _MC_CURVES:
             ens = EnsembleSpec.from_load(spec.mc_n, beta, d, spec.entry_mode, spec.seed)
-            res = finite_n_throughput_mc(ens, mc_snr, spec.mc_trials,
+            res = finite_n_throughput_mc(ens, snr, spec.mc_trials,
                                          irregular=(curve is Curve.IRREGULAR_MC))
-            key = "irregular_mc" if curve is Curve.IRREGULAR_MC else "regular_mc"
-            row[key] = res.mean
-            row[key + "_stderr"] = res.stderr
-            row["failed_mc_trials"] += res.n_failed
-    return row
+            cells[curve.value] = res.mean
+            cells[curve.value + "_stderr"] = res.stderr
+            cells["failed_mc_trials"] += res.n_failed
+        else:
+            cells[curve.value] = _curve_throughput(beta, selector)(snr)
+    return cells
 
 
 def sweep(spec: SweepSpec) -> list[dict[str, float | bool | None]]:
@@ -423,11 +408,11 @@ def sweep(spec: SweepSpec) -> list[dict[str, float | bool | None]]:
     """
     rows = []
     for x in spec.values:
+        row = dict.fromkeys(SWEEP_COLUMNS)
+        row.update(x=float(x), failed_mc_trials=0, failed=False)
         try:
-            row = _sweep_point(spec, x)
-            row["failed"] = False
+            row.update(_sweep_point(spec, x))
         except NUMERICAL_ERRORS:
-            row = dict.fromkeys(SWEEP_COLUMNS)
-            row.update(x=float(x), failed_mc_trials=0, failed=True)
+            row["failed"] = True
         rows.append(row)
     return rows

@@ -248,7 +248,7 @@ def per_edge_sweep(matrix, z, damping=0.5):
                     + 1j * np.bincount(dst, weights=msg.imag, minlength=n_nodes))
         prop = 1.0 / (z - (incoming[src] - msg[rev]))
         new = (1.0 - damping) * msg + damping * prop
-        change = float(np.max(np.abs(new - msg)))
+        change = float(np.max(np.abs(new - msg), initial=0.0))
         msg = new
         if change < cavity.GRAPH_TOL:
             incoming = (np.bincount(dst, weights=msg.real, minlength=n_nodes)
@@ -314,6 +314,18 @@ class TestLiftedMessagePassing:
     def test_column_regular_row_irregular_matrix_matches_per_edge_sweep(self, z):
         assert_matches_reference(column_regular_matrix(), z)
 
+    def test_matrix_without_entries_gives_isolated_node_variances(self):
+        empty = np.zeros(0, dtype=np.int64)
+        m = SparseSignatureMatrix(EnsembleSpec(200, 300, 2), rows=empty, cols=empty,
+                                  values=np.zeros(0))
+        z = 1.0 + 0.1j
+        run = cavity_on_graph(m, z)
+        assert run.sweeps == 1 and run.max_change == 0.0
+        assert np.all(run.node_variances == 1.0 / z)
+        # the mean of 500 equal values may round in its last bit
+        assert run.mean_variance == pytest.approx(1.0 / z, rel=1e-15)
+        assert_matches_reference(m, z)
+
     @pytest.mark.parametrize("n,k,d,classes", [
         (1000, 1500, 2, 2),   # beta = 1.5, one class per orientation
         (100, 300, 4, 2),     # beta = 3
@@ -344,7 +356,6 @@ class TestLiftedMessagePassing:
         if bernoulli:
             assume(spec.n_resources > d)
             m = generate_irregular(spec)
-            assume(m.nnz > 0)
         else:
             try:
                 m = generate_regular(spec)

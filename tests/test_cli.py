@@ -55,7 +55,7 @@ class TestEntryPoint:
     def test_installed_script_reports_version(self):
         proc = run_python("-m", "regnoma.cli", "--version")
         assert proc.returncode == 0
-        assert "regnoma 0.5.0" in proc.stdout
+        assert "regnoma 0.6.0" in proc.stdout
 
     def test_import_leaves_scipy_unloaded(self):
         # every CLI run pays the start-up: scipy.stats costs about a second to
@@ -361,6 +361,40 @@ class TestSweep:
         assert run(["sweep", "--variable", "load", "--range", "1", "3", "9",
                     "--d", "2", "--ebno-db", "10", "--out", str(out)]) == 0
         assert [float(r["x"]) for r in read_csv(out)] == [1.0, 1.5, 2.0, 2.5, 3.0]
+
+    @pytest.mark.parametrize("argv,sha256", [
+        (["--range", "0", "20", "21"],
+         "729d2c4a972183b2ac9a083c567d3c5b3cfb4de6604434c8ce23430b72d63476"),
+        (["--values", "4,10", "--curves", "regular,regular_mc,irregular_mc",
+          "--mc-n", "10", "--mc-trials", "300"],
+         "f12fcbe8447e5cce867515bdfadc07875457e92159fc39120fda9e66761fd730"),
+    ])
+    def test_throughput_bytes_are_pinned(self, tmp_path, argv, sha256):
+        # every curve of both benchmark sweeps, Eb/N0 inversions and MC included
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--variable", "ebno", *argv, "--beta", "1.5", "--d", "2",
+                    "--seed", "5", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+    def test_curve_names_ignore_case(self, tmp_path):
+        tables = []
+        for curves in ("REGULAR,Dense_RS", "regular,dense_rs"):
+            out = tmp_path / "tp.csv"
+            assert run(["throughput", "--beta", "1.5", "--d", "2", "--snr-db", "10",
+                        "--curves", curves, "--out", str(out)]) == 0
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1]
+        (row,) = read_csv(out)
+        assert row["regular"] != "" and row["dense_rs"] != "" and row["cover_wyner"] == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", "10", "--beta", "1.5", "--d", "2", "--entries", "ONES"],
+        ["sweep", "--variable", "Load", "--values", "1.5", "--d", "2", "--ebno-db", "10"],
+    ])
+    def test_entry_mode_and_variable_are_case_sensitive(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            run(argv + ["--out", str(tmp_path / "x.csv")])
+        assert excinfo.value.code == 2
 
     def test_inconsistent_operating_point_exits_2(self, tmp_path):
         assert run(["sweep", "--variable", "ebno", "--values", "4,8",

@@ -172,7 +172,7 @@ class TestEbnoMapping:
         with pytest.raises(ValueError, match="below the minimum achievable"):
             snr_for_ebno(0.5 * LN2, 1.5, 2.0)
         with pytest.raises(ValueError, match="not reachable below snr = 1000000.0"):
-            snr_for_ebno(1e9, 1.5, "dense")
+            snr_for_ebno(1e9, 1.5, Curve.DENSE_RS)
 
     def test_inverse_locates_ten_db_point_in_unit_decade(self):
         snr = snr_for_ebno(db_to_linear(10.0), 1.5, 2.0)
@@ -180,13 +180,15 @@ class TestEbnoMapping:
         assert abs(snr - 36.257) < 0.01
 
     def test_dense_selector(self):
-        snr = snr_for_ebno(db_to_linear(10.0), 1.5, "dense")
+        snr = snr_for_ebno(db_to_linear(10.0), 1.5, Curve.DENSE_RS)
         back = ebno_from_snr(snr, 1.5, dense_rs_throughput(snr, 1.5))
         assert abs(back / db_to_linear(10.0) - 1.0) < 1e-6
 
-    def test_unknown_selector(self):
-        with pytest.raises(ValueError):
-            snr_for_ebno(db_to_linear(10.0), 1.5, "nonsense")
+    @pytest.mark.parametrize("selector", ["dense", "cover_wyner", "2", Curve.REGULAR,
+                                          Curve.REGULAR_MC])
+    def test_unknown_selector(self, selector):
+        with pytest.raises(ValueError, match="unknown curve selector"):
+            snr_for_ebno(db_to_linear(10.0), 1.5, selector)
 
 
 def bisection_snr_for_ebno(target, beta, d):
@@ -218,7 +220,7 @@ def quadrature_calls(monkeypatch):
 
 
 class TestSecantInversion:
-    @pytest.mark.parametrize("selector", [2.0, "dense", "cover_wyner"])
+    @pytest.mark.parametrize("selector", [2.0, Curve.DENSE_RS, Curve.COVER_WYNER])
     def test_agrees_with_bisection_on_the_fine_grid(self, selector, quadrature_calls):
         per_inversion = []
         for ebno_db in np.linspace(0.0, 20.0, 201):
@@ -227,7 +229,7 @@ class TestSecantInversion:
             snr = snr_for_ebno(target, 1.5, selector)
             per_inversion.append(len(quadrature_calls))
             assert abs(snr / bisection_snr_for_ebno(target, 1.5, selector) - 1.0) < 1e-13
-        if selector == "dense":
+        if selector is Curve.DENSE_RS:
             assert 0 < max(per_inversion) <= 20
         else:  # closed forms, no quadrature
             assert max(per_inversion) == 0
@@ -348,6 +350,25 @@ class TestSweep:
             assert not row["failed"]
             assert row["cover_wyner"] >= row["regular"] > row["dense_rs"]
             assert row["regular_mc"] is None
+
+    def test_one_inversion_per_selector(self, monkeypatch):
+        # the MC curves run at the regular curve's snr and reuse its inversion
+        selectors = []
+        real = tp.snr_for_ebno
+
+        def recording(target, beta, d):
+            selectors.append(d)
+            return real(target, beta, d)
+
+        monkeypatch.setattr(tp, "snr_for_ebno", recording)
+        spec = SweepSpec(variable=SweepVariable.EBNO, values=(10.0,), beta=1.5, d=2.0,
+                         curves=(Curve.REGULAR_MC, Curve.DENSE_RS, Curve.REGULAR,
+                                 Curve.IRREGULAR_MC, Curve.COVER_WYNER),
+                         mc_n=10, mc_trials=3)
+        (row,) = sweep(spec)
+        assert selectors == [2.0, Curve.DENSE_RS, Curve.COVER_WYNER]
+        assert row["regular"] == regular_throughput(real(db_to_linear(10.0), 1.5, 2.0),
+                                                    P_DEFAULT)
 
     def test_sparsity_sweep_decreases_toward_dense(self):
         spec = SweepSpec(variable=SweepVariable.SPARSITY,
