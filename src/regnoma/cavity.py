@@ -75,25 +75,34 @@ def _delta_tilde(z: np.ndarray, delta: np.ndarray, p: DensityParams) -> np.ndarr
 def _iterate(z: np.ndarray, p: DensityParams) -> tuple[np.ndarray, np.ndarray]:
     """Damped fixed-point iteration from delta = 0, vectorized over z.
 
-    Returns (delta, residual); points that stall keep their last iterate
-    and a residual of at least ``ITER_TOL``.
+    Returns (delta, residual).  Each step updates only the live points,
+    held as compact arrays of index, z and delta; a point whose residual
+    falls below ``ITER_TOL`` is written back and dropped.  Points still
+    live after ``MAX_ITER`` steps have stalled: they keep their last
+    iterate and a residual of at least ``ITER_TOL``.
     """
-    delta = np.zeros(z.shape, dtype=complex)
-    residual = np.full(z.shape, np.inf)
-    active = np.ones(z.shape, dtype=bool)
+    delta = np.zeros(z.size, dtype=complex)
+    residual = np.full(z.size, np.inf)
+    idx = np.arange(z.size)
+    zl, dl, res = z.ravel(), delta.copy(), residual.copy()
     for _ in range(MAX_ITER):
-        if not active.any():
+        if not idx.size:
             break
-        za, da = z[active], delta[active]
-        prop = 1.0 / (za - p.gamma / (1.0 - p.alpha * da))
-        new = (1.0 - DAMPING) * da + DAMPING * prop
-        res = np.abs(new - da)
-        delta[active] = new
-        residual[active] = res
-        still = res >= ITER_TOL
-        idx = np.flatnonzero(active)
-        active[idx[~still]] = False
-    return delta, residual
+        prop = 1.0 / (zl - p.gamma / (1.0 - p.alpha * dl))
+        new = (1.0 - DAMPING) * dl + DAMPING * prop
+        res = np.abs(new - dl)
+        # a nan residual fails >= too: it ends its point, which is then not stalled
+        if not res.min() >= ITER_TOL:
+            live = res >= ITER_TOL
+            done = ~live
+            delta[idx[done]] = new[done]
+            residual[idx[done]] = res[done]
+            idx, zl, new, res = idx[live], zl[live], new[live], res[live]
+        dl = new
+    # what is still live has stalled
+    delta[idx] = dl
+    residual[idx] = res
+    return delta.reshape(z.shape), residual.reshape(z.shape)
 
 
 def _quadratic_roots(z: np.ndarray, p: DensityParams) -> tuple[np.ndarray, np.ndarray]:
@@ -150,7 +159,7 @@ def stieltjes_inversion(lambda_grid: np.ndarray, p: DensityParams,
         raise ValueError(f"epsilon must be in (0, 1e-3], got {epsilon}")
     grid = np.atleast_1d(np.asarray(lambda_grid, dtype=np.float64))
     lo, hi = p.lambda_minus - 1.0, p.lambda_plus + 1.0
-    if grid.min() < lo or grid.max() > hi:
+    if np.any((grid < lo) | (grid > hi)):
         raise ValueError(f"grid must stay inside [{lo}, {hi}]")
     _, delta_tilde = _cauchy_transform(grid + 1j * epsilon, p)
     return -delta_tilde.imag / np.pi
@@ -168,9 +177,14 @@ class _Classes:
     runs ``src[e] -> dst[e]``; there are exactly two per nonzero of A.
     ``edge_class`` and ``node_class`` label every edge and node with its
     class.  Per class, ``src_class`` is the class of the tail node and
-    ``rev_class`` the class of the reverse edge.  Per node class, the
-    in-edge classes of one member are listed in edge-index order by the
-    parallel arrays ``in_node`` (the node class) and ``in_class``.
+    ``rev_class`` the class of the reverse edge.  ``in_bin`` and
+    ``in_part`` sum the incoming messages of every node class with one
+    ``np.bincount``: read through a float64 view, part ``2 c + j`` of the
+    messages is the real (j = 0) or imaginary (j = 1) part of class ``c``,
+    and bin ``2 v + j`` collects that part for node class ``v``.  The
+    in-edge classes of one member of ``v`` are listed in edge-index order,
+    so each bin adds the same terms in the same order as a sum over the
+    real and imaginary parts apart.
     """
 
     src: np.ndarray
@@ -179,8 +193,8 @@ class _Classes:
     node_class: np.ndarray
     src_class: np.ndarray
     rev_class: np.ndarray
-    in_node: np.ndarray
-    in_class: np.ndarray
+    in_bin: np.ndarray
+    in_part: np.ndarray
 
     @property
     def n_classes(self) -> int:
@@ -197,7 +211,8 @@ def _update_classes(matrix: SparseSignatureMatrix) -> _Classes:
     if not matrix.regular:
         edges = np.arange(2 * n_edges)
         return _Classes(src=src, dst=dst, edge_class=edges, node_class=np.arange(n + k),
-                        src_class=src, rev_class=rev, in_node=dst, in_class=edges)
+                        src_class=src, rev_class=rev, in_bin=_parts(dst),
+                        in_part=_parts(edges))
     # class 0 holds the resources and their out-edges, class `user` the users
     # and theirs; equal degrees make both sides one class
     row, col = matrix.spec.row_degree, matrix.spec.col_degree
@@ -207,8 +222,13 @@ def _update_classes(matrix: SparseSignatureMatrix) -> _Classes:
     return _Classes(src=src, dst=dst, edge_class=np.repeat([0, user], n_edges),
                     node_class=np.repeat([0, user], [n, k]),
                     src_class=classes, rev_class=classes[::-1],
-                    in_node=np.repeat(classes, in_degree),
-                    in_class=np.repeat(classes[::-1], in_degree))
+                    in_bin=_parts(np.repeat(classes, in_degree)),
+                    in_part=_parts(np.repeat(classes[::-1], in_degree)))
+
+
+def _parts(index: np.ndarray) -> np.ndarray:
+    """Interleave ``2 i`` and ``2 i + 1``: the real and imaginary slots of each index."""
+    return (2 * index[:, None] + np.arange(2)).ravel()
 
 
 @dataclass
@@ -242,10 +262,13 @@ def cavity_on_graph(matrix: SparseSignatureMatrix, z: complex) -> GraphCavityMes
     Updates use squared entry values, which are 1 in both entry modes, so
     only the support of A matters.  Each sweep updates one message per edge
     class -- one per orientation on a regular matrix, one per directed edge
-    otherwise -- and the result is expanded to every edge.  When the
-    largest per-sweep message change is still at least ``GRAPH_TOL`` after
-    ``MAX_SWEEPS`` sweeps, the node variances (and so ``mean_variance``) are
-    a complex NaN; nothing is raised.
+    otherwise -- and the result is expanded to every edge.  The incoming
+    messages of every node class are summed in one ``np.bincount`` over the
+    real and imaginary parts, interleaved (see :class:`_Classes`); each sum
+    adds its terms in edge-index order, as two sums over the parts apart
+    would.  When the largest per-sweep message change is still at least
+    ``GRAPH_TOL`` after ``MAX_SWEEPS`` sweeps, the node variances (and so
+    ``mean_variance``) are a complex NaN; nothing is raised.
     """
     z = complex(z)
     if not z.imag > 0.0:
@@ -254,17 +277,17 @@ def cavity_on_graph(matrix: SparseSignatureMatrix, z: complex) -> GraphCavityMes
     n_node_classes = int(g.node_class.max()) + 1
 
     def incoming(msg: np.ndarray) -> np.ndarray:
-        return (np.bincount(g.in_node, weights=msg.real[g.in_class],
-                            minlength=n_node_classes)
-                + 1j * np.bincount(g.in_node, weights=msg.imag[g.in_class],
-                                   minlength=n_node_classes))
+        sums = np.bincount(g.in_bin, weights=msg.view(np.float64)[g.in_part],
+                           minlength=2 * n_node_classes)
+        # an empty weight array makes bincount return integers
+        return sums.astype(np.float64, copy=False).view(complex)
 
     msg = np.full(g.n_classes, 1.0 / z, dtype=complex)
     change = np.inf
     for sweep in range(1, MAX_SWEEPS + 1):
         prop = 1.0 / (z - (incoming(msg)[g.src_class] - msg[g.rev_class]))
         new = (1.0 - DAMPING) * msg + DAMPING * prop
-        change = float(np.max(np.abs(new - msg), initial=0.0))
+        change = float(np.abs(new - msg).max(initial=0.0))
         msg = new
         if change < GRAPH_TOL:
             variances = 1.0 / (z - incoming(msg))
@@ -348,6 +371,9 @@ def graph_route_density(matrix: SparseSignatureMatrix,
     sweeps = np.empty(grid.shape, dtype=np.int64)
     for i, lam in enumerate(grid):
         z = complex(np.sqrt(complex(p.d * lam, p.d * epsilon)))
+        # one run per point: benchmarks/bench_trace.py counts these calls and
+        # reads a scalar sweep count from each, so a grid-batched run waits
+        # for a change to the benchmark
         run = cavity_on_graph(matrix, z)
         g = gram_density_from_adjacency_transform(run.mean_variance, z, p)
         out[i] = -g.imag / np.pi

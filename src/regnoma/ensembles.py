@@ -152,7 +152,8 @@ class EnsembleSpec:
 class SparseSignatureMatrix:
     """A sampled N x K signature matrix in coordinate form.
 
-    Entries are stored as parallel arrays sorted by (row, col).
+    The coordinates may be given as any sequences; they are stored as
+    parallel int64, int64 and float64 arrays sorted by (row, col).
     """
 
     spec: EnsembleSpec
@@ -162,10 +163,11 @@ class SparseSignatureMatrix:
     realization: int = 0
 
     def __post_init__(self) -> None:
-        order = np.lexsort((self.cols, self.rows))
-        self.rows = np.ascontiguousarray(self.rows[order], dtype=np.int64)
-        self.cols = np.ascontiguousarray(self.cols[order], dtype=np.int64)
-        self.values = np.ascontiguousarray(self.values[order], dtype=np.float64)
+        rows = np.asarray(self.rows, dtype=np.int64)
+        cols = np.asarray(self.cols, dtype=np.int64)
+        values = np.asarray(self.values, dtype=np.float64)
+        order = np.lexsort((cols, rows))
+        self.rows, self.cols, self.values = rows[order], cols[order], values[order]
 
     @property
     def nnz(self) -> int:

@@ -34,6 +34,30 @@ admissible = st.builds(
     st.floats(1.0, 8.0), st.floats(-2.0, 1.7))
 
 
+def masked_iterate(z, p):
+    """Reference damped iteration that gathers and scatters through a mask.
+
+    Every step updates the still-active points in place in full-size
+    arrays.  Stops by ``cavity.ITER_TOL`` and ``cavity.MAX_ITER`` as read
+    at call time; returns (delta, residual) as ``_iterate`` does.
+    """
+    delta = np.zeros(z.shape, dtype=complex)
+    residual = np.full(z.shape, np.inf)
+    active = np.ones(z.shape, dtype=bool)
+    for _ in range(cavity.MAX_ITER):
+        if not active.any():
+            break
+        za, da = z[active], delta[active]
+        prop = 1.0 / (za - p.gamma / (1.0 - p.alpha * da))
+        new = (1.0 - cavity.DAMPING) * da + cavity.DAMPING * prop
+        res = np.abs(new - da)
+        delta[active] = new
+        residual[active] = res
+        idx = np.flatnonzero(active)
+        active[idx[~(res >= cavity.ITER_TOL)]] = False
+    return delta, residual
+
+
 class TestSolveFixedPoint:
     """The scalar fixed point as the inversion solves it, over a grid of z."""
 
@@ -82,6 +106,22 @@ class TestSolveFixedPoint:
         assert np.all(delta.imag <= 1e-12)
         assert np.all(delta_tilde.imag <= 1e-12)
 
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(p=admissible, log_eps=st.floats(-8.0, -3.0),
+           u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=17),
+           max_iter=st.one_of(st.sampled_from([0, 1]), st.integers(0, 3000)))
+    def test_compact_loop_equals_masked_loop(self, p, log_eps, u, max_iter):
+        # a small step budget makes some or all points stall, so both the
+        # stalled and the converged write-back run
+        lam = p.lambda_minus - 1.0 + np.array(u) * (p.lambda_plus - p.lambda_minus + 2.0)
+        z = lam + 1j * 10.0 ** log_eps
+        with patch.object(cavity, "MAX_ITER", max_iter):
+            want = masked_iterate(z, p)
+            got = _iterate(z, p)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
     def test_requires_upper_half_plane(self):
         with pytest.raises(ValueError):
             _cauchy_transform(1.0 - 0.1j, P_DEFAULT)
@@ -126,6 +166,10 @@ class TestStieltjesInversion:
         with pytest.raises(ValueError):
             stieltjes_inversion(np.array([P_DEFAULT.lambda_plus + 2.0]),
                                 P_DEFAULT)
+
+    def test_empty_grid(self):
+        dens = stieltjes_inversion(np.array([]), P_DEFAULT)
+        assert dens.shape == (0,) and dens.dtype == np.float64
 
     @pytest.mark.parametrize("failure", ["no_root", "wrong_branch"])
     def test_failed_points_are_nan(self, monkeypatch, failure):
@@ -326,6 +370,13 @@ class TestLiftedMessagePassing:
         assert run.mean_variance == pytest.approx(1.0 / z, rel=1e-15)
         assert_matches_reference(m, z)
 
+    def test_list_built_matrix_without_entries(self):
+        m = SparseSignatureMatrix(EnsembleSpec(200, 300, 2), [], [], [])
+        z = 1.0 + 0.1j
+        run = cavity_on_graph(m, z)
+        assert run.sweeps == 1 and run.messages.size == 0
+        assert np.all(run.node_variances == 1.0 / z)
+
     @pytest.mark.parametrize("n,k,d,classes", [
         (1000, 1500, 2, 2),   # beta = 1.5, one class per orientation
         (100, 300, 4, 2),     # beta = 3
@@ -456,6 +507,11 @@ class TestGraphRouteDensity:
         assert (stalled.sweeps == 1).all()
         ok = graph_route_density(m, grid)
         assert ok.n_failed == 0 and np.isfinite(ok.density).all()
+
+    def test_empty_grid(self):
+        route = graph_route_density(sample_matrix(30, 45, 2), np.array([]))
+        assert route.density.shape == route.sweeps.shape == (0,)
+        assert route.n_failed == 0 and route.n_classes == 2
 
     @pytest.mark.parametrize("eps", [0.0, -5e-3, math.nan, math.inf])
     def test_epsilon_domain(self, eps):

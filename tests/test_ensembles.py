@@ -217,6 +217,34 @@ class TestRegular:
         assert (moved.row_degrees() == m.row_degrees()).all() == (axis == "row")
 
 
+def assert_same_coordinates(a, b):
+    for name in ("rows", "cols", "values"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+class TestCoordinateInput:
+    def test_empty_lists(self):
+        spec = make_spec(200, 300, 2)
+        empty = np.zeros(0, dtype=np.int64)
+        from_lists = SparseSignatureMatrix(spec, [], [], [])
+        assert from_lists.nnz == 0
+        assert_same_coordinates(from_lists,
+                                SparseSignatureMatrix(spec, empty, empty, np.zeros(0)))
+
+    def test_unsorted_lists(self):
+        # integer values and unsorted coordinates, stored sorted by (row, col)
+        rows, cols, values = [2, 0, 1, 0], [0, 1, 0, 0], [1, -1, -1, 1]
+        from_lists = SparseSignatureMatrix(make_spec(3, 3, 2), rows, cols, values)
+        twin = SparseSignatureMatrix(make_spec(3, 3, 2), np.array(rows), np.array(cols),
+                                     np.array(values, dtype=np.float64))
+        assert_same_coordinates(from_lists, twin)
+        assert from_lists.rows.dtype == np.int64 and from_lists.values.dtype == np.float64
+        assert from_lists.rows.tolist() == [0, 0, 1, 2]
+        assert from_lists.cols.tolist() == [0, 1, 0, 0]
+        assert from_lists.values.tolist() == [1.0, -1.0, -1.0, 1.0]
+
+
 def dense_gram(m):
     a = m.to_dense()
     return (a @ a.T) / m.spec.col_degree
