@@ -12,19 +12,18 @@ from .ensembles import (EnsembleSpec, EntryMode, GenerationError,
                         SparseSignatureMatrix, generate_irregular,
                         generate_regular, stream)
 from .quadrature import QuadratureError, partial_integrals, support_integral
-from .spectra import (DensityParams, SpectrumSample, analytic_cdf,
-                      analytic_density, empirical_spectrum,
-                      kesten_mckay_density, ks_distance,
+from .spectra import (DensityParams, analytic_cdf, analytic_density,
+                      empirical_spectrum, kesten_mckay_density, ks_distance,
                       marchenko_pastur_density, spectrum_histogram)
 from .cavity import (GraphCavityMessages, GraphRouteDensity, cavity_on_graph,
                      gram_density_from_adjacency_transform,
                      graph_route_density, stieltjes_inversion)
 from .throughput import (Curve, MCResult, SweepSpec, SweepVariable,
                          cover_wyner_bound, db_to_linear, dense_rs_throughput,
-                         ebno_from_snr, finite_n_throughput_mc, linear_to_db,
+                         ebno_from_snr, finite_n_throughput_mc,
                          regular_throughput, snr_for_ebno, sweep)
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [
     "__version__",
@@ -39,7 +38,6 @@ __all__ = [
     "partial_integrals",
     "support_integral",
     "DensityParams",
-    "SpectrumSample",
     "analytic_cdf",
     "analytic_density",
     "empirical_spectrum",
@@ -62,7 +60,6 @@ __all__ = [
     "dense_rs_throughput",
     "ebno_from_snr",
     "finite_n_throughput_mc",
-    "linear_to_db",
     "regular_throughput",
     "snr_for_ebno",
     "sweep",

@@ -152,14 +152,15 @@ def stieltjes_inversion(lambda_grid: np.ndarray, p: DensityParams,
     """Boundary-value density on a real grid: -Im delta_tilde(lam + i eps) / pi.
 
     ``epsilon`` must lie in (0, 1e-3] and the grid inside the padded support
-    ``[lambda_minus - 1, lambda_plus + 1]``.  Points where no physical root
-    exists are returned as NaN rather than failing the batch.
+    ``[lambda_minus - 1, lambda_plus + 1]``; a grid with a point outside it,
+    NaN included, is rejected before any work.  Points where no physical
+    root exists are returned as NaN rather than failing the batch.
     """
     if not 0.0 < epsilon <= 1e-3:
         raise ValueError(f"epsilon must be in (0, 1e-3], got {epsilon}")
     grid = np.atleast_1d(np.asarray(lambda_grid, dtype=np.float64))
     lo, hi = p.lambda_minus - 1.0, p.lambda_plus + 1.0
-    if np.any((grid < lo) | (grid > hi)):
+    if np.any(~((grid >= lo) & (grid <= hi))):
         raise ValueError(f"grid must stay inside [{lo}, {hi}]")
     _, delta_tilde = _cauchy_transform(grid + 1j * epsilon, p)
     return -delta_tilde.imag / np.pi
@@ -173,8 +174,7 @@ def stieltjes_inversion(lambda_grid: np.ndarray, p: DensityParams,
 class _Classes:
     """The directed edges of A's bipartite graph grouped into update classes.
 
-    Nodes 0..N-1 are resources, N..N+K-1 are users.  Directed edge ``e``
-    runs ``src[e] -> dst[e]``; there are exactly two per nonzero of A.
+    Nodes and directed edges are laid out as in :class:`GraphCavityMessages`.
     ``edge_class`` and ``node_class`` label every edge and node with its
     class.  Per class, ``src_class`` is the class of the tail node and
     ``rev_class`` the class of the reverse edge.  ``in_bin`` and
@@ -187,8 +187,6 @@ class _Classes:
     real and imaginary parts apart.
     """
 
-    src: np.ndarray
-    dst: np.ndarray
     edge_class: np.ndarray
     node_class: np.ndarray
     src_class: np.ndarray
@@ -205,21 +203,20 @@ def _update_classes(matrix: SparseSignatureMatrix) -> _Classes:
     """Orientation classes on a regular matrix, one class per edge otherwise."""
     n, k = matrix.spec.n_resources, matrix.spec.n_users
     n_edges = matrix.nnz
-    src = np.concatenate([matrix.rows, matrix.cols + n])
-    dst = np.concatenate([matrix.cols + n, matrix.rows])
-    rev = np.concatenate([np.arange(n_edges, 2 * n_edges), np.arange(n_edges)])
     if not matrix.regular:
+        src = np.concatenate([matrix.rows, matrix.cols + n])
+        dst = np.concatenate([matrix.cols + n, matrix.rows])
+        rev = np.concatenate([np.arange(n_edges, 2 * n_edges), np.arange(n_edges)])
         edges = np.arange(2 * n_edges)
-        return _Classes(src=src, dst=dst, edge_class=edges, node_class=np.arange(n + k),
-                        src_class=src, rev_class=rev, in_bin=_parts(dst),
-                        in_part=_parts(edges))
+        return _Classes(edge_class=edges, node_class=np.arange(n + k), src_class=src,
+                        rev_class=rev, in_bin=_parts(dst), in_part=_parts(edges))
     # class 0 holds the resources and their out-edges, class `user` the users
     # and theirs; equal degrees make both sides one class
     row, col = matrix.spec.row_degree, matrix.spec.col_degree
     user = int(row != col)
     classes = np.arange(user + 1)
     in_degree = np.array([row, col])[classes]
-    return _Classes(src=src, dst=dst, edge_class=np.repeat([0, user], n_edges),
+    return _Classes(edge_class=np.repeat([0, user], n_edges),
                     node_class=np.repeat([0, user], [n, k]),
                     src_class=classes, rev_class=classes[::-1],
                     in_bin=_parts(np.repeat(classes, in_degree)),
@@ -235,17 +232,15 @@ def _parts(index: np.ndarray) -> np.ndarray:
 class GraphCavityMessages:
     """Directed-edge messages and node variances on one graph.
 
-    Nodes 0..N-1 are resources, N..N+K-1 are users.  ``messages[e]`` is the
-    variance passed along directed edge ``src[e] -> dst[e]``; there are
-    exactly two directed edges per nonzero of A.  ``mean_variance`` is the
-    plug-in estimate of the adjacency Cauchy transform at ``z``.  A run that
-    stalled (``sweeps == MAX_SWEEPS`` and ``max_change >= GRAPH_TOL``) keeps
-    its last messages, and its node variances are NaN.
+    Nodes 0..N-1 are resources, N..N+K-1 are users.  Edge ``e < nnz`` runs
+    from resource ``rows[e]`` to user ``cols[e]`` and edge ``nnz + e`` back;
+    ``messages[e]`` is the variance passed along edge ``e``.
+    ``mean_variance`` is the plug-in estimate of the adjacency Cauchy
+    transform at the run's z.  A run that stalled (``sweeps == MAX_SWEEPS``
+    and ``max_change >= GRAPH_TOL``) keeps its last messages, and its node
+    variances are NaN.
     """
 
-    z: complex
-    src: np.ndarray
-    dst: np.ndarray
     messages: np.ndarray
     node_variances: np.ndarray
     sweeps: int
@@ -294,7 +289,7 @@ def cavity_on_graph(matrix: SparseSignatureMatrix, z: complex) -> GraphCavityMes
             break
     else:
         variances = np.full(n_node_classes, complex(np.nan, np.nan))
-    return GraphCavityMessages(z=z, src=g.src, dst=g.dst, messages=msg[g.edge_class],
+    return GraphCavityMessages(messages=msg[g.edge_class],
                                node_variances=variances[g.node_class], sweeps=sweep,
                                max_change=change)
 
@@ -360,13 +355,16 @@ def graph_route_density(matrix: SparseSignatureMatrix,
     ``z = sqrt(d (lam + i eps))`` on the principal branch, so the transform
     lands exactly at ``w = lam + i eps``.  The default ``epsilon`` trades
     the Lorentzian smoothing bias against finite-size roughness; it must be
-    finite and positive (:func:`check_graph_epsilon`).  A point whose
+    finite and positive (:func:`check_graph_epsilon`), and a grid with a
+    non-finite point is rejected before any point runs.  A point whose
     messages do not converge is NaN (:func:`cavity_on_graph`) and the batch
     continues.
     """
     check_graph_epsilon(epsilon)
-    p = DensityParams.from_ensemble(matrix.spec)
     grid = np.atleast_1d(np.asarray(lambda_grid, dtype=np.float64))
+    if not np.isfinite(grid).all():
+        raise ValueError("every grid point must be finite")
+    p = DensityParams.from_ensemble(matrix.spec)
     out = np.empty(grid.shape)
     sweeps = np.empty(grid.shape, dtype=np.int64)
     for i, lam in enumerate(grid):

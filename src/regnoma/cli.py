@@ -101,10 +101,9 @@ def _emit(args: argparse.Namespace, columns, rows, results: dict) -> int:
     return EXIT_OK
 
 
-def _require_positive(name: str, value: int) -> int:
+def _require_positive(name: str, value: int) -> None:
     if value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value}")
-    return value
 
 
 # ======================================================================
@@ -173,18 +172,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     espec = EnsembleSpec.from_load(args.n, args.beta, args.d,
                                    EntryMode(args.entries), args.seed)
     p = DensityParams.from_ensemble(espec)
-    samples = [empirical_spectrum(generate_regular(espec, realization=t))
-               for t in range(args.trials)]
-    ks = ks_distance(samples, p)
-    centers, empirical = spectrum_histogram(samples, p, bins=args.bins)
+    pooled = np.concatenate([empirical_spectrum(generate_regular(espec, realization=t))
+                             for t in range(args.trials)])
+    ks = ks_distance(pooled, p)
+    centers, empirical = spectrum_histogram(pooled, p, bins=args.bins)
     overlay = analytic_density(centers, p)
     rows = [{"lambda": c, "analytic_density": a, "empirical_density": e}
             for c, a, e in zip(centers, overlay, empirical)]
-    n_trivial = int(sum(int(s.trivial.sum()) for s in samples))
     results = {
         "ks_distance": ks,
-        "n_eigenvalues_pooled": args.trials * espec.n_resources - n_trivial,
-        "n_trivial_excluded": n_trivial,
+        "n_eigenvalues_pooled": pooled.size,
+        "n_trivial_excluded": args.trials * espec.n_resources - pooled.size,
         "lambda_minus": p.lambda_minus,
         "lambda_plus": p.lambda_plus,
     }

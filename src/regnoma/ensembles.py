@@ -160,7 +160,6 @@ class SparseSignatureMatrix:
     rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
-    realization: int = 0
 
     def __post_init__(self) -> None:
         rows = np.asarray(self.rows, dtype=np.int64)
@@ -289,7 +288,7 @@ def generate_regular(spec: EnsembleSpec, realization: int = 0) -> SparseSignatur
             ki = new_i
 
     values = _draw_values(rng, n_edges, spec.entry_mode)
-    return SparseSignatureMatrix(spec, rows, cols, values, realization=realization)
+    return SparseSignatureMatrix(spec, rows, cols, values)
 
 
 def generate_irregular(spec: EnsembleSpec, realization: int = 0) -> SparseSignatureMatrix:
@@ -316,5 +315,5 @@ def generate_irregular(spec: EnsembleSpec, realization: int = 0) -> SparseSignat
     rows = np.concatenate(rows_parts)
     cols = np.concatenate(cols_parts)
     values = _draw_values(rng, rows.size, spec.entry_mode)
-    return SparseSignatureMatrix(spec, rows, cols, values, realization=realization)
+    return SparseSignatureMatrix(spec, rows, cols, values)
 

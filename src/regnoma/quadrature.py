@@ -24,6 +24,8 @@ PANELS = 64
 PANEL_ORDER = 20
 # points per block of partial panels; bounds the temporaries of a large call
 BLOCK = 65_536
+# node budget of support_integral's doubling, read at call time
+N_MAX = 1 << 15
 
 
 class QuadratureError(RuntimeError):
@@ -53,14 +55,14 @@ def support_integral(density: Callable[[np.ndarray], np.ndarray],
                      lo: float, hi: float,
                      weight: Callable[[np.ndarray], np.ndarray] | None = None,
                      tol: float = 1e-9,
-                     n_start: int = 32,
-                     n_max: int = 1 << 15) -> float:
+                     n_start: int = 32) -> float:
     """Integrate ``weight * density`` over (lo, hi) with edge substitution.
 
     The node count doubles until two successive estimates differ by less
-    than ``tol``.  Nodes are strictly interior, so improper edge behavior
-    (including a 1/sqrt(lam) divergence at lo = 0) is never evaluated at
-    the singular point.
+    than ``tol``; past ``N_MAX`` nodes it raises :class:`QuadratureError`.
+    Nodes are strictly interior, so improper edge behavior (including a
+    1/sqrt(lam) divergence at lo = 0) is never evaluated at the singular
+    point.
 
     Two known limits.  The stop rule can accept a wrong value when a pole
     of the integrand sits just outside a support edge: for the limiting law
@@ -73,7 +75,7 @@ def support_integral(density: Callable[[np.ndarray], np.ndarray],
         raise ValueError(f"empty support [{lo}, {hi}]")
     prev = None
     n = n_start
-    while n <= n_max:
+    while n <= N_MAX:
         x, w = _nodes(n)
         theta = (x + 1.0) * (np.pi / 4.0)
         val = float(np.dot(_theta_eval(density, weight, lo, hi, theta), w) * (np.pi / 4.0))
@@ -81,7 +83,7 @@ def support_integral(density: Callable[[np.ndarray], np.ndarray],
             return val
         prev = val
         n *= 2
-    raise QuadratureError(f"no convergence to tol={tol} within {n_max} nodes")
+    raise QuadratureError(f"no convergence to tol={tol} within {N_MAX} nodes")
 
 
 def partial_integrals(density: Callable[[np.ndarray], np.ndarray],

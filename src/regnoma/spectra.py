@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -37,7 +36,6 @@ from .ensembles import EnsembleSpec, EntryMode, SparseSignatureMatrix
 
 __all__ = [
     "DensityParams",
-    "SpectrumSample",
     "analytic_density",
     "kesten_mckay_density",
     "marchenko_pastur_density",
@@ -96,9 +94,10 @@ class DensityParams:
 def analytic_density(lam: np.ndarray | float, p: DensityParams) -> np.ndarray | float:
     """Limiting eigenvalue density of A A^T / d, zero off the open support.
 
-    Support edges evaluate to 0.  For beta = 1 the density is improper at
-    lam = 0 (inverse square root); 0 is outside the open support so the
-    returned value there is 0 and integration uses interior nodes only.
+    Support edges evaluate to 0 and NaN points to NaN.  For beta = 1 the
+    density is improper at lam = 0 (inverse square root); 0 is outside the
+    open support so the value there is 0 and integration uses interior
+    nodes only.
     """
     lam = np.asarray(lam, dtype=np.float64)
     scalar = lam.ndim == 0
@@ -109,6 +108,7 @@ def analytic_density(lam: np.ndarray | float, p: DensityParams) -> np.ndarray | 
     x = lam[m]
     bd = p.beta * p.d
     out[m] = bd / (2.0 * np.pi) * np.sqrt((hi - x) * (x - lo)) / ((bd - x) * x)
+    out[np.isnan(lam)] = np.nan
     return float(out[0]) if scalar else out
 
 
@@ -155,14 +155,18 @@ def marchenko_pastur_density(lam: np.ndarray | float, beta: float) -> np.ndarray
 
 
 def analytic_cdf(lam: np.ndarray | float, p: DensityParams) -> np.ndarray | float:
-    """Distribution function of the limiting law, 0 below and 1 above support."""
+    """Distribution function of the limiting law: 0 below, 1 above support, NaN at NaN."""
     lam = np.asarray(lam, dtype=np.float64)
     scalar = lam.ndim == 0
     lam = np.atleast_1d(lam)
+    nan = np.isnan(lam)
+    if nan.any():  # a stand-in keeps NaN out of the quadrature; no copy otherwise
+        lam = np.where(nan, p.lambda_minus, lam)
     out = quadrature.partial_integrals(
         lambda x: analytic_density(x, p), p.lambda_minus, p.lambda_plus, lam)
     out[lam <= p.lambda_minus] = 0.0
     out[lam >= p.lambda_plus] = 1.0
+    out[nan] = np.nan
     return float(out[0]) if scalar else out
 
 
@@ -170,54 +174,32 @@ def analytic_cdf(lam: np.ndarray | float, p: DensityParams) -> np.ndarray | floa
 # Empirical spectra
 # ======================================================================
 
-@dataclass
-class SpectrumSample:
-    """Sorted Gram eigenvalues of one realization with trivial-value flags.
+def empirical_spectrum(matrix: SparseSignatureMatrix) -> np.ndarray:
+    """Sorted eigenvalues of A A^T / d, deterministic ones dropped.
 
     In ONES mode the all-ones vector is an exact eigenvector of a regular
-    matrix and contributes a deterministic eigenvalue beta * d; such values
-    carry a flag so distribution comparisons can drop them.
-    """
-
-    eigenvalues: np.ndarray
-    trivial: np.ndarray
-    spec: EnsembleSpec
-
-    def nontrivial(self) -> np.ndarray:
-        return self.eigenvalues[~self.trivial]
-
-
-def empirical_spectrum(matrix: SparseSignatureMatrix) -> SpectrumSample:
-    """Eigendecompose A A^T / d and flag deterministic eigenvalues.
-
-    A failed eigensolve raises ``np.linalg.LinAlgError``.
+    matrix and contributes a deterministic eigenvalue beta * d; values
+    within ``TRIVIAL_TOL`` of it are dropped so distribution comparisons
+    see the random part only.  A failed eigensolve raises
+    ``np.linalg.LinAlgError``.
     """
     eigs = np.linalg.eigvalsh(matrix.gram())
     spec = matrix.spec
-    trivial = np.zeros(eigs.size, dtype=bool)
     if spec.entry_mode is EntryMode.ONES and matrix.regular:
         bd = float(spec.beta * spec.col_degree)
-        trivial = np.abs(eigs - bd) <= TRIVIAL_TOL
-    return SpectrumSample(eigenvalues=eigs, trivial=trivial, spec=spec)
+        eigs = eigs[np.abs(eigs - bd) > TRIVIAL_TOL]
+    return eigs
 
 
-def _pool(samples: Iterable[SpectrumSample] | SpectrumSample) -> np.ndarray:
-    """Sorted pooled eigenvalues, flagged trivial values dropped."""
-    if isinstance(samples, SpectrumSample):
-        samples = [samples]
-    parts = [s.nontrivial() for s in samples]
-    if not parts:
-        raise ValueError("need at least one spectrum sample")
-    pooled = np.concatenate(parts)
-    if pooled.size == 0:
-        raise ValueError("no eigenvalues left after trivial exclusion")
-    return np.sort(pooled)
+def _nonempty(eigenvalues: np.ndarray) -> np.ndarray:
+    if not np.size(eigenvalues):
+        raise ValueError("need at least one eigenvalue")
+    return np.asarray(eigenvalues, dtype=np.float64)
 
 
-def ks_distance(samples: Iterable[SpectrumSample] | SpectrumSample,
-                p: DensityParams) -> float:
-    """Kolmogorov-Smirnov distance of pooled nontrivial eigenvalues to the analytic law."""
-    pooled = _pool(samples)
+def ks_distance(eigenvalues: np.ndarray, p: DensityParams) -> float:
+    """Kolmogorov-Smirnov distance of pooled eigenvalues to the analytic law."""
+    pooled = np.sort(_nonempty(eigenvalues))
     n = pooled.size
     cdf = analytic_cdf(pooled, p)
     i = np.arange(1, n + 1, dtype=np.float64)
@@ -225,16 +207,15 @@ def ks_distance(samples: Iterable[SpectrumSample] | SpectrumSample,
                      np.max(np.abs(cdf - (i - 1.0) / n))))
 
 
-def spectrum_histogram(samples: Iterable[SpectrumSample] | SpectrumSample,
-                       p: DensityParams,
+def spectrum_histogram(eigenvalues: np.ndarray, p: DensityParams,
                        bins: int = 100) -> tuple[np.ndarray, np.ndarray]:
     """Density-normalized histogram over ``[lambda_minus - 0.1, lambda_plus + 0.1]``.
 
-    Returns (bin centers, empirical density) of the pooled nontrivial
-    eigenvalues.  Eigenvalues outside the padded range land in the edge
-    bins via clipping so mass is never silently dropped.
+    Returns (bin centers, empirical density) of the pooled eigenvalues.
+    Eigenvalues outside the padded range land in the edge bins via
+    clipping so mass is never silently dropped.
     """
-    pooled = _pool(samples)
+    pooled = _nonempty(eigenvalues)
     lo, hi = p.lambda_minus - 0.1, p.lambda_plus + 0.1
     edges = np.linspace(lo, hi, bins + 1)
     counts, _ = np.histogram(np.clip(pooled, lo, hi), bins=edges)

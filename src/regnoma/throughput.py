@@ -46,7 +46,6 @@ __all__ = [
     "finite_n_throughput_mc",
     "sweep",
     "db_to_linear",
-    "linear_to_db",
 ]
 
 LN2 = math.log(2.0)
@@ -76,12 +75,6 @@ _NAMED_CURVES = (Curve.DENSE_RS, Curve.COVER_WYNER)
 
 def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    if not x > 0.0:
-        raise ValueError(f"need a positive ratio, got {x}")
-    return 10.0 * math.log10(x)
 
 
 def _check_snr(snr: float) -> float:
@@ -319,7 +312,11 @@ class SweepSpec:
             if self.d is None:
                 raise ValueError("LOAD sweep needs a fixed degree d")
             for beta in self.values:
-                self._check_load(beta, self.d)
+                DensityParams(beta=beta, d=self.d)  # raises ValueError outside the domain
+                if not self._integer_load(beta, self.d):
+                    raise ValueError(
+                        f"beta * d must be an integer > 1 for a realizable ensemble, "
+                        f"got beta={beta}, d={self.d}")
         elif self.variable is SweepVariable.SPARSITY:
             if self.beta is None:
                 raise ValueError("SPARSITY sweep needs a fixed load beta")
@@ -349,25 +346,19 @@ class SweepSpec:
         if steps < 1:
             raise ValueError(f"need at least one step, got {steps}")
         grid = np.linspace(lo, hi, steps)
-        if variable is SweepVariable.LOAD:
-            d = fixed.get("d")
-            if d is None:
-                raise ValueError("LOAD sweep needs a fixed degree d")
-            grid = np.asarray([b for b in grid
-                               if abs(b * d - round(b * d)) <= 1e-9 and round(b * d) > 1])
+        # without a degree the constructor rejects the LOAD sweep
+        if variable is SweepVariable.LOAD and fixed.get("d") is not None:
+            grid = np.asarray([b for b in grid if cls._integer_load(b, fixed["d"])])
             if grid.size == 0:
                 raise ValueError(
                     "no grid point satisfies the integer beta * d constraint")
         return cls(variable=variable, values=tuple(float(x) for x in grid), **fixed)
 
     @staticmethod
-    def _check_load(beta: float, d: float) -> None:
-        DensityParams(beta=beta, d=d)  # raises ValueError outside the domain
+    def _integer_load(beta: float, d: float) -> bool:
+        """Whether beta * d is an integer > 1, as a realizable ensemble needs."""
         bd = beta * d
-        if abs(bd - round(bd)) > 1e-9 or round(bd) <= 1:
-            raise ValueError(
-                f"beta * d must be an integer > 1 for a realizable ensemble, "
-                f"got beta={beta}, d={d}")
+        return abs(bd - round(bd)) <= 1e-9 and round(bd) > 1
 
 
 def _sweep_point(spec: SweepSpec, x: float) -> dict[str, float]:

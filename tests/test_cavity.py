@@ -167,6 +167,15 @@ class TestStieltjesInversion:
             stieltjes_inversion(np.array([P_DEFAULT.lambda_plus + 2.0]),
                                 P_DEFAULT)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_grid_point_is_rejected(self, bad, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("ran before the grid was checked")
+
+        monkeypatch.setattr(cavity, "_iterate", no_work)
+        with pytest.raises(ValueError, match="grid"):
+            stieltjes_inversion(np.array([1.0, bad]), P_DEFAULT)
+
     def test_empty_grid(self):
         dens = stieltjes_inversion(np.array([]), P_DEFAULT)
         assert dens.shape == (0,) and dens.dtype == np.float64
@@ -252,8 +261,9 @@ class TestCavityOnGraph:
         for n in (100, 1000):
             m = sample_matrix(n, int(1.5 * n), 2, seed=11)
             msgs = cavity_on_graph(m, 1.5 + 0.05j)
-            user_to_resource = msgs.messages[msgs.src >= n]
-            resource_to_user = msgs.messages[msgs.src < n]
+            # edge e < nnz runs resource -> user, edge nnz + e the other way
+            resource_to_user = msgs.messages[:m.nnz]
+            user_to_resource = msgs.messages[m.nnz:]
             assert np.std(user_to_resource) < 1e-10
             assert np.std(resource_to_user) < 1e-10
 
@@ -512,6 +522,16 @@ class TestGraphRouteDensity:
         route = graph_route_density(sample_matrix(30, 45, 2), np.array([]))
         assert route.density.shape == route.sweeps.shape == (0,)
         assert route.n_failed == 0 and route.n_classes == 2
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_grid_point_is_rejected(self, bad, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("ran before the grid was checked")
+
+        # the finite point before the bad one does not run either
+        monkeypatch.setattr(cavity, "cavity_on_graph", no_work)
+        with pytest.raises(ValueError, match="finite"):
+            graph_route_density(sample_matrix(30, 45, 2), np.array([1.0, bad]))
 
     @pytest.mark.parametrize("eps", [0.0, -5e-3, math.nan, math.inf])
     def test_epsilon_domain(self, eps):

@@ -55,7 +55,7 @@ class TestEntryPoint:
     def test_installed_script_reports_version(self):
         proc = run_python("-m", "regnoma.cli", "--version")
         assert proc.returncode == 0
-        assert "regnoma 0.6.0" in proc.stdout
+        assert "regnoma 0.7.0" in proc.stdout
 
     def test_import_leaves_scipy_unloaded(self):
         # every CLI run pays the start-up: scipy.stats costs about a second to
@@ -252,6 +252,32 @@ class TestSimulate:
     def test_unrealizable_load_exits_2(self, tmp_path):
         assert run(["simulate", "--n", "10", "--beta", "1.27", "--d", "2",
                     "--trials", "2", "--out", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("entries,seed,csv_sha256,results_sha256", [
+        ("ones", 0,
+         "36e8d8c30778564d903e32c7a3c8f00048f7d60d66350dffeaccceb619f42559",
+         "355161dc9b348eab8a08deb12488ff3dfcd0afa8b1eb6082a37fb7fdff8ad444"),
+        ("rademacher", 0,
+         "947368be80f80a1fe19c8e56ae1a79d734429973d7a3bd3b232df0bfdbd98b1d",
+         "eec43ac24df29e4c00dfd3658b9f93654dbb88ed5d11c5e455b3c661b56c3f44"),
+        ("ones", 2 ** 32,
+         "dcb3bd1d6bfa78b0456015b04f5d50148635cc4e5c6ae0648cf339e74d8bfe56",
+         "da0e89e457a175707410ec6607e7a43e4f019c9be879527c7008aea7918878e7"),
+        ("rademacher", 2 ** 32,
+         "a8a350a7e0f634ea424e11f3ce1e832fd19f9cd5ba5a058484a27825ec46ce8a",
+         "f0de0d514b6144767cf915413233549fd52e564b36a3c31678725bb0d5fd184a"),
+    ])
+    def test_pooled_spectrum_bytes_are_pinned(self, tmp_path, entries, seed,
+                                              csv_sha256, results_sha256):
+        # the histogram, the KS distance and the trivial-eigenvalue counts of
+        # both entry modes; row degree 12 exercises multi-edge repair
+        out = tmp_path / "sim.csv"
+        assert run(["simulate", "--n", "104", "--beta", "3", "--d", "4",
+                    "--trials", "20", "--entries", entries, "--seed", str(seed),
+                    "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha256
+        results = json.dumps(read_manifest(out)["results"], sort_keys=True)
+        assert hashlib.sha256(results.encode()).hexdigest() == results_sha256
 
     def test_seed_determinism(self, tmp_path):
         argv = ["simulate", "--n", "60", "--beta", "1.5", "--d", "2",

@@ -8,10 +8,10 @@ import pytest
 from scipy import integrate
 
 from regnoma.ensembles import EnsembleSpec, EntryMode, generate_regular
-from regnoma.quadrature import BLOCK, support_integral
-from regnoma.spectra import (DensityParams, SpectrumSample, analytic_cdf,
-                             analytic_density, empirical_spectrum,
-                             kesten_mckay_density, ks_distance,
+from regnoma import quadrature
+from regnoma.quadrature import BLOCK, partial_integrals, support_integral
+from regnoma.spectra import (DensityParams, analytic_cdf, analytic_density,
+                             empirical_spectrum, kesten_mckay_density, ks_distance,
                              marchenko_pastur_density, spectrum_histogram)
 
 P_DEFAULT = DensityParams(beta=1.5, d=2.0)
@@ -143,6 +143,13 @@ class TestAnalyticDensity:
         for x, v in zip(grid, vec):
             assert analytic_density(float(x), P_DEFAULT) == v
 
+    def test_nan_points_stay_nan(self):
+        grid = np.array([1.0, np.nan, 5.0])
+        vals = analytic_density(grid, P_DEFAULT)
+        assert np.isnan(vals[1]) and vals[2] == 0.0
+        assert vals[0] == analytic_density(1.0, P_DEFAULT)
+        assert math.isnan(analytic_density(math.nan, P_DEFAULT))
+
 
 class TestKestenMcKay:
     @pytest.mark.parametrize("d", [2.0, 3.0, 10.0])
@@ -215,6 +222,21 @@ class TestAnalyticCdf:
         vals = analytic_cdf(grid, P_DEFAULT)
         assert (np.diff(vals) >= -1e-12).all()
 
+    def test_nan_points_stay_nan_and_never_reach_the_quadrature(self, monkeypatch):
+        grid = np.array([0.3, np.nan, 2.0, -1.0])
+        want = analytic_cdf(grid[[0, 2, 3]], P_DEFAULT)
+        seen = []
+
+        def recording(density, lo, hi, lams):
+            seen.append(np.array(lams))
+            return partial_integrals(density, lo, hi, lams)
+
+        monkeypatch.setattr(quadrature, "partial_integrals", recording)
+        vals = analytic_cdf(grid, P_DEFAULT)
+        assert np.isnan(seen[0]).sum() == 0
+        assert np.isnan(vals[1]) and np.array_equal(vals[[0, 2, 3]], want)
+        assert math.isnan(analytic_cdf(math.nan, P_DEFAULT))
+
     def test_arcsine_law_at_unit_load_degree_two(self):
         p = DensityParams(beta=1.0, d=2.0)
         grid = np.linspace(-0.5, 2.5, 3001)
@@ -281,24 +303,25 @@ def sample_matrix(n=60, k=90, d=2, mode=EntryMode.RADEMACHER, seed=0,
 
 class TestEmpiricalSpectrum:
     def test_forced_two_by_two_eigenvalues(self):
-        # the all-ones 2x2 Gram matrix at d = 2 has eigenvalues 0 and 2
-        s = empirical_spectrum(sample_matrix(2, 2, 2, EntryMode.ONES))
-        assert np.allclose(s.eigenvalues, [0.0, 2.0], atol=1e-12)
-        assert list(s.trivial) == [False, True]
+        # the all-ones 2x2 Gram matrix at d = 2 has eigenvalues 0 and 2; the
+        # deterministic 2 = beta * d is dropped
+        eigs = empirical_spectrum(sample_matrix(2, 2, 2, EntryMode.ONES))
+        assert eigs.shape == (1,) and abs(eigs[0]) < 1e-12
 
     def test_ones_mode_top_eigenvalue_is_load_times_degree(self):
-        s = empirical_spectrum(sample_matrix(mode=EntryMode.ONES))
-        assert abs(s.eigenvalues[-1] - 3.0) < 1e-8
-        assert s.trivial.sum() == 1
+        m = sample_matrix(mode=EntryMode.ONES)
+        full = np.linalg.eigvalsh(m.gram())
+        assert abs(full[-1] - 3.0) < 1e-8
+        assert np.array_equal(empirical_spectrum(m), full[:-1])
 
     def test_rademacher_mode_has_no_trivial_flags(self):
-        s = empirical_spectrum(sample_matrix())
-        assert s.trivial.sum() == 0
+        m = sample_matrix()
+        assert np.array_equal(empirical_spectrum(m), np.linalg.eigvalsh(m.gram()))
 
     def test_sorted_and_positive_semidefinite(self):
-        s = empirical_spectrum(sample_matrix(seed=3))
-        assert (np.diff(s.eigenvalues) >= 0.0).all()
-        assert s.eigenvalues.min() >= -1e-8
+        eigs = empirical_spectrum(sample_matrix(seed=3))
+        assert (np.diff(eigs) >= 0.0).all()
+        assert eigs.min() >= -1e-8
 
     def test_three_by_three_matches_characteristic_polynomial(self):
         m = sample_matrix(3, 3, 2, seed=1)
@@ -312,18 +335,18 @@ class TestEmpiricalSpectrum:
                + g[0, 2] * (g[1, 0] * g[2, 1] - g[1, 1] * g[2, 0]))
         coeffs = [1.0, -tr, 0.5 * (tr * tr - tr2), -det]
         roots = np.sort(np.roots(coeffs).real)
-        s = empirical_spectrum(m)
-        assert np.allclose(s.eigenvalues, roots, atol=1e-8)
+        assert np.allclose(empirical_spectrum(m), roots, atol=1e-8)
 
     def test_nontrivial_drops_flagged_values(self):
-        s = empirical_spectrum(sample_matrix(mode=EntryMode.ONES))
-        assert s.nontrivial().size == s.eigenvalues.size - 1
-        assert abs(s.nontrivial().max() - 3.0) > 1e-6
+        m = sample_matrix(mode=EntryMode.ONES)
+        eigs = empirical_spectrum(m)
+        assert eigs.size == m.spec.n_resources - 1
+        assert abs(eigs.max() - 3.0) > 1e-6
 
 
 def pooled_samples(n_real, **kwargs):
-    return [empirical_spectrum(sample_matrix(realization=t, **kwargs))
-            for t in range(n_real)]
+    return np.concatenate([empirical_spectrum(sample_matrix(realization=t, **kwargs))
+                           for t in range(n_real)])
 
 
 class TestKsDistance:
@@ -334,34 +357,26 @@ class TestKsDistance:
         cdf = analytic_cdf(fine, p)
         u = (np.arange(100_000) + 0.5) / 100_000
         synthetic = np.interp(u, cdf, fine)
-        sample = SpectrumSample(eigenvalues=synthetic,
-                                trivial=np.zeros(synthetic.size, dtype=bool),
-                                spec=None)
-        assert ks_distance(sample, p) < 0.01
+        assert ks_distance(synthetic, p) < 0.01
+        # the pool need not be sorted
+        reordered = np.random.default_rng(0).permutation(synthetic)
+        assert ks_distance(reordered, p) == ks_distance(synthetic, p)
 
     def test_pooled_regular_spectra(self):
         ks = ks_distance(pooled_samples(20), P_DEFAULT)
         assert ks < 0.05
 
     def test_degenerate_sample_at_lower_edge(self):
-        sample = SpectrumSample(
-            eigenvalues=np.array([P_DEFAULT.lambda_minus]),
-            trivial=np.array([False]), spec=None)
-        assert ks_distance(sample, P_DEFAULT) == 1.0
+        assert ks_distance(np.array([P_DEFAULT.lambda_minus]), P_DEFAULT) == 1.0
 
     def test_empty_pool_after_exclusion(self):
-        sample = SpectrumSample(eigenvalues=np.array([3.0]),
-                                trivial=np.array([True]), spec=None)
-        with pytest.raises(ValueError):
-            ks_distance(sample, P_DEFAULT)
+        for compare in (ks_distance, spectrum_histogram):
+            with pytest.raises(ValueError, match="at least one eigenvalue"):
+                compare(np.array([]), P_DEFAULT)
 
     def test_entry_modes_indistinguishable(self):
-        a = np.concatenate([s.nontrivial()
-                            for s in pooled_samples(50, n=120, k=180,
-                                                    mode=EntryMode.ONES)])
-        b = np.concatenate([s.nontrivial()
-                            for s in pooled_samples(50, n=120, k=180)])
-        a, b = np.sort(a), np.sort(b)
+        a = np.sort(pooled_samples(50, n=120, k=180, mode=EntryMode.ONES))
+        b = np.sort(pooled_samples(50, n=120, k=180))
         both = np.concatenate([a, b])
         ks = np.max(np.abs(np.searchsorted(a, both, side="right") / a.size
                            - np.searchsorted(b, both, side="right") / b.size))

@@ -14,8 +14,8 @@ from regnoma.spectra import DensityParams, analytic_density
 from regnoma.throughput import (LN2, SWEEP_COLUMNS, Curve, MCResult, SweepSpec,
                                 SweepVariable, cover_wyner_bound, db_to_linear,
                                 dense_rs_throughput, ebno_from_snr,
-                                finite_n_throughput_mc, linear_to_db,
-                                regular_throughput, snr_for_ebno, sweep)
+                                finite_n_throughput_mc, regular_throughput,
+                                snr_for_ebno, sweep)
 
 P_DEFAULT = DensityParams(beta=1.5, d=2.0)
 
@@ -160,7 +160,7 @@ class TestEbnoMapping:
             target = db_to_linear(ebno_db)
             snr = snr_for_ebno(target, 1.5, 2.0)
             c = regular_throughput(snr, P_DEFAULT)
-            assert abs(linear_to_db(ebno_from_snr(snr, 1.5, c)) - ebno_db) < 1e-5
+            assert abs(10 * math.log10(ebno_from_snr(snr, 1.5, c)) - ebno_db) < 1e-5
 
     def test_map_is_monotone_on_grid(self):
         snrs = np.logspace(-3, 3, 25)
@@ -238,11 +238,7 @@ class TestSecantInversion:
 class TestDbHelpers:
     def test_round_trip(self):
         assert db_to_linear(10.0) == 10.0
-        assert abs(linear_to_db(db_to_linear(7.3)) - 7.3) < 1e-12
-
-    def test_rejects_nonpositive_ratio(self):
-        with pytest.raises(ValueError):
-            linear_to_db(0.0)
+        assert abs(10 * math.log10(db_to_linear(7.3)) - 7.3) < 1e-12
 
 
 class TestFiniteNThroughputMC:
@@ -292,7 +288,8 @@ class TestFiniteNThroughputMC:
 
 class TestSweepSpec:
     def test_load_sweep_requires_integer_load_degree_product(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^beta \* d must be an integer > 1 for a "
+                                             r"realizable ensemble, got beta=1.2, d=2.0$"):
             SweepSpec(variable=SweepVariable.LOAD, values=(1.2,), d=2.0,
                       ebno_db=10.0)
 
@@ -332,6 +329,27 @@ class TestSweepSpec:
         spec = SweepSpec.from_range(SweepVariable.LOAD, 1.0, 3.0, 9,
                                     d=2.0, ebno_db=10.0)
         assert spec.values == (1.0, 1.5, 2.0, 2.5, 3.0)
+
+    @pytest.mark.parametrize("d", [2.0, 3.0, 2.5])
+    def test_range_constructor_keeps_exactly_the_accepted_loads(self, d):
+        # the filter and the constructor apply one integer-load rule
+        grid = np.linspace(1.0, 3.0, 41)
+        kept = SweepSpec.from_range(SweepVariable.LOAD, 1.0, 3.0, 41,
+                                    d=d, ebno_db=10.0).values
+        accepted = []
+        for beta in grid:
+            try:
+                SweepSpec(variable=SweepVariable.LOAD, values=(float(beta),), d=d,
+                          ebno_db=10.0)
+            except ValueError as exc:
+                assert "must be an integer" in str(exc)
+            else:
+                accepted.append(float(beta))
+        assert kept == tuple(accepted) and kept
+
+    def test_range_constructor_needs_a_degree_for_loads(self):
+        with pytest.raises(ValueError, match="LOAD sweep needs a fixed degree d"):
+            SweepSpec.from_range(SweepVariable.LOAD, 1.0, 3.0, 9, ebno_db=10.0)
 
     def test_range_constructor_rejects_empty_admissible_set(self):
         with pytest.raises(ValueError):
