@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -99,16 +100,26 @@ def analytic_density(lam: np.ndarray | float, p: DensityParams) -> np.ndarray | 
     open support so the value there is 0 and integration uses interior
     nodes only.
     """
+    lo, hi = p.lambda_minus, p.lambda_plus
+    bd = p.beta * p.d
+    return _on_open_support(
+        lam, lo, hi,
+        lambda x: bd / (2.0 * np.pi) * np.sqrt((hi - x) * (x - lo)) / ((bd - x) * x))
+
+
+def _on_open_support(lam: np.ndarray | float, lo: float, hi: float,
+                     density: Callable[[np.ndarray], np.ndarray]) -> np.ndarray | float:
+    """``density`` at the points inside (lo, hi), 0 at the others and NaN at NaN.
+
+    A NaN point fails both support comparisons, so it starts as NaN rather
+    than reading as zero density.
+    """
     lam = np.asarray(lam, dtype=np.float64)
     scalar = lam.ndim == 0
     lam = np.atleast_1d(lam)
-    out = np.zeros_like(lam)
-    lo, hi = p.lambda_minus, p.lambda_plus
+    out = np.where(np.isnan(lam), np.nan, 0.0)
     m = (lam > lo) & (lam < hi)
-    x = lam[m]
-    bd = p.beta * p.d
-    out[m] = bd / (2.0 * np.pi) * np.sqrt((hi - x) * (x - lo)) / ((bd - x) * x)
-    out[np.isnan(lam)] = np.nan
+    out[m] = density(lam[m])
     return float(out[0]) if scalar else out
 
 
@@ -116,19 +127,13 @@ def kesten_mckay_density(lam: np.ndarray | float, d: float) -> np.ndarray:
     """Kesten-McKay density of squared d-regular adjacency spectra.
 
     Supported on [0, 4(d-1)/d]; edge values are 0 by convention (the upper
-    edge diverges only in the degenerate case d = 2).
+    edge diverges only in the degenerate case d = 2) and NaN points are NaN.
     """
     if not d > 1.0:
         raise ValueError(f"degree d must be > 1, got {d}")
-    lam = np.asarray(lam, dtype=np.float64)
-    scalar = lam.ndim == 0
-    lam = np.atleast_1d(lam)
-    out = np.zeros_like(lam)
-    hi = 4.0 * (d - 1.0) / d
-    m = (lam > 0.0) & (lam < hi)
-    x = lam[m]
-    out[m] = d * np.sqrt(4.0 * (d - 1.0) - d * x) / (2.0 * np.pi * (d - x) * np.sqrt(d * x))
-    return float(out[0]) if scalar else out
+    return _on_open_support(
+        lam, 0.0, 4.0 * (d - 1.0) / d,
+        lambda x: d * np.sqrt(4.0 * (d - 1.0) - d * x) / (2.0 * np.pi * (d - x) * np.sqrt(d * x)))
 
 
 def marchenko_pastur_density(lam: np.ndarray | float, beta: float) -> np.ndarray:
@@ -138,20 +143,14 @@ def marchenko_pastur_density(lam: np.ndarray | float, beta: float) -> np.ndarray
     ``sqrt((lam - lo)(hi - lam)) / (2 pi lam)``.  This is the law of the
     N-dimensional Gram spectrum; the K-dimensional variant carries an extra
     1/beta and a point mass at zero and is not what the finite matrices
-    produce here.
+    produce here.  NaN points are NaN.
     """
     if not beta >= 1.0:
         raise ValueError(f"load beta must be >= 1, got {beta}")
-    lam = np.asarray(lam, dtype=np.float64)
-    scalar = lam.ndim == 0
-    lam = np.atleast_1d(lam)
-    out = np.zeros_like(lam)
     lo = (1.0 - np.sqrt(beta)) ** 2
     hi = (1.0 + np.sqrt(beta)) ** 2
-    m = (lam > lo) & (lam < hi)
-    x = lam[m]
-    out[m] = np.sqrt((x - lo) * (hi - x)) / (2.0 * np.pi * x)
-    return float(out[0]) if scalar else out
+    return _on_open_support(lam, lo, hi,
+                            lambda x: np.sqrt((x - lo) * (hi - x)) / (2.0 * np.pi * x))
 
 
 def analytic_cdf(lam: np.ndarray | float, p: DensityParams) -> np.ndarray | float:

@@ -311,6 +311,20 @@ def per_edge_sweep(matrix, z, damping=0.5):
     return msg, np.full(n_nodes, complex(np.nan, np.nan)), sweep, change
 
 
+def test_scalar_rounding_matches_numpy_arrays():
+    # the orientation sweep's in-sums and divisions give the bits of the
+    # per-edge sweep's np.bincount and array division
+    rng = np.random.default_rng(3)
+    w = rng.standard_normal(2000) * 10.0 ** rng.uniform(-3, 3, 2000) \
+        + 1j * rng.standard_normal(2000) * 10.0 ** rng.uniform(-3, 3, 2000)
+    assert np.array_equal([cavity._inverse(complex(x)) for x in w], 1.0 / w)
+    for m in w[:50]:
+        for times in range(1, 15):
+            sums = np.bincount(np.tile([0, 1], times),
+                               weights=np.repeat(m, times).view(np.float64))
+            assert cavity._in_sum(complex(m), times) == complex(*sums)
+
+
 def assert_matches_reference(matrix, z):
     want = per_edge_sweep(matrix, z)
     got = cavity_on_graph(matrix, z)
@@ -364,6 +378,14 @@ class TestLiftedMessagePassing:
         monkeypatch.setattr(cavity, "MAX_SWEEPS", 3)
         assert_matches_reference(sample_matrix(30, 45, 2), 1.5 + 0.05j)
 
+    def test_unit_load_stall_matches_per_edge_sweep(self, monkeypatch):
+        # at beta = 1 one scalar serves both orientations
+        monkeypatch.setattr(cavity, "MAX_SWEEPS", 3)
+        m = sample_matrix(60, 60, 3)
+        assert_matches_reference(m, 1.5 + 0.05j)
+        run = cavity_on_graph(m, 1.5 + 0.05j)
+        assert run.sweeps == 3 and run.max_change >= cavity.GRAPH_TOL
+
     @pytest.mark.parametrize("z", ORACLE_Z)
     def test_column_regular_row_irregular_matrix_matches_per_edge_sweep(self, z):
         assert_matches_reference(column_regular_matrix(), z)
@@ -406,11 +428,25 @@ class TestLiftedMessagePassing:
         route = graph_route_density(matrix, np.array([1.0]))
         assert route.n_classes == 2 * matrix.nnz
 
+    @pytest.mark.parametrize("matrix", [
+        sample_matrix(1000, 1500, 2, seed=2),
+        sample_matrix(60, 60, 3, seed=2),
+    ], ids=["two_orientations", "unit_load"])
+    def test_regular_graphs_never_build_edge_arrays(self, matrix, monkeypatch):
+        def no_edges(matrix):
+            raise AssertionError("built the per-edge arrays")
+
+        monkeypatch.setattr(cavity, "_edges", no_edges)
+        route = graph_route_density(matrix, np.linspace(0.5, 2.5, 4))
+        assert route.n_failed == 0
+        with pytest.raises(AssertionError, match="per-edge"):
+            graph_route_density(mixed_degree_matrix(), np.array([1.0]))
+
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(d=st.integers(2, 4), extra=st.integers(0, 3), t=st.integers(1, 8),
+    @given(d=st.integers(2, 8), extra=st.integers(0, 6), t=st.integers(1, 8),
            bernoulli=st.booleans(), seed=st.integers(0, 2**32),
-           re=st.floats(-4.0, 4.0), im=st.floats(0.01, 2.0))
+           re=st.floats(-4.0, 4.0), im=st.floats(1e-3, 2.0))
     def test_lifted_equals_per_edge_sweep(self, d, extra, t, bernoulli, seed, re, im):
         # n = t d resources and k = t r users give row degree r = d + extra
         spec = EnsembleSpec(t * d, t * (d + extra), d, EntryMode.ONES, seed)

@@ -170,6 +170,12 @@ class TestKestenMcKay:
         with pytest.raises(ValueError):
             kesten_mckay_density(1.0, 1.0)
 
+    def test_nan_points_stay_nan(self):
+        vals = kesten_mckay_density(np.array([1.0, np.nan, 5.0]), 2.0)
+        assert vals[0] == kesten_mckay_density(1.0, 2.0)
+        assert np.isnan(vals[1]) and vals[2] == 0.0
+        assert math.isnan(kesten_mckay_density(math.nan, 2.0))
+
 
 class TestMarchenkoPastur:
     def test_sparse_density_approaches_dense_law(self):
@@ -205,6 +211,12 @@ class TestMarchenkoPastur:
     def test_load_validation(self):
         with pytest.raises(ValueError):
             marchenko_pastur_density(1.0, 0.5)
+
+    def test_nan_points_stay_nan(self):
+        vals = marchenko_pastur_density(np.array([1.0, np.nan, 9.0]), 1.5)
+        assert vals[0] == marchenko_pastur_density(1.0, 1.5)
+        assert np.isnan(vals[1]) and vals[2] == 0.0
+        assert math.isnan(marchenko_pastur_density(math.nan, 1.5))
 
 
 class TestAnalyticCdf:
