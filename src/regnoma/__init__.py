@@ -16,14 +16,13 @@ from .spectra import (DensityParams, analytic_cdf, analytic_density,
                       empirical_spectrum, kesten_mckay_density, ks_distance,
                       marchenko_pastur_density, spectrum_histogram)
 from .cavity import (GraphCavityMessages, GraphRouteDensity, cavity_on_graph,
-                     gram_density_from_adjacency_transform,
                      graph_route_density, stieltjes_inversion)
 from .throughput import (Curve, MCResult, SweepSpec, SweepVariable,
                          cover_wyner_bound, db_to_linear, dense_rs_throughput,
                          ebno_from_snr, finite_n_throughput_mc,
                          regular_throughput, snr_for_ebno, sweep)
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "__version__",
@@ -48,7 +47,6 @@ __all__ = [
     "GraphCavityMessages",
     "GraphRouteDensity",
     "cavity_on_graph",
-    "gram_density_from_adjacency_transform",
     "graph_route_density",
     "stieltjes_inversion",
     "Curve",

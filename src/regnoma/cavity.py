@@ -1,8 +1,8 @@
 """Cavity route to the Gram spectrum: fixed point, inversion, and graphs.
 
-On the infinite biregular tree the resolvent of the bipartite adjacency
-matrix closes on two scalars.  Written directly in the Gram spectral
-variable z, the cavity variances solve
+On the infinite biregular tree the cavity recursion closes on two
+scalars.  Written in the Gram spectral variable z, the cavity variances
+solve
 
     delta(z)       = 1 / (z - gamma / (1 - alpha * delta(z)))
     delta_tilde(z) = 1 / (z - beta  / (1 - alpha * delta(z)))
@@ -15,32 +15,44 @@ For Im z > 0 the physical branch has nonpositive imaginary parts.
 iteration first, then the closed-form quadratic root where the iteration
 stalls.  A point without a physical root is NaN, not an error.
 
-The same message-passing runs on a sampled finite matrix: each directed
-edge of the bipartite graph carries a message updated from the incoming
-messages at its tail, excluding the reverse edge.  Messages depend only on
-squared entries, so both entry modes produce identical variances.  The node
-variances estimate the diagonal of the adjacency resolvent; their mean
-estimates the adjacency Cauchy transform, which maps to the Gram transform
-through :func:`gram_density_from_adjacency_transform`.  A run that misses
-its stopping rule is NaN too, so both routes fail a point the same way.
+The graph route runs the cavity recursion on a sampled finite matrix, in
+the Gram variable w with Im w > 0.  The Gram resolvent (w - A A^T / d)^-1 is
+the resource block of H^-1, with
+
+    H = [[w I_N, -A / sqrt(d)], [-A^T / sqrt(d), I_K]],
+
+so each node v has the diagonal entry c_v of H (w on a resource, 1 on a
+user), and each directed edge of the bipartite graph carries the message
+
+    1 / (c_tail - (sum of the messages into the tail - the reverse message) / d),
+
+started at 1 / c_tail.  Messages depend only on squared entries, so both
+entry modes give identical values.  The node values 1 / (c_v - (sum in) / d)
+estimate the diagonal of H^-1, exact on a tree; their mean over the
+resource nodes estimates the Gram transform, so the density is
+-Im(mean) / pi, the sign convention of :func:`stieltjes_inversion`.  A run
+that misses its stopping rule is NaN too, so both routes fail a point the
+same way.
 
 A regular matrix (:attr:`~regnoma.ensembles.SparseSignatureMatrix.regular`)
-starts every message at 1/z and gives all nodes of a side one degree, so
-each orientation of the directed edges carries one value at every sweep:
-the sweep runs on two complex scalars, one when the row and column degrees
-agree.  Every other matrix is swept per directed edge with numpy arrays.
-The scalar sweep reproduces the per-edge sweep bit for bit, including the
-sweep count and the largest change, by three rounding rules.  Each node sum
-adds its in-degree copies of the message in turn, real and imaginary parts
-apart, as ``np.bincount`` does.  Each division rounds as numpy's complex
-division: Python's ``/`` differs from it in the last bit for 26% of
-200,000 random divisors.  The change goes through numpy's array
-``np.abs`` on a 2-element buffer: Python's ``abs``, numpy's scalar ``abs``
-and ``math.hypot`` each differ from it for ~38% of values.
+gives all nodes of a side one degree and one diagonal entry, so each
+orientation of the directed edges carries one value at every sweep: the
+sweep runs on two complex scalars.  Every other matrix is swept per
+directed edge with numpy arrays.  The scalar sweep reproduces the per-edge
+sweep bit for bit, including the sweep count and the largest change, by
+three rounding rules.  Each node sum adds its in-degree copies of the
+message in turn, real and imaginary parts apart, as ``np.bincount`` does.
+Each division rounds as numpy's complex division: Python's ``/`` differs
+from it in the last bit for 26% of 200,000 random divisors.  The change
+goes through numpy's array ``np.abs`` on a 2-element buffer: Python's
+``abs``, numpy's scalar ``abs`` and ``math.hypot`` each differ from it for
+~38% of values.  Both paths multiply by one precomputed 1/d, which Python
+and numpy round alike.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +65,6 @@ __all__ = [
     "GraphRouteDensity",
     "stieltjes_inversion",
     "cavity_on_graph",
-    "gram_density_from_adjacency_transform",
     "graph_route_density",
 ]
 
@@ -175,28 +186,26 @@ def stieltjes_inversion(lambda_grid: np.ndarray, p: DensityParams,
 
 @dataclass
 class GraphCavityMessages:
-    """Directed-edge messages and node variances on one graph.
+    """Directed-edge messages and node values on one graph.
 
     Nodes 0..N-1 are resources, N..N+K-1 are users.  Edge ``e < nnz`` runs
     from resource ``rows[e]`` to user ``cols[e]`` and edge ``nnz + e`` back;
-    ``messages[e]`` is the variance passed along edge ``e``.
-    ``mean_variance`` is the plug-in estimate of the adjacency Cauchy
-    transform at the run's z.  A run that stalled (``sweeps == MAX_SWEEPS``
-    and ``max_change >= GRAPH_TOL``) keeps its last messages, and its node
-    variances are NaN.
+    ``messages[e]`` is the value passed along edge ``e``.
+    ``node_variances`` estimate the diagonal of H^-1 at the run's w, and
+    ``gram_transform``, their mean over the resource nodes, estimates the
+    Gram transform tr (w - A A^T / d)^-1 / N.  A run that stalled
+    (``sweeps == MAX_SWEEPS`` and ``max_change >= GRAPH_TOL``) keeps its
+    last messages, and its node values and ``gram_transform`` are NaN.
     """
 
     messages: np.ndarray
     node_variances: np.ndarray
     sweeps: int
     max_change: float
-
-    @property
-    def mean_variance(self) -> complex:
-        return complex(self.node_variances.mean())
+    gram_transform: complex
 
 
-def cavity_on_graph(matrix: SparseSignatureMatrix, z: complex) -> GraphCavityMessages:
+def cavity_on_graph(matrix: SparseSignatureMatrix, w: complex) -> GraphCavityMessages:
     """Run damped synchronous message passing on the bipartite graph of A.
 
     Updates use squared entry values, which are 1 in both entry modes, so
@@ -204,16 +213,19 @@ def cavity_on_graph(matrix: SparseSignatureMatrix, z: complex) -> GraphCavityMes
     orientation messages as complex scalars (:func:`_orientation_sweep`);
     any other matrix sweeps every directed edge (:func:`_edge_sweep`).
     Both give the same bits, including the sweep count and the largest
-    change.  When the largest per-sweep message change is still at least
-    ``GRAPH_TOL`` after ``MAX_SWEEPS`` sweeps, the node variances (and so
-    ``mean_variance``) are a complex NaN; nothing is raised.
+    change.  A ``w`` that is not finite or has Im w <= 0 is rejected before
+    any sweep.  When the largest per-sweep message change is still at least
+    ``GRAPH_TOL`` after ``MAX_SWEEPS`` sweeps, the node values (and so
+    ``gram_transform``) are a complex NaN; nothing is raised.
     """
-    z = complex(z)
-    if not z.imag > 0.0:
-        raise ValueError(f"need Im z > 0, got z = {z}")
-    if matrix.regular:
-        return _orientation_sweep(matrix, z)
-    return _edge_sweep(matrix, z)
+    w = complex(w)
+    if not (cmath.isfinite(w) and w.imag > 0.0):
+        raise ValueError(f"need a finite w with Im w > 0, got w = {w}")
+    sweep = _orientation_sweep if matrix.regular else _edge_sweep
+    messages, values, sweeps, change = sweep(matrix, w)
+    return GraphCavityMessages(
+        messages=messages, node_variances=values, sweeps=sweeps, max_change=change,
+        gram_transform=complex(values[:matrix.spec.n_resources].mean()))
 
 
 def _edges(matrix: SparseSignatureMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -230,30 +242,38 @@ def _edges(matrix: SparseSignatureMatrix) -> tuple[np.ndarray, np.ndarray]:
     return src, (2 * dst[:, None] + np.arange(2)).ravel()
 
 
-def _edge_sweep(matrix: SparseSignatureMatrix, z: complex) -> GraphCavityMessages:
+Sweep = tuple[np.ndarray, np.ndarray, int, float]
+# a user's diagonal entry of H, complex so that Python and numpy subtract alike
+_USER = complex(1.0)
+
+
+def _edge_sweep(matrix: SparseSignatureMatrix, w: complex) -> Sweep:
     """One message per directed edge; the reverse of edge ``e`` is ``e +- nnz``."""
-    n_nodes = matrix.spec.n_resources + matrix.spec.n_users
+    spec = matrix.spec
+    n_nodes = spec.n_resources + spec.n_users
+    inv_d = 1.0 / spec.col_degree
     src, in_bin = _edges(matrix)
+    c = np.repeat([w, _USER], [spec.n_resources, spec.n_users])
+    c_src = c[src]
 
     def incoming(msg: np.ndarray) -> np.ndarray:
         sums = np.bincount(in_bin, weights=msg.view(np.float64), minlength=2 * n_nodes)
         # an empty weight array makes bincount return integers
         return sums.astype(np.float64, copy=False).view(complex)
 
-    msg = np.full(2 * matrix.nnz, 1.0 / z, dtype=complex)
+    msg = 1.0 / c_src
     change = np.inf
     for sweep in range(1, MAX_SWEEPS + 1):
-        prop = 1.0 / (z - (incoming(msg)[src] - np.roll(msg, matrix.nnz)))
+        prop = 1.0 / (c_src - (incoming(msg)[src] - np.roll(msg, matrix.nnz)) * inv_d)
         new = (1.0 - DAMPING) * msg + DAMPING * prop
         change = float(np.abs(new - msg).max(initial=0.0))
         msg = new
         if change < GRAPH_TOL:
-            variances = 1.0 / (z - incoming(msg))
+            values = 1.0 / (c - incoming(msg) * inv_d)
             break
     else:
-        variances = np.full(n_nodes, complex(np.nan, np.nan))
-    return GraphCavityMessages(messages=msg, node_variances=variances, sweeps=sweep,
-                               max_change=change)
+        values = np.full(n_nodes, complex(np.nan, np.nan))
+    return msg, values, sweep, change
 
 
 def _in_sum(message: complex, times: int) -> complex:
@@ -273,65 +293,39 @@ def _inverse(w: complex) -> complex:
     return complex(_ONE / np.complex128(w))
 
 
-def _orientation_sweep(matrix: SparseSignatureMatrix, z: complex) -> GraphCavityMessages:
+def _orientation_sweep(matrix: SparseSignatureMatrix, w: complex) -> Sweep:
     """The per-edge sweep of a regular matrix on its two orientation messages.
 
-    Every resource has ``row`` in-edges and every user ``col``, and all
-    messages start at 1/z, so all resource-to-user edges carry one value,
-    ``down``, and all user-to-resource edges another, ``up``; at
-    ``row == col`` the two are equal.  They are plain complex scalars.  The
-    in-sums add copies in turn (:func:`_in_sum`), the divisions round as
-    numpy's (:func:`_inverse`), and the change goes through numpy's array
-    ``np.abs``, whose rounding its scalar ``abs`` does not share, so the
-    result is the per-edge sweep's bit for bit.
+    Every resource has ``row`` in-edges and every user ``col``, and every
+    message starts at one over the diagonal entry of its tail, so all
+    resource-to-user edges carry one value, ``down``, and all user-to-resource
+    edges another, ``up``.  They are plain complex scalars.  The in-sums add
+    copies in turn (:func:`_in_sum`), the divisions round as numpy's
+    (:func:`_inverse`), the product with 1/d rounds alike in both, and the
+    change goes through numpy's array ``np.abs``, whose rounding its scalar
+    ``abs`` does not share, so the result is the per-edge sweep's bit for bit.
     """
     spec = matrix.spec
     row, col = spec.row_degree, spec.col_degree
-    down = up = 1.0 / z
+    inv_d = 1.0 / col
+    down, up = _inverse(w), _inverse(_USER)
     diff = np.empty(2, dtype=complex)
     mag = np.empty(2)
     keep, step = 1.0 - DAMPING, DAMPING
     for sweep in range(1, MAX_SWEEPS + 1):
-        new_down = keep * down + step * _inverse(z - (_in_sum(up, row) - up))
-        new_up = (new_down if row == col else
-                  keep * up + step * _inverse(z - (_in_sum(down, col) - down)))
+        new_down = keep * down + step * _inverse(w - (_in_sum(up, row) - up) * inv_d)
+        new_up = keep * up + step * _inverse(_USER - (_in_sum(down, col) - down) * inv_d)
         diff[:] = new_down - down, new_up - up
         np.abs(diff, out=mag)
         down, up = new_down, new_up
         if mag[0] < GRAPH_TOL and mag[1] < GRAPH_TOL:
-            variances = np.repeat([_inverse(z - _in_sum(up, row)),
-                                   _inverse(z - _in_sum(down, col))],
-                                  [spec.n_resources, spec.n_users])
+            values = np.repeat([_inverse(w - _in_sum(up, row) * inv_d),
+                                _inverse(_USER - _in_sum(down, col) * inv_d)],
+                               [spec.n_resources, spec.n_users])
             break
     else:
-        variances = np.full(spec.n_resources + spec.n_users, complex(np.nan, np.nan))
-    return GraphCavityMessages(messages=np.repeat([down, up], matrix.nnz),
-                               node_variances=variances, sweeps=sweep,
-                               max_change=float(mag.max()))
-
-
-def gram_density_from_adjacency_transform(g_adj: complex, z: complex,
-                                          p: DensityParams) -> complex:
-    """Map the adjacency Cauchy transform to the Gram transform.
-
-    Let G_adj be the Cauchy transform of the (N+K)-node bipartite adjacency
-    law at ``z``.  Squaring maps it to the law of the squared adjacency,
-    ``G_sq(z^2) = G_adj(z) / z``, whose spectrum holds each Gram eigenvalue
-    (times d) twice plus K - N zeros.  Removing the zero atom, reweighting
-    to N dimensions and rescaling by d gives the Gram transform at
-    ``w = z^2 / d``:
-
-        G(w) = (1 + beta)/2 * d * G_adj(z) / z - (beta - 1) * d / (2 z^2)
-
-    The large-w expansion is 1/w + beta/w^2, the unit mass and trace of the
-    Gram law.  At beta = 1 the zero-atom correction vanishes.  ``z = 0``
-    (the pole of the correction) is rejected.
-    """
-    z = complex(z)
-    if z == 0.0:
-        raise ValueError("z = 0 is the pole of the zero-atom correction")
-    beta, d = p.beta, p.d
-    return (1.0 + beta) / 2.0 * d * g_adj / z - (beta - 1.0) * d / (2.0 * z * z)
+        values = np.full(spec.n_resources + spec.n_users, complex(np.nan, np.nan))
+    return np.repeat([down, up], matrix.nnz), values, sweep, float(mag.max())
 
 
 @dataclass(frozen=True)
@@ -341,8 +335,7 @@ class GraphRouteDensity:
     ``density`` is NaN where the messages did not converge; ``sweeps``
     holds the sweeps run at each point (``MAX_SWEEPS`` where they stalled)
     and ``n_classes`` the messages each sweep updated: one per orientation
-    on a regular matrix, one in all when its row and column degrees agree,
-    and one per directed edge otherwise.
+    on a regular matrix and one per directed edge otherwise.
     """
 
     density: np.ndarray
@@ -369,34 +362,25 @@ def graph_route_density(matrix: SparseSignatureMatrix,
                         epsilon: float = GRAPH_EPSILON) -> GraphRouteDensity:
     """Gram density estimate from message passing on one sampled matrix.
 
-    Each Gram point ``lam`` maps to the adjacency point
-    ``z = sqrt(d (lam + i eps))`` on the principal branch, so the transform
-    lands exactly at ``w = lam + i eps``.  The default ``epsilon`` trades
-    the Lorentzian smoothing bias against finite-size roughness; it must be
-    finite and positive (:func:`check_graph_epsilon`), and a grid with a
-    non-finite point is rejected before any point runs.  A point whose
-    messages do not converge is NaN (:func:`cavity_on_graph`) and the batch
-    continues.
+    Each grid point ``lam`` runs :func:`cavity_on_graph` at
+    ``w = lam + i eps`` and reads ``-Im gram_transform / pi``.  The default
+    ``epsilon`` trades the Lorentzian smoothing bias against finite-size
+    roughness; it must be finite and positive (:func:`check_graph_epsilon`),
+    and a grid with a non-finite point is rejected before any point runs.
+    A point whose messages do not converge is NaN and the batch continues.
     """
     check_graph_epsilon(epsilon)
     grid = np.atleast_1d(np.asarray(lambda_grid, dtype=np.float64))
     if not np.isfinite(grid).all():
         raise ValueError("every grid point must be finite")
-    p = DensityParams.from_ensemble(matrix.spec)
     out = np.empty(grid.shape)
     sweeps = np.empty(grid.shape, dtype=np.int64)
     for i, lam in enumerate(grid):
-        z = complex(np.sqrt(complex(p.d * lam, p.d * epsilon)))
         # one run per point: benchmarks/bench_trace.py counts these calls and
         # reads a scalar sweep count from each, so a grid-batched run waits
         # for a change to the benchmark
-        run = cavity_on_graph(matrix, z)
-        g = gram_density_from_adjacency_transform(run.mean_variance, z, p)
-        out[i] = -g.imag / np.pi
+        run = cavity_on_graph(matrix, complex(lam, epsilon))
+        out[i] = -run.gram_transform.imag / np.pi
         sweeps[i] = run.sweeps
-    spec = matrix.spec
-    if matrix.regular:
-        n_classes = 1 if spec.row_degree == spec.col_degree else 2
-    else:
-        n_classes = 2 * matrix.nnz
+    n_classes = 2 if matrix.regular else 2 * matrix.nnz
     return GraphRouteDensity(density=out, sweeps=sweeps, n_classes=n_classes)

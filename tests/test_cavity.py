@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from regnoma import cavity
 from regnoma.cavity import (ITER_TOL, _cauchy_transform, _iterate,
                             _physical_root, cavity_on_graph,
-                            gram_density_from_adjacency_transform,
                             graph_route_density, stieltjes_inversion)
 from regnoma.ensembles import (EnsembleSpec, EntryMode, GenerationError,
                                SparseSignatureMatrix, generate_irregular,
@@ -213,13 +212,15 @@ def tree_matrix():
         values=np.ones(4))
 
 
-def dense_resolvent_diagonal(matrix, z):
+def dense_resolvent_diagonal(matrix, w):
+    """Diagonal of H^-1, H = [[w I_N, -S / sqrt(d)], [-S^T / sqrt(d), I_K]], S = |A|."""
     n, k = matrix.spec.n_resources, matrix.spec.n_users
-    adj = np.zeros((n + k, n + k))
-    support = np.abs(matrix.to_dense())
-    adj[:n, n:] = support
-    adj[n:, :n] = support.T
-    return np.diag(np.linalg.inv(z * np.eye(n + k) - adj))
+    support = np.abs(matrix.to_dense()) / np.sqrt(matrix.spec.col_degree)
+    h = np.eye(n + k, dtype=complex)
+    h[:n, :n] *= w
+    h[:n, n:] = -support
+    h[n:, :n] = -support.T
+    return np.diag(np.linalg.inv(h))
 
 
 class TestCavityOnGraph:
@@ -238,21 +239,37 @@ class TestCavityOnGraph:
         b = cavity_on_graph(rad, z)
         assert np.array_equal(a.messages, b.messages)
 
-    def test_exact_on_trees(self, monkeypatch):
+    @pytest.mark.parametrize("w", [1.0 + 0.05j, 0.3 + 1e-3j, -0.7 + 0.4j, 5.0 + 2.0j])
+    def test_exact_on_trees(self, w, monkeypatch):
+        # the node values are the diagonal of H^-1, and the resource values
+        # that of the Gram resolvent (w - S S^T / d)^-1, its Schur complement
         monkeypatch.setattr(cavity, "GRAPH_TOL", 1e-14)
-        z = 1.0 + 0.05j
-        msgs = cavity_on_graph(tree_matrix(), z)
-        diag = dense_resolvent_diagonal(tree_matrix(), z)
-        assert np.abs(msgs.node_variances - diag).max() < 1e-12
+        m = tree_matrix()
+        msgs = cavity_on_graph(m, w)
+        assert np.abs(msgs.node_variances - dense_resolvent_diagonal(m, w)).max() < 1e-12
+        support = np.abs(m.to_dense())
+        gram = support @ support.T / m.spec.col_degree
+        gram = np.diag(np.linalg.inv(w * np.eye(2) - gram))
+        assert np.abs(msgs.node_variances[:2] - gram).max() < 1e-12
+        assert abs(msgs.gram_transform - gram.mean()) < 1e-12
+
+    def test_large_w_carries_unit_mass_and_trace(self):
+        # w G(w) = 1 + beta / w + m2 / w^2 + ..., m2 the second moment of
+        # the sampled Gram spectrum
+        m = sample_matrix(40, 60, 2, seed=2)
+        m2 = float(np.mean(np.linalg.eigvalsh(m.gram()) ** 2))
+        for w in (1e3 + 1j, 1e4 + 1j):
+            g = cavity_on_graph(m, w).gram_transform
+            assert abs(w * g - 1.0 - 1.5 / w) < 2.0 * m2 / abs(w) ** 2
 
     def test_small_loopy_instance_against_dense_resolvent(self):
         # the 3x3, d=2 ensemble is a single 6-cycle; away from its spectrum
         # the tree approximation is within 1e-2 (ONES mode keeps the signed
-        # and support adjacencies identical)
+        # and support matrices identical)
         m = sample_matrix(3, 3, 2, EntryMode.ONES, seed=1)
-        z = 3.0 + 0.05j
-        msgs = cavity_on_graph(m, z)
-        diag = dense_resolvent_diagonal(m, z)
+        w = 4.5 + 0.15j
+        msgs = cavity_on_graph(m, w)
+        diag = dense_resolvent_diagonal(m, w)
         assert np.abs(msgs.node_variances - diag).max() < 1e-2
 
     def test_orientation_classes_are_symmetric_on_biregular_graphs(self):
@@ -276,48 +293,70 @@ class TestCavityOnGraph:
         assert np.isfinite(msgs.messages).all()
         assert np.isnan(msgs.node_variances.real).all()
         assert np.isnan(msgs.node_variances.imag).all()
-        assert cmath.isnan(msgs.mean_variance)
+        assert cmath.isnan(msgs.gram_transform)
 
-    def test_requires_upper_half_plane(self):
-        with pytest.raises(ValueError):
-            cavity_on_graph(sample_matrix(30, 45, 2), 1.5 - 0.05j)
+    @pytest.mark.parametrize("w", [1.5 - 0.05j, 1.5 + 0.0j, complex(math.nan, 1.0),
+                                   complex(1.0, math.nan), complex(math.inf, 1.0),
+                                   complex(1.0, math.inf)])
+    @pytest.mark.parametrize("regular", [True, False])
+    def test_rejects_points_off_the_open_upper_half_plane(self, w, regular, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("swept before the point was checked")
+
+        monkeypatch.setattr(cavity, "_orientation_sweep", no_work)
+        monkeypatch.setattr(cavity, "_edge_sweep", no_work)
+        m = (sample_matrix(30, 45, 2) if regular
+             else generate_irregular(EnsembleSpec(30, 45, 2, seed=0)))
+        with pytest.raises(ValueError, match="Im w > 0"):
+            cavity_on_graph(m, w)
 
 
-def per_edge_sweep(matrix, z, damping=0.5):
+def node_recursion(matrix, c, scale, damping=0.5):
     """Reference message passing that updates every directed edge per sweep.
 
+    Node v has the diagonal entry ``c[v]``; the message along an edge is
+    1 / (c_tail - (sum in - reverse) * scale), started at 1 / c_tail.
     Stops by ``cavity.GRAPH_TOL`` and ``cavity.MAX_SWEEPS`` as read at call
-    time.  Returns (messages, node variances, sweeps, max change); a run
-    that does not converge keeps its last messages and has NaN variances.
+    time.  Returns (messages, node values, sweeps, max change); a run that
+    does not converge keeps its last messages and has NaN node values.
     """
-    n, k = matrix.spec.n_resources, matrix.spec.n_users
-    n_nodes = n + k
+    n = matrix.spec.n_resources
+    n_nodes = c.size
     n_edges = matrix.nnz
-    src = np.concatenate([matrix.rows, matrix.cols + n])
-    dst = np.concatenate([matrix.cols + n, matrix.rows])
+    src = np.concatenate([matrix.rows, matrix.cols + n]).astype(np.int64)
+    dst = np.concatenate([matrix.cols + n, matrix.rows]).astype(np.int64)
     rev = np.concatenate([np.arange(n_edges, 2 * n_edges), np.arange(n_edges)])
-    msg = np.full(2 * n_edges, 1.0 / z, dtype=complex)
+    msg = 1.0 / c[src]
     for sweep in range(1, cavity.MAX_SWEEPS + 1):
         incoming = (np.bincount(dst, weights=msg.real, minlength=n_nodes)
                     + 1j * np.bincount(dst, weights=msg.imag, minlength=n_nodes))
-        prop = 1.0 / (z - (incoming[src] - msg[rev]))
+        prop = 1.0 / (c[src] - (incoming[src] - msg[rev]) * scale)
         new = (1.0 - damping) * msg + damping * prop
         change = float(np.max(np.abs(new - msg), initial=0.0))
         msg = new
         if change < cavity.GRAPH_TOL:
             incoming = (np.bincount(dst, weights=msg.real, minlength=n_nodes)
                         + 1j * np.bincount(dst, weights=msg.imag, minlength=n_nodes))
-            return msg, 1.0 / (z - incoming), sweep, change
+            return msg, 1.0 / (c - incoming * scale), sweep, change
     return msg, np.full(n_nodes, complex(np.nan, np.nan)), sweep, change
 
 
+def per_edge_sweep(matrix, w):
+    """The reference recursion on H: w on a resource, 1 on a user, scale 1/d."""
+    n, k = matrix.spec.n_resources, matrix.spec.n_users
+    c = np.concatenate([np.full(n, w, dtype=complex), np.ones(k, dtype=complex)])
+    return node_recursion(matrix, c, 1.0 / matrix.spec.col_degree)
+
+
 def test_scalar_rounding_matches_numpy_arrays():
-    # the orientation sweep's in-sums and divisions give the bits of the
-    # per-edge sweep's np.bincount and array division
+    # the orientation sweep's in-sums, divisions and products with 1/d give
+    # the bits of the per-edge sweep's np.bincount and array arithmetic
     rng = np.random.default_rng(3)
     w = rng.standard_normal(2000) * 10.0 ** rng.uniform(-3, 3, 2000) \
         + 1j * rng.standard_normal(2000) * 10.0 ** rng.uniform(-3, 3, 2000)
     assert np.array_equal([cavity._inverse(complex(x)) for x in w], 1.0 / w)
+    for d in (2, 3, 7, 1.3057):
+        assert np.array_equal([complex(x) * (1.0 / d) for x in w], w * (1.0 / d))
     for m in w[:50]:
         for times in range(1, 15):
             sums = np.bincount(np.tile([0, 1], times),
@@ -325,9 +364,9 @@ def test_scalar_rounding_matches_numpy_arrays():
             assert cavity._in_sum(complex(m), times) == complex(*sums)
 
 
-def assert_matches_reference(matrix, z):
-    want = per_edge_sweep(matrix, z)
-    got = cavity_on_graph(matrix, z)
+def assert_matches_reference(matrix, w):
+    want = per_edge_sweep(matrix, w)
+    got = cavity_on_graph(matrix, w)
     assert np.array_equal(got.messages, want[0])
     assert np.array_equal(got.node_variances, want[1], equal_nan=True)
     assert got.sweeps == want[2]
@@ -351,72 +390,74 @@ def column_regular_matrix():
                                  rows=rows, cols=cols, values=np.ones(rows.size))
 
 
-ORACLE_Z = (1.5 + 0.05j, 0.4 + 0.01j, 2.2 + 0.3j, -1.0 + 0.2j)
+ORACLE_W = (1.5 + 0.05j, 0.4 + 0.01j, 2.2 + 0.3j, -1.0 + 0.2j)
 
 
 class TestLiftedMessagePassing:
     @pytest.mark.parametrize("n,k,d", [(30, 45, 2), (100, 300, 4), (200, 300, 2),
                                        (60, 60, 3)])
-    @pytest.mark.parametrize("z", ORACLE_Z)
-    def test_biregular_graphs_match_per_edge_sweep(self, n, k, d, z):
-        assert_matches_reference(sample_matrix(n, k, d, seed=5), z)
+    @pytest.mark.parametrize("w", ORACLE_W)
+    def test_biregular_graphs_match_per_edge_sweep(self, n, k, d, w):
+        assert_matches_reference(sample_matrix(n, k, d, seed=5), w)
 
     @pytest.mark.parametrize("n,k", [(50, 75), (200, 300)])
-    @pytest.mark.parametrize("z", ORACLE_Z)
-    def test_bernoulli_graphs_match_per_edge_sweep(self, n, k, z):
+    @pytest.mark.parametrize("w", ORACLE_W)
+    def test_bernoulli_graphs_match_per_edge_sweep(self, n, k, w):
         spec = EnsembleSpec(n, k, 2, EntryMode.RADEMACHER, seed=5)
-        assert_matches_reference(generate_irregular(spec), z)
+        assert_matches_reference(generate_irregular(spec), w)
 
-    @pytest.mark.parametrize("z", ORACLE_Z)
-    def test_tree_and_mixed_degree_file_match_per_edge_sweep(self, z, monkeypatch):
+    @pytest.mark.parametrize("w", ORACLE_W)
+    def test_tree_and_mixed_degree_file_match_per_edge_sweep(self, w, monkeypatch):
         with monkeypatch.context() as tight:
             tight.setattr(cavity, "GRAPH_TOL", 1e-14)
-            assert_matches_reference(tree_matrix(), z)
-        assert_matches_reference(mixed_degree_matrix(), z)
+            assert_matches_reference(tree_matrix(), w)
+        assert_matches_reference(mixed_degree_matrix(), w)
 
     def test_stall_matches_per_edge_sweep(self, monkeypatch):
         monkeypatch.setattr(cavity, "MAX_SWEEPS", 3)
         assert_matches_reference(sample_matrix(30, 45, 2), 1.5 + 0.05j)
 
     def test_unit_load_stall_matches_per_edge_sweep(self, monkeypatch):
-        # at beta = 1 one scalar serves both orientations
+        # at beta = 1 both sides have one degree but differ in their diagonal entry
         monkeypatch.setattr(cavity, "MAX_SWEEPS", 3)
         m = sample_matrix(60, 60, 3)
         assert_matches_reference(m, 1.5 + 0.05j)
         run = cavity_on_graph(m, 1.5 + 0.05j)
         assert run.sweeps == 3 and run.max_change >= cavity.GRAPH_TOL
 
-    @pytest.mark.parametrize("z", ORACLE_Z)
-    def test_column_regular_row_irregular_matrix_matches_per_edge_sweep(self, z):
-        assert_matches_reference(column_regular_matrix(), z)
+    @pytest.mark.parametrize("w", ORACLE_W)
+    def test_column_regular_row_irregular_matrix_matches_per_edge_sweep(self, w):
+        assert_matches_reference(column_regular_matrix(), w)
 
     def test_matrix_without_entries_gives_isolated_node_variances(self):
         empty = np.zeros(0, dtype=np.int64)
         m = SparseSignatureMatrix(EnsembleSpec(200, 300, 2), rows=empty, cols=empty,
                                   values=np.zeros(0))
-        z = 1.0 + 0.1j
-        run = cavity_on_graph(m, z)
+        w = 1.0 + 0.1j
+        run = cavity_on_graph(m, w)
         assert run.sweeps == 1 and run.max_change == 0.0
-        assert np.all(run.node_variances == 1.0 / z)
-        # the mean of 500 equal values may round in its last bit
-        assert run.mean_variance == pytest.approx(1.0 / z, rel=1e-15)
-        assert_matches_reference(m, z)
+        assert np.all(run.node_variances[:200] == 1.0 / w)
+        assert np.all(run.node_variances[200:] == 1.0)
+        # the mean of 200 equal values may round in its last bit
+        assert run.gram_transform == pytest.approx(1.0 / w, rel=1e-15)
+        assert_matches_reference(m, w)
 
     def test_list_built_matrix_without_entries(self):
         m = SparseSignatureMatrix(EnsembleSpec(200, 300, 2), [], [], [])
-        z = 1.0 + 0.1j
-        run = cavity_on_graph(m, z)
+        w = 1.0 + 0.1j
+        run = cavity_on_graph(m, w)
         assert run.sweeps == 1 and run.messages.size == 0
-        assert np.all(run.node_variances == 1.0 / z)
+        assert np.all(run.node_variances[:200] == 1.0 / w)
+        assert np.all(run.node_variances[200:] == 1.0)
 
-    @pytest.mark.parametrize("n,k,d,classes", [
-        (1000, 1500, 2, 2),   # beta = 1.5, one class per orientation
-        (100, 300, 4, 2),     # beta = 3
-        (60, 60, 3, 1),       # beta = 1: both orientations look alike
+    @pytest.mark.parametrize("n,k,d", [
+        (1000, 1500, 2),   # beta = 1.5
+        (100, 300, 4),     # beta = 3
+        (60, 60, 3),       # beta = 1: both sides have one degree, but w against 1
     ])
-    def test_class_counts_on_biregular_graphs(self, n, k, d, classes):
+    def test_class_counts_on_biregular_graphs(self, n, k, d):
         route = graph_route_density(sample_matrix(n, k, d, seed=2), np.array([1.0]))
-        assert route.n_classes == classes
+        assert route.n_classes == 2
 
     @pytest.mark.parametrize("matrix", [
         generate_irregular(EnsembleSpec(200, 300, 2, EntryMode.ONES, seed=1)),
@@ -462,59 +503,50 @@ class TestLiftedMessagePassing:
             assert_matches_reference(m, complex(re, im))
 
 
-def empirical_transform(eigs, w):
-    return complex(np.mean(1.0 / (w - eigs)))
+def adjacency_route_density(matrix, grid, epsilon):
+    """The graph route before it ran in the Gram variable, as a test-only reference.
+
+    Runs the recursion of the bipartite adjacency matrix, with z on every
+    node and no 1/d, at z = sqrt(d (lam + i eps)), and maps the mean node
+    value G_adj over all N + K nodes to the Gram transform at lam + i eps:
+    G = (1 + beta)/2 * d * G_adj / z - (beta - 1) * d / (2 z^2).
+    """
+    n, k = matrix.spec.n_resources, matrix.spec.n_users
+    beta, d = k / n, matrix.spec.col_degree
+    out = []
+    for lam in grid:
+        z = complex(np.sqrt(complex(d * lam, d * epsilon)))
+        _, values, _, _ = node_recursion(matrix, np.full(n + k, z), 1.0)
+        g = (1.0 + beta) / 2.0 * d * values.mean() / z - (beta - 1.0) * d / (2.0 * z * z)
+        out.append(-g.imag / math.pi)
+    return np.array(out)
 
 
-class TestGramTransform:
-    def test_exact_on_empirical_measures(self):
-        # eigendecompose one instance both ways; the identity is exact on
-        # the paired empirical laws of the signed matrix
-        m = sample_matrix(40, 60, 2, seed=2)
-        n, k = 40, 60
-        adj = np.zeros((n + k, n + k))
-        dense = m.to_dense()
-        adj[:n, n:] = dense
-        adj[n:, :n] = dense.T
-        adj_eigs = np.linalg.eigvalsh(adj)
-        gram_eigs = np.linalg.eigvalsh(m.gram())
-        p = DensityParams(beta=1.5, d=2.0)
-        for z in (2.2 + 0.7j, 1.4 + 0.3j, 3.0 + 1.0j):
-            g_adj = empirical_transform(adj_eigs, z)
-            got = gram_density_from_adjacency_transform(g_adj, z, p)
-            want = empirical_transform(gram_eigs, z * z / p.d)
-            assert abs(got - want) < 1e-12
-
-    def test_unit_load_reduction(self):
-        # at beta = 1 the zero-atom correction vanishes
-        p = DensityParams(beta=1.0, d=3.0)
-        z = 1.7 + 0.4j
-        g_adj = 0.31 - 0.22j
-        got = gram_density_from_adjacency_transform(g_adj, z, p)
-        assert abs(got - p.d * g_adj / z) < 1e-14
-
-    def test_large_w_asymptotics(self):
-        m = sample_matrix(40, 60, 2, seed=2)
-        n, k = 40, 60
-        adj = np.zeros((n + k, n + k))
-        dense = m.to_dense()
-        adj[:n, n:] = dense
-        adj[n:, :n] = dense.T
-        adj_eigs = np.linalg.eigvalsh(adj)
-        gram_eigs = np.linalg.eigvalsh(m.gram())
-        m2 = float(np.mean(gram_eigs ** 2))
-        p = DensityParams(beta=1.5, d=2.0)
-        for w_abs in (1e3, 1e4):
-            z = np.sqrt(p.d * (w_abs + 1j))
-            w = z * z / p.d
-            got = gram_density_from_adjacency_transform(
-                empirical_transform(adj_eigs, z), z, p)
-            resid = abs(w * got - 1.0 - p.beta / w)
-            assert resid < 2.0 * m2 / abs(w) ** 2
-
-    def test_rejects_origin(self):
-        with pytest.raises(ValueError):
-            gram_density_from_adjacency_transform(0.1 - 0.1j, 0.0, P_DEFAULT)
+class TestAdjacencyRoute:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(d=st.integers(2, 4), extra=st.integers(0, 4), t=st.integers(20, 120),
+           bernoulli=st.booleans(), seed=st.integers(0, 2**32),
+           u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+           log_eps=st.floats(-3.0, -1.0))
+    def test_gram_route_agrees_with_adjacency_route(self, d, extra, t, bernoulli,
+                                                     seed, u, log_eps):
+        # the two recursions share their fixed point; only where each run
+        # stops differs
+        spec = EnsembleSpec(t * d, t * (d + extra), d, EntryMode.ONES, seed)
+        if bernoulli:
+            m = generate_irregular(spec)
+        else:
+            try:
+                m = generate_regular(spec)
+            except GenerationError:
+                assume(False)
+        p = DensityParams.from_ensemble(spec)
+        grid = p.lambda_minus - 0.5 + np.array(u) * (p.lambda_plus - p.lambda_minus + 1.0)
+        eps = 10.0 ** log_eps
+        got = graph_route_density(m, grid, eps)
+        assert got.n_failed == 0
+        assert np.abs(got.density - adjacency_route_density(m, grid, eps)).max() < 1e-6
 
 
 class TestGraphRouteDensity:
@@ -530,15 +562,22 @@ class TestGraphRouteDensity:
 
     def test_diagnostics_match_per_point_runs(self):
         m = sample_matrix(100, 150, 2, seed=3)
-        p = DensityParams.from_ensemble(m.spec)
         grid = np.linspace(0.5, 2.5, 5)
         est = graph_route_density(m, grid, epsilon=1e-2)
         for lam, rho, sweeps in zip(grid, est.density, est.sweeps):
-            z = np.sqrt(complex(p.d * lam, p.d * 1e-2))
-            run = cavity_on_graph(m, z)
-            g = gram_density_from_adjacency_transform(run.mean_variance, z, p)
-            assert rho == -g.imag / math.pi
+            run = cavity_on_graph(m, complex(lam, 1e-2))
+            assert rho == -run.gram_transform.imag / math.pi
             assert sweeps == run.sweeps
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("regular", [True, False])
+    def test_huge_epsilon_stays_finite(self, regular):
+        # w = 1 + 1e308 i is finite; the route divides by it and nothing else
+        m = (sample_matrix(30, 45, 2) if regular
+             else generate_irregular(EnsembleSpec(30, 45, 2, seed=0)))
+        route = graph_route_density(m, np.array([1.0]), epsilon=1e308)
+        assert route.n_failed == 0 and np.isfinite(route.density).all()
+        assert 0.0 <= route.density[0] < 1e-300
 
     def test_stalled_points_are_nan_and_the_batch_continues(self, monkeypatch):
         # one sweep from uniform messages converges nowhere; with the default

@@ -55,7 +55,7 @@ class TestEntryPoint:
     def test_installed_script_reports_version(self):
         proc = run_python("-m", "regnoma.cli", "--version")
         assert proc.returncode == 0
-        assert "regnoma 0.7.0" in proc.stdout
+        assert "regnoma 0.8.0" in proc.stdout
 
     def test_import_leaves_scipy_unloaded(self):
         # every CLI run pays the start-up: scipy.stats costs about a second to
@@ -175,9 +175,9 @@ class TestCavity:
 
     @pytest.mark.parametrize("argv,classes,sha256", [
         (["--beta", "1.5", "--d", "2", "--graph-n", "200"], 2,
-         "c281450b6eda47248e781fb2cf11104cf435f774de613d5367a8353a2cbc7930"),
-        (["--beta", "1", "--d", "3", "--graph-n", "60"], 1,
-         "2a9239d604a785e9e8d0f510367ef3dc8e1750c4dcc6c8230ddde7e7138b556c"),
+         "532c2275fdacaa17dae2cc0b9affbb6477eb0b2a054bcc9411bb16bc82087d67"),
+        (["--beta", "1", "--d", "3", "--graph-n", "60"], 2,
+         "6ffe71e6b984d9b8bde70857cf3e49bba181f6a755aaa4cb9ce2e6b24682fe5e"),
     ])
     def test_graph_route_bytes_are_pinned(self, tmp_path, argv, classes, sha256):
         # the class sweep must reproduce the per-edge sweep bit for bit, and
