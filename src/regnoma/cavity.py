@@ -37,22 +37,16 @@ same way.
 A regular matrix (:attr:`~regnoma.ensembles.SparseSignatureMatrix.regular`)
 gives all nodes of a side one degree and one diagonal entry, so each
 orientation of the directed edges carries one value at every sweep: the
-sweep runs on two complex scalars.  Every other matrix is swept per
-directed edge with numpy arrays.  The scalar sweep reproduces the per-edge
-sweep bit for bit, including the sweep count and the largest change, by
-three rounding rules.  Each node sum adds its in-degree copies of the
-message in turn, real and imaginary parts apart, as ``np.bincount`` does.
-Each division rounds as numpy's complex division: Python's ``/`` differs
-from it in the last bit for 26% of 200,000 random divisors.  The change
-goes through numpy's array ``np.abs`` on a 2-element buffer: Python's
-``abs``, numpy's scalar ``abs`` and ``math.hypot`` each differ from it for
-~38% of values.  Both paths multiply by one precomputed 1/d, which Python
-and numpy round alike.
+sweep runs on two (points,) arrays, and each point leaves them at the
+sweep that stops it.  Every other matrix is swept per directed edge, point
+by point.  Both run the same numpy array arithmetic, so they agree bit for
+bit, sweep counts and largest changes included, by one rounding rule: each
+node sum adds its in-degree copies of the message in turn, as
+``np.bincount`` does.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,46 +180,56 @@ def stieltjes_inversion(lambda_grid: np.ndarray, p: DensityParams,
 
 @dataclass
 class GraphCavityMessages:
-    """Directed-edge messages and node values on one graph.
+    """Messages and node values of one run; ``np.shape(w)`` leads every per-point field.
 
-    Nodes 0..N-1 are resources, N..N+K-1 are users.  Edge ``e < nnz`` runs
-    from resource ``rows[e]`` to user ``cols[e]`` and edge ``nnz + e`` back;
-    ``messages[e]`` is the value passed along edge ``e``.
-    ``node_variances`` estimate the diagonal of H^-1 at the run's w, and
-    ``gram_transform``, their mean over the resource nodes, estimates the
-    Gram transform tr (w - A A^T / d)^-1 / N.  A run that stalled
-    (``sweeps == MAX_SWEEPS`` and ``max_change >= GRAPH_TOL``) keeps its
-    last messages, and its node values and ``gram_transform`` are NaN.
+    ``messages[..., 0, e]`` runs along edge ``e`` from resource ``rows[e]`` to
+    user ``cols[e]``, and ``messages[..., 1, e]`` back.  ``resource_values``
+    and ``user_values`` estimate the diagonal of H^-1, and ``gram_transform``,
+    their mean over the resources, the Gram transform tr (w - A A^T / d)^-1 / N.
+    On a regular matrix the three arrays are read-only broadcast views that
+    hold O(points) memory.  ``point_sweeps`` and ``max_change`` are per point;
+    ``sweeps``, an int, is the run's count, the slowest point's (0 without
+    points), and ``n_classes`` the messages a sweep updates per point.  A
+    stalled point (``point_sweeps == MAX_SWEEPS`` and ``max_change >= GRAPH_TOL``)
+    keeps its last messages, and its node values and ``gram_transform`` are NaN.
     """
 
     messages: np.ndarray
-    node_variances: np.ndarray
+    resource_values: np.ndarray
+    user_values: np.ndarray
+    point_sweeps: np.ndarray
+    max_change: np.ndarray
     sweeps: int
-    max_change: float
-    gram_transform: complex
+    n_classes: int
+    gram_transform: np.ndarray
 
 
-def cavity_on_graph(matrix: SparseSignatureMatrix, w: complex) -> GraphCavityMessages:
+def cavity_on_graph(matrix: SparseSignatureMatrix, w) -> GraphCavityMessages:
     """Run damped synchronous message passing on the bipartite graph of A.
 
-    Updates use squared entry values, which are 1 in both entry modes, so
-    only the support of A matters.  A regular matrix sweeps its two
-    orientation messages as complex scalars (:func:`_orientation_sweep`);
-    any other matrix sweeps every directed edge (:func:`_edge_sweep`).
-    Both give the same bits, including the sweep count and the largest
-    change.  A ``w`` that is not finite or has Im w <= 0 is rejected before
-    any sweep.  When the largest per-sweep message change is still at least
-    ``GRAPH_TOL`` after ``MAX_SWEEPS`` sweeps, the node values (and so
-    ``gram_transform``) are a complex NaN; nothing is raised.
+    ``w`` is a complex scalar or a 1-D array of Gram points, all swept in
+    one run, each point stopping at its own sweep.  Updates use squared
+    entry values, which are 1 in both entry modes, so only the support of A
+    matters.  A regular matrix sweeps its two orientation messages
+    (:func:`_orientation_sweep`); any other matrix sweeps every directed
+    edge, point by point (:func:`_edge_sweep`).  Both give the same bits,
+    sweep counts and largest changes included.  A point that is not finite
+    or has Im w <= 0 is rejected before any sweep.  A point whose largest
+    per-sweep message change is still at least ``GRAPH_TOL`` after
+    ``MAX_SWEEPS`` sweeps gets complex NaN node values; nothing is raised.
     """
-    w = complex(w)
-    if not (cmath.isfinite(w) and w.imag > 0.0):
-        raise ValueError(f"need a finite w with Im w > 0, got w = {w}")
-    sweep = _orientation_sweep if matrix.regular else _edge_sweep
-    messages, values, sweeps, change = sweep(matrix, w)
+    w = np.asarray(w, dtype=complex)
+    bad = ~(np.isfinite(w) & (w.imag > 0.0))
+    if bad.any():
+        raise ValueError(f"need a finite w with Im w > 0, got w = {w[bad]}")
+    regular = matrix.regular
+    sweep = _orientation_sweep if regular else _edge_sweep
+    messages, resource, user, sweeps, change = (
+        x.reshape(w.shape + x.shape[1:]) for x in sweep(matrix, w.ravel()))
     return GraphCavityMessages(
-        messages=messages, node_variances=values, sweeps=sweeps, max_change=change,
-        gram_transform=complex(values[:matrix.spec.n_resources].mean()))
+        messages=messages, resource_values=resource, user_values=user,
+        point_sweeps=sweeps[()], max_change=change[()], sweeps=int(sweeps.max(initial=0)),
+        n_classes=2 if regular else 2 * matrix.nnz, gram_transform=resource.mean(-1))
 
 
 def _edges(matrix: SparseSignatureMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -242,90 +246,103 @@ def _edges(matrix: SparseSignatureMatrix) -> tuple[np.ndarray, np.ndarray]:
     return src, (2 * dst[:, None] + np.arange(2)).ravel()
 
 
-Sweep = tuple[np.ndarray, np.ndarray, int, float]
-# a user's diagonal entry of H, complex so that Python and numpy subtract alike
+# messages, resource values, user values, sweeps and max change, per point
+Sweep = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+# a user's diagonal entry of H
 _USER = complex(1.0)
+_NAN = complex(np.nan, np.nan)
 
 
-def _edge_sweep(matrix: SparseSignatureMatrix, w: complex) -> Sweep:
-    """One message per directed edge; the reverse of edge ``e`` is ``e +- nnz``."""
+def _edge_sweep(matrix: SparseSignatureMatrix, w: np.ndarray) -> Sweep:
+    """One message per directed edge, point by point; edge ``e``'s reverse is ``e +- nnz``.
+
+    The messages and node values take O(points x (edges + nodes)) memory.
+    """
     spec = matrix.spec
-    n_nodes = spec.n_resources + spec.n_users
+    n, n_nodes = spec.n_resources, spec.n_resources + spec.n_users
     inv_d = 1.0 / spec.col_degree
     src, in_bin = _edges(matrix)
-    c = np.repeat([w, _USER], [spec.n_resources, spec.n_users])
-    c_src = c[src]
+    messages = np.empty((w.size, src.size), dtype=complex)
+    values = np.full((w.size, n_nodes), _NAN)
+    sweeps = np.empty(w.size, dtype=np.int64)
+    changes = np.empty(w.size)
 
     def incoming(msg: np.ndarray) -> np.ndarray:
         sums = np.bincount(in_bin, weights=msg.view(np.float64), minlength=2 * n_nodes)
         # an empty weight array makes bincount return integers
         return sums.astype(np.float64, copy=False).view(complex)
 
-    msg = 1.0 / c_src
-    change = np.inf
-    for sweep in range(1, MAX_SWEEPS + 1):
-        prop = 1.0 / (c_src - (incoming(msg)[src] - np.roll(msg, matrix.nnz)) * inv_d)
-        new = (1.0 - DAMPING) * msg + DAMPING * prop
-        change = float(np.abs(new - msg).max(initial=0.0))
-        msg = new
-        if change < GRAPH_TOL:
-            values = 1.0 / (c - incoming(msg) * inv_d)
-            break
-    else:
-        values = np.full(n_nodes, complex(np.nan, np.nan))
-    return msg, values, sweep, change
+    for i, point in enumerate(w):
+        c = np.repeat([point, _USER], [n, spec.n_users])
+        c_src = c[src]
+        msg = 1.0 / c_src
+        for sweep in range(1, MAX_SWEEPS + 1):
+            prop = 1.0 / (c_src - (incoming(msg)[src] - np.roll(msg, matrix.nnz)) * inv_d)
+            new = (1.0 - DAMPING) * msg + DAMPING * prop
+            change = float(np.abs(new - msg).max(initial=0.0))
+            msg = new
+            if change < GRAPH_TOL:
+                values[i] = 1.0 / (c - incoming(msg) * inv_d)
+                break
+        messages[i], sweeps[i], changes[i] = msg, sweep, change
+    return (messages.reshape(w.size, 2, matrix.nnz), values[:, :n], values[:, n:],
+            sweeps, changes)
 
 
-def _in_sum(message: complex, times: int) -> complex:
-    """``times`` copies of ``message`` added in turn, parts apart, as ``np.bincount`` does."""
-    re = im = 0.0
-    for _ in range(times):
-        re += message.real
-        im += message.imag
-    return complex(re, im)
-
-
-_ONE = np.float64(1.0)
-
-
-def _inverse(w: complex) -> complex:
-    """``1 / w`` rounded as numpy's complex division rounds it, not as Python's."""
-    return complex(_ONE / np.complex128(w))
-
-
-def _orientation_sweep(matrix: SparseSignatureMatrix, w: complex) -> Sweep:
+def _orientation_sweep(matrix: SparseSignatureMatrix, w: np.ndarray) -> Sweep:
     """The per-edge sweep of a regular matrix on its two orientation messages.
 
     Every resource has ``row`` in-edges and every user ``col``, and every
     message starts at one over the diagonal entry of its tail, so all
-    resource-to-user edges carry one value, ``down``, and all user-to-resource
-    edges another, ``up``.  They are plain complex scalars.  The in-sums add
-    copies in turn (:func:`_in_sum`), the divisions round as numpy's
-    (:func:`_inverse`), the product with 1/d rounds alike in both, and the
-    change goes through numpy's array ``np.abs``, whose rounding its scalar
-    ``abs`` does not share, so the result is the per-edge sweep's bit for bit.
+    resource-to-user edges carry one value and all user-to-resource edges
+    another: column 0 and column 1 of a (points, 2) array, whose column 1
+    is also the reverse of column 0.  The in-sums add copies in turn, as
+    ``np.bincount`` does, and the rest is the per-edge sweep's arithmetic,
+    so each point gets the per-edge sweep's bits.  A point leaves the array
+    at the sweep that stops it.  The fields broadcast the class values, so
+    no (points x edges) or (points x nodes) array is built.
     """
     spec = matrix.spec
     row, col = spec.row_degree, spec.col_degree
     inv_d = 1.0 / col
-    down, up = _inverse(w), _inverse(_USER)
-    diff = np.empty(2, dtype=complex)
-    mag = np.empty(2)
-    keep, step = 1.0 - DAMPING, DAMPING
+    p = w.size
+    # the diagonal entry of each orientation's tail: a resource, then a user
+    c = np.stack([w, np.full(p, _USER)], axis=-1)
+
+    def incoming(msg: np.ndarray) -> np.ndarray:
+        # row user-to-resource messages into a resource, col the other way into a user
+        total = np.zeros_like(msg)
+        for _ in range(row):
+            total[:, 0] += msg[:, 1]
+        for _ in range(col):
+            total[:, 1] += msg[:, 0]
+        return total
+
+    final = np.empty((p, 2), dtype=complex)
+    sweeps = np.empty(p, dtype=np.int64)
+    changes = np.empty(p)
+    idx, c_live = np.arange(p), c
+    msg = 1.0 / c
     for sweep in range(1, MAX_SWEEPS + 1):
-        new_down = keep * down + step * _inverse(w - (_in_sum(up, row) - up) * inv_d)
-        new_up = keep * up + step * _inverse(_USER - (_in_sum(down, col) - down) * inv_d)
-        diff[:] = new_down - down, new_up - up
-        np.abs(diff, out=mag)
-        down, up = new_down, new_up
-        if mag[0] < GRAPH_TOL and mag[1] < GRAPH_TOL:
-            values = np.repeat([_inverse(w - _in_sum(up, row) * inv_d),
-                                _inverse(_USER - _in_sum(down, col) * inv_d)],
-                               [spec.n_resources, spec.n_users])
+        if not idx.size:
             break
-    else:
-        values = np.full(spec.n_resources + spec.n_users, complex(np.nan, np.nan))
-    return np.repeat([down, up], matrix.nnz), values, sweep, float(mag.max())
+        prop = 1.0 / (c_live - (incoming(msg) - msg[:, ::-1]) * inv_d)
+        new = (1.0 - DAMPING) * msg + DAMPING * prop
+        change = np.abs(new - msg).max(axis=-1)
+        msg = new
+        # a nan change fails < too: its point runs on and stalls
+        stop = (change < GRAPH_TOL) | (sweep == MAX_SWEEPS)
+        if stop.any():
+            done = idx[stop]
+            final[done], sweeps[done], changes[done] = msg[stop], sweep, change[stop]
+            live = ~stop
+            idx, c_live, msg = idx[live], c_live[live], msg[live]
+    values = np.full((p, 2), _NAN)
+    ok = changes < GRAPH_TOL
+    values[ok] = 1.0 / (c[ok] - incoming(final[ok]) * inv_d)
+    return (np.broadcast_to(final[:, :, None], (p, 2, matrix.nnz)),
+            np.broadcast_to(values[:, :1], (p, spec.n_resources)),
+            np.broadcast_to(values[:, 1:], (p, spec.n_users)), sweeps, changes)
 
 
 @dataclass(frozen=True)
@@ -362,25 +379,20 @@ def graph_route_density(matrix: SparseSignatureMatrix,
                         epsilon: float = GRAPH_EPSILON) -> GraphRouteDensity:
     """Gram density estimate from message passing on one sampled matrix.
 
-    Each grid point ``lam`` runs :func:`cavity_on_graph` at
-    ``w = lam + i eps`` and reads ``-Im gram_transform / pi``.  The default
-    ``epsilon`` trades the Lorentzian smoothing bias against finite-size
-    roughness; it must be finite and positive (:func:`check_graph_epsilon`),
-    and a grid with a non-finite point is rejected before any point runs.
-    A point whose messages do not converge is NaN and the batch continues.
+    One :func:`cavity_on_graph` run sweeps every grid point ``lam`` at
+    ``w = lam + i eps`` and the density reads ``-Im gram_transform / pi``.
+    The default ``epsilon`` trades the Lorentzian smoothing bias against
+    finite-size roughness; it must be finite and positive
+    (:func:`check_graph_epsilon`), and a grid with a non-finite point is
+    rejected before any sweep.  A point whose messages do not converge is
+    NaN and the others run on.
     """
     check_graph_epsilon(epsilon)
     grid = np.atleast_1d(np.asarray(lambda_grid, dtype=np.float64))
     if not np.isfinite(grid).all():
         raise ValueError("every grid point must be finite")
-    out = np.empty(grid.shape)
-    sweeps = np.empty(grid.shape, dtype=np.int64)
-    for i, lam in enumerate(grid):
-        # one run per point: benchmarks/bench_trace.py counts these calls and
-        # reads a scalar sweep count from each, so a grid-batched run waits
-        # for a change to the benchmark
-        run = cavity_on_graph(matrix, complex(lam, epsilon))
-        out[i] = -run.gram_transform.imag / np.pi
-        sweeps[i] = run.sweeps
-    n_classes = 2 if matrix.regular else 2 * matrix.nnz
-    return GraphRouteDensity(density=out, sweeps=sweeps, n_classes=n_classes)
+    w = grid.astype(complex)
+    w.imag = epsilon
+    run = cavity_on_graph(matrix, w)
+    return GraphRouteDensity(density=-run.gram_transform.imag / np.pi,
+                             sweeps=run.point_sweeps, n_classes=run.n_classes)
