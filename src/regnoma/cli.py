@@ -20,8 +20,8 @@ import functools
 import hashlib
 import json
 import math
+import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -77,6 +77,18 @@ def _resolved_params(args: argparse.Namespace) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
+def _overwrite(path: str, data: bytes) -> None:
+    """Write ``data`` over the file at ``path``, then cut it to length.
+
+    Truncating to zero before the write, as ``Path.write_bytes`` does, makes
+    ext4 flush the file on close: 0.1-0.25 ms per file, against ~10 us for
+    a write in place.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        f.write(data)
+        f.truncate()
+
+
 def _write_manifest(args: argparse.Namespace, out_path: str, data: bytes,
                     results: dict) -> None:
     manifest = {
@@ -92,12 +104,12 @@ def _write_manifest(args: argparse.Namespace, out_path: str, data: bytes,
     }
     payload = (json.dumps(manifest, indent=2, sort_keys=True,
                           allow_nan=False) + "\n").encode()
-    Path(out_path + ".manifest.json").write_bytes(payload)
+    _overwrite(out_path + ".manifest.json", payload)
 
 
 def _emit(args: argparse.Namespace, columns, rows, results: dict) -> int:
     data = _table_bytes(columns, rows, args.format)
-    Path(args.out).write_bytes(data)
+    _overwrite(args.out, data)
     _write_manifest(args, args.out, data, results)
     return EXIT_OK
 
@@ -271,7 +283,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     sys.stdout.write(report)
     if args.out is not None:
         data = report.encode()
-        Path(args.out).write_bytes(data)
+        _overwrite(args.out, data)
         _write_manifest(args, args.out, data,
                         {"level": args.level, "n_checks": len(checks),
                          "n_failed": n_fail, "gates": records})

@@ -213,26 +213,27 @@ def snr_for_ebno(ebno_target: float, beta: float, d: float | Curve) -> float:
 
 @dataclass(frozen=True)
 class MCResult:
-    """Sample mean and standard error of finite-size throughput."""
+    """Sample mean and standard error of finite-size throughput.
 
-    mean: float
-    stderr: float
+    ``mean`` and ``stderr`` have the shape of the snr they were run at: floats
+    for a scalar snr, arrays for an array of snrs.  A trial fails or not
+    whatever the snr, so the trial counts are plain ints.
+    """
+
+    mean: float | np.ndarray
+    stderr: float | np.ndarray
     n_trials: int
     n_failed: int
 
 
-def _trial_throughput(spec: EnsembleSpec, snr: float, trial: int,
-                      irregular: bool) -> float:
-    gen = generate_irregular if irregular else generate_regular
-    matrix = gen(spec, realization=trial)
-    eigs = np.linalg.eigvalsh(matrix.gram())
-    n = spec.n_resources
-    return float(np.sum(np.log1p(snr * eigs)) / (2.0 * n * LN2))
-
-
-def finite_n_throughput_mc(spec: EnsembleSpec, snr: float, trials: int,
+def finite_n_throughput_mc(spec: EnsembleSpec, snr: float | np.ndarray, trials: int,
                            irregular: bool = False) -> MCResult:
     """Average finite-size throughput over sampled realizations.
+
+    ``snr`` is a scalar or a 1-D array of snrs.  Each trial is drawn and
+    eigensolved once, then every snr is evaluated on its eigenvalues, so an
+    array call returns, snr by snr, the bits of one scalar call per snr at
+    the cost of one.  Every snr is checked before the first draw.
 
     Trial ``t`` runs on the PCG64 stream seeded with ``spec.seed XOR t``;
     trials run serially in trial order.  Seeds are not independent runs:
@@ -240,26 +241,41 @@ def finite_n_throughput_mc(spec: EnsembleSpec, snr: float, trials: int,
     another order, so their means agree to rounding
     (:func:`~regnoma.ensembles.stream`).  Every eigenvalue enters the
     per-trial sum, including the deterministic one of ONES-mode matrices,
-    matching the finite-size formula exactly.  Failed trials are skipped
-    and counted.
+    matching the finite-size formula exactly.  A trial whose draw or
+    eigensolve fails is skipped at every snr and counted once.
     """
-    snr = _check_snr(snr)
+    if np.ndim(snr) > 1:
+        raise ValueError(f"snr must be a scalar or a 1-D array, got shape {np.shape(snr)}")
+    snrs = np.array([_check_snr(s) for s in np.atleast_1d(snr).tolist()])
+    if snrs.size == 0:
+        raise ValueError("need at least one snr")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    values = np.full(trials, np.nan)
+    gen = generate_irregular if irregular else generate_regular
+    scale = 2.0 * spec.n_resources * LN2
+    values = np.empty((snrs.size, trials))  # one row per snr, one column per trial
+    drawn = np.zeros(trials, dtype=bool)
     for t in range(trials):
         try:
-            values[t] = _trial_throughput(spec, snr, t, irregular)
+            eigs = np.linalg.eigvalsh(gen(spec, realization=t).gram())
         except (GenerationError, np.linalg.LinAlgError):
-            pass  # stays NaN and is counted as failed
+            continue  # counted as failed
+        drawn[t] = True
+        # row j sums log1p(snrs[j] * eigs) as a lone 1-D sum would, bit for bit
+        values[:, t] = np.log1p(np.multiply.outer(snrs, eigs)).sum(axis=1) / scale
 
-    good = values[np.isfinite(values)]
-    n_failed = trials - good.size
-    if good.size == 0:
+    n_good = int(drawn.sum())
+    if n_good == 0:
         raise GenerationError(f"all {trials} trials failed")
-    stderr = float(good.std(ddof=1) / math.sqrt(good.size)) if good.size > 1 else float("inf")
-    return MCResult(mean=float(good.mean()), stderr=stderr,
-                    n_trials=int(good.size), n_failed=int(n_failed))
+    means, stderrs = [], []
+    for row in values:
+        good = row[drawn]
+        means.append(float(good.mean()))
+        stderrs.append(float(good.std(ddof=1) / math.sqrt(n_good)) if n_good > 1
+                       else float("inf"))
+    if np.ndim(snr) == 0:
+        return MCResult(means[0], stderrs[0], n_good, trials - n_good)
+    return MCResult(np.array(means), np.array(stderrs), n_good, trials - n_good)
 
 
 # ======================================================================
@@ -361,13 +377,16 @@ class SweepSpec:
         return abs(bd - round(bd)) <= 1e-9 and round(bd) > 1
 
 
-def _sweep_point(spec: SweepSpec, x: float) -> dict[str, float]:
-    """The requested curves' cells of one sweep row and its failed MC trials."""
+def _sweep_point(spec: SweepSpec, x: float
+                 ) -> tuple[dict[str, float], list[tuple[Curve, EnsembleSpec, float]]]:
+    """The asymptotic cells of one sweep row, and its Monte Carlo runs as
+    (curve, ensemble, snr) triples, in curve order."""
     beta = x if spec.variable is SweepVariable.LOAD else spec.beta
     d = x if spec.variable is SweepVariable.SPARSITY else spec.d
     ebno_db = x if spec.variable is SweepVariable.EBNO else spec.ebno_db
     snrs: dict[float | Curve, float] = {}  # one Eb/N0 inversion per selector
-    cells: dict[str, float] = {"failed_mc_trials": 0}
+    cells: dict[str, float] = {}
+    runs: list[tuple[Curve, EnsembleSpec, float]] = []
     for curve in spec.curves:
         selector = curve if curve in _NAMED_CURVES else d
         if selector not in snrs:
@@ -376,14 +395,10 @@ def _sweep_point(spec: SweepSpec, x: float) -> dict[str, float]:
         snr = snrs[selector]
         if curve in _MC_CURVES:
             ens = EnsembleSpec.from_load(spec.mc_n, beta, d, spec.entry_mode, spec.seed)
-            res = finite_n_throughput_mc(ens, snr, spec.mc_trials,
-                                         irregular=(curve is Curve.IRREGULAR_MC))
-            cells[curve.value] = res.mean
-            cells[curve.value + "_stderr"] = res.stderr
-            cells["failed_mc_trials"] += res.n_failed
+            runs.append((curve, ens, snr))
         else:
             cells[curve.value] = _curve_throughput(beta, selector)(snr)
-    return cells
+    return cells, runs
 
 
 def sweep(spec: SweepSpec) -> list[dict[str, float | bool | None]]:
@@ -396,14 +411,46 @@ def sweep(spec: SweepSpec) -> list[dict[str, float | bool | None]]:
     under a ``failed`` flag, with no trial count, and the batch continues.
     Of the asymptotic curves only ``dense_rs`` is integrated; ``regular``
     and ``cover_wyner`` are closed forms.
+
+    The sweep runs in two phases.  The first runs every point's Eb/N0
+    inversions and asymptotic cells.  The second makes one
+    :func:`finite_n_throughput_mc` call per MC curve and ensemble over the
+    snrs of that curve's live points, so an Eb/N0 sweep draws each MC
+    ensemble once; load and sparsity sweeps change the ensemble at every
+    point.  The MC markers of one sweep therefore share their draws (common
+    random numbers), as the per-trial streams already made them do.  A call
+    that raises one of ``NUMERICAL_ERRORS`` fails every row it served.
     """
     rows = []
+    groups: dict[tuple[Curve, EnsembleSpec], list[tuple[dict, float]]] = {}
     for x in spec.values:
         row = dict.fromkeys(SWEEP_COLUMNS)
         row.update(x=float(x), failed_mc_trials=0, failed=False)
+        rows.append(row)
         try:
-            row.update(_sweep_point(spec, x))
+            cells, runs = _sweep_point(spec, x)
         except NUMERICAL_ERRORS:
             row["failed"] = True
-        rows.append(row)
+            continue
+        row.update(cells)
+        for curve, ens, snr in runs:
+            groups.setdefault((curve, ens), []).append((row, snr))
+
+    for (curve, ens), members in groups.items():
+        live = [(row, snr) for row, snr in members if not row["failed"]]
+        if not live:
+            continue
+        try:
+            res = finite_n_throughput_mc(ens, np.array([snr for _, snr in live]),
+                                         spec.mc_trials,
+                                         irregular=(curve is Curve.IRREGULAR_MC))
+        except NUMERICAL_ERRORS:
+            for row, _ in live:
+                row.update(dict.fromkeys(SWEEP_COLUMNS[1:]), failed_mc_trials=0,
+                           failed=True)
+            continue
+        for (row, _), mean, stderr in zip(live, res.mean.tolist(), res.stderr.tolist()):
+            row[curve.value] = mean
+            row[curve.value + "_stderr"] = stderr
+            row["failed_mc_trials"] += res.n_failed
     return rows

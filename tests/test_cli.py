@@ -55,7 +55,7 @@ class TestEntryPoint:
     def test_installed_script_reports_version(self):
         proc = run_python("-m", "regnoma.cli", "--version")
         assert proc.returncode == 0
-        assert "regnoma 0.9.0" in proc.stdout
+        assert "regnoma 0.10.0" in proc.stdout
 
     def test_import_leaves_scipy_unloaded(self):
         # every CLI run pays the start-up: scipy.stats costs about a second to
@@ -102,6 +102,18 @@ class TestDensity:
         assert run(argv) == 0
         assert (tmp_path / "a.csv").read_bytes() == first
         assert (tmp_path / "a.csv.manifest.json").read_bytes() == first_manifest
+
+    def test_rerun_over_longer_stale_files_leaves_the_fresh_bytes(self, tmp_path):
+        out = tmp_path / "a.csv"
+        manifest = tmp_path / "a.csv.manifest.json"
+        argv = ["density", "--beta", "1.5", "--d", "3", "--points", "8",
+                "--out", str(out)]
+        assert run(argv) == 0
+        fresh = out.read_bytes(), manifest.read_bytes()
+        for path, data in zip((out, manifest), fresh):
+            path.write_bytes(data + b"stale tail\n" * 1000)
+        assert run(argv) == 0
+        assert (out.read_bytes(), manifest.read_bytes()) == fresh
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "density.json"

@@ -285,6 +285,55 @@ class TestFiniteNThroughputMC:
         with pytest.raises(ValueError):
             finite_n_throughput_mc(mc_spec(), 10.0, 0)
 
+    @settings(max_examples=40, deadline=None)
+    @given(snrs=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e4)),
+                         min_size=1, max_size=5),
+           irregular=st.booleans(), trials=st.integers(1, 12),
+           failing=st.sets(st.integers(0, 11), max_size=12))
+    def test_array_call_equals_scalar_calls_bit_for_bit(self, snrs, irregular,
+                                                        trials, failing):
+        # a flaky sampler fails the trials in ``failing`` whatever the snr
+        name = "generate_irregular" if irregular else "generate_regular"
+        real = getattr(tp, name)
+
+        def flaky(spec, realization=0):
+            if realization in failing:
+                raise GenerationError("forced")
+            return real(spec, realization=realization)
+
+        spec = mc_spec(seed=7)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tp, name, flaky)
+            if failing >= set(range(trials)):
+                with pytest.raises(GenerationError):
+                    finite_n_throughput_mc(spec, np.array(snrs), trials, irregular)
+                return
+            res = finite_n_throughput_mc(spec, np.array(snrs), trials, irregular)
+            singles = [finite_n_throughput_mc(spec, snr, trials, irregular)
+                       for snr in snrs]
+        assert res.mean.shape == res.stderr.shape == (len(snrs),)
+        assert all(type(r.mean) is type(r.stderr) is float for r in singles)
+        assert type(res.n_trials) is type(res.n_failed) is int
+        assert res.mean.tobytes() == np.array([r.mean for r in singles]).tobytes()
+        assert res.stderr.tobytes() == np.array([r.stderr for r in singles]).tobytes()
+        assert {(r.n_trials, r.n_failed) for r in singles} == {(res.n_trials, res.n_failed)}
+        assert res.n_failed == len(failing & set(range(trials)))
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_one_bad_snr_in_an_array_is_rejected_before_any_draw(self, monkeypatch,
+                                                                 bad):
+        def no_draw(spec, realization=0):
+            raise AssertionError("drew a matrix")
+
+        monkeypatch.setattr(tp, "generate_regular", no_draw)
+        with pytest.raises(ValueError, match="snr must be finite"):
+            finite_n_throughput_mc(mc_spec(), np.array([1.0, bad, 3.0]), 5)
+
+    @pytest.mark.parametrize("snr", [np.zeros(0), np.ones((2, 2))])
+    def test_rejects_empty_and_multidimensional_snr(self, snr):
+        with pytest.raises(ValueError, match="snr"):
+            finite_n_throughput_mc(mc_spec(), snr, 5)
+
 
 class TestSweepSpec:
     def test_load_sweep_requires_integer_load_degree_product(self):
@@ -441,12 +490,67 @@ class TestSweep:
         monkeypatch.setattr(tp, "generate_regular", always_fails)
         spec = SweepSpec(variable=SweepVariable.EBNO, values=(8.0, 10.0),
                          beta=1.5, d=2.0,
-                         curves=(Curve.REGULAR_MC,), mc_n=10, mc_trials=5)
+                         curves=(Curve.REGULAR, Curve.IRREGULAR_MC, Curve.REGULAR_MC),
+                         mc_n=10, mc_trials=5)
         rows = sweep(spec)
         assert all(list(row) == [*SWEEP_COLUMNS, "failed_mc_trials", "failed"]
                    for row in rows)
         assert [row["failed"] for row in rows] == [True, True]
-        assert all(row["regular_mc"] is None for row in rows)
+        # the one failed MC call blanks every cell of the rows it served
+        assert all(row[key] is None for row in rows for key in SWEEP_COLUMNS[1:])
+        assert [row["failed_mc_trials"] for row in rows] == [0, 0]
+
+    def test_ebno_sweep_draws_each_ensemble_once(self, monkeypatch):
+        calls = {"generate_regular": 0, "generate_irregular": 0}
+        for name in calls:
+            real = getattr(tp, name)
+
+            def counting(spec, realization=0, name=name, real=real):
+                calls[name] += 1
+                return real(spec, realization=realization)
+
+            monkeypatch.setattr(tp, name, counting)
+        spec = SweepSpec(variable=SweepVariable.EBNO, values=(4.0, 7.0, 10.0, 13.0),
+                         beta=1.5, d=2.0,
+                         curves=(Curve.REGULAR_MC, Curve.IRREGULAR_MC),
+                         mc_n=10, mc_trials=6)
+        assert not any(row["failed"] for row in sweep(spec))
+        assert calls == {"generate_regular": 6, "generate_irregular": 6}
+        # a load sweep changes the ensemble at every point
+        spec = SweepSpec(variable=SweepVariable.LOAD, values=(1.5, 2.0),
+                         d=2.0, ebno_db=10.0, curves=(Curve.REGULAR_MC,),
+                         mc_n=10, mc_trials=6)
+        assert not any(row["failed"] for row in sweep(spec))
+        assert calls == {"generate_regular": 6 + 2 * 6, "generate_irregular": 6}
+
+    @pytest.mark.parametrize("variable,values,fixed", [
+        (SweepVariable.EBNO, (4.0, 10.0, 7.0), dict(beta=1.5, d=2.0)),
+        (SweepVariable.LOAD, (1.5, 2.0), dict(d=2.0, ebno_db=10.0)),
+        (SweepVariable.SPARSITY, (2.0, 3.0), dict(beta=2.0, snr_db=10.0)),
+    ])
+    def test_rows_equal_one_point_sweeps(self, variable, values, fixed):
+        common = dict(variable=variable, curves=(Curve.IRREGULAR_MC, Curve.REGULAR,
+                                                 Curve.REGULAR_MC),
+                      mc_n=10, mc_trials=8, seed=3, **fixed)
+        rows = sweep(SweepSpec(values=values, **common))
+        assert rows == [sweep(SweepSpec(values=(x,), **common))[0] for x in values]
+
+    def test_a_failed_mc_call_spares_other_ensembles(self, monkeypatch):
+        real = tp.generate_regular
+
+        def fails_at_load_two(spec, realization=0):
+            if spec.n_users == 20:
+                raise GenerationError("forced")
+            return real(spec, realization=realization)
+
+        monkeypatch.setattr(tp, "generate_regular", fails_at_load_two)
+        spec = SweepSpec(variable=SweepVariable.LOAD, values=(1.5, 2.0, 2.5),
+                         d=2.0, ebno_db=10.0, curves=(Curve.REGULAR, Curve.REGULAR_MC),
+                         mc_n=10, mc_trials=5)
+        rows = sweep(spec)
+        assert [row["failed"] for row in rows] == [False, True, False]
+        assert rows[1]["regular"] is None and rows[1]["regular_mc"] is None
+        assert all(rows[i]["regular_mc"] is not None for i in (0, 2))
 
     def test_failed_mc_trials_are_counted_per_row(self, monkeypatch):
         from regnoma.ensembles import generate_regular as real_generate
