@@ -34,15 +34,11 @@ resource nodes estimates the Gram transform, so the density is
 that misses its stopping rule is NaN too, so both routes fail a point the
 same way.
 
-A regular matrix (:attr:`~regnoma.ensembles.SparseSignatureMatrix.regular`)
-gives all nodes of a side one degree and one diagonal entry, so each
-orientation of the directed edges carries one value at every sweep: the
-sweep runs on two (points,) arrays, and each point leaves them at the
-sweep that stops it.  Every other matrix is swept per directed edge, point
-by point.  Both run the same numpy array arithmetic, so they agree bit for
-bit, sweep counts and largest changes included, by one rounding rule: each
-node sum adds its in-degree copies of the message in turn, as
-``np.bincount`` does.
+One loop sweeps every matrix on its message classes, sets of directed
+edges that carry one value: two on a regular matrix
+(:attr:`~regnoma.ensembles.SparseSignatureMatrix.regular`), one per
+orientation, and one per directed edge on any other.  Each point stops at
+its own sweep with the bits it would get alone.
 """
 
 from __future__ import annotations
@@ -186,12 +182,13 @@ class GraphCavityMessages:
     user ``cols[e]``, and ``messages[..., 1, e]`` back.  ``resource_values``
     and ``user_values`` estimate the diagonal of H^-1, and ``gram_transform``,
     their mean over the resources, the Gram transform tr (w - A A^T / d)^-1 / N.
-    On a regular matrix the three arrays are read-only broadcast views that
-    hold O(points) memory.  ``point_sweeps`` and ``max_change`` are per point;
-    ``sweeps``, an int, is the run's count, the slowest point's (0 without
-    points), and ``n_classes`` the messages a sweep updates per point.  A
-    stalled point (``point_sweeps == MAX_SWEEPS`` and ``max_change >= GRAPH_TOL``)
-    keeps its last messages, and its node values and ``gram_transform`` are NaN.
+    On a regular matrix the three arrays are read-only broadcast views of
+    one value per class, O(points) in memory.  ``point_sweeps`` and
+    ``max_change`` are per point; ``sweeps``, an int, is the run's count, the
+    slowest point's (0 without points), and ``n_classes`` the message
+    classes a sweep updates per point.  A stalled point (``point_sweeps ==
+    MAX_SWEEPS`` and ``max_change >= GRAPH_TOL``) keeps its last messages,
+    and its node values and ``gram_transform`` are NaN.
     """
 
     messages: np.ndarray
@@ -210,11 +207,9 @@ def cavity_on_graph(matrix: SparseSignatureMatrix, w) -> GraphCavityMessages:
     ``w`` is a complex scalar or a 1-D array of Gram points, all swept in
     one run, each point stopping at its own sweep.  Updates use squared
     entry values, which are 1 in both entry modes, so only the support of A
-    matters.  A regular matrix sweeps its two orientation messages
-    (:func:`_orientation_sweep`); any other matrix sweeps every directed
-    edge, point by point (:func:`_edge_sweep`).  Both give the same bits,
-    sweep counts and largest changes included.  A point that is not finite
-    or has Im w <= 0 is rejected before any sweep.  A point whose largest
+    matters.  :func:`_sweep` runs the message classes of
+    :func:`_message_classes`.  A point that is not finite or has
+    Im w <= 0 is rejected before any sweep.  A point whose largest
     per-sweep message change is still at least ``GRAPH_TOL`` after
     ``MAX_SWEEPS`` sweeps gets complex NaN node values; nothing is raised.
     """
@@ -222,127 +217,123 @@ def cavity_on_graph(matrix: SparseSignatureMatrix, w) -> GraphCavityMessages:
     bad = ~(np.isfinite(w) & (w.imag > 0.0))
     if bad.any():
         raise ValueError(f"need a finite w with Im w > 0, got w = {w[bad]}")
-    regular = matrix.regular
-    sweep = _orientation_sweep if regular else _edge_sweep
-    messages, resource, user, sweeps, change = (
-        x.reshape(w.shape + x.shape[1:]) for x in sweep(matrix, w.ravel()))
-    return GraphCavityMessages(
-        messages=messages, resource_values=resource, user_values=user,
-        point_sweeps=sweeps[()], max_change=change[()], sweeps=int(sweeps.max(initial=0)),
-        n_classes=2 if regular else 2 * matrix.nnz, gram_transform=resource.mean(-1))
+    return _sweep(matrix, w)
 
 
-def _edges(matrix: SparseSignatureMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Tail node of every directed edge, and the ``np.bincount`` bins of its head.
+def _edges(matrix: SparseSignatureMatrix) -> np.ndarray:
+    """Tail node of every directed edge, a (2, nnz) array.
 
-    Read through a float64 view, the messages interleave the real and
-    imaginary part of each edge; bin ``2 v + j`` collects part ``j`` for
-    node ``v``, so one ``np.bincount`` sums both parts apart, in edge-index
-    order.
+    Resources are nodes ``0 .. N-1`` and users ``N .. N+K-1``.  Edge ``(0,
+    e)`` runs from resource ``rows[e]`` to user ``cols[e]`` and edge ``(1,
+    e)`` back, so each orientation's tails are the other's heads.
     """
-    n = matrix.spec.n_resources
-    src = np.concatenate([matrix.rows, matrix.cols + n])
-    dst = np.concatenate([matrix.cols + n, matrix.rows])
-    return src, (2 * dst[:, None] + np.arange(2)).ravel()
+    return np.stack([matrix.rows, matrix.cols + matrix.spec.n_resources])
 
 
-# messages, resource values, user values, sweeps and max change, per point
-Sweep = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+def _message_classes(matrix: SparseSignatureMatrix
+                     ) -> tuple[tuple[int, int], np.ndarray, np.ndarray | None, np.ndarray]:
+    """The graph as node and message classes, each holding one value per point.
+
+    Returns the node classes of each side (resources, users), the tail
+    node class of each message class as a (2, classes per orientation)
+    array whose row 0 runs from resources to users and row 1 back, and the
+    flat message class (None: each class in turn) and head node class of
+    each in-sum term, in summation order.  On a regular matrix all nodes
+    of a side share one degree and one diagonal entry: one node class per
+    side and one message class per orientation, and a resource sums
+    ``row`` copies of the user-to-resource message and a user ``col``
+    copies of the other.  Any other matrix makes each node and each
+    directed edge a class (:func:`_edges`).
+    """
+    spec = matrix.spec
+    if matrix.regular:
+        degrees = [spec.row_degree, spec.col_degree]
+        return ((1, 1), np.arange(2)[:, None], np.repeat([1, 0], degrees),
+                np.repeat([0, 1], degrees))
+    tail = _edges(matrix)
+    return (spec.n_resources, spec.n_users), tail, None, tail[::-1].ravel()
+
+
 # a user's diagonal entry of H
 _USER = complex(1.0)
+# messages per chunk of points: a sweep costs more per message on larger arrays
+_CHUNK = 8192
 _NAN = complex(np.nan, np.nan)
 
 
-def _edge_sweep(matrix: SparseSignatureMatrix, w: np.ndarray) -> Sweep:
-    """One message per directed edge, point by point; edge ``e``'s reverse is ``e +- nnz``.
+def _spread(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    # one value per class becomes a read-only stride-0 view over its nodes or edges
+    return a if a.shape == shape else np.broadcast_to(a, shape)
 
-    The messages and node values take O(points x (edges + nodes)) memory.
+
+def _sweep(matrix: SparseSignatureMatrix, w: np.ndarray) -> GraphCavityMessages:
+    """Sweep the message classes of every point until each point stops.
+
+    The points run in chunks of at most ``_CHUNK`` messages (one point at
+    least).  A chunk's messages form a (points, 2, classes per orientation)
+    array, and a point leaves it at the sweep that stops it.  One
+    ``np.bincount`` forms every in-sum of a sweep: read through a float64
+    view, the terms interleave real and imaginary parts, and bin
+    ``2 (k n_nodes + v) + j`` collects part ``j`` for node class ``v`` of
+    the k-th live point, in term order.
     """
     spec = matrix.spec
-    n, n_nodes = spec.n_resources, spec.n_resources + spec.n_users
+    (n_res, n_users), tail, term_msg, term_head = _message_classes(matrix)
+    n_nodes, n_classes = n_res + n_users, tail.size
     inv_d = 1.0 / spec.col_degree
-    src, in_bin = _edges(matrix)
-    messages = np.empty((w.size, src.size), dtype=complex)
-    values = np.full((w.size, n_nodes), _NAN)
-    sweeps = np.empty(w.size, dtype=np.int64)
-    changes = np.empty(w.size)
-
-    def incoming(msg: np.ndarray) -> np.ndarray:
-        sums = np.bincount(in_bin, weights=msg.view(np.float64), minlength=2 * n_nodes)
-        # an empty weight array makes bincount return integers
-        return sums.astype(np.float64, copy=False).view(complex)
-
-    for i, point in enumerate(w):
-        c = np.repeat([point, _USER], [n, spec.n_users])
-        c_src = c[src]
-        msg = 1.0 / c_src
-        for sweep in range(1, MAX_SWEEPS + 1):
-            prop = 1.0 / (c_src - (incoming(msg)[src] - np.roll(msg, matrix.nnz)) * inv_d)
-            new = (1.0 - DAMPING) * msg + DAMPING * prop
-            change = float(np.abs(new - msg).max(initial=0.0))
-            msg = new
-            if change < GRAPH_TOL:
-                values[i] = 1.0 / (c - incoming(msg) * inv_d)
-                break
-        messages[i], sweeps[i], changes[i] = msg, sweep, change
-    return (messages.reshape(w.size, 2, matrix.nnz), values[:, :n], values[:, n:],
-            sweeps, changes)
-
-
-def _orientation_sweep(matrix: SparseSignatureMatrix, w: np.ndarray) -> Sweep:
-    """The per-edge sweep of a regular matrix on its two orientation messages.
-
-    Every resource has ``row`` in-edges and every user ``col``, and every
-    message starts at one over the diagonal entry of its tail, so all
-    resource-to-user edges carry one value and all user-to-resource edges
-    another: column 0 and column 1 of a (points, 2) array, whose column 1
-    is also the reverse of column 0.  The in-sums add copies in turn, as
-    ``np.bincount`` does, and the rest is the per-edge sweep's arithmetic,
-    so each point gets the per-edge sweep's bits.  A point leaves the array
-    at the sweep that stops it.  The fields broadcast the class values, so
-    no (points x edges) or (points x nodes) array is built.
-    """
-    spec = matrix.spec
-    row, col = spec.row_degree, spec.col_degree
-    inv_d = 1.0 / col
+    lead, w = w.shape, w.ravel()
     p = w.size
-    # the diagonal entry of each orientation's tail: a resource, then a user
-    c = np.stack([w, np.full(p, _USER)], axis=-1)
+    chunk = max(1, _CHUNK // max(n_classes, 1))
+    # the diagonal entry of H at each node class: w on a resource, 1 on a user
+    c = np.full((p, n_nodes), _USER)
+    c[:, :n_res] = w[:, None]
+    bins = (2 * (np.arange(min(chunk, p))[:, None, None] * n_nodes + term_head[:, None])
+            + np.arange(2)).ravel()
 
     def incoming(msg: np.ndarray) -> np.ndarray:
-        # row user-to-resource messages into a resource, col the other way into a user
-        total = np.zeros_like(msg)
-        for _ in range(row):
-            total[:, 0] += msg[:, 1]
-        for _ in range(col):
-            total[:, 1] += msg[:, 0]
-        return total
+        if term_msg is not None:
+            msg = msg.reshape(-1, n_classes).take(term_msg, axis=1)
+        terms = msg.view(np.float64).ravel()
+        sums = np.bincount(bins[:terms.size], weights=terms,
+                           minlength=2 * n_nodes * msg.shape[0])
+        # an empty weight array makes bincount return integers
+        return sums.astype(np.float64, copy=False).view(complex).reshape(-1, n_nodes)
 
-    final = np.empty((p, 2), dtype=complex)
+    final = np.empty((p,) + tail.shape, dtype=complex)
     sweeps = np.empty(p, dtype=np.int64)
     changes = np.empty(p)
-    idx, c_live = np.arange(p), c
-    msg = 1.0 / c
-    for sweep in range(1, MAX_SWEEPS + 1):
-        if not idx.size:
-            break
-        prop = 1.0 / (c_live - (incoming(msg) - msg[:, ::-1]) * inv_d)
-        new = (1.0 - DAMPING) * msg + DAMPING * prop
-        change = np.abs(new - msg).max(axis=-1)
-        msg = new
-        # a nan change fails < too: its point runs on and stalls
-        stop = (change < GRAPH_TOL) | (sweep == MAX_SWEEPS)
-        if stop.any():
-            done = idx[stop]
-            final[done], sweeps[done], changes[done] = msg[stop], sweep, change[stop]
-            live = ~stop
-            idx, c_live, msg = idx[live], c_live[live], msg[live]
-    values = np.full((p, 2), _NAN)
-    ok = changes < GRAPH_TOL
-    values[ok] = 1.0 / (c[ok] - incoming(final[ok]) * inv_d)
-    return (np.broadcast_to(final[:, :, None], (p, 2, matrix.nnz)),
-            np.broadcast_to(values[:, :1], (p, spec.n_resources)),
-            np.broadcast_to(values[:, 1:], (p, spec.n_users)), sweeps, changes)
+    values = np.full((p, n_nodes), _NAN)
+    for start in range(0, p, chunk):
+        span = np.arange(start, min(start + chunk, p))
+        idx, c_tail = span, c[span].take(tail, axis=1)
+        msg = 1.0 / c_tail
+        for sweep in range(1, MAX_SWEEPS + 1):
+            # msg[:, ::-1] holds the reverse of each message
+            cavity_sum = incoming(msg).take(tail, axis=1) - msg[:, ::-1]
+            prop = 1.0 / (c_tail - cavity_sum * inv_d)
+            new = (1.0 - DAMPING) * msg + DAMPING * prop
+            change = np.abs(new - msg).max(axis=(1, 2), initial=0.0)
+            msg = new
+            # a nan change fails < too: its point runs on and stalls
+            stop = (change < GRAPH_TOL) | (sweep == MAX_SWEEPS)
+            if stop.any():
+                done = idx[stop]
+                final[done], sweeps[done], changes[done] = msg[stop], sweep, change[stop]
+                live = ~stop
+                if not live.any():
+                    break
+                idx, c_tail, msg = idx[live], c_tail[live], msg[live]
+        ok = span[changes[span] < GRAPH_TOL]
+        values[ok] = 1.0 / (c[ok] - incoming(final[ok]) * inv_d)
+    values = values.reshape(lead + (n_nodes,))
+    resource = _spread(values[..., :n_res], lead + (spec.n_resources,))
+    return GraphCavityMessages(
+        messages=_spread(final.reshape(lead + tail.shape), lead + (2, matrix.nnz)),
+        resource_values=resource,
+        user_values=_spread(values[..., n_res:], lead + (spec.n_users,)),
+        point_sweeps=sweeps.reshape(lead)[()], max_change=changes.reshape(lead)[()],
+        sweeps=int(sweeps.max(initial=0)), n_classes=n_classes,
+        gram_transform=resource.mean(-1))
 
 
 @dataclass(frozen=True)

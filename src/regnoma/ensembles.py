@@ -125,6 +125,8 @@ class EnsembleSpec:
         Raises ValueError unless ``d`` is an integer and ``beta * n`` a whole
         number of users.
         """
+        if not (np.isfinite(beta) and np.isfinite(d)):
+            raise ValueError(f"beta and d must be finite, got beta = {beta}, d = {d}")
         if abs(d - round(d)) > 1e-9:
             raise ValueError(f"sampled matrices need an integer degree, got {d}")
         k = beta * n

@@ -68,6 +68,9 @@ class DensityParams:
         if not self.d >= 1.0 + 1.0 / self.beta:
             raise ValueError(f"degree d must be >= 1 + 1/beta = {1.0 + 1.0 / self.beta}"
                              f" at beta = {self.beta}, got {self.d}")
+        if not (np.isfinite(self.beta) and np.isfinite(self.d)):
+            raise ValueError(f"beta and d must be finite, got beta = {self.beta},"
+                             f" d = {self.d}")
 
     @classmethod
     def from_ensemble(cls, spec: EnsembleSpec) -> "DensityParams":

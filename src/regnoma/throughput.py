@@ -336,7 +336,8 @@ class SweepSpec:
         elif self.variable is SweepVariable.SPARSITY:
             if self.beta is None:
                 raise ValueError("SPARSITY sweep needs a fixed load beta")
-            DensityParams(beta=self.beta, d=min(self.values))
+            for d in self.values:
+                DensityParams(beta=self.beta, d=d)
         else:
             if self.beta is None or self.d is None:
                 raise ValueError("EBNO sweep needs fixed beta and d")

@@ -306,8 +306,7 @@ class TestCavityOnGraph:
         def no_work(*args):
             raise AssertionError("swept before the point was checked")
 
-        monkeypatch.setattr(cavity, "_orientation_sweep", no_work)
-        monkeypatch.setattr(cavity, "_edge_sweep", no_work)
+        monkeypatch.setattr(cavity, "_sweep", no_work)
         m = (sample_matrix(30, 45, 2) if regular
              else generate_irregular(EnsembleSpec(30, 45, 2, seed=0)))
         with pytest.raises(ValueError, match="Im w > 0"):
@@ -454,6 +453,21 @@ class TestLiftedMessagePassing:
     @pytest.mark.parametrize("w", ORACLE_W)
     def test_column_regular_row_irregular_matrix_matches_per_edge_sweep(self, w):
         assert_matches_reference(column_regular_matrix(), w)
+
+    @pytest.mark.parametrize("bernoulli", [False, True])
+    def test_chunked_runs_match_per_edge_sweep(self, bernoulli, monkeypatch):
+        # chunks of one point and of three, the last one short; the small
+        # budget stalls the points inside the support but not those outside
+        spec = EnsembleSpec(30, 45, 2, EntryMode.ONES, seed=5)
+        m = generate_irregular(spec) if bernoulli else generate_regular(spec)
+        w = np.array([-1.0, 0.3, 1.0, 1.5, 2.2, 3.0, 6.0]) + 0.05j
+        monkeypatch.setattr(cavity, "MAX_SWEEPS", 60)
+        n_classes = cavity_on_graph(m, w[0]).n_classes
+        for points in (1, 3):
+            monkeypatch.setattr(cavity, "_CHUNK", points * n_classes)
+            run = cavity_on_graph(m, w)
+            assert (run.point_sweeps == 60).any() and (run.point_sweeps < 60).any()
+            assert_matches_reference(m, w)
 
     def test_matrix_without_entries_gives_isolated_node_variances(self):
         empty = np.zeros(0, dtype=np.int64)

@@ -520,6 +520,26 @@ class TestValidate:
         assert Path(str(out) + ".manifest.json").read_bytes() == manifest
 
 
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("argv", [
+        ["density", "--beta", "inf", "--d", "2", "--points", "4"],
+        ["density", "--beta", "1.5", "--d", "inf", "--points", "4"],
+        ["simulate", "--n", "10", "--beta", "inf", "--d", "2", "--trials", "2"],
+        ["cavity", "--beta", "inf", "--d", "2", "--points", "4", "--graph-n", "10"],
+        ["throughput", "--beta", "inf", "--d", "2", "--snr-db", "10",
+         "--curves", "regular_mc", "--mc-n", "10", "--mc-trials", "2"],
+        ["sweep", "--variable", "load", "--values", "1.5,inf", "--d", "2", "--snr-db", "10",
+         "--curves", "regular,regular_mc", "--mc-n", "10", "--mc-trials", "2"],
+        ["sweep", "--variable", "sparsity", "--values", "3,inf", "--beta", "1.5",
+         "--snr-db", "10"],
+    ], ids=["density_beta", "density_d", "simulate", "cavity", "throughput_mc",
+            "load_sweep_mc", "sparsity_sweep"])
+    def test_exits_2_before_writing(self, tmp_path, capsys, argv):
+        assert run(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestNumericalExit:
     def test_cavity_generation_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         def broken(spec, realization=0):

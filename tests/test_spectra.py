@@ -71,7 +71,8 @@ class TestDensityParams:
         assert p.lambda_minus == 0.0
         assert abs(p.lambda_plus - 4.0 * (d - 1.0) / d) < 1e-12
 
-    @pytest.mark.parametrize("beta,d", [(0.5, 2.0), (1.5, 1.0), (1.5, 0.5)])
+    @pytest.mark.parametrize("beta,d", [(0.5, 2.0), (1.5, 1.0), (1.5, 0.5),
+                                        (math.inf, 2.0), (1.5, math.inf)])
     def test_domain_validation(self, beta, d):
         with pytest.raises(ValueError):
             DensityParams(beta=beta, d=d)

@@ -351,6 +351,18 @@ class TestSweepSpec:
             SweepSpec(variable=SweepVariable.SPARSITY, values=(2.0, 1.5),
                       beta=1.2, snr_db=10.0)
 
+    @pytest.mark.parametrize("beta,d", [(math.inf, 2.0), (1.5, math.inf), (math.nan, 2.0)])
+    def test_ensemble_from_load_rejects_non_finite_values(self, beta, d):
+        with pytest.raises(ValueError, match="finite"):
+            EnsembleSpec.from_load(10, beta, d, EntryMode.ONES, 0)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_sparsity_sweep_checks_every_degree(self, bad):
+        # the smallest degree is admissible; the bad one must fail before any point runs
+        with pytest.raises(ValueError):
+            SweepSpec(variable=SweepVariable.SPARSITY, values=(3.0, bad),
+                      beta=1.5, snr_db=10.0)
+
     def test_ebno_sweep_rejects_fixed_operating_point(self):
         with pytest.raises(ValueError):
             SweepSpec(variable=SweepVariable.EBNO, values=(10.0,),
