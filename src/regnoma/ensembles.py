@@ -4,7 +4,8 @@ A signature matrix assigns each of K users a sparse column over N shared
 resources.  The regular ensemble fixes exactly ``d`` nonzeros per column and
 ``beta * d`` per row (``beta = K / N``), which makes the bipartite
 resource/user graph biregular.  An irregular reference ensemble with i.i.d.
-Bernoulli(d/N) entries is provided for comparison experiments.
+Bernoulli(d/N) entries is provided for comparison experiments; it draws
+only its edges, a binomial count of distinct cells, at O(E) cost.
 
 Sampling uses the configuration model: column stubs are matched to row stubs
 by a uniform random permutation, then parallel edges are removed with
@@ -296,26 +297,18 @@ def generate_regular(spec: EnsembleSpec, realization: int = 0) -> SparseSignatur
 def generate_irregular(spec: EnsembleSpec, realization: int = 0) -> SparseSignatureMatrix:
     """Sample the i.i.d. reference ensemble: each entry nonzero w.p. d/N.
 
-    Column degrees are then Binomial(N, d/N), close to Poisson(d) for large N.
-    Requires d/N < 1.
+    An i.i.d. Bernoulli(p) field is a Binomial(N*K, p) count of occupied
+    cells placed as a uniform subset, so drawing those cells keeps the law
+    at O(E) time and memory.  Column degrees are Binomial(N, d/N), close to
+    Poisson(d) for large N.  Requires d/N < 1.
     """
     n, k, d = spec.n_resources, spec.n_users, spec.col_degree
     p = d / n
     if p >= 1.0:
         raise ValueError(f"Bernoulli probability d/N = {p} must be < 1")
     rng = stream(spec.seed, realization)
-    rows_parts = []
-    cols_parts = []
-    # column blocks keep the mask memory bounded at large sizes
-    block = max(1, min(k, 8_000_000 // max(n, 1)))
-    for lo in range(0, k, block):
-        hi = min(k, lo + block)
-        mask = rng.random((n, hi - lo)) < p
-        r, c = np.nonzero(mask)
-        rows_parts.append(r)
-        cols_parts.append(c + lo)
-    rows = np.concatenate(rows_parts)
-    cols = np.concatenate(cols_parts)
-    values = _draw_values(rng, rows.size, spec.entry_mode)
+    # the matrix re-sorts its cells, so the subset needs no shuffle
+    cells = rng.choice(n * k, rng.binomial(n * k, p), replace=False, shuffle=False)
+    rows, cols = np.divmod(cells, k)
+    values = _draw_values(rng, cells.size, spec.entry_mode)
     return SparseSignatureMatrix(spec, rows, cols, values)
-

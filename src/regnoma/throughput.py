@@ -345,9 +345,13 @@ class SweepSpec:
         if self.variable is SweepVariable.EBNO:
             if self.snr_db is not None or self.ebno_db is not None:
                 raise ValueError("EBNO sweep carries the operating point on the axis")
+            levels = self.values
         else:
             if (self.snr_db is None) == (self.ebno_db is None):
                 raise ValueError("need exactly one of snr_db or ebno_db")
+            levels = (self.snr_db if self.ebno_db is None else self.ebno_db,)
+        if not np.isfinite(levels).all():
+            raise ValueError(f"Eb/N0 and snr in dB must be finite, got {levels}")
         if any(c in self.curves for c in _MC_CURVES):
             if self.mc_n is None or self.mc_trials is None:
                 raise ValueError("Monte Carlo curves need mc_n and mc_trials")

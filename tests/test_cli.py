@@ -55,7 +55,7 @@ class TestEntryPoint:
     def test_installed_script_reports_version(self):
         proc = run_python("-m", "regnoma.cli", "--version")
         assert proc.returncode == 0
-        assert "regnoma 0.10.0" in proc.stdout
+        assert "regnoma 0.11.0" in proc.stdout
 
     def test_import_leaves_scipy_unloaded(self):
         # every CLI run pays the start-up: scipy.stats costs about a second to
@@ -405,7 +405,7 @@ class TestSweep:
          "729d2c4a972183b2ac9a083c567d3c5b3cfb4de6604434c8ce23430b72d63476"),
         (["--values", "4,10", "--curves", "regular,regular_mc,irregular_mc",
           "--mc-n", "10", "--mc-trials", "300"],
-         "f12fcbe8447e5cce867515bdfadc07875457e92159fc39120fda9e66761fd730"),
+         "7ef9d1b1ec8bf596dfab5cfa1ce20c1f95d0df0b0e030e36c6feb65d1d14cbde"),
     ])
     def test_throughput_bytes_are_pinned(self, tmp_path, argv, sha256):
         # every curve of both benchmark sweeps, Eb/N0 inversions and MC included
@@ -433,6 +433,22 @@ class TestSweep:
         with pytest.raises(SystemExit) as excinfo:
             run(argv + ["--out", str(tmp_path / "x.csv")])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--variable", "ebno", "--values", "10,nan", "--beta", "1.5"],
+        ["--variable", "ebno", "--values", "10,inf", "--beta", "1.5"],
+        ["--variable", "load", "--values", "1.5", "--ebno-db", "nan"],
+    ])
+    def test_non_finite_ebno_exits_2_without_output(self, tmp_path, capsys, monkeypatch,
+                                                    argv):
+        def no_work(*args, **kwargs):
+            raise AssertionError("inverted an Eb/N0 point before the check")
+
+        monkeypatch.setattr(cli.tp, "snr_for_ebno", no_work)
+        assert run(["sweep", *argv, "--d", "2", "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "finite" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_inconsistent_operating_point_exits_2(self, tmp_path):
         assert run(["sweep", "--variable", "ebno", "--values", "4,8",

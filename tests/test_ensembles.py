@@ -166,6 +166,20 @@ class TestDrawsPinned:
         assert parallel > 0
 
 
+# SHA-256 over (rows, cols, values) of every Bernoulli draw for seeds
+# DIGEST_SEEDS and realizations DIGEST_REALIZATIONS, recorded from the edge
+# draw (a binomial count of distinct cells); kept apart from DRAW_DIGESTS,
+# whose keys replay regular matchings
+IRREGULAR_DIGESTS = {
+    (10, 15, 2, EntryMode.ONES):
+        "e665c24bd1138d83f15ff9484935a9d2dbc3a0ebdd3ddf235bd2d56be3c7fcf9",
+    (10, 15, 2, EntryMode.RADEMACHER):
+        "151e213b276b8cf4b011ff6b1dc0e58a4a561c179b96c21a99e7125d73293ef3",
+    (200, 300, 2, EntryMode.RADEMACHER):
+        "805fee223a1a015bd9920326b1b7859690088a47f120283127a8e4eb386e04b3",
+}
+
+
 class TestGenerateIrregular:
     def test_degree_moments_near_poisson(self):
         spec = make_spec(1000, 1500, 2, seed=2)
@@ -173,6 +187,43 @@ class TestGenerateIrregular:
                                for t in range(100)])
         assert abs(degs.mean() - 2.0) < 0.1
         assert abs(degs.var(ddof=1) - 2.0) < 0.2
+
+    @pytest.mark.parametrize("n,k,d,mode", list(IRREGULAR_DIGESTS))
+    def test_draws_match_recorded_digest(self, n, k, d, mode):
+        h = hashlib.sha256()
+        for seed in DIGEST_SEEDS:
+            spec = make_spec(n, k, d, mode, seed)
+            for t in DIGEST_REALIZATIONS:
+                m = generate_irregular(spec, realization=t)
+                for a in (m.rows, m.cols, m.values):
+                    h.update(a.tobytes())
+        assert h.hexdigest() == IRREGULAR_DIGESTS[(n, k, d, mode)]
+
+    def test_cell_occupancy_is_iid_bernoulli(self):
+        # on a 3 x 3 matrix every cell is nonzero w.p. 2/3 on its own, and the
+        # number of nonzeros is Binomial(9, 2/3)
+        spec = make_spec(3, 3, 2, EntryMode.ONES, seed=11)
+        trials, p = 4000, 2 / 3
+        dense = np.array([generate_irregular(spec, realization=t).to_dense()
+                          for t in range(trials)])
+        hits = dense.sum(axis=0).ravel()
+        chi2 = float(((hits - trials * p) ** 2 / (trials * p * (1 - p))).sum())
+        assert chi2 < stats.chi2.ppf(0.99, hits.size)
+        # pool the counts 0..3, whose expected numbers are small
+        counts = np.bincount(np.maximum(dense.sum(axis=(1, 2)).astype(int), 3) - 3,
+                             minlength=7)
+        pmf = stats.binom.pmf(np.arange(3, 10), 9, p)
+        pmf[0] = stats.binom.cdf(3, 9, p)
+        expected = trials * pmf
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        assert chi2 < stats.chi2.ppf(0.99, counts.size - 1)
+
+    def test_large_draw_keeps_the_mean_column_degree(self):
+        # 1.5e10 cells and ~3e5 edges: only the edges are drawn
+        deg = generate_irregular(make_spec(100_000, 150_000, 2, seed=3)).column_degrees()
+        # the mean has standard deviation ~0.004 and the variance ~0.008
+        assert abs(deg.mean() - 2.0) < 0.02
+        assert abs(deg.var(ddof=1) - 2.0) < 0.05
 
     def test_rejects_degenerate_probability(self):
         with pytest.raises(ValueError):

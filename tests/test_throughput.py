@@ -363,6 +363,21 @@ class TestSweepSpec:
             SweepSpec(variable=SweepVariable.SPARSITY, values=(3.0, bad),
                       beta=1.5, snr_db=10.0)
 
+    @pytest.mark.parametrize("fields", [
+        dict(variable=SweepVariable.EBNO, values=(10.0, math.nan)),
+        dict(variable=SweepVariable.EBNO, values=(10.0, math.inf)),
+        dict(variable=SweepVariable.LOAD, values=(1.5,), ebno_db=math.nan),
+        dict(variable=SweepVariable.LOAD, values=(1.5,), snr_db=-math.inf),
+    ])
+    def test_non_finite_operating_point_rejected_before_any_inversion(
+            self, monkeypatch, fields):
+        def no_work(*args, **kwargs):
+            raise AssertionError("inverted an Eb/N0 point before the check")
+
+        monkeypatch.setattr(tp, "snr_for_ebno", no_work)
+        with pytest.raises(ValueError, match="finite"):
+            sweep(SweepSpec(beta=1.5, d=2.0, **fields))
+
     def test_ebno_sweep_rejects_fixed_operating_point(self):
         with pytest.raises(ValueError):
             SweepSpec(variable=SweepVariable.EBNO, values=(10.0,),
