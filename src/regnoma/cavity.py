@@ -52,7 +52,6 @@ from .ensembles import SparseSignatureMatrix
 
 __all__ = [
     "GraphCavityMessages",
-    "GraphRouteDensity",
     "stieltjes_inversion",
     "cavity_on_graph",
     "graph_route_density",
@@ -188,7 +187,9 @@ class GraphCavityMessages:
     slowest point's (0 without points), and ``n_classes`` the message
     classes a sweep updates per point.  A stalled point (``point_sweeps ==
     MAX_SWEEPS`` and ``max_change >= GRAPH_TOL``) keeps its last messages,
-    and its node values and ``gram_transform`` are NaN.
+    and its node values and ``gram_transform`` are NaN.  ``density`` is
+    ``-Im gram_transform / pi``, and ``n_failed`` the NaN points of
+    ``gram_transform``.
     """
 
     messages: np.ndarray
@@ -199,6 +200,14 @@ class GraphCavityMessages:
     sweeps: int
     n_classes: int
     gram_transform: np.ndarray
+
+    @property
+    def density(self) -> np.ndarray:
+        return -self.gram_transform.imag / np.pi
+
+    @property
+    def n_failed(self) -> int:
+        return int(np.isnan(self.gram_transform).sum())
 
 
 def cavity_on_graph(matrix: SparseSignatureMatrix, w) -> GraphCavityMessages:
@@ -336,25 +345,6 @@ def _sweep(matrix: SparseSignatureMatrix, w: np.ndarray) -> GraphCavityMessages:
         gram_transform=resource.mean(-1))
 
 
-@dataclass(frozen=True)
-class GraphRouteDensity:
-    """Graph-route density on a grid with its message-passing diagnostics.
-
-    ``density`` is NaN where the messages did not converge; ``sweeps``
-    holds the sweeps run at each point (``MAX_SWEEPS`` where they stalled)
-    and ``n_classes`` the messages each sweep updated: one per orientation
-    on a regular matrix and one per directed edge otherwise.
-    """
-
-    density: np.ndarray
-    sweeps: np.ndarray
-    n_classes: int
-
-    @property
-    def n_failed(self) -> int:
-        return int(np.isnan(self.density).sum())
-
-
 def check_graph_epsilon(epsilon: float) -> None:
     """Reject a graph-route offset that is not finite and positive.
 
@@ -367,16 +357,16 @@ def check_graph_epsilon(epsilon: float) -> None:
 
 def graph_route_density(matrix: SparseSignatureMatrix,
                         lambda_grid: np.ndarray,
-                        epsilon: float = GRAPH_EPSILON) -> GraphRouteDensity:
+                        epsilon: float = GRAPH_EPSILON) -> GraphCavityMessages:
     """Gram density estimate from message passing on one sampled matrix.
 
-    One :func:`cavity_on_graph` run sweeps every grid point ``lam`` at
-    ``w = lam + i eps`` and the density reads ``-Im gram_transform / pi``.
-    The default ``epsilon`` trades the Lorentzian smoothing bias against
-    finite-size roughness; it must be finite and positive
-    (:func:`check_graph_epsilon`), and a grid with a non-finite point is
-    rejected before any sweep.  A point whose messages do not converge is
-    NaN and the others run on.
+    Returns the one :func:`cavity_on_graph` run that sweeps every grid
+    point ``lam`` at ``w = lam + i eps``; its ``density`` reads
+    ``-Im gram_transform / pi``.  The default ``epsilon`` trades the
+    Lorentzian smoothing bias against finite-size roughness; it must be
+    finite and positive (:func:`check_graph_epsilon`), and a grid with a
+    non-finite point is rejected before any sweep.  A point whose messages
+    do not converge is NaN and the others run on.
     """
     check_graph_epsilon(epsilon)
     grid = np.atleast_1d(np.asarray(lambda_grid, dtype=np.float64))
@@ -384,6 +374,4 @@ def graph_route_density(matrix: SparseSignatureMatrix,
         raise ValueError("every grid point must be finite")
     w = grid.astype(complex)
     w.imag = epsilon
-    run = cavity_on_graph(matrix, w)
-    return GraphRouteDensity(density=-run.gram_transform.imag / np.pi,
-                             sweeps=run.point_sweeps, n_classes=run.n_classes)
+    return cavity_on_graph(matrix, w)

@@ -149,13 +149,13 @@ def _cmd_cavity(args: argparse.Namespace) -> int:
                                    "graph_sweeps_max", "graph_message_classes"))
     if have_graph:
         matrix = generate_regular(espec, realization=0)
-        route = cavity_mod.graph_route_density(matrix, grid,
-                                               epsilon=args.graph_epsilon)
-        graph = route.density
-        graph_results = {"n_failed_graph": route.n_failed,
-                         "graph_sweeps_total": int(route.sweeps.sum()),
-                         "graph_sweeps_max": int(route.sweeps.max()),
-                         "graph_message_classes": route.n_classes}
+        run = cavity_mod.graph_route_density(matrix, grid,
+                                             epsilon=args.graph_epsilon)
+        graph = run.density
+        graph_results = {"n_failed_graph": run.n_failed,
+                         "graph_sweeps_total": int(run.point_sweeps.sum()),
+                         "graph_sweeps_max": run.sweeps,
+                         "graph_message_classes": run.n_classes}
     err_scalar = np.abs(scalar - closed)
     err_graph = np.abs(graph - closed)  # NaN, written as missing, without a graph
     rows = [dict(zip(CAVITY_COLUMNS, cells))

@@ -10,7 +10,11 @@ import time
 
 from regnoma.checks import CHECKS
 
-# seeds of the sampled-ensemble criteria
+# seeds of the sampled-ensemble criteria.  stream(seed, i) is PCG64(seed ^ i),
+# so seeds 1 and 2 draw the same set of streams as seed 0 at criterion 6's
+# 10,000 and criterion 8's 200 trials, in another order: criterion 8 reads
+# 91.8611 at seeds 0, 1 and 2.  The seeds stay until the streams are
+# derived independently.
 SEED = {4: 0, 5: 0, 6: 1, 8: 2}
 BUDGET_S = {1: 1.0, 2: 5.0, 3: 5.0, 4: 120.0, 5: 180.0, 6: 300.0, 7: 30.0,
             8: 300.0, 9: 1.0}
@@ -39,10 +43,10 @@ PINNED = {
     ("scaled_spectrum_ks", "ks_rademacher"): (5, "full", "<", 0.02),
     ("scaled_spectrum_ks", "ks_ones_vs_rademacher"): (5, "full", "<", 0.02),
     ("graph_route_agreement", "sup_abs_err"): (4, "full", "<", 0.05),
-    ("mc_vs_closed_form", "abs_err_minus_3_stderr"): (None, "full", "<", 0.01),
     ("finite_n_vs_asymptotic", "n_failed_trials"): (6, "full", "==", 0),
     ("finite_n_vs_asymptotic", "max_rel_err"): (6, "full", "<", 0.05),
     ("regular_vs_irregular", "gap_over_pooled_stderr"): (8, "full", ">", 5.0),
+    ("regular_vs_irregular", "abs_err_minus_3_stderr"): (8, "full", "<", 0.01),
     ("full_scale_spectrum_ks", "ks"): (None, "full", "<", 0.02),
 }
 

@@ -1,6 +1,7 @@
 """Scalar cavity fixed point, per-graph messages, and Stieltjes inversion."""
 
 import cmath
+import dataclasses
 import math
 from unittest.mock import patch
 
@@ -298,6 +299,17 @@ class TestCavityOnGraph:
         assert np.isnan(node_values(msgs).imag).all()
         assert cmath.isnan(msgs.gram_transform)
 
+    def test_scalar_point_reads_a_0d_density_and_failure_count(self, monkeypatch):
+        m = sample_matrix(30, 45, 2)
+        run = cavity_on_graph(m, 1.5 + 0.05j)
+        assert np.ndim(run.density) == 0
+        assert run.density == -run.gram_transform.imag / math.pi > 0.0
+        assert run.n_failed == 0 and type(run.n_failed) is int
+        monkeypatch.setattr(cavity, "MAX_SWEEPS", 1)
+        stalled = cavity_on_graph(m, 1.5 + 0.05j)
+        assert np.ndim(stalled.density) == 0 and math.isnan(stalled.density)
+        assert stalled.n_failed == 1 and type(stalled.n_failed) is int
+
     @pytest.mark.parametrize("w", [1.5 - 0.05j, 1.5 + 0.0j, complex(math.nan, 1.0),
                                    complex(1.0, math.nan), complex(math.inf, 1.0),
                                    complex(1.0, math.inf)])
@@ -575,24 +587,29 @@ class TestGraphRouteDensity:
                 one = cavity_on_graph(m, complex(lam, eps))
                 assert np.array_equal(route.density[i], -one.gram_transform.imag / math.pi,
                                       equal_nan=True)
-                assert route.sweeps[i] == run.point_sweeps[i] == one.sweeps
+                assert run.point_sweeps[i] == one.sweeps
                 assert run.max_change[i] == one.max_change
                 assert np.array_equal(run.messages[i], one.messages)
                 assert np.array_equal(node_values(run)[i], node_values(one), equal_nan=True)
-        assert run.sweeps == route.sweeps.max()
+        # the route is the run itself, field for field
+        assert type(route) is type(run)
+        for field in dataclasses.fields(run):
+            assert np.array_equal(getattr(route, field.name), getattr(run, field.name),
+                                  equal_nan=True), field.name
+        assert route.sweeps == route.point_sweeps.max()
 
     def test_one_run_mixes_fast_slow_and_stalled_points(self, monkeypatch):
         m = sample_matrix(100, 150, 2, seed=3)
         grid = np.array([9.0, 1.5, 0.5, 20.0, 2.5])
         free = graph_route_density(m, grid, epsilon=1e-2)
-        budget = int(np.median(free.sweeps))
+        budget = int(np.median(free.point_sweeps))
         monkeypatch.setattr(cavity, "MAX_SWEEPS", budget)
         capped = graph_route_density(m, grid, epsilon=1e-2)
-        fast = free.sweeps < budget
+        fast = free.point_sweeps < budget
         assert fast.any() and (~fast).any()
         assert np.array_equal(capped.density[fast], free.density[fast])
-        assert np.array_equal(capped.sweeps, np.minimum(free.sweeps, budget))
-        assert capped.n_failed == (free.sweeps > budget).sum() > 0
+        assert np.array_equal(capped.point_sweeps, np.minimum(free.point_sweeps, budget))
+        assert capped.n_failed == (free.point_sweeps > budget).sum() > 0
 
     def test_recovers_closed_form_on_moderate_instance(self):
         m = sample_matrix(200, 300, 2, seed=4)
@@ -608,7 +625,7 @@ class TestGraphRouteDensity:
         m = sample_matrix(100, 150, 2, seed=3)
         grid = np.linspace(0.5, 2.5, 5)
         est = graph_route_density(m, grid, epsilon=1e-2)
-        for lam, rho, sweeps in zip(grid, est.density, est.sweeps):
+        for lam, rho, sweeps in zip(grid, est.density, est.point_sweeps):
             run = cavity_on_graph(m, complex(lam, 1e-2))
             assert rho == -run.gram_transform.imag / math.pi
             assert sweeps == run.sweeps
@@ -633,13 +650,13 @@ class TestGraphRouteDensity:
             stalled = graph_route_density(m, grid)
         assert np.isnan(stalled.density).all()
         assert stalled.n_failed == 4
-        assert (stalled.sweeps == 1).all()
+        assert (stalled.point_sweeps == 1).all()
         ok = graph_route_density(m, grid)
         assert ok.n_failed == 0 and np.isfinite(ok.density).all()
 
     def test_empty_grid(self):
         route = graph_route_density(sample_matrix(30, 45, 2), np.array([]))
-        assert route.density.shape == route.sweeps.shape == (0,)
+        assert route.density.shape == route.point_sweeps.shape == (0,)
         assert route.n_failed == 0 and route.n_classes == 2
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -3,8 +3,10 @@
 import csv
 import dataclasses
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -55,7 +57,14 @@ class TestEntryPoint:
     def test_installed_script_reports_version(self):
         proc = run_python("-m", "regnoma.cli", "--version")
         assert proc.returncode == 0
-        assert "regnoma 0.11.0" in proc.stdout
+        assert "regnoma 0.12.0" in proc.stdout
+
+    @pytest.mark.parametrize("module", [regnoma] + [
+        importlib.import_module(f"regnoma.{m.name}")
+        for m in pkgutil.iter_modules(regnoma.__path__)], ids=lambda m: m.__name__)
+    def test_every_exported_name_resolves(self, module):
+        # a name deleted from the code must not stay behind in an __all__
+        assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
 
     def test_import_leaves_scipy_unloaded(self):
         # every CLI run pays the start-up: scipy.stats costs about a second to
