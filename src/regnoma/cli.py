@@ -215,45 +215,22 @@ def _parse_curves(token: str) -> tuple[tp.Curve, ...]:
     return tuple(known[name.lower()] for name in names)
 
 
-def _sweep_fields(args: argparse.Namespace) -> dict:
-    """The ``SweepSpec`` fields that ``throughput`` and ``sweep`` share."""
-    return dict(curves=_parse_curves(args.curves), beta=args.beta, d=args.d,
-                mc_n=args.mc_n, mc_trials=args.mc_trials, seed=args.seed,
-                entry_mode=EntryMode(args.entries))
-
-
-def _emit_sweep_rows(args: argparse.Namespace, spec: tp.SweepSpec,
-                     x_override: float | None = None) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    fields = dict(variable=tp.SweepVariable(args.variable),
+                  curves=_parse_curves(args.curves), beta=args.beta, d=args.d,
+                  snr_db=args.snr_db, ebno_db=args.ebno_db, mc_n=args.mc_n,
+                  mc_trials=args.mc_trials, seed=args.seed,
+                  entry_mode=EntryMode(args.entries))
+    if args.values is not None:
+        values = tuple(float(t) for t in args.values.split(","))
+        spec = tp.SweepSpec(values=values, **fields)
+    else:
+        lo, hi, steps = args.grid_range
+        spec = tp.SweepSpec.from_range(lo=lo, hi=hi, steps=int(steps), **fields)
     rows = tp.sweep(spec)
     results = {"failed_points": [row["x"] for row in rows if row["failed"]],
                "failed_mc_trials": sum(row["failed_mc_trials"] for row in rows)}
-    if x_override is not None:
-        for row in rows:
-            row["x"] = x_override
     return _emit(args, tp.SWEEP_COLUMNS, rows, results)
-
-
-def _cmd_throughput(args: argparse.Namespace) -> int:
-    if args.ebno_db is not None:
-        spec = tp.SweepSpec(variable=tp.SweepVariable.EBNO,
-                            values=(args.ebno_db,), **_sweep_fields(args))
-        return _emit_sweep_rows(args, spec)
-    spec = tp.SweepSpec(variable=tp.SweepVariable.SPARSITY, values=(args.d,),
-                        snr_db=args.snr_db, **_sweep_fields(args))
-    # the row abscissa is the operating point, not the degree
-    return _emit_sweep_rows(args, spec, x_override=args.snr_db)
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    variable = tp.SweepVariable(args.variable)
-    common = dict(snr_db=args.snr_db, ebno_db=args.ebno_db, **_sweep_fields(args))
-    if args.values is not None:
-        values = tuple(float(t) for t in args.values.split(","))
-        spec = tp.SweepSpec(variable=variable, values=values, **common)
-    else:
-        lo, hi, steps = args.grid_range
-        spec = tp.SweepSpec.from_range(variable, lo, hi, int(steps), **common)
-    return _emit_sweep_rows(args, spec)
 
 
 # ======================================================================
@@ -310,17 +287,6 @@ def _add_entries(sp: argparse.ArgumentParser) -> None:
                     default=EntryMode.RADEMACHER.value, help="nonzero entry mode")
 
 
-def _add_curve_options(sp: argparse.ArgumentParser) -> None:
-    """The curve and Monte Carlo options of ``throughput`` and ``sweep``."""
-    sp.add_argument("--curves", default=",".join(_names(tp.DEFAULT_CURVES)),
-                    help=f"comma-separated subset of {', '.join(_names(tp.Curve))}")
-    sp.add_argument("--mc-n", type=int, default=None,
-                    help="resources per Monte Carlo matrix")
-    sp.add_argument("--mc-trials", type=int, default=None,
-                    help="Monte Carlo trials")
-    _add_entries(sp)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="regnoma",
@@ -362,19 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.set_defaults(func=_cmd_simulate)
 
-    sp = sub.add_parser("throughput",
-                        help="throughput curves at one operating point")
-    sp.add_argument("--beta", type=float, required=True)
-    sp.add_argument("--d", type=float, required=True)
-    point = sp.add_mutually_exclusive_group(required=True)
-    point.add_argument("--snr-db", type=float, default=None,
-                       help="per-user SNR in dB")
-    point.add_argument("--ebno-db", type=float, default=None,
-                       help="energy per bit over noise density in dB")
-    _add_curve_options(sp)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_throughput)
-
     sp = sub.add_parser("sweep", help="throughput curves over a parameter grid")
     sp.add_argument("--variable", required=True,
                     choices=_names(tp.SweepVariable),
@@ -389,9 +342,17 @@ def build_parser() -> argparse.ArgumentParser:
                     help="fixed load (sparsity and ebno sweeps)")
     sp.add_argument("--d", type=float, default=None,
                     help="fixed sparsity (load and ebno sweeps)")
-    sp.add_argument("--snr-db", type=float, default=None)
-    sp.add_argument("--ebno-db", type=float, default=None)
-    _add_curve_options(sp)
+    sp.add_argument("--snr-db", type=float, default=None,
+                    help="fixed per-user SNR in dB (load and sparsity sweeps)")
+    sp.add_argument("--ebno-db", type=float, default=None,
+                    help="fixed energy per bit over noise density in dB")
+    sp.add_argument("--curves", default=",".join(_names(tp.DEFAULT_CURVES)),
+                    help=f"comma-separated subset of {', '.join(_names(tp.Curve))}")
+    sp.add_argument("--mc-n", type=int, default=None,
+                    help="resources per Monte Carlo matrix")
+    sp.add_argument("--mc-trials", type=int, default=None,
+                    help="Monte Carlo trials")
+    _add_entries(sp)
     _add_common(sp)
     sp.set_defaults(func=_cmd_sweep)
 

@@ -291,6 +291,9 @@ class SweepVariable(Enum):
 
 
 _MC_CURVES = (Curve.REGULAR_MC, Curve.IRREGULAR_MC)
+_NEEDS_FIXED = {SweepVariable.LOAD: "LOAD sweep needs a fixed degree d",
+                SweepVariable.SPARSITY: "SPARSITY sweep needs a fixed load beta",
+                SweepVariable.EBNO: "EBNO sweep needs fixed beta and d"}
 
 # a column per curve, and an MC curve's standard error after its mean
 SWEEP_COLUMNS = ("x", *(key for c in Curve for key in (
@@ -306,7 +309,9 @@ class SweepSpec:
     of ``snr_db`` or ``ebno_db`` (EBNO sweeps carry the operating point on
     the axis).  Monte Carlo curves additionally need ``mc_n``, ``mc_trials``
     and ``seed``; both MC curves run at the snr of the asymptotic regular
-    curve so ensembles are compared at equal received power.
+    curve so ensembles are compared at equal received power.  Construction
+    checks every row before any point runs: its (beta, d), its operating
+    point and, with an MC curve, its ensemble.
     """
 
     variable: SweepVariable
@@ -326,37 +331,40 @@ class SweepSpec:
             raise ValueError("sweep needs at least one point")
         if len(set(self.curves)) != len(self.curves):
             raise ValueError("duplicate curves requested")
-        if self.variable is SweepVariable.LOAD:
-            if self.d is None:
-                raise ValueError("LOAD sweep needs a fixed degree d")
-            for beta in self.values:
-                DensityParams(beta=beta, d=self.d)  # raises ValueError outside the domain
-                if not self._integer_load(beta, self.d):
-                    raise ValueError(
-                        f"beta * d must be an integer > 1 for a realizable ensemble, "
-                        f"got beta={beta}, d={self.d}")
-        elif self.variable is SweepVariable.SPARSITY:
-            if self.beta is None:
-                raise ValueError("SPARSITY sweep needs a fixed load beta")
-            for d in self.values:
-                DensityParams(beta=self.beta, d=d)
-        else:
-            if self.beta is None or self.d is None:
-                raise ValueError("EBNO sweep needs fixed beta and d")
-            DensityParams(beta=self.beta, d=self.d)
         if self.variable is SweepVariable.EBNO:
             if self.snr_db is not None or self.ebno_db is not None:
                 raise ValueError("EBNO sweep carries the operating point on the axis")
-            levels = self.values
-        else:
-            if (self.snr_db is None) == (self.ebno_db is None):
-                raise ValueError("need exactly one of snr_db or ebno_db")
-            levels = (self.snr_db if self.ebno_db is None else self.ebno_db,)
-        if not np.isfinite(levels).all():
-            raise ValueError(f"Eb/N0 and snr in dB must be finite, got {levels}")
-        if any(c in self.curves for c in _MC_CURVES):
-            if self.mc_n is None or self.mc_trials is None:
-                raise ValueError("Monte Carlo curves need mc_n and mc_trials")
+        elif (self.snr_db is None) == (self.ebno_db is None):
+            raise ValueError("need exactly one of snr_db or ebno_db")
+        mc = any(c in self.curves for c in _MC_CURVES)
+        if mc and (self.mc_n is None or self.mc_trials is None):
+            raise ValueError("Monte Carlo curves need mc_n and mc_trials")
+        if mc and self.mc_trials < 1:
+            raise ValueError(f"need at least one trial, got {self.mc_trials}")
+        for x in self.values:
+            beta, d, ebno_db = self._point(x)
+            if beta is None or d is None:
+                raise ValueError(_NEEDS_FIXED[self.variable])
+            DensityParams(beta=beta, d=d)  # raises ValueError outside the domain
+            if self.variable is SweepVariable.LOAD and not self._integer_load(beta, d):
+                raise ValueError(
+                    f"beta * d must be an integer > 1 for a realizable ensemble, "
+                    f"got beta={beta}, d={d}")
+            level = self.snr_db if ebno_db is None else ebno_db
+            if not math.isfinite(level):
+                raise ValueError(f"Eb/N0 and snr in dB must be finite, got {level}")
+            if mc:  # an unrealizable ensemble fails here, before any inversion or draw
+                self._ensemble(beta, d)
+
+    def _point(self, x: float) -> tuple[float | None, float | None, float | None]:
+        """The (beta, d, ebno_db) of the row at axis value ``x``."""
+        return (x if self.variable is SweepVariable.LOAD else self.beta,
+                x if self.variable is SweepVariable.SPARSITY else self.d,
+                x if self.variable is SweepVariable.EBNO else self.ebno_db)
+
+    def _ensemble(self, beta: float, d: float) -> EnsembleSpec:
+        """The Monte Carlo ensemble of the row at load ``beta`` and degree ``d``."""
+        return EnsembleSpec.from_load(self.mc_n, beta, d, self.entry_mode, self.seed)
 
     @classmethod
     def from_range(cls, variable: SweepVariable, lo: float, hi: float,
@@ -388,9 +396,7 @@ def _sweep_point(spec: SweepSpec, x: float
                  ) -> tuple[dict[str, float], list[tuple[Curve, EnsembleSpec, float]]]:
     """The asymptotic cells of one sweep row, and its Monte Carlo runs as
     (curve, ensemble, snr) triples, in curve order."""
-    beta = x if spec.variable is SweepVariable.LOAD else spec.beta
-    d = x if spec.variable is SweepVariable.SPARSITY else spec.d
-    ebno_db = x if spec.variable is SweepVariable.EBNO else spec.ebno_db
+    beta, d, ebno_db = spec._point(x)
     snrs: dict[float | Curve, float] = {}  # one Eb/N0 inversion per selector
     cells: dict[str, float] = {}
     runs: list[tuple[Curve, EnsembleSpec, float]] = []
@@ -401,8 +407,7 @@ def _sweep_point(spec: SweepSpec, x: float
                               snr_for_ebno(db_to_linear(ebno_db), beta, selector))
         snr = snrs[selector]
         if curve in _MC_CURVES:
-            ens = EnsembleSpec.from_load(spec.mc_n, beta, d, spec.entry_mode, spec.seed)
-            runs.append((curve, ens, snr))
+            runs.append((curve, spec._ensemble(beta, d), snr))
         else:
             cells[curve.value] = _curve_throughput(beta, selector)(snr)
     return cells, runs

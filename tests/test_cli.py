@@ -7,6 +7,7 @@ import importlib
 import json
 import os
 import pkgutil
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -57,7 +58,7 @@ class TestEntryPoint:
     def test_installed_script_reports_version(self):
         proc = run_python("-m", "regnoma.cli", "--version")
         assert proc.returncode == 0
-        assert "regnoma 0.12.0" in proc.stdout
+        assert "regnoma 0.13.0" in proc.stdout
 
     @pytest.mark.parametrize("module", [regnoma] + [
         importlib.import_module(f"regnoma.{m.name}")
@@ -80,7 +81,6 @@ class TestEntryPoint:
         ["cavity", "--beta", "1.5", "--d", "2", "--threads", "2"],
         ["simulate", "--n", "10", "--beta", "1.5", "--d", "2", "--threads", "2"],
         ["validate", "--format", "json"],
-        ["throughput", "--beta", "1.5", "--d", "2", "--snr-db", "10", "--threads", "2"],
         ["sweep", "--variable", "load", "--values", "1.5", "--d", "2",
          "--ebno-db", "10", "--threads", "2"],
         ["validate", "--threads", "2"],
@@ -89,6 +89,19 @@ class TestEntryPoint:
         with pytest.raises(SystemExit) as excinfo:
             run(argv + ["--out", str(tmp_path / "x.csv")])
         assert excinfo.value.code == 2
+
+
+    def test_readme_commands_parse(self):
+        # a documented command that names a deleted subcommand or flag fails here
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        blocks = readme.read_text().split("```sh\n")[1:]
+        lines = "\n".join(b.split("```")[0] for b in blocks).replace("\\\n", " ")
+        commands = [shlex.split(line, comments=True)[1:] for line in lines.splitlines()
+                    if line.startswith("regnoma ")]
+        for argv in commands:
+            cli.build_parser().parse_args(argv + ["--out", "x.csv"])
+        assert {argv[0] for argv in commands} == {
+            "density", "cavity", "simulate", "sweep", "validate"}
 
 
 class TestDensity:
@@ -312,11 +325,11 @@ class TestSimulate:
 class TestThroughput:
     def test_fixed_snr_point(self, tmp_path):
         out = tmp_path / "tp.json"
-        assert run(["throughput", "--beta", "1.5", "--d", "2",
+        assert run(["sweep", "--variable", "sparsity", "--values", "2", "--beta", "1.5",
                     "--snr-db", "10", "--format", "json",
                     "--out", str(out)]) == 0
         row = json.loads(out.read_text())["rows"][0]
-        assert row["x"] == 10.0
+        assert row["x"] == 2.0  # the degree
         expected = regular_throughput(db_to_linear(10.0),
                                       DensityParams(beta=1.5, d=2.0))
         assert row["regular"] == pytest.approx(expected, rel=1e-9)
@@ -325,29 +338,23 @@ class TestThroughput:
 
     def test_fixed_ebno_point_with_monte_carlo(self, tmp_path):
         out = tmp_path / "tp.json"
-        assert run(["throughput", "--beta", "1.5", "--d", "2",
-                    "--ebno-db", "10",
+        assert run(["sweep", "--variable", "ebno", "--values", "10",
+                    "--beta", "1.5", "--d", "2",
                     "--curves", "regular,regular_mc",
                     "--mc-n", "10", "--mc-trials", "50",
                     "--format", "json", "--out", str(out)]) == 0
         row = json.loads(out.read_text())["rows"][0]
-        assert row["x"] == 10.0
+        assert row["x"] == 10.0  # the Eb/N0 in dB
         assert row["regular_mc_stderr"] > 0.0
         assert abs(row["regular_mc"] - row["regular"]) < 0.2
         assert row["dense_rs"] is None
-
-    def test_both_operating_point_flags_rejected_by_parser(self, tmp_path):
-        with pytest.raises(SystemExit) as excinfo:
-            run(["throughput", "--beta", "1.5", "--d", "2",
-                 "--snr-db", "10", "--ebno-db", "10",
-                 "--out", str(tmp_path / "x.csv")])
-        assert excinfo.value.code == 2
 
     @pytest.mark.parametrize("fmt, blank", [("csv", ""), ("json", None)])
     def test_single_trial_stderr_is_written_blank(self, tmp_path, fmt, blank):
         # one trial has no standard error; the infinite value is left out
         out = tmp_path / f"tp.{fmt}"
-        assert run(["throughput", "--beta", "1.5", "--d", "2", "--snr-db", "10",
+        assert run(["sweep", "--variable", "sparsity", "--values", "2", "--beta", "1.5",
+                    "--snr-db", "10",
                     "--curves", "regular_mc", "--mc-n", "10", "--mc-trials", "1",
                     "--format", fmt, "--out", str(out)]) == 0
         row = (read_csv(out) if fmt == "csv" else json.loads(out.read_text())["rows"])[0]
@@ -355,8 +362,10 @@ class TestThroughput:
         assert float(row["regular_mc"]) > 0.0
 
     @pytest.mark.parametrize("argv", [
-        ["throughput", "--beta", "1.5", "--d", "2.5", "--snr-db", "10", "--mc-n", "10"],
-        ["throughput", "--beta", "1.5", "--d", "2", "--snr-db", "10", "--mc-n", "7"],
+        ["sweep", "--variable", "sparsity", "--values", "2.5", "--beta", "1.5",
+         "--snr-db", "10", "--mc-n", "10"],
+        ["sweep", "--variable", "sparsity", "--values", "2", "--beta", "1.5",
+         "--snr-db", "10", "--mc-n", "7"],
         ["sweep", "--variable", "ebno", "--values", "10", "--beta", "1.5",
          "--d", "2.5", "--mc-n", "10"],
         ["sweep", "--variable", "load", "--values", "1.5", "--d", "2",
@@ -365,9 +374,10 @@ class TestThroughput:
     def test_unrealizable_monte_carlo_ensemble_exits_2(self, tmp_path, argv):
         assert run(argv + ["--curves", "regular,regular_mc", "--mc-trials", "2",
                            "--out", str(tmp_path / "x.csv")]) == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_curve_exits_2(self, tmp_path):
-        assert run(["throughput", "--beta", "1.5", "--d", "2",
+        assert run(["sweep", "--variable", "sparsity", "--values", "2", "--beta", "1.5",
                     "--snr-db", "10", "--curves", "bogus",
                     "--out", str(tmp_path / "x.csv")]) == 2
 
@@ -427,8 +437,8 @@ class TestSweep:
         tables = []
         for curves in ("REGULAR,Dense_RS", "regular,dense_rs"):
             out = tmp_path / "tp.csv"
-            assert run(["throughput", "--beta", "1.5", "--d", "2", "--snr-db", "10",
-                        "--curves", curves, "--out", str(out)]) == 0
+            assert run(["sweep", "--variable", "sparsity", "--values", "2", "--beta", "1.5",
+                        "--snr-db", "10", "--curves", curves, "--out", str(out)]) == 0
             tables.append(out.read_bytes())
         assert tables[0] == tables[1]
         (row,) = read_csv(out)
@@ -551,8 +561,8 @@ class TestNonFiniteParameters:
         ["density", "--beta", "1.5", "--d", "inf", "--points", "4"],
         ["simulate", "--n", "10", "--beta", "inf", "--d", "2", "--trials", "2"],
         ["cavity", "--beta", "inf", "--d", "2", "--points", "4", "--graph-n", "10"],
-        ["throughput", "--beta", "inf", "--d", "2", "--snr-db", "10",
-         "--curves", "regular_mc", "--mc-n", "10", "--mc-trials", "2"],
+        ["sweep", "--variable", "sparsity", "--values", "2", "--beta", "inf",
+         "--snr-db", "10", "--curves", "regular_mc", "--mc-n", "10", "--mc-trials", "2"],
         ["sweep", "--variable", "load", "--values", "1.5,inf", "--d", "2", "--snr-db", "10",
          "--curves", "regular,regular_mc", "--mc-n", "10", "--mc-trials", "2"],
         ["sweep", "--variable", "sparsity", "--values", "3,inf", "--beta", "1.5",

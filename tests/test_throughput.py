@@ -400,6 +400,9 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(variable=SweepVariable.EBNO, values=(10.0,),
                       beta=1.5, d=2.0, curves=(Curve.REGULAR_MC,))
+        with pytest.raises(ValueError, match="at least one trial"):
+            SweepSpec(variable=SweepVariable.EBNO, values=(10.0,), beta=1.5, d=2.0,
+                      curves=(Curve.REGULAR_MC,), mc_n=10, mc_trials=0)
 
     def test_range_constructor_filters_inadmissible_loads(self):
         spec = SweepSpec.from_range(SweepVariable.LOAD, 1.0, 3.0, 9,
@@ -599,9 +602,47 @@ class TestSweep:
         assert not any(row["failed"] for row in rows)
         assert all(np.isfinite(row["regular_mc"]) for row in rows)
 
-    def test_mc_rejects_fractional_degree(self):
-        spec = SweepSpec(variable=SweepVariable.SPARSITY, values=(2.5,),
-                         beta=2.0, snr_db=10.0,
-                         curves=(Curve.REGULAR_MC,), mc_n=10, mc_trials=5)
+    @pytest.mark.parametrize("fields", [
+        dict(variable=SweepVariable.SPARSITY, values=(2.5,), beta=2.0, snr_db=10.0,
+             mc_n=10),
+        # K * d = 45 users' edges on N = 10 resources at d = 3
+        dict(variable=SweepVariable.SPARSITY, values=(2.0, 3.0, 2.5), beta=1.5,
+             ebno_db=10.0, mc_n=10),
+        # N = 5 resources do not realize load 1.5
+        dict(variable=SweepVariable.LOAD, values=(1.5, 2.0, 3.0), d=2.0,
+             ebno_db=10.0, mc_n=5),
+    ])
+    def test_mc_rejects_fractional_degree(self, monkeypatch, fields):
+        # an unrealizable ensemble fails at construction, before any inversion or draw
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran a sweep point before the ensemble check")
+
+        monkeypatch.setattr(tp, "snr_for_ebno", no_work)
+        monkeypatch.setattr(tp, "generate_regular", no_work)
         with pytest.raises(ValueError):
-            sweep(spec)
+            SweepSpec(curves=(Curve.REGULAR, Curve.REGULAR_MC), mc_trials=5, **fields)
+
+    @pytest.mark.parametrize("mc", [False, True], ids=["asymptotic", "mc"])
+    @pytest.mark.parametrize("variable,values,fixed", [
+        (SweepVariable.LOAD, (1.0, 1.5, 4 / 3, 2.0, 5 / 3, 0.5, math.inf),
+         dict(d=3.0, ebno_db=10.0)),
+        (SweepVariable.SPARSITY, (2.0, 2.5, 3.0, 1.2, 4.0, math.nan),
+         dict(beta=1.5, snr_db=10.0)),
+        (SweepVariable.EBNO, (0.0, 10.0, math.nan, 20.0, -math.inf),
+         dict(beta=2.0, d=3.0)),
+    ])
+    def test_accepted_rows_sweep_without_value_error(self, variable, values, fixed, mc):
+        # construction and evaluation derive a row's (beta, d, Eb/N0) and
+        # ensemble alike: every row the constructor accepts also runs
+        curves = (Curve.REGULAR, Curve.REGULAR_MC) if mc else (Curve.REGULAR,)
+        common = dict(variable=variable, curves=curves, mc_n=10, mc_trials=2, **fixed)
+        accepted = []
+        for x in values:
+            try:
+                SweepSpec(values=(x,), **common)
+            except ValueError:
+                continue
+            accepted.append(x)
+        assert 0 < len(accepted) < len(values)
+        rows = sweep(SweepSpec(values=tuple(accepted), **common))
+        assert not any(row["failed"] for row in rows)
