@@ -39,23 +39,20 @@ def _nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _theta_eval(density: Callable[[np.ndarray], np.ndarray],
-                weight: Callable[[np.ndarray], np.ndarray] | None,
                 lo: float, hi: float,
-                theta: np.ndarray) -> np.ndarray:
+                theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes ``lam`` of ``theta`` and ``density(lam)`` times the Jacobian."""
     width = hi - lo
     lam = lo + width * np.sin(theta) ** 2
     jac = width * np.sin(2.0 * theta)
-    val = density(lam) * jac
-    if weight is not None:
-        val = val * weight(lam)
-    return val
+    return lam, density(lam) * jac
 
 
 def support_integral(density: Callable[[np.ndarray], np.ndarray],
                      lo: float, hi: float,
                      weight: Callable[[np.ndarray], np.ndarray] | None = None,
                      tol: float = 1e-9,
-                     n_start: int = 32) -> float:
+                     n_start: int = 32) -> float | np.ndarray:
     """Integrate ``weight * density`` over (lo, hi) with edge substitution.
 
     The node count doubles until two successive estimates differ by less
@@ -63,6 +60,13 @@ def support_integral(density: Callable[[np.ndarray], np.ndarray],
     Nodes are strictly interior, so improper edge behavior (including a
     1/sqrt(lam) divergence at lo = 0) is never evaluated at the singular
     point.
+
+    A ``weight`` that maps the n nodes to an (m, n) array integrates m
+    weights at once and returns an (m,) array.  The density is evaluated
+    once per node count for all of them, each component stops at its own
+    node count with the bits a lone call with its row as the weight would
+    give, and the weight's rows of stopped components are not multiplied
+    further.  One component that misses ``N_MAX`` raises for the call.
 
     Two known limits.  The stop rule can accept a wrong value when a pole
     of the integrand sits just outside a support edge: for the limiting law
@@ -73,15 +77,26 @@ def support_integral(density: Callable[[np.ndarray], np.ndarray],
     """
     if not hi > lo:
         raise ValueError(f"empty support [{lo}, {hi}]")
-    prev = None
+    out = live = prev = None
     n = n_start
     while n <= N_MAX:
         x, w = _nodes(n)
-        theta = (x + 1.0) * (np.pi / 4.0)
-        val = float(np.dot(_theta_eval(density, weight, lo, hi, theta), w) * (np.pi / 4.0))
-        if prev is not None and abs(val - prev) < tol:
-            return val
-        prev = val
+        lam, base = _theta_eval(density, lo, hi, (x + 1.0) * (np.pi / 4.0))
+        weights = 1.0 if weight is None else weight(lam)
+        if out is None:  # the first weight fixes the batch: a 1-D one is a batch of one
+            scalar = np.ndim(weights) < 2
+            out = np.empty(len(np.atleast_2d(weights)))
+            live = np.arange(out.size)
+        # one 1-D dot per row, as a lone call reduces; a 2-D product rounds otherwise
+        vals = np.array([np.dot(row, w) * (np.pi / 4.0)
+                         for row in base * np.atleast_2d(weights)[live]])
+        if prev is not None:
+            done = np.abs(vals - prev) < tol
+            out[live[done]] = vals[done]
+            live, vals = live[~done], vals[~done]
+            if live.size == 0:
+                return float(out[0]) if scalar else out
+        prev = vals
         n *= 2
     raise QuadratureError(f"no convergence to tol={tol} within {N_MAX} nodes")
 
@@ -110,7 +125,7 @@ def partial_integrals(density: Callable[[np.ndarray], np.ndarray],
     h = (np.pi / 2.0) / PANELS
 
     def integrand(theta: np.ndarray) -> np.ndarray:
-        return _theta_eval(density, None, lo, hi, theta.ravel()).reshape(theta.shape)
+        return _theta_eval(density, lo, hi, theta.ravel())[1].reshape(theta.shape)
 
     starts = h * np.arange(PANELS)
     table = integrand(starts[:, None] + (h / 2.0) * (x + 1.0)) @ w * (h / 2.0)

@@ -18,6 +18,7 @@ takes a density; the dense reference is integrated numerically.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -84,6 +85,13 @@ def _check_snr(snr: float) -> float:
     return snr
 
 
+def _check_snrs(snr: float | np.ndarray) -> np.ndarray:
+    """A scalar or 1-D array of snrs as a checked 1-D float array."""
+    if np.ndim(snr) > 1:
+        raise ValueError(f"snr must be a scalar or a 1-D array, got shape {np.shape(snr)}")
+    return np.array([_check_snr(s) for s in np.atleast_1d(snr).tolist()], dtype=np.float64)
+
+
 def regular_throughput(snr: float, p: DensityParams) -> float:
     """Asymptotic throughput of the regular ensemble, bits per resource use.
 
@@ -114,17 +122,24 @@ def regular_throughput(snr: float, p: DensityParams) -> float:
             - bd * math.log1p(t2 * u * r)) / (2.0 * LN2)
 
 
-def dense_rs_throughput(snr: float, beta: float) -> float:
-    """Dense random-spreading reference throughput from the Marchenko-Pastur law."""
-    snr = _check_snr(snr)
-    if snr == 0.0:
-        return 0.0
-    lo = (1.0 - math.sqrt(beta)) ** 2
-    hi = (1.0 + math.sqrt(beta)) ** 2
-    return 0.5 * quadrature.support_integral(
-        lambda lam: marchenko_pastur_density(lam, beta),
-        lo, hi,
-        weight=lambda lam: np.log1p(snr * lam) / LN2)
+def dense_rs_throughput(snr: float | np.ndarray, beta: float) -> float | np.ndarray:
+    """Dense random-spreading reference throughput from the Marchenko-Pastur law.
+
+    ``snr`` is a scalar or a 1-D array of snrs; an array is integrated in
+    one :func:`~regnoma.quadrature.support_integral` call, snr by snr with
+    the bits of a scalar call, and gives an array.
+    """
+    snrs = _check_snrs(snr)
+    out = np.zeros(snrs.size)
+    pos = snrs > 0.0
+    if pos.any():
+        lo = (1.0 - math.sqrt(beta)) ** 2
+        hi = (1.0 + math.sqrt(beta)) ** 2
+        out[pos] = 0.5 * quadrature.support_integral(
+            lambda lam: marchenko_pastur_density(lam, beta),
+            lo, hi,
+            weight=lambda lam: np.log1p(np.multiply.outer(snrs[pos], lam)) / LN2)
+    return float(out[0]) if np.ndim(snr) == 0 else out
 
 
 def cover_wyner_bound(snr: float, beta: float) -> float:
@@ -133,26 +148,35 @@ def cover_wyner_bound(snr: float, beta: float) -> float:
     return 0.5 * math.log1p(beta * snr) / LN2
 
 
-def ebno_from_snr(snr: float, beta: float, c: float) -> float:
-    """Linear energy-per-bit ratio ``beta * snr / (2 C)`` at throughput ``C``."""
-    snr = _check_snr(snr)
-    if not c > 0.0:
+def ebno_from_snr(snr: float | np.ndarray, beta: float,
+                  c: float | np.ndarray) -> float | np.ndarray:
+    """Linear energy-per-bit ratio ``beta * snr / (2 C)`` at throughput ``C``.
+
+    ``snr`` and ``c`` are scalars, or 1-D arrays of one length.
+    """
+    snrs, cs = _check_snrs(snr), np.atleast_1d(np.asarray(c, dtype=np.float64))
+    if not (cs > 0.0).all():
         raise ValueError(f"throughput must be positive, got {c}")
-    return beta * snr / (2.0 * c)
+    out = beta * snrs / (2.0 * cs)
+    return float(out[0]) if np.ndim(snr) == 0 else out
 
 
-def _curve_throughput(beta: float, d: float | Curve) -> Callable[[float], float]:
+def _curve_throughput(beta: float, d: float | Curve) -> Callable[[np.ndarray], np.ndarray]:
+    """The curve that ``d`` selects, at a 1-D array of snrs; the closed forms
+    run snr by snr."""
     if d is Curve.DENSE_RS:
-        return lambda snr: dense_rs_throughput(snr, beta)
+        return lambda snrs: dense_rs_throughput(np.atleast_1d(snrs), beta)
     if d is Curve.COVER_WYNER:
-        return lambda snr: cover_wyner_bound(snr, beta)
-    if isinstance(d, (Curve, str)):
+        point = functools.partial(cover_wyner_bound, beta=beta)
+    elif isinstance(d, (Curve, str)):
         raise ValueError(f"unknown curve selector {d!r}")
-    p = DensityParams(beta=beta, d=float(d))
-    return lambda snr: regular_throughput(snr, p)
+    else:
+        point = functools.partial(regular_throughput, p=DensityParams(beta=beta, d=float(d)))
+    return lambda snrs: np.array([point(s) for s in np.atleast_1d(snrs).tolist()])
 
 
-def snr_for_ebno(ebno_target: float, beta: float, d: float | Curve) -> float:
+def snr_for_ebno(ebno_target: float | np.ndarray, beta: float,
+                 d: float | Curve) -> float | np.ndarray:
     """Invert the Eb/N0 map on the curve selected by ``d``.
 
     ``d`` is a degree for the regular curve, or ``Curve.DENSE_RS`` or
@@ -166,47 +190,64 @@ def snr_for_ebno(ebno_target: float, beta: float, d: float | Curve) -> float:
     bracket.  It stops when the bracket is narrower than a relative 1e-14
     in snr.  Only the dense curve is integrated; the regular and
     Cover-Wyner curves are closed forms.
+
+    ``ebno_target`` is a scalar or a 1-D array of targets on the one curve.
+    An array runs one search: each step evaluates the curve once at the
+    points still running (one quadrature for the dense curve), and each
+    point stops at its own step with the bits of a scalar call.  Every
+    target is checked against the bracket before the first step.
     """
-    target = float(ebno_target)
+    if np.ndim(ebno_target) > 1:
+        raise ValueError(
+            f"Eb/N0 target must be a scalar or a 1-D array, got shape {np.shape(ebno_target)}")
+    targets = np.atleast_1d(np.asarray(ebno_target, dtype=np.float64))
     cfun = _curve_throughput(beta, d)
 
-    def ebno(snr: float) -> float:
-        return ebno_from_snr(snr, beta, cfun(snr))
+    def ebno(snrs: np.ndarray) -> np.ndarray:
+        return ebno_from_snr(snrs, beta, cfun(snrs))
+
+    def log(v: np.ndarray) -> np.ndarray:
+        # libm per point: numpy's log differs from it in the last bit
+        return np.array([math.log(x) for x in v.tolist()])
 
     lo, hi = SNR_BRACKET
-    e_lo, e_hi = ebno(lo), ebno(hi)
-    if not e_lo < target:
-        raise ValueError(
-            f"Eb/N0 target {target} is below the minimum achievable "
-            f"(ln 2 = {LN2:.6f} as snr -> 0); bracket failure")
-    if not e_hi > target:
-        raise ValueError(f"Eb/N0 target {target} not reachable below snr = {hi}")
+    e_lo, e_hi = ebno(np.array(SNR_BRACKET)).tolist()
+    for target in targets.tolist():
+        if not e_lo < target:
+            raise ValueError(
+                f"Eb/N0 target {target} is below the minimum achievable "
+                f"(ln 2 = {LN2:.6f} as snr -> 0); bracket failure")
+        if not e_hi > target:
+            raise ValueError(f"Eb/N0 target {target} not reachable below snr = {hi}")
     # the residual ln(Eb/N0 / target) is close to linear in ln snr away from ln 2
-    f_lo, f_hi = math.log(e_lo / target), math.log(e_hi / target)
-    x_lo, x_hi = math.log(lo), math.log(hi)
+    f_lo, f_hi = log(e_lo / targets), log(e_hi / targets)
+    x_lo, x_hi = np.full(targets.size, math.log(lo)), np.full(targets.size, math.log(hi))
     # written out rather than scipy.optimize.brentq: importing scipy.optimize
     # takes ~0.5 s and lifts a run's peak RSS from ~33 to ~77 MB
-    kept = 0  # -1 after the low end moved, +1 after the high end moved
+    kept = np.zeros(targets.size)  # -1 after the low end moved, +1 after the high end moved
+    live = np.arange(targets.size)  # the points still running, and their state below
+    log_snr = np.empty(targets.size)  # each point's final bracket midpoint
     for _ in range(200):
         x = x_hi - f_hi * (x_hi - x_lo) / (f_hi - f_lo)
-        if not x_lo <= x <= x_hi:
-            x = 0.5 * (x_lo + x_hi)
+        x = np.where((x_lo <= x) & (x <= x_hi), x, 0.5 * (x_lo + x_hi))
         # a point within rounding of an end would barely shrink the bracket
-        x = min(max(x, x_lo + 0.5 * LOG_SNR_TOL), x_hi - 0.5 * LOG_SNR_TOL)
-        f = math.log(ebno(math.exp(x)) / target)
-        if f < 0.0:
-            x_lo, f_lo = x, f
-            if kept < 0:
-                f_hi *= 0.5
-            kept = -1
-        else:
-            x_hi, f_hi = x, f
-            if kept > 0:
-                f_lo *= 0.5
-            kept = 1
-        if x_hi - x_lo < LOG_SNR_TOL:
+        x = np.minimum(np.maximum(x, x_lo + 0.5 * LOG_SNR_TOL), x_hi - 0.5 * LOG_SNR_TOL)
+        f = log(ebno(np.array([math.exp(v) for v in x.tolist()])) / targets[live])
+        low = f < 0.0
+        f_lo, f_hi = (np.where(low, f, np.where(kept > 0, 0.5 * f_lo, f_lo)),
+                      np.where(low, np.where(kept < 0, 0.5 * f_hi, f_hi), f))
+        x_lo, x_hi = np.where(low, x, x_lo), np.where(low, x_hi, x)
+        kept = np.where(low, -1.0, 1.0)
+        done = x_hi - x_lo < LOG_SNR_TOL
+        log_snr[live[done]] = 0.5 * (x_lo[done] + x_hi[done])
+        run = ~done
+        live, x_lo, x_hi, f_lo, f_hi, kept = (
+            a[run] for a in (live, x_lo, x_hi, f_lo, f_hi, kept))
+        if live.size == 0:
             break
-    return math.exp(0.5 * (x_lo + x_hi))
+    log_snr[live] = 0.5 * (x_lo + x_hi)
+    snrs = [math.exp(v) for v in log_snr.tolist()]
+    return snrs[0] if np.ndim(ebno_target) == 0 else np.array(snrs)
 
 
 # ======================================================================
@@ -246,9 +287,7 @@ def finite_n_throughput_mc(spec: EnsembleSpec, snr: float | np.ndarray, trials: 
     matching the finite-size formula exactly.  A trial whose draw or
     eigensolve fails is skipped at every snr and counted once.
     """
-    if np.ndim(snr) > 1:
-        raise ValueError(f"snr must be a scalar or a 1-D array, got shape {np.shape(snr)}")
-    snrs = np.array([_check_snr(s) for s in np.atleast_1d(snr).tolist()])
+    snrs = _check_snrs(snr)
     if snrs.size == 0:
         raise ValueError("need at least one snr")
     if trials < 1:
@@ -353,6 +392,11 @@ class SweepSpec:
             level = self.snr_db if ebno_db is None else ebno_db
             if not math.isfinite(level):
                 raise ValueError(f"Eb/N0 and snr in dB must be finite, got {level}")
+            # every curve's Eb/N0 map has infimum ln 2; the inversion checks the top
+            if ebno_db is not None and not db_to_linear(ebno_db) > LN2:
+                raise ValueError(
+                    f"Eb/N0 {ebno_db} dB is not above the minimum achievable "
+                    f"(10 log10(ln 2) = {10.0 * math.log10(LN2):.4f} dB)")
             if mc:  # an unrealizable ensemble fails here, before any inversion or draw
                 self._ensemble(beta, d)
 
@@ -392,63 +436,75 @@ class SweepSpec:
         return abs(bd - round(bd)) <= 1e-9 and round(bd) > 1
 
 
-def _sweep_point(spec: SweepSpec, x: float
-                 ) -> tuple[dict[str, float], list[tuple[Curve, EnsembleSpec, float]]]:
-    """The asymptotic cells of one sweep row, and its Monte Carlo runs as
-    (curve, ensemble, snr) triples, in curve order."""
-    beta, d, ebno_db = spec._point(x)
-    snrs: dict[float | Curve, float] = {}  # one Eb/N0 inversion per selector
-    cells: dict[str, float] = {}
-    runs: list[tuple[Curve, EnsembleSpec, float]] = []
-    for curve in spec.curves:
-        selector = curve if curve in _NAMED_CURVES else d
-        if selector not in snrs:
-            snrs[selector] = (db_to_linear(spec.snr_db) if ebno_db is None else
-                              snr_for_ebno(db_to_linear(ebno_db), beta, selector))
-        snr = snrs[selector]
-        if curve in _MC_CURVES:
-            runs.append((curve, spec._ensemble(beta, d), snr))
-        else:
-            cells[curve.value] = _curve_throughput(beta, selector)(snr)
-    return cells, runs
-
-
 def sweep(spec: SweepSpec) -> list[dict[str, float | bool | None]]:
     """Evaluate the requested curves at every sweep point.
 
     Returns one mapping per point with the keys of ``SWEEP_COLUMNS`` plus
     ``failed_mc_trials`` (Monte Carlo trials skipped at that point) and
-    ``failed``; curves that were not requested stay None.  A point that
-    raises one of ``NUMERICAL_ERRORS`` leaves that row's curve cells None
-    under a ``failed`` flag, with no trial count, and the batch continues.
-    Of the asymptotic curves only ``dense_rs`` is integrated; ``regular``
-    and ``cover_wyner`` are closed forms.
+    ``failed``; curves that were not requested stay None.  A failed row has
+    every curve cell None under a ``failed`` flag, with no trial count, and
+    the batch continues.  Of the asymptotic curves only ``dense_rs`` is
+    integrated; ``regular`` and ``cover_wyner`` are closed forms.
 
-    The sweep runs in two phases.  The first runs every point's Eb/N0
-    inversions and asymptotic cells.  The second makes one
+    The sweep runs in two phases.  The first groups the rows by (beta,
+    selector), the curve an Eb/N0 is inverted on: the dense and Cover-Wyner
+    curves each select themselves, and the regular and MC curves select the
+    row's degree (the MC curves run at the regular curve's snr).  Each group
+    makes one :func:`snr_for_ebno` call over its rows' targets and one
+    evaluation of its asymptotic curve, so an Eb/N0 or sparsity sweep
+    inverts the dense and Cover-Wyner curves once.  The second makes one
     :func:`finite_n_throughput_mc` call per MC curve and ensemble over the
-    snrs of that curve's live points, so an Eb/N0 sweep draws each MC
+    snrs of that curve's live rows, so an Eb/N0 sweep draws each MC
     ensemble once; load and sparsity sweeps change the ensemble at every
     point.  The MC markers of one sweep therefore share their draws (common
-    random numbers), as the per-trial streams already made them do.  A call
-    that raises one of ``NUMERICAL_ERRORS`` fails every row it served.
+    random numbers), as the per-trial streams already made them do.  In
+    either phase, a call that raises one of ``NUMERICAL_ERRORS`` fails every
+    row it served, and later calls skip those rows.
     """
     rows = []
-    groups: dict[tuple[Curve, EnsembleSpec], list[tuple[dict, float]]] = {}
     for x in spec.values:
         row = dict.fromkeys(SWEEP_COLUMNS)
         row.update(x=float(x), failed_mc_trials=0, failed=False)
         rows.append(row)
-        try:
-            cells, runs = _sweep_point(spec, x)
-        except NUMERICAL_ERRORS:
-            row["failed"] = True
-            continue
-        row.update(cells)
-        for curve, ens, snr in runs:
-            groups.setdefault((curve, ens), []).append((row, snr))
 
-    for (curve, ens), members in groups.items():
+    def fail(served: list[dict]) -> None:
+        for row in served:
+            row.update(dict.fromkeys(SWEEP_COLUMNS[1:]), failed_mc_trials=0, failed=True)
+
+    # (beta, selector) -> {row index: Eb/N0 in dB, or None at a fixed snr}
+    groups: dict[tuple[float, float | Curve], dict[int, float | None]] = {}
+    for i, x in enumerate(spec.values):
+        beta, d, ebno_db = spec._point(x)
+        for curve in spec.curves:
+            selector = curve if curve in _NAMED_CURVES else d
+            groups.setdefault((beta, selector), {})[i] = ebno_db
+    runs: dict[tuple[Curve, EnsembleSpec], list[tuple[dict, float]]] = {}
+    for (beta, selector), members in groups.items():
+        curves = ((selector,) if selector in _NAMED_CURVES else
+                  tuple(c for c in spec.curves if c not in _NAMED_CURVES))
+        live = [i for i in members if not rows[i]["failed"]]
+        if not live:
+            continue
+        try:
+            if spec.snr_db is not None:
+                snrs = [db_to_linear(spec.snr_db)] * len(live)
+            else:
+                targets = np.array([db_to_linear(members[i]) for i in live])
+                snrs = snr_for_ebno(targets, beta, selector).tolist()
+            cells = {c: _curve_throughput(beta, selector)(np.array(snrs)).tolist()
+                     for c in curves if c not in _MC_CURVES}
+        except NUMERICAL_ERRORS:
+            fail([rows[i] for i in live])
+            continue
+        for k, i in enumerate(live):
+            for curve in curves:
+                if curve in _MC_CURVES:
+                    ens = spec._ensemble(beta, selector)
+                    runs.setdefault((curve, ens), []).append((rows[i], snrs[k]))
+                else:
+                    rows[i][curve.value] = cells[curve][k]
+
+    for (curve, ens), members in runs.items():
         live = [(row, snr) for row, snr in members if not row["failed"]]
         if not live:
             continue
@@ -457,9 +513,7 @@ def sweep(spec: SweepSpec) -> list[dict[str, float | bool | None]]:
                                          spec.mc_trials,
                                          irregular=(curve is Curve.IRREGULAR_MC))
         except NUMERICAL_ERRORS:
-            for row, _ in live:
-                row.update(dict.fromkeys(SWEEP_COLUMNS[1:]), failed_mc_trials=0,
-                           failed=True)
+            fail([row for row, _ in live])
             continue
         for (row, _), mean, stderr in zip(live, res.mean.tolist(), res.stderr.tolist()):
             row[curve.value] = mean

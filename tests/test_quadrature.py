@@ -46,6 +46,43 @@ class TestSupportIntegral:
         assert abs(a - b) < 1e-12
 
 
+class TestBatchedWeight:
+    KS = (0.0, 1.0, 10.0, 40.0, 120.0)
+
+    def test_rows_equal_lone_calls_bit_for_bit(self, monkeypatch):
+        # each row stops at its own node count with the bits of a lone call
+        ks = np.array(self.KS)
+        batch = support_integral(semicircle, -1.0, 1.0,
+                                 weight=lambda x: np.cos(np.multiply.outer(ks, x)))
+        real, last = quadrature._nodes, []
+
+        def recording(n):
+            last.append(n)
+            return real(n)
+
+        monkeypatch.setattr(quadrature, "_nodes", recording)
+        lone, stops = [], set()
+        for k in self.KS:
+            last.clear()
+            lone.append(support_integral(semicircle, -1.0, 1.0,
+                                         weight=lambda x, k=k: np.cos(k * x)))
+            stops.add(last[-1])
+        assert batch.shape == (len(self.KS),)
+        assert batch.tolist() == lone
+        assert len(stops) > 2  # the rows really stop at different node counts
+
+    def test_one_row_is_an_array_of_one(self):
+        val = support_integral(semicircle, -1.0, 1.0, weight=lambda x: (x * x)[None, :])
+        assert val.shape == (1,)
+        assert val[0] == support_integral(semicircle, -1.0, 1.0, weight=lambda x: x * x)
+
+    def test_one_unsettled_row_raises(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "N_MAX", 16)
+        with pytest.raises(QuadratureError, match="within 16 nodes"):
+            support_integral(lambda x: np.ones_like(x), 0.0, 1.0, tol=1e-12, n_start=8,
+                             weight=lambda x: np.stack([x, np.cos(1e7 * x)]))
+
+
 class TestPartialIntegrals:
     def test_midpoint_of_symmetric_density(self):
         vals = partial_integrals(semicircle, -1.0, 1.0, np.array([0.0]))

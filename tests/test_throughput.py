@@ -235,6 +235,57 @@ class TestSecantInversion:
             assert max(per_inversion) == 0
 
 
+FINE_TARGETS = [db_to_linear(x) for x in np.linspace(0.0, 20.0, 201)]
+
+
+@pytest.fixture
+def curve_snrs(monkeypatch):
+    """The snrs at which any asymptotic curve is evaluated."""
+    snrs = []
+    for name in ("regular_throughput", "dense_rs_throughput", "cover_wyner_bound"):
+        real = getattr(tp, name)
+
+        def recording(snr, *args, real=real, **kwargs):
+            snrs.extend(np.atleast_1d(snr).tolist())
+            return real(snr, *args, **kwargs)
+
+        monkeypatch.setattr(tp, name, recording)
+    return snrs
+
+
+class TestBatchedInversion:
+    @pytest.mark.parametrize("selector", [2.0, Curve.DENSE_RS, Curve.COVER_WYNER])
+    def test_array_equals_scalar_calls_bit_for_bit(self, selector):
+        snrs = snr_for_ebno(np.array(FINE_TARGETS), 1.5, selector)
+        assert isinstance(snrs, np.ndarray) and snrs.shape == (201,)
+        assert snrs.tolist() == [snr_for_ebno(t, 1.5, selector) for t in FINE_TARGETS]
+
+    @pytest.mark.parametrize("beta", [1.0, 1.5, 3.0])
+    def test_dense_array_equals_scalar_calls_bit_for_bit(self, beta):
+        snrs = np.concatenate(([0.0], np.logspace(-6, 6, 60), [0.0]))
+        curve = dense_rs_throughput(snrs, beta)
+        assert curve.shape == snrs.shape
+        assert curve.tolist() == [dense_rs_throughput(s, beta) for s in snrs.tolist()]
+
+    def test_ebno_array_equals_scalar_calls(self):
+        snrs = np.logspace(-3, 3, 7)
+        cs = np.array([regular_throughput(s, P_DEFAULT) for s in snrs.tolist()])
+        assert ebno_from_snr(snrs, 1.5, cs).tolist() == [
+            ebno_from_snr(s, 1.5, c) for s, c in zip(snrs.tolist(), cs.tolist())]
+
+    @pytest.mark.parametrize("bad,match", [(0.5 * LN2, "below the minimum achievable"),
+                                           (1e9, "not reachable below snr")])
+    def test_every_target_is_checked_before_the_first_step(self, curve_snrs, bad, match):
+        with pytest.raises(ValueError, match=match):
+            snr_for_ebno(np.array([db_to_linear(10.0), bad]), 1.5, Curve.DENSE_RS)
+        assert set(curve_snrs) == set(tp.SNR_BRACKET)
+
+    def test_empty_and_multidimensional_targets(self):
+        assert snr_for_ebno(np.array([]), 1.5, Curve.DENSE_RS).shape == (0,)
+        with pytest.raises(ValueError, match="1-D array"):
+            snr_for_ebno(np.full((2, 2), 10.0), 1.5, 2.0)
+
+
 class TestDbHelpers:
     def test_round_trip(self):
         assert db_to_linear(10.0) == 10.0
@@ -378,6 +429,19 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="finite"):
             sweep(SweepSpec(beta=1.5, d=2.0, **fields))
 
+    @pytest.mark.parametrize("fields", [
+        dict(variable=SweepVariable.EBNO, values=(10.0, 20.0, -5.0)),
+        dict(variable=SweepVariable.EBNO, values=(10.0, -1.6)),
+        dict(variable=SweepVariable.LOAD, values=(1.5,), ebno_db=-2.0),
+    ])
+    def test_ebno_at_the_floor_rejected_before_any_inversion(self, monkeypatch, fields):
+        # every curve's Eb/N0 map has infimum ln 2 = -1.59 dB
+        calls = []
+        monkeypatch.setattr(tp, "snr_for_ebno", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="not above the minimum achievable"):
+            SweepSpec(beta=1.5, d=2.0, **fields)
+        assert calls == []
+
     def test_ebno_sweep_rejects_fixed_operating_point(self):
         with pytest.raises(ValueError):
             SweepSpec(variable=SweepVariable.EBNO, values=(10.0,),
@@ -497,6 +561,45 @@ class TestSweep:
                                curves=(Curve.REGULAR, Curve.DENSE_RS, Curve.COVER_WYNER))
         assert not any(row["failed"] for row in sweep(with_dense))
         assert len(quadrature_calls) > 0
+
+    def test_dense_sweep_integrates_in_few_quadratures(self, quadrature_calls):
+        # one inversion and one curve evaluation for all rows, not one per row
+        spec = SweepSpec(variable=SweepVariable.EBNO,
+                         values=tuple(np.linspace(0.0, 20.0, 201)), beta=1.5, d=2.0,
+                         curves=(Curve.DENSE_RS,))
+        assert not any(row["failed"] for row in sweep(spec))
+        assert 0 < len(quadrature_calls) <= 40
+
+    def test_out_of_reach_level_fails_before_any_step(self, curve_snrs):
+        spec = SweepSpec(variable=SweepVariable.EBNO, values=(10.0, 60.0),
+                         beta=1.5, d=2.0)
+        with pytest.raises(ValueError, match="not reachable below snr"):
+            sweep(spec)
+        assert set(curve_snrs) == set(tp.SNR_BRACKET)
+
+    def test_a_failed_inversion_fails_every_row_it_served(self, monkeypatch):
+        real = tp.dense_rs_throughput
+
+        def fails_at_load_two(snr, beta):
+            if beta == 2.0:
+                raise quadrature.QuadratureError("forced")
+            return real(snr, beta)
+
+        monkeypatch.setattr(tp, "dense_rs_throughput", fails_at_load_two)
+        # a load sweep inverts each row on its own
+        rows = sweep(SweepSpec(variable=SweepVariable.LOAD, values=(1.5, 2.0, 2.5),
+                               d=2.0, ebno_db=10.0,
+                               curves=(Curve.REGULAR, Curve.DENSE_RS, Curve.REGULAR_MC),
+                               mc_n=10, mc_trials=3))
+        assert [row["failed"] for row in rows] == [False, True, False]
+        assert all(rows[1][key] is None for key in SWEEP_COLUMNS[1:])
+        assert all(rows[i][key] is not None for i in (0, 2)
+                   for key in ("regular", "dense_rs", "regular_mc"))
+        # a sparsity sweep inverts the dense curve once, for every row
+        rows = sweep(SweepSpec(variable=SweepVariable.SPARSITY, values=(2.0, 3.0),
+                               beta=2.0, ebno_db=10.0))
+        assert [row["failed"] for row in rows] == [True, True]
+        assert all(row[key] is None for row in rows for key in SWEEP_COLUMNS[1:])
 
     def test_mc_curves_carry_errors(self):
         spec = SweepSpec(variable=SweepVariable.EBNO, values=(10.0,),
