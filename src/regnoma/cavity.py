@@ -29,8 +29,8 @@ user), and each directed edge of the bipartite graph carries the message
 started at 1 / c_tail.  Messages depend only on squared entries, so both
 entry modes give identical values.  The node values 1 / (c_v - (sum in) / d)
 estimate the diagonal of H^-1, exact on a tree; their mean over the
-resource nodes estimates the Gram transform, so the density is
--Im(mean) / pi, the sign convention of :func:`stieltjes_inversion`.  A run
+resource nodes estimates the Gram transform, so the density at lam is
+-Im(mean) / pi at w = lam + i eps, as in :func:`stieltjes_inversion`.  A run
 that misses its stopping rule is NaN too, so both routes fail a point the
 same way.
 
@@ -54,11 +54,12 @@ __all__ = [
     "GraphCavityMessages",
     "stieltjes_inversion",
     "cavity_on_graph",
-    "graph_route_density",
 ]
 
 DAMPING = 0.5
 DEFAULT_EPSILON = 1e-6
+# summaries trust the scalar inversion only this far inside the square-root edges
+EDGE_GAP = 1e-3
 GRAPH_EPSILON = 5e-3
 # stopping rule of the scalar iteration; points that miss it take the quadratic root
 ITER_TOL = 1e-12
@@ -354,24 +355,3 @@ def check_graph_epsilon(epsilon: float) -> None:
     if not 0.0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
 
-
-def graph_route_density(matrix: SparseSignatureMatrix,
-                        lambda_grid: np.ndarray,
-                        epsilon: float = GRAPH_EPSILON) -> GraphCavityMessages:
-    """Gram density estimate from message passing on one sampled matrix.
-
-    Returns the one :func:`cavity_on_graph` run that sweeps every grid
-    point ``lam`` at ``w = lam + i eps``; its ``density`` reads
-    ``-Im gram_transform / pi``.  The default ``epsilon`` trades the
-    Lorentzian smoothing bias against finite-size roughness; it must be
-    finite and positive (:func:`check_graph_epsilon`), and a grid with a
-    non-finite point is rejected before any sweep.  A point whose messages
-    do not converge is NaN and the others run on.
-    """
-    check_graph_epsilon(epsilon)
-    grid = np.atleast_1d(np.asarray(lambda_grid, dtype=np.float64))
-    if not np.isfinite(grid).all():
-        raise ValueError("every grid point must be finite")
-    w = grid.astype(complex)
-    w.imag = epsilon
-    return cavity_on_graph(matrix, w)

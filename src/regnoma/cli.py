@@ -149,8 +149,7 @@ def _cmd_cavity(args: argparse.Namespace) -> int:
                                    "graph_sweeps_max", "graph_message_classes"))
     if have_graph:
         matrix = generate_regular(espec, realization=0)
-        run = cavity_mod.graph_route_density(matrix, grid,
-                                             epsilon=args.graph_epsilon)
+        run = cavity_mod.cavity_on_graph(matrix, grid + 1j * args.graph_epsilon)
         graph = run.density
         graph_results = {"n_failed_graph": run.n_failed,
                          "graph_sweeps_total": int(run.point_sweeps.sum()),
@@ -160,9 +159,8 @@ def _cmd_cavity(args: argparse.Namespace) -> int:
     err_graph = np.abs(graph - closed)  # NaN, written as missing, without a graph
     rows = [dict(zip(CAVITY_COLUMNS, cells))
             for cells in zip(grid, closed, scalar, graph, err_scalar, err_graph)]
-    # square-root edges are ill-conditioned for the inversion; the summary
-    # statistic excludes their immediate neighborhoods
-    interior = ((grid > p.lambda_minus + 1e-3) & (grid < p.lambda_plus - 1e-3))
+    gap = cavity_mod.EDGE_GAP
+    interior = (grid > p.lambda_minus + gap) & (grid < p.lambda_plus - gap)
     results = {
         "lambda_minus": p.lambda_minus,
         "lambda_plus": p.lambda_plus,

@@ -175,6 +175,26 @@ def _curve_throughput(beta: float, d: float | Curve) -> Callable[[np.ndarray], n
     return lambda snrs: np.array([point(s) for s in np.atleast_1d(snrs).tolist()])
 
 
+def _reach(targets: list[float], beta: float, d: float | Curve) -> tuple[float, float]:
+    """The linear Eb/N0 of the curve ``d`` selects at the ends of ``SNR_BRACKET``;
+    a target not strictly between them, ln 2 or less included, raises ``ValueError``."""
+    def db(x: float) -> str:  # in dB where the ratio has a logarithm
+        return f"{10.0 * math.log10(x):.10g} dB" if x > 0.0 else f"{x} (linear)"
+
+    bracket = np.array(SNR_BRACKET)
+    e_lo, e_hi = ebno_from_snr(bracket, beta, _curve_throughput(beta, d)(bracket)).tolist()
+    curve = f"the {d.value if isinstance(d, Curve) else f'regular (d = {d})'} curve"
+    for target in targets:
+        if not e_lo < target:
+            raise ValueError(f"Eb/N0 {db(target)} is not above the minimum achievable on "
+                             f"{curve}, {db(e_lo)} at snr = {SNR_BRACKET[0]}; a level at or "
+                             f"below the minimum achievable has no snr")
+        if not e_hi > target:
+            raise ValueError(f"Eb/N0 {db(target)} is not reachable below snr = "
+                             f"{SNR_BRACKET[1]} on {curve}, which ends at {db(e_hi)}")
+    return e_lo, e_hi
+
+
 def snr_for_ebno(ebno_target: float | np.ndarray, beta: float,
                  d: float | Curve) -> float | np.ndarray:
     """Invert the Eb/N0 map on the curve selected by ``d``.
@@ -203,22 +223,12 @@ def snr_for_ebno(ebno_target: float | np.ndarray, beta: float,
     targets = np.atleast_1d(np.asarray(ebno_target, dtype=np.float64))
     cfun = _curve_throughput(beta, d)
 
-    def ebno(snrs: np.ndarray) -> np.ndarray:
-        return ebno_from_snr(snrs, beta, cfun(snrs))
-
     def log(v: np.ndarray) -> np.ndarray:
         # libm per point: numpy's log differs from it in the last bit
         return np.array([math.log(x) for x in v.tolist()])
 
     lo, hi = SNR_BRACKET
-    e_lo, e_hi = ebno(np.array(SNR_BRACKET)).tolist()
-    for target in targets.tolist():
-        if not e_lo < target:
-            raise ValueError(
-                f"Eb/N0 target {target} is below the minimum achievable "
-                f"(ln 2 = {LN2:.6f} as snr -> 0); bracket failure")
-        if not e_hi > target:
-            raise ValueError(f"Eb/N0 target {target} not reachable below snr = {hi}")
+    e_lo, e_hi = _reach(targets.tolist(), beta, d)
     # the residual ln(Eb/N0 / target) is close to linear in ln snr away from ln 2
     f_lo, f_hi = log(e_lo / targets), log(e_hi / targets)
     x_lo, x_hi = np.full(targets.size, math.log(lo)), np.full(targets.size, math.log(hi))
@@ -232,7 +242,8 @@ def snr_for_ebno(ebno_target: float | np.ndarray, beta: float,
         x = np.where((x_lo <= x) & (x <= x_hi), x, 0.5 * (x_lo + x_hi))
         # a point within rounding of an end would barely shrink the bracket
         x = np.minimum(np.maximum(x, x_lo + 0.5 * LOG_SNR_TOL), x_hi - 0.5 * LOG_SNR_TOL)
-        f = log(ebno(np.array([math.exp(v) for v in x.tolist()])) / targets[live])
+        snrs = np.array([math.exp(v) for v in x.tolist()])
+        f = log(ebno_from_snr(snrs, beta, cfun(snrs)) / targets[live])
         low = f < 0.0
         f_lo, f_hi = (np.where(low, f, np.where(kept > 0, 0.5 * f_lo, f_lo)),
                       np.where(low, np.where(kept < 0, 0.5 * f_hi, f_hi), f))
@@ -350,7 +361,8 @@ class SweepSpec:
     and ``seed``; both MC curves run at the snr of the asymptotic regular
     curve so ensembles are compared at equal received power.  Construction
     checks every row before any point runs: its (beta, d), its operating
-    point and, with an MC curve, its ensemble.
+    point (an Eb/N0 level must lie in the reach of every curve it is
+    inverted on) and, with an MC curve, its ensemble.
     """
 
     variable: SweepVariable
@@ -392,13 +404,25 @@ class SweepSpec:
             level = self.snr_db if ebno_db is None else ebno_db
             if not math.isfinite(level):
                 raise ValueError(f"Eb/N0 and snr in dB must be finite, got {level}")
-            # every curve's Eb/N0 map has infimum ln 2; the inversion checks the top
-            if ebno_db is not None and not db_to_linear(ebno_db) > LN2:
-                raise ValueError(
-                    f"Eb/N0 {ebno_db} dB is not above the minimum achievable "
-                    f"(10 log10(ln 2) = {10.0 * math.log10(LN2):.4f} dB)")
             if mc:  # an unrealizable ensemble fails here, before any inversion or draw
                 self._ensemble(beta, d)
+        if self.snr_db is None:  # every row has an Eb/N0 level to invert
+            for (beta, selector), levels in self._groups().items():
+                try:
+                    _reach([db_to_linear(x) for x in levels.values()], beta, selector)
+                except NUMERICAL_ERRORS:
+                    continue  # sweep fails the rows this curve serves
+
+    def _groups(self) -> dict[tuple[float, float | Curve], dict[int, float | None]]:
+        """(beta, selector) -> {row index: Eb/N0 in dB, or None at a fixed snr};
+        the selector is the curve a row's Eb/N0 is inverted on (see :func:`sweep`)."""
+        groups: dict[tuple[float, float | Curve], dict[int, float | None]] = {}
+        for i, x in enumerate(self.values):
+            beta, d, ebno_db = self._point(x)
+            for curve in self.curves:
+                selector = curve if curve in _NAMED_CURVES else d
+                groups.setdefault((beta, selector), {})[i] = ebno_db
+        return groups
 
     def _point(self, x: float) -> tuple[float | None, float | None, float | None]:
         """The (beta, d, ebno_db) of the row at axis value ``x``."""
@@ -471,15 +495,8 @@ def sweep(spec: SweepSpec) -> list[dict[str, float | bool | None]]:
         for row in served:
             row.update(dict.fromkeys(SWEEP_COLUMNS[1:]), failed_mc_trials=0, failed=True)
 
-    # (beta, selector) -> {row index: Eb/N0 in dB, or None at a fixed snr}
-    groups: dict[tuple[float, float | Curve], dict[int, float | None]] = {}
-    for i, x in enumerate(spec.values):
-        beta, d, ebno_db = spec._point(x)
-        for curve in spec.curves:
-            selector = curve if curve in _NAMED_CURVES else d
-            groups.setdefault((beta, selector), {})[i] = ebno_db
     runs: dict[tuple[Curve, EnsembleSpec], list[tuple[dict, float]]] = {}
-    for (beta, selector), members in groups.items():
+    for (beta, selector), members in spec._groups().items():
         curves = ((selector,) if selector in _NAMED_CURVES else
                   tuple(c for c in spec.curves if c not in _NAMED_CURVES))
         live = [i for i in members if not rows[i]["failed"]]

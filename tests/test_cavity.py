@@ -1,7 +1,6 @@
 """Scalar cavity fixed point, per-graph messages, and Stieltjes inversion."""
 
 import cmath
-import dataclasses
 import math
 from unittest.mock import patch
 
@@ -11,9 +10,9 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from regnoma import cavity
-from regnoma.cavity import (ITER_TOL, _cauchy_transform, _iterate,
-                            _physical_root, cavity_on_graph,
-                            graph_route_density, stieltjes_inversion)
+from regnoma.cavity import (GRAPH_EPSILON, ITER_TOL, _cauchy_transform, _iterate,
+                            _physical_root, cavity_on_graph, check_graph_epsilon,
+                            stieltjes_inversion)
 from regnoma.ensembles import (EnsembleSpec, EntryMode, GenerationError,
                                SparseSignatureMatrix, generate_irregular,
                                generate_regular)
@@ -508,8 +507,8 @@ class TestLiftedMessagePassing:
         (60, 60, 3),       # beta = 1: both sides have one degree, but w against 1
     ])
     def test_class_counts_on_biregular_graphs(self, n, k, d):
-        route = graph_route_density(sample_matrix(n, k, d, seed=2), np.array([1.0]))
-        assert route.n_classes == 2
+        run = cavity_on_graph(sample_matrix(n, k, d, seed=2), 1.0 + 1j * GRAPH_EPSILON)
+        assert run.n_classes == 2
 
     @pytest.mark.parametrize("matrix", [
         generate_irregular(EnsembleSpec(200, 300, 2, EntryMode.ONES, seed=1)),
@@ -518,8 +517,8 @@ class TestLiftedMessagePassing:
     ], ids=["bernoulli", "mixed_degree", "column_regular"])
     def test_other_graphs_run_one_class_per_directed_edge(self, matrix):
         assert not matrix.regular
-        route = graph_route_density(matrix, np.array([1.0]))
-        assert route.n_classes == 2 * matrix.nnz
+        run = cavity_on_graph(matrix, 1.0 + 1j * GRAPH_EPSILON)
+        assert run.n_classes == 2 * matrix.nnz
 
     @pytest.mark.parametrize("matrix", [
         sample_matrix(1000, 1500, 2, seed=2),
@@ -530,10 +529,10 @@ class TestLiftedMessagePassing:
             raise AssertionError("built the per-edge arrays")
 
         monkeypatch.setattr(cavity, "_edges", no_edges)
-        route = graph_route_density(matrix, np.linspace(0.5, 2.5, 4))
-        assert route.n_failed == 0
+        run = cavity_on_graph(matrix, np.linspace(0.5, 2.5, 4) + 1j * GRAPH_EPSILON)
+        assert run.n_failed == 0
         with pytest.raises(AssertionError, match="per-edge"):
-            graph_route_density(mixed_degree_matrix(), np.array([1.0]))
+            cavity_on_graph(mixed_degree_matrix(), 1.0 + 1j * GRAPH_EPSILON)
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -558,6 +557,8 @@ class TestLiftedMessagePassing:
 
 
 class TestGraphRouteDensity:
+    """The graph route's density on a real grid, read at w = lam + i eps."""
+
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(d=st.integers(2, 4), extra=st.integers(0, 4), t=st.integers(2, 15),
@@ -581,30 +582,24 @@ class TestGraphRouteDensity:
         grid = p.lambda_minus - 1.0 + np.array(u) * (p.lambda_plus - p.lambda_minus + 2.0)
         eps = 10.0 ** log_eps
         with patch.object(cavity, "MAX_SWEEPS", max_sweeps):
-            route = graph_route_density(m, grid, eps)
             run = cavity_on_graph(m, grid + 1j * eps)
             for i, lam in enumerate(grid):
                 one = cavity_on_graph(m, complex(lam, eps))
-                assert np.array_equal(route.density[i], -one.gram_transform.imag / math.pi,
+                assert np.array_equal(run.density[i], -one.gram_transform.imag / math.pi,
                                       equal_nan=True)
                 assert run.point_sweeps[i] == one.sweeps
                 assert run.max_change[i] == one.max_change
                 assert np.array_equal(run.messages[i], one.messages)
                 assert np.array_equal(node_values(run)[i], node_values(one), equal_nan=True)
-        # the route is the run itself, field for field
-        assert type(route) is type(run)
-        for field in dataclasses.fields(run):
-            assert np.array_equal(getattr(route, field.name), getattr(run, field.name),
-                                  equal_nan=True), field.name
-        assert route.sweeps == route.point_sweeps.max()
+        assert run.sweeps == run.point_sweeps.max()
 
     def test_one_run_mixes_fast_slow_and_stalled_points(self, monkeypatch):
         m = sample_matrix(100, 150, 2, seed=3)
         grid = np.array([9.0, 1.5, 0.5, 20.0, 2.5])
-        free = graph_route_density(m, grid, epsilon=1e-2)
+        free = cavity_on_graph(m, grid + 1e-2j)
         budget = int(np.median(free.point_sweeps))
         monkeypatch.setattr(cavity, "MAX_SWEEPS", budget)
-        capped = graph_route_density(m, grid, epsilon=1e-2)
+        capped = cavity_on_graph(m, grid + 1e-2j)
         fast = free.point_sweeps < budget
         assert fast.any() and (~fast).any()
         assert np.array_equal(capped.density[fast], free.density[fast])
@@ -616,7 +611,7 @@ class TestGraphRouteDensity:
         width = P_DEFAULT.lambda_plus - P_DEFAULT.lambda_minus
         grid = np.linspace(P_DEFAULT.lambda_minus + 0.05 * width,
                            P_DEFAULT.lambda_plus - 0.05 * width, 32)
-        est = graph_route_density(m, grid)
+        est = cavity_on_graph(m, grid + 1j * GRAPH_EPSILON)
         assert np.abs(est.density - analytic_density(grid, P_DEFAULT)).max() < 0.05
         assert est.n_failed == 0
         assert est.n_classes == 2
@@ -624,7 +619,7 @@ class TestGraphRouteDensity:
     def test_diagnostics_match_per_point_runs(self):
         m = sample_matrix(100, 150, 2, seed=3)
         grid = np.linspace(0.5, 2.5, 5)
-        est = graph_route_density(m, grid, epsilon=1e-2)
+        est = cavity_on_graph(m, grid + 1e-2j)
         for lam, rho, sweeps in zip(grid, est.density, est.point_sweeps):
             run = cavity_on_graph(m, complex(lam, 1e-2))
             assert rho == -run.gram_transform.imag / math.pi
@@ -633,12 +628,12 @@ class TestGraphRouteDensity:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("regular", [True, False])
     def test_huge_epsilon_stays_finite(self, regular):
-        # w = 1 + 1e308 i is finite; the route divides by it and nothing else
+        # w = 1 + 1e308 i is finite; the sweep divides by it and nothing else
         m = (sample_matrix(30, 45, 2) if regular
              else generate_irregular(EnsembleSpec(30, 45, 2, seed=0)))
-        route = graph_route_density(m, np.array([1.0]), epsilon=1e308)
-        assert route.n_failed == 0 and np.isfinite(route.density).all()
-        assert 0.0 <= route.density[0] < 1e-300
+        run = cavity_on_graph(m, np.array([1.0]) + 1j * 1e308)
+        assert run.n_failed == 0 and np.isfinite(run.density).all()
+        assert 0.0 <= run.density[0] < 1e-300
 
     def test_stalled_points_are_nan_and_the_batch_continues(self, monkeypatch):
         # one sweep from uniform messages converges nowhere; with the default
@@ -647,30 +642,38 @@ class TestGraphRouteDensity:
         grid = np.linspace(0.5, 2.5, 4)
         with monkeypatch.context() as short:
             short.setattr(cavity, "MAX_SWEEPS", 1)
-            stalled = graph_route_density(m, grid)
+            stalled = cavity_on_graph(m, grid + 1j * GRAPH_EPSILON)
         assert np.isnan(stalled.density).all()
         assert stalled.n_failed == 4
         assert (stalled.point_sweeps == 1).all()
-        ok = graph_route_density(m, grid)
+        ok = cavity_on_graph(m, grid + 1j * GRAPH_EPSILON)
         assert ok.n_failed == 0 and np.isfinite(ok.density).all()
 
     def test_empty_grid(self):
-        route = graph_route_density(sample_matrix(30, 45, 2), np.array([]))
-        assert route.density.shape == route.point_sweeps.shape == (0,)
-        assert route.n_failed == 0 and route.n_classes == 2
+        run = cavity_on_graph(sample_matrix(30, 45, 2), np.array([]) + 1j * GRAPH_EPSILON)
+        assert run.density.shape == run.point_sweeps.shape == (0,)
+        assert run.n_failed == 0 and run.n_classes == 2
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_grid_point_is_rejected(self, bad, monkeypatch):
         def no_work(*args):
-            raise AssertionError("ran before the grid was checked")
+            raise AssertionError("swept before the grid was checked")
 
         # the finite point before the bad one does not run either
-        monkeypatch.setattr(cavity, "cavity_on_graph", no_work)
+        monkeypatch.setattr(cavity, "_sweep", no_work)
         with pytest.raises(ValueError, match="finite"):
-            graph_route_density(sample_matrix(30, 45, 2), np.array([1.0, bad]))
+            cavity_on_graph(sample_matrix(30, 45, 2),
+                            np.array([1.0, bad]) + 1j * GRAPH_EPSILON)
 
     @pytest.mark.parametrize("eps", [0.0, -5e-3, math.nan, math.inf])
-    def test_epsilon_domain(self, eps):
+    def test_epsilon_domain(self, eps, monkeypatch):
         # a negative epsilon would map to the conjugate point and mirror the density
         with pytest.raises(ValueError, match="epsilon"):
-            graph_route_density(sample_matrix(30, 45, 2), np.array([1.0]), epsilon=eps)
+            check_graph_epsilon(eps)
+
+        def no_work(*args):
+            raise AssertionError("swept before the points were checked")
+
+        monkeypatch.setattr(cavity, "_sweep", no_work)
+        with pytest.raises(ValueError, match="Im w > 0"):
+            cavity_on_graph(sample_matrix(30, 45, 2), np.array([1.0, 2.0]) + 1j * eps)

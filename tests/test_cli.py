@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import importlib
 import json
+import math
 import os
 import pkgutil
 import shlex
@@ -20,7 +21,7 @@ from regnoma import checks, cli
 from regnoma.ensembles import GenerationError
 from regnoma.checks import CHECKS
 from regnoma.spectra import DensityParams, analytic_density, kesten_mckay_density
-from regnoma.throughput import db_to_linear, regular_throughput
+from regnoma.throughput import LN2, db_to_linear, regular_throughput
 from test_acceptance import PINNED
 
 
@@ -58,7 +59,7 @@ class TestEntryPoint:
     def test_installed_script_reports_version(self):
         proc = run_python("-m", "regnoma.cli", "--version")
         assert proc.returncode == 0
-        assert "regnoma 0.13.0" in proc.stdout
+        assert "regnoma 0.14.0" in proc.stdout
 
     @pytest.mark.parametrize("module", [regnoma] + [
         importlib.import_module(f"regnoma.{m.name}")
@@ -467,6 +468,22 @@ class TestSweep:
         assert run(["sweep", *argv, "--d", "2", "--out", str(tmp_path / "o.csv")]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "finite" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("values,match", [
+        ("10,48.7", "not reachable below snr"),
+        (repr(10.0 * math.log10(LN2) + 1e-6), "not above the minimum achievable"),
+    ], ids=["above_cover_wyner_reach", "just_above_ln2"])
+    def test_out_of_reach_ebno_exits_2_without_output(self, tmp_path, capsys, monkeypatch,
+                                                      values, match):
+        def no_work(*args, **kwargs):
+            raise AssertionError("inverted an Eb/N0 point before the check")
+
+        monkeypatch.setattr(cli.tp, "snr_for_ebno", no_work)
+        assert run(["sweep", "--variable", "ebno", "--values", values, "--beta", "1.5",
+                    "--d", "2", "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and match in err
         assert list(tmp_path.iterdir()) == []
 
     def test_inconsistent_operating_point_exits_2(self, tmp_path):

@@ -18,6 +18,8 @@ from regnoma.throughput import (LN2, SWEEP_COLUMNS, Curve, MCResult, SweepSpec,
                                 snr_for_ebno, sweep)
 
 P_DEFAULT = DensityParams(beta=1.5, d=2.0)
+# every curve's Eb/N0 falls to ln 2 as snr -> 0
+FLOOR_DB = 10.0 * math.log10(LN2)
 
 
 def mc_spec(n=10, k=15, d=2, seed=0):
@@ -442,6 +444,24 @@ class TestSweepSpec:
             SweepSpec(beta=1.5, d=2.0, **fields)
         assert calls == []
 
+    @pytest.mark.parametrize("values,match,curve", [
+        # every curve's reach starts a few 1e-6 dB above ln 2
+        ((FLOOR_DB + 1e-6,), "not above the minimum achievable", "regular (d = 2.0)"),
+        # the regular and dense curves reach 48.7 dB below snr = 1e6, Cover-Wyner does not
+        ((10.0, 48.7), "not reachable below snr = 1000000.0", "cover_wyner"),
+    ])
+    def test_level_outside_a_curve_reach_rejected_at_construction(
+            self, monkeypatch, values, match, curve):
+        calls = []
+        real = tp.snr_for_ebno
+        monkeypatch.setattr(tp, "snr_for_ebno",
+                            lambda *args: calls.append(args) or real(*args))
+        with pytest.raises(ValueError, match=match) as info:
+            SweepSpec(variable=SweepVariable.EBNO, values=values, beta=1.5, d=2.0)
+        assert f"Eb/N0 {values[-1]:.10g} dB" in str(info.value)
+        assert f"on the {curve} curve" in str(info.value)
+        assert calls == []
+
     def test_ebno_sweep_rejects_fixed_operating_point(self):
         with pytest.raises(ValueError):
             SweepSpec(variable=SweepVariable.EBNO, values=(10.0,),
@@ -571,10 +591,8 @@ class TestSweep:
         assert 0 < len(quadrature_calls) <= 40
 
     def test_out_of_reach_level_fails_before_any_step(self, curve_snrs):
-        spec = SweepSpec(variable=SweepVariable.EBNO, values=(10.0, 60.0),
-                         beta=1.5, d=2.0)
         with pytest.raises(ValueError, match="not reachable below snr"):
-            sweep(spec)
+            SweepSpec(variable=SweepVariable.EBNO, values=(10.0, 60.0), beta=1.5, d=2.0)
         assert set(curve_snrs) == set(tp.SNR_BRACKET)
 
     def test_a_failed_inversion_fails_every_row_it_served(self, monkeypatch):
@@ -731,7 +749,7 @@ class TestSweep:
          dict(d=3.0, ebno_db=10.0)),
         (SweepVariable.SPARSITY, (2.0, 2.5, 3.0, 1.2, 4.0, math.nan),
          dict(beta=1.5, snr_db=10.0)),
-        (SweepVariable.EBNO, (0.0, 10.0, math.nan, 20.0, -math.inf),
+        (SweepVariable.EBNO, (0.0, 10.0, math.nan, 20.0, -math.inf, FLOOR_DB + 1e-6, 60.0),
          dict(beta=2.0, d=3.0)),
     ])
     def test_accepted_rows_sweep_without_value_error(self, variable, values, fixed, mc):
