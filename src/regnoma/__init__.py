@@ -14,14 +14,14 @@ from .ensembles import (EnsembleSpec, EntryMode, GenerationError,
 from .quadrature import QuadratureError, partial_integrals, support_integral
 from .spectra import (DensityParams, analytic_cdf, analytic_density,
                       empirical_spectrum, kesten_mckay_density, ks_distance,
-                      marchenko_pastur_density, spectrum_histogram)
+                      marchenko_pastur_density, pooled_spectrum, spectrum_histogram)
 from .cavity import GraphCavityMessages, cavity_on_graph, stieltjes_inversion
 from .throughput import (Curve, MCResult, SweepSpec, SweepVariable,
                          cover_wyner_bound, db_to_linear, dense_rs_throughput,
                          ebno_from_snr, finite_n_throughput_mc,
                          regular_throughput, snr_for_ebno, sweep)
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"
 
 __all__ = [
     "__version__",
@@ -42,6 +42,7 @@ __all__ = [
     "kesten_mckay_density",
     "ks_distance",
     "marchenko_pastur_density",
+    "pooled_spectrum",
     "spectrum_histogram",
     "GraphCavityMessages",
     "cavity_on_graph",

@@ -24,8 +24,8 @@ from . import quadrature
 from . import throughput as tp
 from .cavity import EDGE_GAP, GRAPH_EPSILON, cavity_on_graph, stieltjes_inversion
 from .ensembles import EnsembleSpec, EntryMode, generate_regular
-from .spectra import (DensityParams, analytic_density, empirical_spectrum,
-                      kesten_mckay_density, ks_distance, marchenko_pastur_density)
+from .spectra import (DensityParams, analytic_density, kesten_mckay_density, ks_distance,
+                      marchenko_pastur_density, pooled_spectrum)
 
 __all__ = ["Bound", "Gate", "Check", "CHECKS"]
 
@@ -210,9 +210,7 @@ def _scaled_spectrum(seed):
     p = DensityParams(beta=1.5, d=2.0)
     ks, pools = [], []
     for mode in (EntryMode.ONES, EntryMode.RADEMACHER):
-        espec = _spec(520, seed, mode)
-        pools.append(np.concatenate([empirical_spectrum(generate_regular(espec, realization=t))
-                                     for t in range(200)]))
+        pools.append(pooled_spectrum(_spec(520, seed, mode), 200))
         ks.append(ks_distance(pools[-1], p))
     return (*ks, ks_2samp(*pools).statistic)
 
@@ -248,9 +246,7 @@ def _regular_vs_irregular(seed):
 
 
 def _full_scale_spectrum(seed):
-    espec = _spec(2600, seed)
-    pooled = np.concatenate([empirical_spectrum(generate_regular(espec, realization=t))
-                             for t in range(1000)])
+    pooled = pooled_spectrum(_spec(2600, seed), 1000)
     return (ks_distance(pooled, DensityParams(beta=1.5, d=2.0)),)
 
 

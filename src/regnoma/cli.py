@@ -30,8 +30,8 @@ from . import cavity as cavity_mod
 from . import throughput as tp
 from .checks import CHECKS, Gate
 from .ensembles import EnsembleSpec, EntryMode, generate_regular
-from .spectra import (DensityParams, analytic_density, empirical_spectrum,
-                      ks_distance, spectrum_histogram)
+from .spectra import (DensityParams, analytic_density, ks_distance, pooled_spectrum,
+                      spectrum_histogram)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -183,8 +183,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     espec = EnsembleSpec.from_load(args.n, args.beta, args.d,
                                    EntryMode(args.entries), args.seed)
     p = DensityParams.from_ensemble(espec)
-    pooled = np.concatenate([empirical_spectrum(generate_regular(espec, realization=t))
-                             for t in range(args.trials)])
+    pooled = pooled_spectrum(espec, args.trials)
     ks = ks_distance(pooled, p)
     centers, empirical = spectrum_histogram(pooled, p, bins=args.bins)
     overlay = analytic_density(centers, p)

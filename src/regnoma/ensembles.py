@@ -109,12 +109,8 @@ class EnsembleSpec:
             raise ValueError(
                 f"K*d = {k * d} not divisible by N = {n}; row degree would not be integral"
             )
-        if self.row_degree < 2:
-            raise ValueError(f"row degree must be >= 2, got {self.row_degree}")
         if d > n:
             raise ValueError(f"column degree {d} exceeds number of resources {n}")
-        if self.row_degree > k:
-            raise ValueError(f"row degree {self.row_degree} exceeds number of users {k}")
         if not 0 <= self.seed < MAX_SEED:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
 

@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from . import quadrature
-from .ensembles import EnsembleSpec, EntryMode, SparseSignatureMatrix
+from .ensembles import EnsembleSpec, EntryMode, SparseSignatureMatrix, generate_regular
 
 __all__ = [
     "DensityParams",
@@ -42,6 +42,7 @@ __all__ = [
     "marchenko_pastur_density",
     "analytic_cdf",
     "empirical_spectrum",
+    "pooled_spectrum",
     "ks_distance",
     "spectrum_histogram",
 ]
@@ -86,8 +87,6 @@ class DensityParams:
 
     @cached_property
     def lambda_minus(self) -> float:
-        if self.beta == 1.0:
-            return 0.0
         return max(self.alpha + self.gamma - 2.0 * np.sqrt(self.alpha * self.gamma), 0.0)
 
     @cached_property
@@ -191,6 +190,13 @@ def empirical_spectrum(matrix: SparseSignatureMatrix) -> np.ndarray:
         bd = float(spec.beta * spec.col_degree)
         eigs = eigs[np.abs(eigs - bd) > TRIVIAL_TOL]
     return eigs
+
+
+def pooled_spectrum(spec: EnsembleSpec, trials: int) -> np.ndarray:
+    """The :func:`empirical_spectrum` of regular realizations 0 .. trials - 1,
+    concatenated in realization order."""
+    return np.concatenate([empirical_spectrum(generate_regular(spec, realization=t))
+                           for t in range(trials)])
 
 
 def _nonempty(eigenvalues: np.ndarray) -> np.ndarray:

@@ -110,8 +110,6 @@ def regular_throughput(snr: float, p: DensityParams) -> float:
     so rounding in ``u`` enters ``C`` only at second order.
     """
     snr = _check_snr(snr)
-    if snr == 0.0:
-        return 0.0
     t2 = snr / p.d
     bd = p.beta * p.d
     b = (bd - 1.0) * t2
@@ -130,15 +128,12 @@ def dense_rs_throughput(snr: float | np.ndarray, beta: float) -> float | np.ndar
     the bits of a scalar call, and gives an array.
     """
     snrs = _check_snrs(snr)
-    out = np.zeros(snrs.size)
-    pos = snrs > 0.0
-    if pos.any():
-        lo = (1.0 - math.sqrt(beta)) ** 2
-        hi = (1.0 + math.sqrt(beta)) ** 2
-        out[pos] = 0.5 * quadrature.support_integral(
-            lambda lam: marchenko_pastur_density(lam, beta),
-            lo, hi,
-            weight=lambda lam: np.log1p(np.multiply.outer(snrs[pos], lam)) / LN2)
+    lo = (1.0 - math.sqrt(beta)) ** 2
+    hi = (1.0 + math.sqrt(beta)) ** 2
+    out = 0.5 * quadrature.support_integral(
+        lambda lam: marchenko_pastur_density(lam, beta),
+        lo, hi,
+        weight=lambda lam: np.log1p(np.multiply.outer(snrs, lam)) / LN2)
     return float(out[0]) if np.ndim(snr) == 0 else out
 
 

@@ -1,9 +1,11 @@
 """Command-line interface: outputs, manifests, determinism, exit codes."""
 
+import ast
 import csv
 import dataclasses
 import hashlib
 import importlib
+import importlib.util
 import json
 import math
 import os
@@ -59,7 +61,7 @@ class TestEntryPoint:
     def test_installed_script_reports_version(self):
         proc = run_python("-m", "regnoma.cli", "--version")
         assert proc.returncode == 0
-        assert "regnoma 0.14.0" in proc.stdout
+        assert "regnoma 0.15.0" in proc.stdout
 
     @pytest.mark.parametrize("module", [regnoma] + [
         importlib.import_module(f"regnoma.{m.name}")
@@ -76,6 +78,30 @@ class TestEntryPoint:
                                 "if m.partition('.')[0] == 'scipy'))")
         assert proc.returncode == 0
         assert proc.stdout.strip() == "[]"
+
+    def test_cli_imports_only_traced_layers_and_checks(self):
+        # the benchmark tracer times the layers' public functions; work that cli
+        # takes from any other regnoma module would be timed as cli's own
+        root = Path(__file__).resolve().parent.parent
+        spec = importlib.util.spec_from_file_location(
+            "bench_trace_layers", root / "benchmarks" / "bench_trace.py")
+        bench_trace = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench_trace)
+        imported = set()
+        for node in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+            if isinstance(node, ast.Import):
+                dotted = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = "regnoma." * node.level + (node.module or "")
+                # from regnoma import name: a submodule, or a dunder such as __version__
+                dotted = ([f"regnoma.{a.name}" for a in node.names if not a.name.startswith("__")]
+                          if module.rstrip(".") == "regnoma" else [module])
+            else:
+                continue
+            imported.update(name.split(".")[1] for name in dotted
+                            if name.startswith("regnoma."))
+        assert {"cavity", "checks", "ensembles", "spectra", "throughput"} <= imported
+        assert imported <= {*bench_trace.LAYERS, "checks"}
 
     @pytest.mark.parametrize("argv", [
         ["density", "--beta", "1", "--d", "2", "--threads", "2"],
@@ -381,6 +407,13 @@ class TestThroughput:
         assert run(["sweep", "--variable", "sparsity", "--values", "2", "--beta", "1.5",
                     "--snr-db", "10", "--curves", "bogus",
                     "--out", str(tmp_path / "x.csv")]) == 2
+
+    def test_empty_curve_list_exits_2(self, tmp_path, capsys):
+        assert run(["sweep", "--variable", "sparsity", "--values", "2", "--beta", "1.5",
+                    "--snr-db", "10", "--curves", ",",
+                    "--out", str(tmp_path / "x.csv")]) == 2
+        assert "need at least one curve" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSweep:

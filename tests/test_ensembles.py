@@ -34,6 +34,17 @@ class TestEnsembleSpec:
         with pytest.raises(ValueError):
             make_spec(n, k, d)
 
+    @pytest.mark.parametrize("n,k", [(0, 5), (1, 0), (-1, 3)])
+    def test_dimensions_must_be_positive(self, n, k):
+        with pytest.raises(ValueError, match="^matrix dimensions must be positive$"):
+            make_spec(n, k, 2)
+
+    def test_row_degree_above_users_is_a_column_degree_above_resources(self):
+        # K >= N makes the row degree K d / N at least d >= 2, and above K only when d > N
+        with pytest.raises(ValueError,
+                           match="^column degree 3 exceeds number of resources 2$"):
+            make_spec(2, 4, 3)
+
     def test_seed_must_fit_64_bits(self):
         with pytest.raises(ValueError):
             make_spec(10, 15, 2, seed=2**64)

@@ -71,6 +71,14 @@ class TestDensityParams:
         assert p.lambda_minus == 0.0
         assert abs(p.lambda_plus - 4.0 * (d - 1.0) / d) < 1e-12
 
+    def test_unit_load_lower_edge_is_exactly_zero(self):
+        # at beta = 1, alpha = gamma and sqrt(alpha * alpha) rounds to alpha
+        degrees = np.concatenate([np.linspace(2.0, 10.0, 8001), np.geomspace(10.0, 1e6, 2001),
+                                  np.arange(2, 2001, dtype=np.float64)])
+        for d in degrees.tolist():
+            lo = DensityParams(beta=1.0, d=d).lambda_minus
+            assert lo == 0.0 and math.copysign(1.0, lo) == 1.0
+
     @pytest.mark.parametrize("beta,d", [(0.5, 2.0), (1.5, 1.0), (1.5, 0.5),
                                         (math.inf, 2.0), (1.5, math.inf)])
     def test_domain_validation(self, beta, d):

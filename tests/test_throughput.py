@@ -31,6 +31,11 @@ class TestRegularThroughput:
     def test_vanishes_with_snr(self):
         assert regular_throughput(0.0, P_DEFAULT) == 0.0
         assert regular_throughput(1e-12, P_DEFAULT) < 1e-10
+        # the closed form itself gives +0.0 at snr 0 across the (beta, d) domain
+        for beta in np.linspace(1.0, 10.0, 19):
+            for d in np.geomspace(1.0 + 1.0 / beta, 1e3, 20):
+                zero = regular_throughput(0.0, DensityParams(beta=beta, d=d))
+                assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
 
     def test_small_snr_slope_is_half_load_over_ln2(self):
         snr = 1e-6
@@ -98,6 +103,12 @@ class TestRegularClosedForm:
 class TestDenseRsThroughput:
     def test_vanishes_with_snr(self):
         assert dense_rs_throughput(0.0, 1.5) == 0.0
+        # the quadrature stops a zero row at its first check, on +0.0
+        for beta in (1.0, 1.5, 3.0, 10.0):
+            assert math.copysign(1.0, dense_rs_throughput(0.0, beta)) == 1.0
+            mixed = dense_rs_throughput(np.array([0.0, 10.0, 0.0]), beta)
+            assert np.array_equal(np.copysign(1.0, mixed[[0, 2]]), [1.0, 1.0])
+            assert mixed[1] == dense_rs_throughput(10.0, beta)
 
     def test_small_snr_slope(self):
         snr = 1e-6
@@ -389,6 +400,14 @@ class TestFiniteNThroughputMC:
 
 
 class TestSweepSpec:
+    def test_empty_sweep_rejected(self):
+        with pytest.raises(ValueError, match="^sweep needs at least one point$"):
+            SweepSpec(variable=SweepVariable.EBNO, values=(), beta=1.5, d=2.0)
+
+    def test_range_needs_a_step(self):
+        with pytest.raises(ValueError, match="^need at least one step, got 0$"):
+            SweepSpec.from_range(SweepVariable.EBNO, 0.0, 20.0, 0, beta=1.5, d=2.0)
+
     def test_load_sweep_requires_integer_load_degree_product(self):
         with pytest.raises(ValueError, match=r"^beta \* d must be an integer > 1 for a "
                                              r"realizable ensemble, got beta=1.2, d=2.0$"):
