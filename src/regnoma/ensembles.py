@@ -151,8 +151,9 @@ class EnsembleSpec:
 class SparseSignatureMatrix:
     """A sampled N x K signature matrix in coordinate form.
 
-    The coordinates may be given as any sequences; they are stored as
-    parallel int64, int64 and float64 arrays sorted by (row, col).
+    The coordinates may be given as any sequences of one length; they are
+    stored as parallel int64, int64 and float64 arrays sorted by (row, col).
+    Coordinates outside [0, N) x [0, K) raise ValueError.
     """
 
     spec: EnsembleSpec
@@ -164,8 +165,17 @@ class SparseSignatureMatrix:
         rows = np.asarray(self.rows, dtype=np.int64)
         cols = np.asarray(self.cols, dtype=np.int64)
         values = np.asarray(self.values, dtype=np.float64)
+        if rows.ndim != 1 or rows.shape != cols.shape or rows.shape != values.shape:
+            raise ValueError(f"rows, cols and values need one 1-D length, got shapes "
+                             f"{rows.shape}, {cols.shape} and {values.shape}")
         order = np.lexsort((cols, rows))
         self.rows, self.cols, self.values = rows[order], cols[order], values[order]
+        # sorted rows are bounded by their ends, and a negative col reads as a
+        # huge unsigned one, so one max bounds the cols
+        n, k = self.spec.n_resources, self.spec.n_users
+        if rows.size and not (0 <= self.rows[0] and self.rows[-1] < n
+                              and cols.view(np.uint64).max() < k):
+            raise ValueError(f"coordinates outside [0, {n}) x [0, {k})")
 
     @property
     def nnz(self) -> int:
@@ -189,36 +199,44 @@ class SparseSignatureMatrix:
         out[self.rows, self.cols] = self.values
         return out
 
-    def gram(self) -> np.ndarray:
-        """Dense N x N Gram matrix A A^T / d.
+    def gram(self, out: np.ndarray | None = None) -> np.ndarray:
+        """Dense N x N Gram matrix A A^T / d, written into ``out`` if given.
 
-        Small matrices (N*K <= ``DENSE_GRAM_MAX_CELLS``) take the dense
-        product.  Larger ones sum, for each column, the products ``v v'`` of
-        its entry pairs into cell ``(r, r')`` with one ``np.bincount``: the
-        dense A is never formed, and the cost is the sum of squared column
-        degrees instead of N*N*K.  Every product is +-1 and every sum a small
-        integer, so both paths give the same bits.
+        ``out`` must be a C-contiguous float64 N x N array; its contents are
+        overwritten and it is returned, so a loop over draws can reuse one
+        buffer.  Small matrices (N*K <= ``DENSE_GRAM_MAX_CELLS``) take the
+        dense product.  Larger ones add, for each column, the products
+        ``v v'`` of its entry pairs into cell ``(r, r')`` of the zeroed
+        buffer with one in-place ``np.add.at``: the dense A is never formed,
+        and the cost is the sum of squared column degrees instead of N*N*K.
+        Every product is +-1 and every sum a small integer, so both paths
+        give the same bits.
         """
         n, k = self.spec.n_resources, self.spec.n_users
+        if out is None:
+            out = np.empty((n, n))
+        elif not (isinstance(out, np.ndarray) and out.shape == (n, n)
+                  and out.dtype == np.float64 and out.flags.c_contiguous):
+            raise ValueError(f"out must be a C-contiguous float64 array of shape {(n, n)}")
         if n * k <= DENSE_GRAM_MAX_CELLS:
             a = self.to_dense()
-            return (a @ a.T) / self.spec.col_degree
-        order = np.argsort(self.cols, kind="stable")
-        rows, cols, values = self.rows[order], self.cols[order], self.values[order]
-        degrees = np.bincount(cols, minlength=k)
-        # entry i pairs with the degrees[cols[i]] entries of its column, which
-        # start at position col_start[cols[i]] of the column-sorted arrays
-        per_entry = degrees[cols]
-        col_start = np.cumsum(degrees) - degrees
-        run_start = np.cumsum(per_entry) - per_entry
-        first = np.repeat(np.arange(rows.size), per_entry)
-        second = np.arange(first.size) + np.repeat(col_start[cols] - run_start, per_entry)
-        g = np.bincount(rows[first] * n + rows[second],
-                        weights=values[first] * values[second], minlength=n * n)
-        # an empty weight array makes bincount return integers
-        g = g.astype(np.float64, copy=False).reshape(n, n)
-        g /= self.spec.col_degree
-        return g
+            np.matmul(a, a.T, out=out)
+        else:
+            order = np.argsort(self.cols, kind="stable")
+            rows, cols, values = self.rows[order], self.cols[order], self.values[order]
+            degrees = np.bincount(cols, minlength=k)
+            # entry i pairs with the degrees[cols[i]] entries of its column, which
+            # start at position col_start[cols[i]] of the column-sorted arrays
+            per_entry = degrees[cols]
+            col_start = np.cumsum(degrees) - degrees
+            run_start = np.cumsum(per_entry) - per_entry
+            first = np.repeat(np.arange(rows.size), per_entry)
+            second = np.arange(first.size) + np.repeat(col_start[cols] - run_start, per_entry)
+            out.fill(0.0)
+            np.add.at(out.reshape(-1), rows[first] * n + rows[second],
+                      values[first] * values[second])
+        out /= self.spec.col_degree
+        return out
 
 
 # ======================================================================

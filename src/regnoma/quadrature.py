@@ -22,8 +22,15 @@ __all__ = ["QuadratureError", "support_integral", "partial_integrals"]
 # theta panels of the partial-integral table and Gauss-Legendre nodes per panel
 PANELS = 64
 PANEL_ORDER = 20
-# points per block of partial panels; bounds the temporaries of a large call
-BLOCK = 65_536
+# points per block of partial panels; bounds the temporaries of a large call.
+# Values are bit-identical for any BLOCK from 512 to 65,536.  The
+# 52,000-point CDF of a 100-trial N = 520 pool peaks at 5.3 MB under
+# tracemalloc, against 61.4 MB as one 65,536-point block.  Such large
+# blocks also raise glibc's dynamic mmap threshold to ~8 MB, so later
+# multi-MB arrays (a pooled spectrum's Gram matrices) came from the heap by
+# accident; with small blocks they are unmapped and page-faulted afresh on
+# every draw, which is why spectra.pooled_spectrum reuses one Gram buffer
+BLOCK = 4_096
 # node budget of support_integral's doubling, read at call time
 N_MAX = 1 << 15
 

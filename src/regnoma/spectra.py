@@ -175,16 +175,18 @@ def analytic_cdf(lam: np.ndarray | float, p: DensityParams) -> np.ndarray | floa
 # Empirical spectra
 # ======================================================================
 
-def empirical_spectrum(matrix: SparseSignatureMatrix) -> np.ndarray:
+def empirical_spectrum(matrix: SparseSignatureMatrix,
+                       out: np.ndarray | None = None) -> np.ndarray:
     """Sorted eigenvalues of A A^T / d, deterministic ones dropped.
 
     In ONES mode the all-ones vector is an exact eigenvector of a regular
     matrix and contributes a deterministic eigenvalue beta * d; values
     within ``TRIVIAL_TOL`` of it are dropped so distribution comparisons
-    see the random part only.  A failed eigensolve raises
-    ``np.linalg.LinAlgError``.
+    see the random part only.  ``out``, if given, is the N x N buffer the
+    Gram matrix is written into (see ``SparseSignatureMatrix.gram``).  A
+    failed eigensolve raises ``np.linalg.LinAlgError``.
     """
-    eigs = np.linalg.eigvalsh(matrix.gram())
+    eigs = np.linalg.eigvalsh(matrix.gram(out))
     spec = matrix.spec
     if spec.entry_mode is EntryMode.ONES and matrix.regular:
         bd = float(spec.beta * spec.col_degree)
@@ -194,8 +196,13 @@ def empirical_spectrum(matrix: SparseSignatureMatrix) -> np.ndarray:
 
 def pooled_spectrum(spec: EnsembleSpec, trials: int) -> np.ndarray:
     """The :func:`empirical_spectrum` of regular realizations 0 .. trials - 1,
-    concatenated in realization order."""
-    return np.concatenate([empirical_spectrum(generate_regular(spec, realization=t))
+    concatenated in realization order.
+
+    Every realization writes its Gram matrix into one N x N buffer, so a
+    pool of many draws does not allocate, and page-fault, a fresh one each.
+    """
+    g = np.empty((spec.n_resources, spec.n_resources))
+    return np.concatenate([empirical_spectrum(generate_regular(spec, realization=t), g)
                            for t in range(trials)])
 
 

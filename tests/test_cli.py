@@ -61,7 +61,7 @@ class TestEntryPoint:
     def test_installed_script_reports_version(self):
         proc = run_python("-m", "regnoma.cli", "--version")
         assert proc.returncode == 0
-        assert "regnoma 0.15.0" in proc.stdout
+        assert "regnoma 0.16.0" in proc.stdout
 
     @pytest.mark.parametrize("module", [regnoma] + [
         importlib.import_module(f"regnoma.{m.name}")

@@ -306,6 +306,27 @@ class TestCoordinateInput:
         assert from_lists.cols.tolist() == [0, 1, 0, 0]
         assert from_lists.values.tolist() == [1.0, -1.0, -1.0, 1.0]
 
+    @pytest.mark.parametrize("rows,cols,values", [
+        ([0, 1, 2], [0, 1], [1.0, 1.0]),
+        ([0, 1], [0, 1], [1.0, 1.0, 1.0]),
+        ([0, 1], [0, 1, 2], [1.0, 1.0]),
+        ([[0, 1]], [[0, 1]], [[1.0, 1.0]]),
+    ])
+    def test_mismatched_shapes_rejected(self, rows, cols, values):
+        with pytest.raises(ValueError, match="one 1-D length"):
+            SparseSignatureMatrix(make_spec(3, 3, 2), rows, cols, values)
+
+    @pytest.mark.parametrize("rows,cols", [
+        ([0, 1, -1], [0, 0, 1]),
+        ([0, 1, 3], [0, 0, 1]),
+        ([0, 1, 2], [0, -1, 1]),
+        ([0, 1, 2], [0, 0, 3]),
+    ])
+    def test_coordinates_outside_the_matrix_rejected(self, rows, cols):
+        # a negative index would otherwise wrap into the last row or column
+        with pytest.raises(ValueError, match=r"outside \[0, 3\) x \[0, 3\)"):
+            SparseSignatureMatrix(make_spec(3, 3, 2), rows, cols, np.ones(3))
+
 
 def dense_gram(m):
     a = m.to_dense()
@@ -352,6 +373,28 @@ class TestGram:
         m = SparseSignatureMatrix(make_spec(200, 300, 2), rows=empty, cols=empty,
                                   values=np.zeros(0))
         assert m.gram().tobytes() == np.zeros((200, 200)).tobytes()
+
+    @pytest.mark.parametrize("n,k,d", [(10, 15, 2), (200, 300, 2)])
+    @pytest.mark.parametrize("mode", list(EntryMode))
+    def test_writes_into_a_given_buffer(self, n, k, d, mode):
+        m = generate_regular(make_spec(n, k, d, mode, seed=7))
+        out = np.full((n, n), np.nan)
+        assert m.gram(out) is out
+        assert out.tobytes() == m.gram().tobytes() == dense_gram(m).tobytes()
+
+    @pytest.mark.parametrize("n,k,d", [(10, 15, 2), (200, 300, 2)])
+    @pytest.mark.parametrize("out", [
+        lambda n: np.empty((n, n + 1)),
+        lambda n: np.empty((n, n), dtype=np.float32),
+        lambda n: np.empty((n, n), order="F"),
+        lambda n: np.empty((n, 2 * n))[:, ::2],
+        lambda n: np.empty((n, n)).tolist(),
+    ])
+    def test_bad_buffer_rejected(self, n, k, d, out):
+        # a non-contiguous buffer would flatten into a copy and stay unwritten
+        m = generate_regular(make_spec(n, k, d, seed=7))
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            m.gram(out(n))
 
     def test_large_matrices_are_never_densified(self, monkeypatch):
         m = generate_regular(make_spec(520, 1560, 4, seed=5))

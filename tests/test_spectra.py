@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from regnoma.ensembles import EnsembleSpec, EntryMode, generate_regular
+from regnoma.ensembles import (EnsembleSpec, EntryMode, SparseSignatureMatrix,
+                               generate_regular)
 from regnoma import quadrature
 from regnoma.quadrature import BLOCK, partial_integrals, support_integral
 from regnoma.spectra import (DensityParams, analytic_cdf, analytic_density,
                              empirical_spectrum, kesten_mckay_density, ks_distance,
-                             marchenko_pastur_density, spectrum_histogram)
+                             marchenko_pastur_density, pooled_spectrum,
+                             spectrum_histogram)
 
 P_DEFAULT = DensityParams(beta=1.5, d=2.0)
 
@@ -298,6 +300,19 @@ class TestAnalyticCdf:
             tracemalloc.stop()
         assert peak < 100e6
 
+    def test_pooled_call_peaks_at_a_few_blocks(self):
+        # the spectrum_pool KS size again: 61.4 MB as one 65,536-point block
+        p = DensityParams(beta=3.0, d=4.0)
+        rng = np.random.default_rng(0)
+        lam = np.sort(rng.uniform(p.lambda_minus, p.lambda_plus, 52_000))
+        tracemalloc.start()
+        try:
+            analytic_cdf(lam, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
     def test_large_call_runs_in_bounded_blocks(self):
         # the 2.6M-point full-scale KS would need ~3 GB as one block
         p = DensityParams(beta=1.5, d=2.0)
@@ -363,6 +378,28 @@ class TestEmpiricalSpectrum:
         eigs = empirical_spectrum(m)
         assert eigs.size == m.spec.n_resources - 1
         assert abs(eigs.max() - 3.0) > 1e-6
+
+
+class TestPooledSpectrum:
+    @pytest.mark.parametrize("n,k,mode", [(10, 15, EntryMode.ONES),
+                                          (200, 300, EntryMode.RADEMACHER)])
+    def test_one_gram_buffer_serves_every_realization(self, monkeypatch, n, k, mode):
+        spec = EnsembleSpec(n_resources=n, n_users=k, col_degree=2, entry_mode=mode,
+                            seed=3)
+        expected = np.concatenate([empirical_spectrum(generate_regular(spec, realization=t))
+                                   for t in range(4)])
+        buffers = []
+        gram = SparseSignatureMatrix.gram
+
+        def spy(self, out=None):
+            buffers.append(out)
+            return gram(self, out)
+
+        monkeypatch.setattr(SparseSignatureMatrix, "gram", spy)
+        pooled = pooled_spectrum(spec, 4)
+        assert len(buffers) == 4 and buffers[0] is not None
+        assert all(b is buffers[0] for b in buffers)
+        assert pooled.tobytes() == expected.tobytes()
 
 
 def pooled_samples(n_real, **kwargs):
