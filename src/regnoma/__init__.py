@@ -15,13 +15,13 @@ from .quadrature import QuadratureError, partial_integrals, support_integral
 from .spectra import (DensityParams, analytic_cdf, analytic_density,
                       empirical_spectrum, kesten_mckay_density, ks_distance,
                       marchenko_pastur_density, pooled_spectrum, spectrum_histogram)
-from .cavity import GraphCavityMessages, cavity_on_graph, stieltjes_inversion
+from .cavity import GraphCavityMessages, cavity_on_graph, cavity_on_tree
 from .throughput import (Curve, MCResult, SweepSpec, SweepVariable,
                          cover_wyner_bound, db_to_linear, dense_rs_throughput,
                          ebno_from_snr, finite_n_throughput_mc,
                          regular_throughput, snr_for_ebno, sweep)
 
-__version__ = "0.16.0"
+__version__ = "0.17.0"
 
 __all__ = [
     "__version__",
@@ -45,8 +45,8 @@ __all__ = [
     "pooled_spectrum",
     "spectrum_histogram",
     "GraphCavityMessages",
+    "cavity_on_tree",
     "cavity_on_graph",
-    "stieltjes_inversion",
     "Curve",
     "MCResult",
     "SweepSpec",

@@ -1,22 +1,22 @@
 """Cavity route to the Gram spectrum: fixed point, inversion, and graphs.
 
 On the infinite biregular tree the cavity recursion closes on two
-scalars.  Written in the Gram spectral variable z, the cavity variances
+scalars.  Written in the Gram spectral variable w, the cavity variances
 solve
 
-    delta(z)       = 1 / (z - gamma / (1 - alpha * delta(z)))
-    delta_tilde(z) = 1 / (z - beta  / (1 - alpha * delta(z)))
+    delta(w)          = 1 / (w - gamma / (1 - alpha * delta(w)))
+    gram_transform(w) = 1 / (w - beta  / (1 - alpha * delta(w)))
 
-with alpha = (d-1)/d and gamma = (beta d - 1)/d.  ``delta_tilde`` is the
-Cauchy transform of the limiting law of A A^T / d, so the density follows
-from the boundary values:  rho(lam) = -Im delta_tilde(lam + i eps) / pi.
-For Im z > 0 the physical branch has nonpositive imaginary parts.
-:func:`stieltjes_inversion` solves the pair on a whole grid at once: damped
+with alpha = (d-1)/d and gamma = (beta d - 1)/d.  ``gram_transform`` is
+the Cauchy transform of the limiting law of A A^T / d, so the density
+follows from the boundary values:  rho(lam) = -Im gram_transform(lam + i eps) / pi.
+For Im w > 0 the physical branch has nonpositive imaginary parts.
+:func:`cavity_on_tree` solves the pair at every point at once: damped
 iteration first, then the closed-form quadratic root where the iteration
 stalls.  A point without a physical root is NaN, not an error.
 
 The graph route runs the cavity recursion on a sampled finite matrix, in
-the Gram variable w with Im w > 0.  The Gram resolvent (w - A A^T / d)^-1 is
+the same variable w.  The Gram resolvent (w - A A^T / d)^-1 is
 the resource block of H^-1, with
 
     H = [[w I_N, -A / sqrt(d)], [-A^T / sqrt(d), I_K]],
@@ -29,10 +29,9 @@ user), and each directed edge of the bipartite graph carries the message
 started at 1 / c_tail.  Messages depend only on squared entries, so both
 entry modes give identical values.  The node values 1 / (c_v - (sum in) / d)
 estimate the diagonal of H^-1, exact on a tree; their mean over the
-resource nodes estimates the Gram transform, so the density at lam is
--Im(mean) / pi at w = lam + i eps, as in :func:`stieltjes_inversion`.  A run
-that misses its stopping rule is NaN too, so both routes fail a point the
-same way.
+resource nodes estimates the Gram transform.  Both routes take the same
+points w, finite with Im w > 0.  A graph run that misses its stopping
+rule is NaN too, so both routes fail a point the same way.
 
 One loop sweeps every matrix on its message classes, sets of directed
 edges that carry one value: two on a regular matrix
@@ -52,13 +51,13 @@ from .ensembles import SparseSignatureMatrix
 
 __all__ = [
     "GraphCavityMessages",
-    "stieltjes_inversion",
+    "cavity_on_tree",
     "cavity_on_graph",
 ]
 
 DAMPING = 0.5
 DEFAULT_EPSILON = 1e-6
-# summaries trust the scalar inversion only this far inside the square-root edges
+# summaries trust the scalar route only this far inside the square-root edges
 EDGE_GAP = 1e-3
 GRAPH_EPSILON = 5e-3
 # stopping rule of the scalar iteration; points that miss it take the quadratic root
@@ -70,10 +69,13 @@ GRAPH_TOL = 1e-8
 MAX_SWEEPS = 10_000
 
 
-def _delta_tilde(z: np.ndarray, delta: np.ndarray, p: DensityParams) -> np.ndarray:
-    # a failed point (nan delta) stays nan without a warning
-    with np.errstate(invalid="ignore"):
-        return 1.0 / (z - p.beta / (1.0 - p.alpha * delta))
+def _check_points(w) -> np.ndarray:
+    """``w`` as a complex array; a point not finite or with Im w <= 0 raises."""
+    w = np.asarray(w, dtype=complex)
+    bad = ~(np.isfinite(w) & (w.imag > 0.0))
+    if bad.any():
+        raise ValueError(f"need a finite w with Im w > 0, got w = {w[bad]}")
+    return w
 
 
 def _iterate(z: np.ndarray, p: DensityParams) -> tuple[np.ndarray, np.ndarray]:
@@ -129,45 +131,31 @@ def _physical_root(z: np.ndarray, p: DensityParams) -> np.ndarray:
     return pick
 
 
-def _cauchy_transform(z: np.ndarray, p: DensityParams) -> tuple[np.ndarray, np.ndarray]:
-    """Physical cavity pair (delta, delta_tilde) at points with Im z > 0.
+def cavity_on_tree(p: DensityParams, w) -> tuple[np.ndarray, np.ndarray]:
+    """Physical cavity pair (delta, gram_transform) of the tree at Gram points w.
 
+    ``w`` is a complex scalar or array, and both results have its shape.  A
+    point that is not finite or has Im w <= 0 is rejected before any step.
     Damped iteration (the physical relaxation) runs first; points where it
     stalls before ``MAX_ITER`` updates reach ``ITER_TOL`` take the root of
     the equivalent quadratic with nonpositive imaginary part.  Points with
-    no physical root, or whose pair leaves the branch Im <= 0, are NaN.
+    no physical root, or whose pair leaves the branch Im <= 0, are complex
+    NaN.  The density at lam is ``-gram_transform.imag / pi`` at
+    w = lam + i eps.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if not np.all(z.imag > 0.0):
-        raise ValueError("need Im z > 0 at every point")
+    w = _check_points(w)
+    z = w.ravel()
     delta, residual = _iterate(z, p)
     stalled = residual >= ITER_TOL
     if stalled.any():
         delta[stalled] = _physical_root(z[stalled], p)
-    delta_tilde = _delta_tilde(z, delta, p)
-    bad = np.isnan(delta) | (delta.imag > _IM_SLACK) | (delta_tilde.imag > _IM_SLACK)
+    # a failed point (nan delta) stays nan without a warning
+    with np.errstate(invalid="ignore"):
+        gram = 1.0 / (z - p.beta / (1.0 - p.alpha * delta))
+    bad = np.isnan(delta) | (delta.imag > _IM_SLACK) | (gram.imag > _IM_SLACK)
     # a real nan would leave Im = 0 and read as a zero density
-    delta[bad] = delta_tilde[bad] = complex(np.nan, np.nan)
-    return delta, delta_tilde
-
-
-def stieltjes_inversion(lambda_grid: np.ndarray, p: DensityParams,
-                        epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
-    """Boundary-value density on a real grid: -Im delta_tilde(lam + i eps) / pi.
-
-    ``epsilon`` must lie in (0, 1e-3] and the grid inside the padded support
-    ``[lambda_minus - 1, lambda_plus + 1]``; a grid with a point outside it,
-    NaN included, is rejected before any work.  Points where no physical
-    root exists are returned as NaN rather than failing the batch.
-    """
-    if not 0.0 < epsilon <= 1e-3:
-        raise ValueError(f"epsilon must be in (0, 1e-3], got {epsilon}")
-    grid = np.atleast_1d(np.asarray(lambda_grid, dtype=np.float64))
-    lo, hi = p.lambda_minus - 1.0, p.lambda_plus + 1.0
-    if np.any(~((grid >= lo) & (grid <= hi))):
-        raise ValueError(f"grid must stay inside [{lo}, {hi}]")
-    _, delta_tilde = _cauchy_transform(grid + 1j * epsilon, p)
-    return -delta_tilde.imag / np.pi
+    delta[bad] = gram[bad] = complex(np.nan, np.nan)
+    return delta.reshape(w.shape), gram.reshape(w.shape)
 
 
 # ======================================================================
@@ -223,11 +211,7 @@ def cavity_on_graph(matrix: SparseSignatureMatrix, w) -> GraphCavityMessages:
     per-sweep message change is still at least ``GRAPH_TOL`` after
     ``MAX_SWEEPS`` sweeps gets complex NaN node values; nothing is raised.
     """
-    w = np.asarray(w, dtype=complex)
-    bad = ~(np.isfinite(w) & (w.imag > 0.0))
-    if bad.any():
-        raise ValueError(f"need a finite w with Im w > 0, got w = {w[bad]}")
-    return _sweep(matrix, w)
+    return _sweep(matrix, _check_points(w))
 
 
 def _edges(matrix: SparseSignatureMatrix) -> np.ndarray:
@@ -346,8 +330,8 @@ def _sweep(matrix: SparseSignatureMatrix, w: np.ndarray) -> GraphCavityMessages:
         gram_transform=resource.mean(-1))
 
 
-def check_graph_epsilon(epsilon: float) -> None:
-    """Reject a graph-route offset that is not finite and positive.
+def check_epsilon(epsilon: float) -> None:
+    """Reject an offset eps of w = lam + i eps that is not finite and positive.
 
     A negative offset evaluates the conjugate transform, a mirror-image
     density; zero puts the evaluation point on the spectrum.

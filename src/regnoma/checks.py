@@ -22,7 +22,7 @@ import numpy as np
 
 from . import quadrature
 from . import throughput as tp
-from .cavity import EDGE_GAP, GRAPH_EPSILON, cavity_on_graph, stieltjes_inversion
+from .cavity import EDGE_GAP, GRAPH_EPSILON, cavity_on_graph, cavity_on_tree
 from .ensembles import EnsembleSpec, EntryMode, generate_regular
 from .spectra import (DensityParams, analytic_density, kesten_mckay_density, ks_distance,
                       marchenko_pastur_density, pooled_spectrum)
@@ -135,7 +135,8 @@ def _marchenko_pastur(seed):
 def _scalar_cavity(seed):
     p = DensityParams(beta=1.5, d=2.0)
     grid = np.linspace(p.lambda_minus, p.lambda_plus, 512)
-    scalar = stieltjes_inversion(grid, p, epsilon=1e-6)
+    _, tree = cavity_on_tree(p, grid + 1j * 1e-6)
+    scalar = -tree.imag / np.pi
     interior = (grid > p.lambda_minus + EDGE_GAP) & (grid < p.lambda_plus - EDGE_GAP)
     return (int(np.isnan(scalar).sum()),
             np.max(np.abs(scalar - analytic_density(grid, p))[interior]))
@@ -228,8 +229,8 @@ def _graph_route(seed):
 
 def _finite_n_vs_asymptotic(seed):
     p = DensityParams(beta=1.5, d=2.0)
-    snrs = np.array([tp.snr_for_ebno(tp.db_to_linear(ebno_db), p.beta, p.d)
-                     for ebno_db in (4.0, 7.0, 10.0, 13.0)])
+    targets = np.array([tp.db_to_linear(ebno_db) for ebno_db in (4.0, 7.0, 10.0, 13.0)])
+    snrs = tp.snr_for_ebno(targets, p.beta, p.d)
     asymptotic = np.array([tp.regular_throughput(snr, p) for snr in snrs])
     mc = tp.finite_n_throughput_mc(_spec(10, seed), snrs, 10_000)
     return mc.n_failed, np.max(np.abs(mc.mean - asymptotic) / asymptotic)

@@ -136,14 +136,16 @@ def _cmd_density(args: argparse.Namespace) -> int:
 def _cmd_cavity(args: argparse.Namespace) -> int:
     _require_positive("--points", args.points)
     p = DensityParams(beta=args.beta, d=args.d)
+    for epsilon in (args.epsilon, args.graph_epsilon):  # usage errors before any work
+        cavity_mod.check_epsilon(epsilon)
     have_graph = args.graph_n is not None
-    if have_graph:  # a bad graph route is a usage error before any work
-        cavity_mod.check_graph_epsilon(args.graph_epsilon)
+    if have_graph:
         espec = EnsembleSpec.from_load(args.graph_n, args.beta, args.d,
                                        EntryMode.RADEMACHER, args.seed)
     grid = np.linspace(p.lambda_minus, p.lambda_plus, args.points)
     closed = analytic_density(grid, p)
-    scalar = cavity_mod.stieltjes_inversion(grid, p, epsilon=args.epsilon)
+    _, tree = cavity_mod.cavity_on_tree(p, grid + 1j * args.epsilon)
+    scalar = -tree.imag / np.pi
     graph = np.full(grid.size, np.nan)
     graph_results = dict.fromkeys(("n_failed_graph", "graph_sweeps_total",
                                    "graph_sweeps_max", "graph_message_classes"))
@@ -223,6 +225,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         spec = tp.SweepSpec(values=values, **fields)
     else:
         lo, hi, steps = args.grid_range
+        if not steps.is_integer():  # nan and inf included
+            raise ValueError(f"STEPS must be a whole number, got {steps}")
         spec = tp.SweepSpec.from_range(lo=lo, hi=hi, steps=int(steps), **fields)
     rows = tp.sweep(spec)
     results = {"failed_points": [row["x"] for row in rows if row["failed"]],
@@ -305,12 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--beta", type=float, required=True)
     sp.add_argument("--d", type=float, required=True)
     sp.add_argument("--epsilon", type=float, default=cavity_mod.DEFAULT_EPSILON,
-                    help="imaginary offset for the scalar inversion, in (0, 1e-3]")
+                    help="imaginary offset for the scalar route, finite and positive")
     sp.add_argument("--points", type=int, default=512)
     sp.add_argument("--graph-n", type=int, default=None,
                     help="sample one n-resource matrix and add the message-passing route")
     sp.add_argument("--graph-epsilon", type=float, default=cavity_mod.GRAPH_EPSILON,
-                    help="imaginary offset for the per-graph route")
+                    help="imaginary offset for the per-graph route, finite and positive")
     _add_common(sp)
     sp.set_defaults(func=_cmd_cavity)
 

@@ -308,6 +308,14 @@ def generate_regular(spec: EnsembleSpec, realization: int = 0) -> SparseSignatur
     return SparseSignatureMatrix(spec, rows, cols, values)
 
 
+def _bernoulli_probability(spec: EnsembleSpec) -> float:
+    """The irregular ensemble's cell probability d/N; ValueError unless it is < 1."""
+    p = spec.col_degree / spec.n_resources
+    if p >= 1.0:
+        raise ValueError(f"Bernoulli probability d/N = {p} must be < 1")
+    return p
+
+
 def generate_irregular(spec: EnsembleSpec, realization: int = 0) -> SparseSignatureMatrix:
     """Sample the i.i.d. reference ensemble: each entry nonzero w.p. d/N.
 
@@ -316,10 +324,8 @@ def generate_irregular(spec: EnsembleSpec, realization: int = 0) -> SparseSignat
     at O(E) time and memory.  Column degrees are Binomial(N, d/N), close to
     Poisson(d) for large N.  Requires d/N < 1.
     """
-    n, k, d = spec.n_resources, spec.n_users, spec.col_degree
-    p = d / n
-    if p >= 1.0:
-        raise ValueError(f"Bernoulli probability d/N = {p} must be < 1")
+    n, k = spec.n_resources, spec.n_users
+    p = _bernoulli_probability(spec)
     rng = stream(spec.seed, realization)
     # the matrix re-sorts its cells, so the subset needs no shuffle
     cells = rng.choice(n * k, rng.binomial(n * k, p), replace=False, shuffle=False)

@@ -165,7 +165,6 @@ def analytic_cdf(lam: np.ndarray | float, p: DensityParams) -> np.ndarray | floa
         lam = np.where(nan, p.lambda_minus, lam)
     out = quadrature.partial_integrals(
         lambda x: analytic_density(x, p), p.lambda_minus, p.lambda_plus, lam)
-    out[lam <= p.lambda_minus] = 0.0
     out[lam >= p.lambda_plus] = 1.0
     out[nan] = np.nan
     return float(out[0]) if scalar else out

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import quadrature
 from .ensembles import (EnsembleSpec, EntryMode, GenerationError,
-                        generate_irregular, generate_regular)
+                        _bernoulli_probability, generate_irregular, generate_regular)
 from .spectra import DensityParams, marchenko_pastur_density
 
 __all__ = [
@@ -357,7 +357,8 @@ class SweepSpec:
     curve so ensembles are compared at equal received power.  Construction
     checks every row before any point runs: its (beta, d), its operating
     point (an Eb/N0 level must lie in the reach of every curve it is
-    inverted on) and, with an MC curve, its ensemble.
+    inverted on) and, with an MC curve, its ensemble; the irregular curve's
+    Bernoulli(d/N) draws also need d < ``mc_n``.
     """
 
     variable: SweepVariable
@@ -400,7 +401,9 @@ class SweepSpec:
             if not math.isfinite(level):
                 raise ValueError(f"Eb/N0 and snr in dB must be finite, got {level}")
             if mc:  # an unrealizable ensemble fails here, before any inversion or draw
-                self._ensemble(beta, d)
+                ens = self._ensemble(beta, d)
+                if Curve.IRREGULAR_MC in self.curves:
+                    _bernoulli_probability(ens)
         if self.snr_db is None:  # every row has an Eb/N0 level to invert
             for (beta, selector), levels in self._groups().items():
                 try:

@@ -1,4 +1,4 @@
-"""Scalar cavity fixed point, per-graph messages, and Stieltjes inversion."""
+"""Scalar cavity fixed point on the tree, per-graph messages, and their densities."""
 
 import cmath
 import math
@@ -10,15 +10,20 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from regnoma import cavity
-from regnoma.cavity import (GRAPH_EPSILON, ITER_TOL, _cauchy_transform, _iterate,
-                            _physical_root, cavity_on_graph, check_graph_epsilon,
-                            stieltjes_inversion)
+from regnoma.cavity import (GRAPH_EPSILON, ITER_TOL, _iterate, _physical_root,
+                            cavity_on_graph, cavity_on_tree, check_epsilon)
 from regnoma.ensembles import (EnsembleSpec, EntryMode, GenerationError,
                                SparseSignatureMatrix, generate_irregular,
                                generate_regular)
 from regnoma.spectra import DensityParams, analytic_density, kesten_mckay_density
 
 P_DEFAULT = DensityParams(beta=1.5, d=2.0)
+
+
+def tree_density(grid, p, epsilon):
+    """The scalar route's density on a real grid, as the CLI reads it."""
+    _, gram = cavity_on_tree(p, np.asarray(grid) + 1j * epsilon)
+    return -gram.imag / np.pi
 
 
 def sample_matrix(n, k, d, mode=EntryMode.RADEMACHER, seed=0, realization=0):
@@ -62,9 +67,10 @@ class TestSolveFixedPoint:
 
     def test_resolvent_asymptotics_at_large_z(self):
         z = 1e6 + 1j
-        delta, delta_tilde = _cauchy_transform(z, P_DEFAULT)
-        assert abs(delta[0] * z - 1.0) < 1e-4
-        assert abs(delta_tilde[0] * z - 1.0) < 1e-4
+        delta, gram = cavity_on_tree(P_DEFAULT, z)
+        assert delta.shape == gram.shape == ()
+        assert abs(delta * z - 1.0) < 1e-4
+        assert abs(gram * z - 1.0) < 1e-4
 
     @settings(max_examples=100, deadline=None)
     @given(p=admissible)
@@ -72,14 +78,14 @@ class TestSolveFixedPoint:
         # z G(z) = 1 + beta/z + m2/z^2 + ..., with the exact second moment
         m2 = p.beta * (p.beta + p.alpha)
         z = np.array([1e3 + 1j, 1e4 + 1j])
-        _, delta_tilde = _cauchy_transform(z, p)
-        assert not np.isnan(delta_tilde).any()
-        resid = np.abs(z * delta_tilde - 1.0 - p.beta / z)
+        _, gram = cavity_on_tree(p, z)
+        assert not np.isnan(gram).any()
+        resid = np.abs(z * gram - 1.0 - p.beta / z)
         assert np.all(resid < 2.0 * m2 / np.abs(z) ** 2)
 
     def test_boundary_density_matches_closed_form(self):
-        _, delta_tilde = _cauchy_transform(1.5 + 1e-6j, P_DEFAULT)
-        dens = -delta_tilde[0].imag / math.pi
+        _, gram = cavity_on_tree(P_DEFAULT, 1.5 + 1e-6j)
+        dens = -gram.imag / math.pi
         assert abs(dens - analytic_density(1.5, P_DEFAULT)) < 1e-3
 
     @pytest.mark.parametrize("beta", [1.0, 1.5, 2.0, 3.0, 7.5])
@@ -100,10 +106,10 @@ class TestSolveFixedPoint:
     @given(p=admissible, log_eps=st.floats(-6.0, 0.0))
     def test_herglotz_branch(self, p, log_eps):
         lam = np.linspace(p.lambda_minus - 1.0, p.lambda_plus + 1.0, 50)
-        delta, delta_tilde = _cauchy_transform(lam + 1j * 10.0 ** log_eps, p)
-        assert not np.isnan(delta).any() and not np.isnan(delta_tilde).any()
+        delta, gram = cavity_on_tree(p, lam + 1j * 10.0 ** log_eps)
+        assert not np.isnan(delta).any() and not np.isnan(gram).any()
         assert np.all(delta.imag <= 1e-12)
-        assert np.all(delta_tilde.imag <= 1e-12)
+        assert np.all(gram.imag <= 1e-12)
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -121,22 +127,39 @@ class TestSolveFixedPoint:
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
 
-    def test_requires_upper_half_plane(self):
-        with pytest.raises(ValueError):
-            _cauchy_transform(1.0 - 0.1j, P_DEFAULT)
-        with pytest.raises(ValueError):
-            _cauchy_transform(np.array([1.0 + 0.1j, 1.0 + 0.0j]), P_DEFAULT)
+    @pytest.mark.parametrize("bad", [
+        1.0 - 0.1j, 1.0 + 0.0j, 1.0 - 1e-6j, complex(math.nan, 1e-6),
+        complex(math.inf, 1e-6), complex(-math.inf, 1e-6), complex(1.0, math.nan),
+        complex(1.0, math.inf)])
+    def test_rejects_points_off_the_open_upper_half_plane(self, bad, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("iterated before the points were checked")
+
+        # the finite point before the bad one does not run either
+        monkeypatch.setattr(cavity, "_iterate", no_work)
+        with pytest.raises(ValueError, match="finite w with Im w > 0"):
+            cavity_on_tree(P_DEFAULT, np.array([1.0 + 0.1j, bad]))
+        with pytest.raises(ValueError, match="Im w > 0"):
+            cavity_on_tree(P_DEFAULT, bad)
+
+    def test_results_take_the_shape_of_w(self):
+        w = (np.linspace(0.5, 3.0, 6) + 1j * np.array([1e-6, 1e-2])[:, None]).reshape(2, 3, 2)
+        flat = cavity_on_tree(P_DEFAULT, w.ravel())
+        for got, want in zip(cavity_on_tree(P_DEFAULT, w), flat):
+            assert got.shape == w.shape
+            assert np.array_equal(got.ravel(), want)
 
 
-class TestStieltjesInversion:
+class TestTreeDensity:
+    """The scalar route's density -Im gram_transform(lam + i eps) / pi."""
+
     def test_vanishes_outside_support(self):
-        val = stieltjes_inversion(
-            np.array([P_DEFAULT.lambda_plus + 0.5]), P_DEFAULT, epsilon=1e-6)
+        val = tree_density(np.array([P_DEFAULT.lambda_plus + 0.5]), P_DEFAULT, 1e-6)
         assert val[0] < 10.0 * 1e-6
 
     def test_full_grid_matches_closed_form(self):
         grid = np.linspace(P_DEFAULT.lambda_minus, P_DEFAULT.lambda_plus, 512)
-        est = stieltjes_inversion(grid, P_DEFAULT, epsilon=1e-6)
+        est = tree_density(grid, P_DEFAULT, 1e-6)
         interior = ((grid > P_DEFAULT.lambda_minus + 1e-3)
                     & (grid < P_DEFAULT.lambda_plus - 1e-3))
         err = np.abs(est - analytic_density(grid, P_DEFAULT))[interior]
@@ -146,37 +169,24 @@ class TestStieltjesInversion:
     def test_unit_load_matches_kesten_mckay_away_from_origin(self):
         p = DensityParams(beta=1.0, d=2.0)
         grid = np.linspace(0.1, p.lambda_plus - 1e-3, 256)
-        est = stieltjes_inversion(grid, p, epsilon=1e-6)
+        est = tree_density(grid, p, 1e-6)
         assert np.abs(est - kesten_mckay_density(grid, 2.0)).max() < 1e-3
 
     def test_epsilon_sensitivity_is_linear(self):
         grid = np.linspace(P_DEFAULT.lambda_minus + 1e-3,
                            P_DEFAULT.lambda_plus - 1e-3, 128)
-        a = stieltjes_inversion(grid, P_DEFAULT, epsilon=1e-4)
-        b = stieltjes_inversion(grid, P_DEFAULT, epsilon=1e-5)
+        a = tree_density(grid, P_DEFAULT, 1e-4)
+        b = tree_density(grid, P_DEFAULT, 1e-5)
         assert np.abs(a - b).max() < 10.0 * 1e-4
 
-    @pytest.mark.parametrize("eps", [0.0, -1e-6, 2e-3])
-    def test_epsilon_domain(self, eps):
-        with pytest.raises(ValueError):
-            stieltjes_inversion(np.array([1.0]), P_DEFAULT, epsilon=eps)
-
-    def test_grid_domain(self):
-        with pytest.raises(ValueError):
-            stieltjes_inversion(np.array([P_DEFAULT.lambda_plus + 2.0]),
-                                P_DEFAULT)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_grid_point_is_rejected(self, bad, monkeypatch):
-        def no_work(*args):
-            raise AssertionError("ran before the grid was checked")
-
-        monkeypatch.setattr(cavity, "_iterate", no_work)
-        with pytest.raises(ValueError, match="grid"):
-            stieltjes_inversion(np.array([1.0, bad]), P_DEFAULT)
+    @pytest.mark.parametrize("epsilon", [2e-3, 1.0, 1e308])
+    def test_any_finite_positive_offset_runs(self, epsilon):
+        # no upper bound on the offset, as on the graph route
+        dens = tree_density(np.array([0.5, 1.0, 2.0]), P_DEFAULT, epsilon)
+        assert np.isfinite(dens).all() and (dens >= 0.0).all()
 
     def test_empty_grid(self):
-        dens = stieltjes_inversion(np.array([]), P_DEFAULT)
+        dens = tree_density(np.array([]), P_DEFAULT, 1e-6)
         assert dens.shape == (0,) and dens.dtype == np.float64
 
     @pytest.mark.parametrize("failure", ["no_root", "wrong_branch"])
@@ -193,10 +203,10 @@ class TestStieltjesInversion:
         # one update stalls every point, so each takes the (patched) root
         monkeypatch.setattr(cavity, "MAX_ITER", 1)
         monkeypatch.setattr(cavity, "_physical_root", root)
-        for v in _cauchy_transform(grid + 1e-6j, P_DEFAULT):
+        for v in cavity_on_tree(P_DEFAULT, grid + 1e-6j):
             assert np.isnan(v.real[fail]).all() and np.isnan(v.imag[fail]).all()
             assert np.isfinite(v[~fail]).all()
-        dens = stieltjes_inversion(grid, P_DEFAULT, epsilon=1e-6)
+        dens = tree_density(grid, P_DEFAULT, 1e-6)
         assert np.isnan(dens[fail]).all()
         np.testing.assert_allclose(dens[~fail], analytic_density(grid[~fail], P_DEFAULT),
                                    atol=1e-3)
@@ -669,7 +679,7 @@ class TestGraphRouteDensity:
     def test_epsilon_domain(self, eps, monkeypatch):
         # a negative epsilon would map to the conjugate point and mirror the density
         with pytest.raises(ValueError, match="epsilon"):
-            check_graph_epsilon(eps)
+            check_epsilon(eps)
 
         def no_work(*args):
             raise AssertionError("swept before the points were checked")

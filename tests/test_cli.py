@@ -61,7 +61,13 @@ class TestEntryPoint:
     def test_installed_script_reports_version(self):
         proc = run_python("-m", "regnoma.cli", "--version")
         assert proc.returncode == 0
-        assert "regnoma 0.16.0" in proc.stdout
+        assert proc.stdout.split() == ["regnoma", regnoma.__version__]
+
+    def test_package_metadata_version_matches_the_module(self):
+        tomllib = pytest.importorskip("tomllib", reason="tomllib needs Python 3.11")
+        root = Path(__file__).resolve().parent.parent
+        with open(root / "pyproject.toml", "rb") as fh:
+            assert tomllib.load(fh)["project"]["version"] == regnoma.__version__
 
     @pytest.mark.parametrize("module", [regnoma] + [
         importlib.import_module(f"regnoma.{m.name}")
@@ -270,21 +276,26 @@ class TestCavity:
         assert results["n_failed_scalar"] == 6
         assert results["sup_abs_err_scalar_interior"] is None
 
-    def test_out_of_range_epsilon_exits_2(self, tmp_path):
-        assert run(["cavity", "--beta", "1.5", "--d", "2",
-                    "--epsilon", "2e-3", "--out", str(tmp_path / "x.csv")]) == 2
+    def test_epsilon_above_1e_3_runs(self, tmp_path):
+        # the scalar route takes any offset the graph route takes
+        out = tmp_path / "cavity.csv"
+        assert run(["cavity", "--beta", "1.5", "--d", "2", "--points", "8",
+                    "--epsilon", "2e-3", "--out", str(out)]) == 0
+        assert read_manifest(out)["results"]["n_failed_scalar"] == 0
 
-    @pytest.mark.parametrize("eps", ["-0.005", "0"])
-    def test_nonpositive_graph_epsilon_exits_2_without_output(
-            self, tmp_path, capsys, monkeypatch, eps):
+    @pytest.mark.parametrize("flag", ["--epsilon", "--graph-epsilon"])
+    @pytest.mark.parametrize("eps", ["0", "-1e-6", "-0.005", "nan", "inf"])
+    def test_bad_epsilon_exits_2_without_output(
+            self, tmp_path, capsys, monkeypatch, flag, eps):
         def no_work(*args, **kwargs):
             raise AssertionError("ran before the offset was checked")
 
-        # the value is rejected before the scalar inversion or the sampler runs
+        # the value is rejected before the scalar route or the sampler runs
         monkeypatch.setattr(cli, "generate_regular", no_work)
-        monkeypatch.setattr(cli.cavity_mod, "stieltjes_inversion", no_work)
+        monkeypatch.setattr(cli.cavity_mod, "cavity_on_tree", no_work)
+        # argparse would read a lone -1e-6 as an option
         assert run(["cavity", "--beta", "1.5", "--d", "2", "--graph-n", "100",
-                    "--graph-epsilon", eps, "--out", str(tmp_path / "x.csv")]) == 2
+                    f"{flag}={eps}", "--out", str(tmp_path / "x.csv")]) == 2
         assert "epsilon" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
@@ -446,6 +457,13 @@ class TestSweep:
                                                  "failed_mc_trials": 2}
         assert out.read_text().splitlines()[0] == ",".join(cli.tp.SWEEP_COLUMNS)
         assert all(r["regular_mc"] != "" for r in read_csv(out))
+
+    @pytest.mark.parametrize("steps", ["2.5", "inf", "nan"])
+    def test_range_steps_must_be_a_whole_number(self, tmp_path, capsys, steps):
+        assert run(["sweep", "--variable", "load", "--range", "1", "3", steps,
+                    "--d", "2", "--ebno-db", "10", "--out", str(tmp_path / "x.csv")]) == 2
+        assert "STEPS" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_range_grid_keeps_admissible_loads(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -762,6 +762,21 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepSpec(curves=(Curve.REGULAR, Curve.REGULAR_MC), mc_trials=5, **fields)
 
+    def test_irregular_mc_needs_degree_below_resources(self, monkeypatch):
+        # d = N = 2 draws regular matrices, but no Bernoulli(d/N) ones
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran a sweep point before the ensemble check")
+
+        monkeypatch.setattr(tp, "snr_for_ebno", no_work)
+        monkeypatch.setattr(tp, "generate_regular", no_work)
+        monkeypatch.setattr(tp, "generate_irregular", no_work)
+        fields = dict(variable=SweepVariable.EBNO, values=(10.0,), beta=1.5, d=2.0,
+                      mc_n=2, mc_trials=5)
+        with pytest.raises(ValueError, match="d/N"):
+            SweepSpec(curves=(Curve.REGULAR, Curve.REGULAR_MC, Curve.IRREGULAR_MC),
+                      **fields)
+        SweepSpec(curves=(Curve.REGULAR, Curve.REGULAR_MC), **fields)
+
     @pytest.mark.parametrize("mc", [False, True], ids=["asymptotic", "mc"])
     @pytest.mark.parametrize("variable,values,fixed", [
         (SweepVariable.LOAD, (1.0, 1.5, 4 / 3, 2.0, 5 / 3, 0.5, math.inf),
