@@ -13,7 +13,7 @@ from .ensembles import (EnsembleSpec, EntryMode, GenerationError,
                         generate_regular, stream)
 from .quadrature import QuadratureError, partial_integrals, support_integral
 from .spectra import (DensityParams, analytic_cdf, analytic_density,
-                      empirical_spectrum, kesten_mckay_density, ks_distance,
+                      empirical_spectrum, gram_transform, kesten_mckay_density, ks_distance,
                       marchenko_pastur_density, pooled_spectrum, spectrum_histogram)
 from .cavity import GraphCavityMessages, cavity_on_graph, cavity_on_tree
 from .throughput import (Curve, MCResult, SweepSpec, SweepVariable,
@@ -21,7 +21,7 @@ from .throughput import (Curve, MCResult, SweepSpec, SweepVariable,
                          ebno_from_snr, finite_n_throughput_mc,
                          regular_throughput, snr_for_ebno, sweep)
 
-__version__ = "0.17.0"
+__version__ = "0.18.0"
 
 __all__ = [
     "__version__",
@@ -39,6 +39,7 @@ __all__ = [
     "analytic_cdf",
     "analytic_density",
     "empirical_spectrum",
+    "gram_transform",
     "kesten_mckay_density",
     "ks_distance",
     "marchenko_pastur_density",

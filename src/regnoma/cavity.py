@@ -12,8 +12,8 @@ the Cauchy transform of the limiting law of A A^T / d, so the density
 follows from the boundary values:  rho(lam) = -Im gram_transform(lam + i eps) / pi.
 For Im w > 0 the physical branch has nonpositive imaginary parts.
 :func:`cavity_on_tree` solves the pair at every point at once: damped
-iteration first, then the closed-form quadratic root where the iteration
-stalls.  A point without a physical root is NaN, not an error.
+iteration first, then the closed form :func:`~regnoma.spectra.gram_transform`
+where it stalls.  A point whose pair leaves the branch is NaN, not an error.
 
 The graph route runs the cavity recursion on a sampled finite matrix, in
 the same variable w.  The Gram resolvent (w - A A^T / d)^-1 is
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import DensityParams
+from .spectra import DensityParams, gram_transform
 from .ensembles import SparseSignatureMatrix
 
 __all__ = [
@@ -60,7 +60,7 @@ DEFAULT_EPSILON = 1e-6
 # summaries trust the scalar route only this far inside the square-root edges
 EDGE_GAP = 1e-3
 GRAPH_EPSILON = 5e-3
-# stopping rule of the scalar iteration; points that miss it take the quadratic root
+# stopping rule of the scalar iteration; points that miss it take the closed form
 ITER_TOL = 1e-12
 MAX_ITER = 100_000
 _IM_SLACK = 1e-12
@@ -111,44 +111,23 @@ def _iterate(z: np.ndarray, p: DensityParams) -> tuple[np.ndarray, np.ndarray]:
     return delta.reshape(z.shape), residual.reshape(z.shape)
 
 
-def _quadratic_roots(z: np.ndarray, p: DensityParams) -> tuple[np.ndarray, np.ndarray]:
-    # the fixed point solves  alpha z delta^2 - (z - gamma + alpha) delta + 1 = 0
-    a = p.alpha * z
-    b = -(z - p.gamma + p.alpha)
-    disc = np.sqrt(b * b - 4.0 * a)
-    return (-b + disc) / (2.0 * a), (-b - disc) / (2.0 * a)
-
-
-def _physical_root(z: np.ndarray, p: DensityParams) -> np.ndarray:
-    """Closed-form root with Im <= 0; ties resolved toward the bounded branch."""
-    r1, r2 = _quadratic_roots(z, p)
-    ok1 = r1.imag <= _IM_SLACK
-    ok2 = r2.imag <= _IM_SLACK
-    pick = np.where(ok1, r1, r2)
-    both = ok1 & ok2
-    pick = np.where(both & (np.abs(r2) < np.abs(r1)), r2, pick)
-    pick = np.where(ok1 | ok2, pick, np.nan + 1j * np.nan)
-    return pick
-
-
 def cavity_on_tree(p: DensityParams, w) -> tuple[np.ndarray, np.ndarray]:
     """Physical cavity pair (delta, gram_transform) of the tree at Gram points w.
 
     ``w`` is a complex scalar or array, and both results have its shape.  A
     point that is not finite or has Im w <= 0 is rejected before any step.
     Damped iteration (the physical relaxation) runs first; points where it
-    stalls before ``MAX_ITER`` updates reach ``ITER_TOL`` take the root of
-    the equivalent quadratic with nonpositive imaginary part.  Points with
-    no physical root, or whose pair leaves the branch Im <= 0, are complex
-    NaN.  The density at lam is ``-gram_transform.imag / pi`` at
-    w = lam + i eps.
+    stalls before ``MAX_ITER`` updates reach ``ITER_TOL`` take the closed
+    form's delta, :func:`~regnoma.spectra.gram_transform`.  A point whose
+    pair leaves the branch Im <= 0 is complex NaN.  The density at lam is
+    ``-gram_transform.imag / pi`` at w = lam + i eps.
     """
     w = _check_points(w)
     z = w.ravel()
     delta, residual = _iterate(z, p)
     stalled = residual >= ITER_TOL
     if stalled.any():
-        delta[stalled] = _physical_root(z[stalled], p)
+        delta[stalled] = gram_transform(z[stalled], p)[0]
     # a failed point (nan delta) stays nan without a warning
     with np.errstate(invalid="ignore"):
         gram = 1.0 / (z - p.beta / (1.0 - p.alpha * delta))
@@ -265,11 +244,10 @@ def _sweep(matrix: SparseSignatureMatrix, w: np.ndarray) -> GraphCavityMessages:
 
     The points run in chunks of at most ``_CHUNK`` messages (one point at
     least).  A chunk's messages form a (points, 2, classes per orientation)
-    array, and a point leaves it at the sweep that stops it.  One
-    ``np.bincount`` forms every in-sum of a sweep: read through a float64
-    view, the terms interleave real and imaginary parts, and bin
-    ``2 (k n_nodes + v) + j`` collects part ``j`` for node class ``v`` of
-    the k-th live point, in term order.
+    array, and a point leaves it at the sweep that stops it.  One complex
+    ``np.add.at`` forms every in-sum of a sweep: slot ``k n_nodes + v``
+    collects the terms into node class ``v`` of the k-th live point, in
+    term order.
     """
     spec = matrix.spec
     (n_res, n_users), tail, term_msg, term_head = _message_classes(matrix)
@@ -281,17 +259,14 @@ def _sweep(matrix: SparseSignatureMatrix, w: np.ndarray) -> GraphCavityMessages:
     # the diagonal entry of H at each node class: w on a resource, 1 on a user
     c = np.full((p, n_nodes), _USER)
     c[:, :n_res] = w[:, None]
-    bins = (2 * (np.arange(min(chunk, p))[:, None, None] * n_nodes + term_head[:, None])
-            + np.arange(2)).ravel()
+    slots = (np.arange(min(chunk, p))[:, None] * n_nodes + term_head).ravel()
 
     def incoming(msg: np.ndarray) -> np.ndarray:
         if term_msg is not None:
             msg = msg.reshape(-1, n_classes).take(term_msg, axis=1)
-        terms = msg.view(np.float64).ravel()
-        sums = np.bincount(bins[:terms.size], weights=terms,
-                           minlength=2 * n_nodes * msg.shape[0])
-        # an empty weight array makes bincount return integers
-        return sums.astype(np.float64, copy=False).view(complex).reshape(-1, n_nodes)
+        sums = np.zeros(msg.shape[0] * n_nodes, dtype=complex)
+        np.add.at(sums, slots[:msg.size], msg.ravel())
+        return sums.reshape(-1, n_nodes)
 
     final = np.empty((p,) + tail.shape, dtype=complex)
     sweeps = np.empty(p, dtype=np.int64)

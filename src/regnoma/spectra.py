@@ -38,6 +38,7 @@ from .ensembles import EnsembleSpec, EntryMode, SparseSignatureMatrix, generate_
 __all__ = [
     "DensityParams",
     "analytic_density",
+    "gram_transform",
     "kesten_mckay_density",
     "marchenko_pastur_density",
     "analytic_cdf",
@@ -107,6 +108,28 @@ def analytic_density(lam: np.ndarray | float, p: DensityParams) -> np.ndarray | 
     return _on_open_support(
         lam, lo, hi,
         lambda x: bd / (2.0 * np.pi) * np.sqrt((hi - x) * (x - lo)) / ((bd - x) * x))
+
+
+def gram_transform(w, p: DensityParams) -> tuple[np.ndarray, np.ndarray]:
+    """Cavity pair (delta, G) of the law at complex points w, in closed form.
+
+    G(w) = int rho(lam) / (w - lam) dlam.  delta is the root of
+    alpha w delta^2 - (w - gamma + alpha) delta + 1 = 0 that is ~ 1/w at
+    infinity and analytic off the cut [lambda_minus, lambda_plus]:
+
+        delta = 2 / (w - gamma + alpha + sqrt(w - lambda_minus) sqrt(w - lambda_plus)),
+        G     = 1 / (w - beta / (1 - alpha delta)),
+
+    with principal roots, whose product adds to w - gamma + alpha without
+    cancellation.  Both take the shape of w.  A point lam + 0j gives the
+    boundary value from above, so the density is ``-G.imag / pi`` there; a
+    NaN point gives NaN, and nothing raises.
+    """
+    w = np.asarray(w, dtype=complex)
+    root = np.sqrt(w - p.lambda_minus) * np.sqrt(w - p.lambda_plus)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        delta = 2.0 / (w - p.gamma + p.alpha + root)
+        return delta, 1.0 / (w - p.beta / (1.0 - p.alpha * delta))
 
 
 def _on_open_support(lam: np.ndarray | float, lo: float, hi: float,

@@ -10,14 +10,19 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from regnoma import cavity
-from regnoma.cavity import (GRAPH_EPSILON, ITER_TOL, _iterate, _physical_root,
-                            cavity_on_graph, cavity_on_tree, check_epsilon)
+from regnoma.cavity import (GRAPH_EPSILON, ITER_TOL, _iterate, cavity_on_graph,
+                            cavity_on_tree, check_epsilon)
 from regnoma.ensembles import (EnsembleSpec, EntryMode, GenerationError,
                                SparseSignatureMatrix, generate_irregular,
                                generate_regular)
-from regnoma.spectra import DensityParams, analytic_density, kesten_mckay_density
+from regnoma.spectra import (DensityParams, analytic_density, gram_transform,
+                             kesten_mckay_density)
 
 P_DEFAULT = DensityParams(beta=1.5, d=2.0)
+
+# the scalar route and the closed form, each as (p, w) -> (delta, gram_transform)
+PAIRS = pytest.mark.parametrize("pair", [cavity_on_tree, lambda p, w: gram_transform(w, p)],
+                                ids=["tree", "closed_form"])
 
 
 def tree_density(grid, p, epsilon):
@@ -65,20 +70,22 @@ def masked_iterate(z, p):
 class TestSolveFixedPoint:
     """The scalar fixed point as the inversion solves it, over a grid of z."""
 
-    def test_resolvent_asymptotics_at_large_z(self):
+    @PAIRS
+    def test_resolvent_asymptotics_at_large_z(self, pair):
         z = 1e6 + 1j
-        delta, gram = cavity_on_tree(P_DEFAULT, z)
+        delta, gram = pair(P_DEFAULT, z)
         assert delta.shape == gram.shape == ()
         assert abs(delta * z - 1.0) < 1e-4
         assert abs(gram * z - 1.0) < 1e-4
 
+    @PAIRS
     @settings(max_examples=100, deadline=None)
     @given(p=admissible)
-    def test_series_expansion_carries_first_two_moments(self, p):
+    def test_series_expansion_carries_first_two_moments(self, pair, p):
         # z G(z) = 1 + beta/z + m2/z^2 + ..., with the exact second moment
         m2 = p.beta * (p.beta + p.alpha)
         z = np.array([1e3 + 1j, 1e4 + 1j])
-        _, gram = cavity_on_tree(p, z)
+        _, gram = pair(p, z)
         assert not np.isnan(gram).any()
         resid = np.abs(z * gram - 1.0 - p.beta / z)
         assert np.all(resid < 2.0 * m2 / np.abs(z) ** 2)
@@ -90,7 +97,7 @@ class TestSolveFixedPoint:
 
     @pytest.mark.parametrize("beta", [1.0, 1.5, 2.0, 3.0, 7.5])
     def test_converged_iteration_is_the_physical_root(self, beta):
-        # the damped iteration and the quadratic fallback pick one branch
+        # the damped iteration and the closed-form fallback pick one branch
         for gap in (0.01, 0.3, 1.0, 3.0, 30.0):
             p = DensityParams(beta=beta, d=1.0 + 1.0 / beta + gap)
             lam = np.linspace(p.lambda_minus - 0.5, p.lambda_plus + 0.5, 25)
@@ -99,14 +106,15 @@ class TestSolveFixedPoint:
                 delta, residual = _iterate(z, p)
                 converged = residual < ITER_TOL
                 assert converged.any()
-                root = _physical_root(z[converged], p)
+                root = gram_transform(z[converged], p)[0]
                 assert np.all(np.abs(delta[converged] - root) < 1e-8 * np.abs(root))
 
+    @PAIRS
     @settings(max_examples=100, deadline=None)
     @given(p=admissible, log_eps=st.floats(-6.0, 0.0))
-    def test_herglotz_branch(self, p, log_eps):
+    def test_herglotz_branch(self, pair, p, log_eps):
         lam = np.linspace(p.lambda_minus - 1.0, p.lambda_plus + 1.0, 50)
-        delta, gram = cavity_on_tree(p, lam + 1j * 10.0 ** log_eps)
+        delta, gram = pair(p, lam + 1j * 10.0 ** log_eps)
         assert not np.isnan(delta).any() and not np.isnan(gram).any()
         assert np.all(delta.imag <= 1e-12)
         assert np.all(gram.imag <= 1e-12)
@@ -194,15 +202,15 @@ class TestTreeDensity:
         grid = np.linspace(P_DEFAULT.lambda_minus + 0.1, P_DEFAULT.lambda_plus - 0.1, 8)
         fail = np.arange(grid.size) % 2 == 0
 
-        def root(z, p):
-            r = _physical_root(z, p)
-            bad = (np.conj(r) if failure == "wrong_branch"
-                   else np.full(r.shape, complex(np.nan, np.nan)))
-            return np.where(fail, bad, r)
+        def closed_form(w, p):
+            delta, gram = gram_transform(w, p)
+            bad = (np.conj(delta) if failure == "wrong_branch"
+                   else np.full(delta.shape, complex(np.nan, np.nan)))
+            return np.where(fail, bad, delta), gram
 
-        # one update stalls every point, so each takes the (patched) root
+        # one update stalls every point, so each takes the (patched) closed form
         monkeypatch.setattr(cavity, "MAX_ITER", 1)
-        monkeypatch.setattr(cavity, "_physical_root", root)
+        monkeypatch.setattr(cavity, "gram_transform", closed_form)
         for v in cavity_on_tree(P_DEFAULT, grid + 1e-6j):
             assert np.isnan(v.real[fail]).all() and np.isnan(v.imag[fail]).all()
             assert np.isfinite(v[~fail]).all()
@@ -687,3 +695,31 @@ class TestGraphRouteDensity:
         monkeypatch.setattr(cavity, "_sweep", no_work)
         with pytest.raises(ValueError, match="Im w > 0"):
             cavity_on_graph(sample_matrix(30, 45, 2), np.array([1.0, 2.0]) + 1j * eps)
+
+
+# points off the real axis near the support of the law at (1.5, 2)
+OFF_AXIS = np.array([0.5 + 0.5j, 2.0 + 0.05j, 6.0 + 1j, 1.0 + 0.001j, 3.0 + 0.2j])
+
+
+class TestRoutesMatchClosedForm:
+    """Both routes against :func:`~regnoma.spectra.gram_transform` off the real axis."""
+
+    @pytest.mark.parametrize("beta", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("d", [2.0, 3.0, 4.0, 10.0])
+    def test_tree_route(self, beta, d):
+        p = DensityParams(beta, d)
+        lam = np.linspace(p.lambda_minus - 1.0, p.lambda_plus + 1.0, 41)
+        w = np.concatenate([(lam[:, None] + 1j * np.array([1e-3, 1e-2, 0.1, 1.0])).ravel(),
+                            OFF_AXIS])
+        # at (1, 2) the upper edge is an inverse square root (Kesten-McKay,
+        # d = 2): the iteration contracts slowly there, and its absolute
+        # stopping rule leaves 9.5e-10 relative at 2 + 0.001i
+        bound = 1e-8 if (beta, d) == (1.0, 2.0) else 1e-10
+        for got, want in zip(cavity_on_tree(p, w), gram_transform(w, p)):
+            assert np.all(np.abs(got - want) < bound * np.abs(want))
+
+    def test_graph_route_on_a_regular_draw(self):
+        run = cavity_on_graph(sample_matrix(1000, 1500, 2, mode=EntryMode.ONES), OFF_AXIS)
+        want = gram_transform(OFF_AXIS, P_DEFAULT)[1]
+        assert run.n_failed == 0
+        assert np.all(np.abs(run.gram_transform - want) < 1e-6 * np.abs(want))

@@ -42,11 +42,12 @@ def read_manifest(path):
 
 
 def no_root_anywhere(monkeypatch):
-    # one update stalls every point of the scalar inversion, and no point
-    # then has a physical root
+    # one update stalls every point of the scalar inversion, and the closed
+    # form it then takes gives NaN everywhere
+    nan = complex(np.nan, np.nan)
     monkeypatch.setattr(cli.cavity_mod, "MAX_ITER", 1)
-    monkeypatch.setattr(cli.cavity_mod, "_physical_root",
-                        lambda z, p: np.full(z.shape, complex(np.nan, np.nan)))
+    monkeypatch.setattr(cli.cavity_mod, "gram_transform",
+                        lambda w, p: (np.full(w.shape, nan), np.full(w.shape, nan)))
 
 
 def run_python(*args):

@@ -12,8 +12,8 @@ from regnoma.ensembles import (EnsembleSpec, EntryMode, SparseSignatureMatrix,
 from regnoma import quadrature
 from regnoma.quadrature import BLOCK, partial_integrals, support_integral
 from regnoma.spectra import (DensityParams, analytic_cdf, analytic_density,
-                             empirical_spectrum, kesten_mckay_density, ks_distance,
-                             marchenko_pastur_density, pooled_spectrum,
+                             empirical_spectrum, gram_transform, kesten_mckay_density,
+                             ks_distance, marchenko_pastur_density, pooled_spectrum,
                              spectrum_histogram)
 
 P_DEFAULT = DensityParams(beta=1.5, d=2.0)
@@ -160,6 +160,99 @@ class TestAnalyticDensity:
         assert np.isnan(vals[1]) and vals[2] == 0.0
         assert vals[0] == analytic_density(1.0, P_DEFAULT)
         assert math.isnan(analytic_density(math.nan, P_DEFAULT))
+
+
+# the law's cavity pair (delta, G) at (beta, d, w), each as (real, imaginary)
+# parts to 50 digits: the quadratic's roots in mpmath, the branch picked by
+# an mpmath quadrature of rho / (w - lam); a string w names an edge, taken at lam + 0j
+GRAM_REFERENCES = [
+    (1.5, 2.0, 0.5 + 0.5j,
+     ("-0.27510067691765833705708030829087246568441142301531",
+      "-1.1126937276985398418847128398221684474337005321277"),
+     ("-0.41493957579497136654623331172679160165250268264794",
+      "-0.75060415177811817844007436623865938879072085580623")),
+    (1.5, 2.0, 2.0 + 0.05j,
+     ("0.72418154109985296175770677526625540822275493753305",
+      "-0.65508198543101233828657485056674921101415803719529"),
+     ("0.13506579606693802563380710692638040921100505376814",
+      "-0.97586968834317160577328902892170352846437286341949")),
+    (1.5, 2.0, 6.0 + 1j,
+     ("0.19581404125877713600161093262287865651751696931972",
+      "-0.041035766230385665975611526305612350692043237318563"),
+     ("0.21803904636810813869561680926554645717092384940391",
+      "-0.052161799007509879910733173269042643710952997808689")),
+    (1.5, 2.0, 1.0 + 0.001j,
+     ("0.49905558920651153320727475164520384914678593448507",
+      "-1.3223751430807937456902180155183385829694577576679"),
+     ("-0.12521238611336452408845498072196152243528556620305",
+      "-0.99184396350365199153101099232315847277770431363856")),
+    (1.0, 3.0, 0.5 + 0.1j,
+     ("0.56212451410932280018575140126308583026028444234669",
+      "-1.5353867860620797496701889524178747491277702932568"),
+     ("0.098674109865659739265089799361846576900750042536821",
+      "-1.2243624644550374099464470325453304269563127931938")),
+    (1.0, 2.0, 0.001 + 0.001j,
+     ("-13.396295225804194518717532850818658625234052052568",
+      "-34.731157715062027906453419418488195586345522775973"),
+     ("-7.1930552083476241539883031638260547273045614232633",
+      "-17.377864317293834682900896814798212836473464078851")),
+    (3.0, 4.0, -2.0 + 3j,
+     ("-0.14876165614763565227881359898855164713550070443051",
+      "-0.1058964727684800222986708600766171880322983709316"),
+     ("-0.14577933614562503212227512317311630957171235484435",
+      "-0.099314733096656806932490222157778830071844457351242")),
+    (1.5, 2.0, -0.1,
+     ("-1.4833147735478827520036692598347771187838639081268", "0"),
+     ("-1.0403136001038142329776139778782111818838034276981", "0")),
+    (1.5, 2.0, -1.0,
+     ("-0.56155281280883027491070492798703851257359961268681", "0"),
+     ("-0.46058230480331135309151434799513944221509985475755", "0")),
+    (1.5, 2.0, -10.0,
+     ("-0.091271221051332740562186203478434721370432025596632", "0"),
+     ("-0.087454371659769162372559946555204006311972926030381", "0")),
+    (1.5, 2.0, "lambda_minus",
+     ("-4.8284271247461900976033774484193961571393437507539", "0"),
+     ("-2.8284271247461900976033774484193961571393437507539", "0")),
+    (1.5, 2.0, "lambda_plus",
+     ("0.8284271247461900976033774484193961571393437507539", "0"),
+     ("2.8284271247461900976033774484193961571393437507539", "0")),
+]
+
+
+class TestGramTransform:
+    @pytest.mark.parametrize("beta, d, w, delta, gram", GRAM_REFERENCES)
+    def test_matches_50_digit_references(self, beta, d, w, delta, gram):
+        p = DensityParams(beta=beta, d=d)
+        w = getattr(p, w) + 0j if isinstance(w, str) else complex(w)
+        for got, (real, imag) in zip(gram_transform(w, p), (delta, gram)):
+            want = complex(float(real), float(imag))
+            assert abs(got - want) < 1e-14 * abs(want)
+            if w.imag == 0.0:
+                assert got.imag == 0.0
+
+    def test_density_is_the_boundary_value(self):
+        # -Im G(lam + 0j) / pi is the density inside the support, 0 outside
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            beta = rng.uniform(1.0, 8.0)
+            p = DensityParams(beta=beta, d=1.0 + 1.0 / beta + 10.0 ** rng.uniform(-2.0, 1.7))
+            lo, hi = p.lambda_minus, p.lambda_plus
+            trim = 1e-3 * (hi - lo)
+            lam = rng.uniform(lo + trim, hi - trim, 50)
+            want = analytic_density(lam, p)
+            got = -gram_transform(lam + 0j, p)[1].imag / math.pi
+            assert np.all(np.abs(got - want) < 1e-11 * want)
+            off = np.concatenate([[lo, hi], rng.uniform(lo - 5.0, lo, 10),
+                                  rng.uniform(hi, hi + 5.0, 10)])
+            assert np.all(gram_transform(off + 0j, p)[1].imag == 0.0)
+
+    def test_shape_and_nan(self):
+        w = np.array([[1.0 + 0.1j, complex(np.nan, 0.0)], [-1.0, complex(1.0, np.nan)]])
+        delta, gram = gram_transform(w, P_DEFAULT)
+        assert delta.shape == gram.shape == (2, 2)
+        assert np.isnan(delta[[0, 1], [1, 1]]).all() and np.isnan(gram[[0, 1], [1, 1]]).all()
+        assert np.isfinite(delta[:, 0]).all() and np.isfinite(gram[:, 0]).all()
+        assert np.shape(gram_transform(1.0 + 0.1j, P_DEFAULT)[1]) == ()
 
 
 class TestKestenMcKay:

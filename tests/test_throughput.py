@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from regnoma import quadrature
 from regnoma import throughput as tp
 from regnoma.ensembles import EnsembleSpec, EntryMode, GenerationError
-from regnoma.spectra import DensityParams, analytic_density
+from regnoma.spectra import DensityParams, analytic_density, gram_transform
 from regnoma.throughput import (LN2, SWEEP_COLUMNS, Curve, MCResult, SweepSpec,
                                 SweepVariable, cover_wyner_bound, db_to_linear,
                                 dense_rs_throughput, ebno_from_snr,
@@ -41,6 +41,20 @@ class TestRegularThroughput:
         snr = 1e-6
         slope = snr * P_DEFAULT.beta / (2.0 * LN2)
         assert abs(regular_throughput(snr, P_DEFAULT) / slope - 1.0) < 1e-3
+
+    @pytest.mark.parametrize("beta", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("d", [2.0, 3.0, 4.0, 10.0])
+    def test_slope_is_the_gram_transform_at_minus_inverse_snr(self, beta, d):
+        # d(2 ln2 C)/dsnr = int lam rho / (1 + snr lam) = (1 + G(-1/snr) / snr) / snr:
+        # the Bethe free energy against the closed-form transform
+        p = DensityParams(beta=beta, d=d)
+        for snr in (1e-3, 0.1, 1.0, 10.0, 1e3, 1e5):
+            h = 1e-5 * snr
+            slope = LN2 * (regular_throughput(snr + h, p) - regular_throughput(snr - h, p)) / h
+            gram = gram_transform(-1.0 / snr + 0j, p)[1]
+            want = (1.0 + gram.real / snr) / snr
+            assert gram.imag == 0.0
+            assert abs(slope - want) < 1e-8 * want
 
     def test_beats_dense_reference_at_matched_operating_point(self):
         snr = snr_for_ebno(db_to_linear(10.0), 1.5, 2.0)
