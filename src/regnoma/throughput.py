@@ -108,6 +108,10 @@ def regular_throughput(snr: float, p: DensityParams) -> float:
     precision matrix ``[[I, i t A], [i t A^T, I]]``, and their fixed point
     is the quadratic solved for ``u``.  The energy is stationary in both,
     so rounding in ``u`` enters ``C`` only at second order.
+
+    The root cancels once ``q < 0``: at (beta, d) = (10, 2), ``C`` is within
+    6.9e-16 of a 50-digit reference over ``SNR_BRACKET`` (-60 to 60 dB), but
+    1.6e-10 off at 120 dB, 5.7e-3 at 155 dB and divides by zero at 160 dB.
     """
     snr = _check_snr(snr)
     t2 = snr / p.d
@@ -356,9 +360,9 @@ class SweepSpec:
     and ``seed``; both MC curves run at the snr of the asymptotic regular
     curve so ensembles are compared at equal received power.  Construction
     checks every row before any point runs: its (beta, d), its operating
-    point (an Eb/N0 level must lie in the reach of every curve it is
-    inverted on) and, with an MC curve, its ensemble; the irregular curve's
-    Bernoulli(d/N) draws also need d < ``mc_n``.
+    point (an Eb/N0 level in the reach of every curve it is inverted on, a
+    snr within ``SNR_BRACKET``) and, with an MC curve, its ensemble; the
+    irregular curve's Bernoulli(d/N) draws also need d < ``mc_n``.
     """
 
     variable: SweepVariable
@@ -400,6 +404,9 @@ class SweepSpec:
             level = self.snr_db if ebno_db is None else ebno_db
             if not math.isfinite(level):
                 raise ValueError(f"Eb/N0 and snr in dB must be finite, got {level}")
+            lo, hi = (10.0 * math.log10(s) for s in SNR_BRACKET)
+            if ebno_db is None and not lo <= level <= hi:
+                raise ValueError(f"snr in dB must lie in [{lo:g}, {hi:g}], got {level}")
             if mc:  # an unrealizable ensemble fails here, before any inversion or draw
                 ens = self._ensemble(beta, d)
                 if Curve.IRREGULAR_MC in self.curves:
@@ -468,20 +475,20 @@ def sweep(spec: SweepSpec) -> list[dict[str, float | bool | None]]:
     the batch continues.  Of the asymptotic curves only ``dense_rs`` is
     integrated; ``regular`` and ``cover_wyner`` are closed forms.
 
-    The sweep runs in two phases.  The first groups the rows by (beta,
-    selector), the curve an Eb/N0 is inverted on: the dense and Cover-Wyner
-    curves each select themselves, and the regular and MC curves select the
-    row's degree (the MC curves run at the regular curve's snr).  Each group
-    makes one :func:`snr_for_ebno` call over its rows' targets and one
-    evaluation of its asymptotic curve, so an Eb/N0 or sparsity sweep
-    inverts the dense and Cover-Wyner curves once.  The second makes one
-    :func:`finite_n_throughput_mc` call per MC curve and ensemble over the
-    snrs of that curve's live rows, so an Eb/N0 sweep draws each MC
-    ensemble once; load and sparsity sweeps change the ensemble at every
-    point.  The MC markers of one sweep therefore share their draws (common
-    random numbers), as the per-trial streams already made them do.  In
-    either phase, a call that raises one of ``NUMERICAL_ERRORS`` fails every
-    row it served, and later calls skip those rows.
+    The rows are grouped by (beta, selector), the curve an Eb/N0 is
+    inverted on: the dense and Cover-Wyner curves select themselves, and the
+    regular and MC curves the row's degree (the MC curves run at the regular
+    curve's snr).  Each group runs once: one :func:`snr_for_ebno` call over
+    its rows' targets (or the fixed snr), one evaluation of its asymptotic
+    curve, and one :func:`finite_n_throughput_mc` call per MC curve on the
+    ensemble its (beta, d) fixes.  So an Eb/N0 or sparsity sweep inverts the
+    dense and Cover-Wyner curves once, an Eb/N0 sweep draws each MC ensemble
+    once (common random numbers across its markers), and load and sparsity
+    sweeps change the ensemble at every point.  A call that raises one of
+    ``NUMERICAL_ERRORS`` fails the group's live rows, and later groups skip
+    them; a later dense or Cover-Wyner group that fails a row discards its
+    MC draws.  Two loads that round to one ensemble make one MC call each,
+    with the bits of one shared call.
     """
     rows = []
     for x in spec.values:
@@ -493,45 +500,32 @@ def sweep(spec: SweepSpec) -> list[dict[str, float | bool | None]]:
         for row in served:
             row.update(dict.fromkeys(SWEEP_COLUMNS[1:]), failed_mc_trials=0, failed=True)
 
-    runs: dict[tuple[Curve, EnsembleSpec], list[tuple[dict, float]]] = {}
     for (beta, selector), members in spec._groups().items():
         curves = ((selector,) if selector in _NAMED_CURVES else
                   tuple(c for c in spec.curves if c not in _NAMED_CURVES))
         live = [i for i in members if not rows[i]["failed"]]
         if not live:
             continue
+        cells, n_failed = {}, 0  # column -> one value per live row
         try:
             if spec.snr_db is not None:
-                snrs = [db_to_linear(spec.snr_db)] * len(live)
+                snrs = np.full(len(live), db_to_linear(spec.snr_db))
             else:
                 targets = np.array([db_to_linear(members[i]) for i in live])
-                snrs = snr_for_ebno(targets, beta, selector).tolist()
-            cells = {c: _curve_throughput(beta, selector)(np.array(snrs)).tolist()
-                     for c in curves if c not in _MC_CURVES}
+                snrs = snr_for_ebno(targets, beta, selector)
+            for curve in curves:
+                if curve in _MC_CURVES:
+                    res = finite_n_throughput_mc(spec._ensemble(beta, selector), snrs,
+                                                 spec.mc_trials,
+                                                 irregular=(curve is Curve.IRREGULAR_MC))
+                    cells[curve.value], cells[curve.value + "_stderr"] = res.mean, res.stderr
+                    n_failed += res.n_failed
+                else:
+                    cells[curve.value] = _curve_throughput(beta, selector)(snrs)
         except NUMERICAL_ERRORS:
             fail([rows[i] for i in live])
             continue
         for k, i in enumerate(live):
-            for curve in curves:
-                if curve in _MC_CURVES:
-                    ens = spec._ensemble(beta, selector)
-                    runs.setdefault((curve, ens), []).append((rows[i], snrs[k]))
-                else:
-                    rows[i][curve.value] = cells[curve][k]
-
-    for (curve, ens), members in runs.items():
-        live = [(row, snr) for row, snr in members if not row["failed"]]
-        if not live:
-            continue
-        try:
-            res = finite_n_throughput_mc(ens, np.array([snr for _, snr in live]),
-                                         spec.mc_trials,
-                                         irregular=(curve is Curve.IRREGULAR_MC))
-        except NUMERICAL_ERRORS:
-            fail([row for row, _ in live])
-            continue
-        for (row, _), mean, stderr in zip(live, res.mean.tolist(), res.stderr.tolist()):
-            row[curve.value] = mean
-            row[curve.value + "_stderr"] = stderr
-            row["failed_mc_trials"] += res.n_failed
+            rows[i].update({key: column[k].item() for key, column in cells.items()})
+            rows[i]["failed_mc_trials"] += n_failed
     return rows

@@ -538,6 +538,14 @@ class TestSweep:
         assert "error:" in err and match in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_snr_outside_the_bracket_exits_2_without_output(self, tmp_path, capsys):
+        # 160 dB divides by zero in the regular closed form's root
+        assert run(["sweep", "--variable", "load", "--values", "10", "--d", "2",
+                    "--snr-db", "160", "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "must lie in [-60, 60]" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_inconsistent_operating_point_exits_2(self, tmp_path):
         assert run(["sweep", "--variable", "ebno", "--values", "4,8",
                     "--beta", "1.5", "--d", "2", "--snr-db", "10",

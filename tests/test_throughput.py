@@ -464,6 +464,25 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="finite"):
             sweep(SweepSpec(beta=1.5, d=2.0, **fields))
 
+    @pytest.mark.parametrize("snr_db", [61.0, -61.0, 1e308])
+    def test_snr_outside_the_bracket_rejected_before_any_inversion(self, monkeypatch,
+                                                                    snr_db):
+        # above 60 dB the regular closed form's root cancels; see regular_throughput
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran a sweep point before the check")
+
+        monkeypatch.setattr(tp, "snr_for_ebno", no_work)
+        monkeypatch.setattr(tp, "regular_throughput", no_work)
+        with pytest.raises(ValueError, match=r"must lie in \[-60, 60\]"):
+            SweepSpec(variable=SweepVariable.LOAD, values=(10.0,), d=2.0, snr_db=snr_db)
+
+    @pytest.mark.parametrize("snr_db", [60.0, -60.0])
+    def test_snr_at_the_bracket_ends_runs(self, snr_db):
+        (row,) = sweep(SweepSpec(variable=SweepVariable.LOAD, values=(10.0,), d=2.0,
+                                 snr_db=snr_db))
+        assert not row["failed"]
+        assert all(0.0 < row[c.value] < math.inf for c in tp.DEFAULT_CURVES)
+
     @pytest.mark.parametrize("fields", [
         dict(variable=SweepVariable.EBNO, values=(10.0, 20.0, -5.0)),
         dict(variable=SweepVariable.EBNO, values=(10.0, -1.6)),
@@ -628,7 +647,12 @@ class TestSweep:
             SweepSpec(variable=SweepVariable.EBNO, values=(10.0, 60.0), beta=1.5, d=2.0)
         assert set(curve_snrs) == set(tp.SNR_BRACKET)
 
-    def test_a_failed_inversion_fails_every_row_it_served(self, monkeypatch):
+    @pytest.mark.parametrize("curves", [
+        (Curve.REGULAR, Curve.DENSE_RS, Curve.REGULAR_MC),
+        # the dense group fails row 1 before its degree group draws for it
+        (Curve.DENSE_RS, Curve.REGULAR_MC, Curve.REGULAR),
+    ], ids=["degree_first", "dense_first"])
+    def test_a_failed_inversion_fails_every_row_it_served(self, monkeypatch, curves):
         real = tp.dense_rs_throughput
 
         def fails_at_load_two(snr, beta):
@@ -639,11 +663,10 @@ class TestSweep:
         monkeypatch.setattr(tp, "dense_rs_throughput", fails_at_load_two)
         # a load sweep inverts each row on its own
         rows = sweep(SweepSpec(variable=SweepVariable.LOAD, values=(1.5, 2.0, 2.5),
-                               d=2.0, ebno_db=10.0,
-                               curves=(Curve.REGULAR, Curve.DENSE_RS, Curve.REGULAR_MC),
-                               mc_n=10, mc_trials=3))
+                               d=2.0, ebno_db=10.0, curves=curves, mc_n=10, mc_trials=3))
         assert [row["failed"] for row in rows] == [False, True, False]
         assert all(rows[1][key] is None for key in SWEEP_COLUMNS[1:])
+        assert rows[1]["failed_mc_trials"] == 0
         assert all(rows[i][key] is not None for i in (0, 2)
                    for key in ("regular", "dense_rs", "regular_mc"))
         # a sparsity sweep inverts the dense curve once, for every row
@@ -706,6 +729,29 @@ class TestSweep:
                          mc_n=10, mc_trials=6)
         assert not any(row["failed"] for row in sweep(spec))
         assert calls == {"generate_regular": 6 + 2 * 6, "generate_irregular": 6}
+
+    @pytest.mark.parametrize("variable,values,fixed,expected", [
+        # the repeated load's two rows share one 2-snr call per curve
+        (SweepVariable.LOAD, (1.5, 1.5, 2.0), dict(d=2.0, ebno_db=10.0),
+         [(False, 15, 2), (True, 15, 2), (False, 20, 1), (True, 20, 1)]),
+        (SweepVariable.SPARSITY, (2.0, 3.0), dict(beta=2.0, snr_db=10.0),
+         [(False, 20, 1), (True, 20, 1), (False, 20, 1), (True, 20, 1)]),
+    ], ids=["load", "sparsity"])
+    def test_mc_runs_once_per_degree_group_and_curve(self, monkeypatch, variable, values,
+                                                     fixed, expected):
+        calls = []  # (irregular, users, snrs) per finite_n_throughput_mc call
+        real = tp.finite_n_throughput_mc
+
+        def recording(spec, snr, trials, irregular=False):
+            calls.append((irregular, spec.n_users, np.size(snr)))
+            return real(spec, snr, trials, irregular=irregular)
+
+        monkeypatch.setattr(tp, "finite_n_throughput_mc", recording)
+        rows = sweep(SweepSpec(variable=variable, values=values,
+                               curves=(Curve.REGULAR_MC, Curve.IRREGULAR_MC),
+                               mc_n=10, mc_trials=3, **fixed))
+        assert not any(row["failed"] for row in rows)
+        assert calls == expected
 
     @pytest.mark.parametrize("variable,values,fixed", [
         (SweepVariable.EBNO, (4.0, 10.0, 7.0), dict(beta=1.5, d=2.0)),
