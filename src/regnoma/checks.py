@@ -8,7 +8,8 @@ criterion at a time, so both hold the same checks at the same tolerances.
 
 A measuring function takes the ``seed`` of the sampled ensembles.
 Wherever it reads the closed-form law, it calls this module's
-``analytic_density``.
+``analytic_density``; the two cavity routes are held against the law's
+closed-form transform, this module's ``gram_transform``.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from . import quadrature
 from . import throughput as tp
 from .cavity import EDGE_GAP, GRAPH_EPSILON, cavity_on_graph, cavity_on_tree
 from .ensembles import EnsembleSpec, EntryMode, generate_regular
-from .spectra import (DensityParams, analytic_density, kesten_mckay_density, ks_distance,
-                      marchenko_pastur_density, pooled_spectrum)
+from .spectra import (DensityParams, analytic_density, gram_transform, kesten_mckay_density,
+                      ks_distance, marchenko_pastur_density, pooled_spectrum)
 
 __all__ = ["Bound", "Gate", "Check", "CHECKS"]
 
@@ -83,10 +84,6 @@ class Check:
         return [Gate(b, float(v)) for b, v in zip(self.bounds, values, strict=True)]
 
 
-def _column(rows: list[dict], key: str) -> np.ndarray:
-    return np.array([row[key] for row in rows], dtype=np.float64)  # None -> NaN
-
-
 # ======================================================================
 # Closed-form and scalar-route checks
 # ======================================================================
@@ -142,16 +139,28 @@ def _scalar_cavity(seed):
             np.max(np.abs(scalar - analytic_density(grid, p))[interior]))
 
 
+def _routes_vs_closed_form(seed):
+    # both cavity routes against the closed-form transform off the real axis;
+    # on a regular draw the graph route reads only the degrees
+    p = DensityParams(beta=1.5, d=2.0)
+    w = np.array([0.5 + 0.5j, 2.0 + 0.05j, 6.0 + 1.0j, 1.0 + 0.001j, 3.0 + 0.2j])
+    exact = gram_transform(w, p)[1]
+    tree = cavity_on_tree(p, w)[1]
+    graph = cavity_on_graph(generate_regular(_spec(1000, seed), realization=0), w).gram_transform
+    # NaN fails the gate
+    return tuple(np.max(np.abs(route - exact) / np.abs(exact)) for route in (tree, graph))
+
+
 # ======================================================================
 # Throughput checks
 # ======================================================================
 
 def _ordering(seed):
-    rows = tp.sweep(tp.SweepSpec(variable=tp.SweepVariable.LOAD,
-                                 values=(1.0, 1.5, 2.0, 2.5, 3.0),
-                                 d=2.0, ebno_db=10.0))
-    reg, dense, cw = (_column(rows, c.value) for c in tp.DEFAULT_CURVES)
-    return (sum(row["failed"] for row in rows), np.min(reg - dense),
+    table = tp.sweep(tp.SweepSpec(variable=tp.SweepVariable.LOAD,
+                                  values=(1.0, 1.5, 2.0, 2.5, 3.0),
+                                  d=2.0, ebno_db=10.0))
+    reg, dense, cw = (table[c.value] for c in tp.DEFAULT_CURVES)
+    return (table["failed"].sum(), np.min(reg - dense),
             np.min(cw - reg), np.min(cw - dense))
 
 
@@ -275,6 +284,8 @@ CHECKS = (
           (Bound("rel_err", "<", 1e-6),)),
     Check("throughput_closed_form_vs_quadrature", "fast", None, _closed_form_vs_quadrature,
           (Bound("max_rel_err", "<", 1e-9),)),
+    Check("routes_vs_closed_form", "fast", None, _routes_vs_closed_form,
+          (Bound("tree_max_rel_err", "<", 1e-10), Bound("graph_max_rel_err", "<", 1e-6))),
     Check("scaled_spectrum_ks", "full", 5, _scaled_spectrum,
           (Bound("ks_ones", "<", 0.02), Bound("ks_rademacher", "<", 0.02),
            Bound("ks_ones_vs_rademacher", "<", 0.02))),

@@ -57,18 +57,21 @@ def _clean(value):
     return x if math.isfinite(x) else None
 
 
-def _cell(value) -> str:
-    x = _clean(value)
-    return "" if x is None else format(float(x), ".17g")
-
-
-def _table_bytes(columns, rows, fmt: str) -> bytes:
+def _table_bytes(table: dict[str, np.ndarray], fmt: str) -> bytes:
+    """The table's columns, in its key order, as a CSV or JSON file; each cell
+    is converted once, a non-finite one to an empty cell or a null."""
+    names = list(table)
     if fmt == "csv":
-        lines = [",".join(columns)]
-        lines.extend(",".join(_cell(row[c]) for c in columns) for row in rows)
-        return ("\n".join(lines) + "\n").encode()
-    doc = {"columns": list(columns),
-           "rows": [{c: _clean(row[c]) for c in columns} for row in rows]}
+        def cell(x: float) -> str:
+            return format(x, ".17g") if math.isfinite(x) else ""
+    else:
+        def cell(x: float) -> float | None:
+            return x if math.isfinite(x) else None
+    rows = zip(*([cell(x) for x in np.asarray(column, dtype=np.float64).tolist()]
+                 for column in table.values()))
+    if fmt == "csv":
+        return ("\n".join([",".join(names), *map(",".join, rows)]) + "\n").encode()
+    doc = {"columns": names, "rows": [dict(zip(names, row)) for row in rows]}
     return (json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
 
 
@@ -107,8 +110,9 @@ def _write_manifest(args: argparse.Namespace, out_path: str, data: bytes,
     _overwrite(out_path + ".manifest.json", payload)
 
 
-def _emit(args: argparse.Namespace, columns, rows, results: dict) -> int:
-    data = _table_bytes(columns, rows, args.format)
+def _emit(args: argparse.Namespace, table: dict[str, np.ndarray], results: dict) -> int:
+    """Write ``table``, a column name -> 1-D array mapping, and its manifest."""
+    data = _table_bytes(table, args.format)
     _overwrite(args.out, data)
     _write_manifest(args, args.out, data, results)
     return EXIT_OK
@@ -127,9 +131,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
     _require_positive("--points", args.points)
     p = DensityParams(beta=args.beta, d=args.d)
     grid = np.linspace(p.lambda_minus, p.lambda_plus, args.points)
-    dens = analytic_density(grid, p)
-    rows = [{"lambda": x, "density": y} for x, y in zip(grid, dens)]
-    return _emit(args, ("lambda", "density"), rows,
+    return _emit(args, {"lambda": grid, "density": analytic_density(grid, p)},
                  {"lambda_minus": p.lambda_minus, "lambda_plus": p.lambda_plus})
 
 
@@ -159,8 +161,6 @@ def _cmd_cavity(args: argparse.Namespace) -> int:
                          "graph_message_classes": run.n_classes}
     err_scalar = np.abs(scalar - closed)
     err_graph = np.abs(graph - closed)  # NaN, written as missing, without a graph
-    rows = [dict(zip(CAVITY_COLUMNS, cells))
-            for cells in zip(grid, closed, scalar, graph, err_scalar, err_graph)]
     gap = cavity_mod.EDGE_GAP
     interior = (grid > p.lambda_minus + gap) & (grid < p.lambda_plus - gap)
     results = {
@@ -171,7 +171,8 @@ def _cmd_cavity(args: argparse.Namespace) -> int:
         "sup_abs_err_graph": _sup_or_none(err_graph),
         **graph_results,
     }
-    return _emit(args, CAVITY_COLUMNS, rows, results)
+    return _emit(args, dict(zip(CAVITY_COLUMNS, (grid, closed, scalar, graph, err_scalar,
+                                                 err_graph))), results)
 
 
 def _sup_or_none(err: np.ndarray):
@@ -188,9 +189,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     pooled = pooled_spectrum(espec, args.trials)
     ks = ks_distance(pooled, p)
     centers, empirical = spectrum_histogram(pooled, p, bins=args.bins)
-    overlay = analytic_density(centers, p)
-    rows = [{"lambda": c, "analytic_density": a, "empirical_density": e}
-            for c, a, e in zip(centers, overlay, empirical)]
     results = {
         "ks_distance": ks,
         "n_eigenvalues_pooled": pooled.size,
@@ -198,8 +196,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "lambda_minus": p.lambda_minus,
         "lambda_plus": p.lambda_plus,
     }
-    return _emit(args, ("lambda", "analytic_density", "empirical_density"),
-                 rows, results)
+    return _emit(args, {"lambda": centers, "analytic_density": analytic_density(centers, p),
+                        "empirical_density": empirical}, results)
 
 
 def _parse_curves(token: str) -> tuple[tp.Curve, ...]:
@@ -228,10 +226,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if not steps.is_integer():  # nan and inf included
             raise ValueError(f"STEPS must be a whole number, got {steps}")
         spec = tp.SweepSpec.from_range(lo=lo, hi=hi, steps=int(steps), **fields)
-    rows = tp.sweep(spec)
-    results = {"failed_points": [row["x"] for row in rows if row["failed"]],
-               "failed_mc_trials": sum(row["failed_mc_trials"] for row in rows)}
-    return _emit(args, tp.SWEEP_COLUMNS, rows, results)
+    table = tp.sweep(spec)
+    results = {"failed_points": table["x"][table["failed"]].tolist(),
+               "failed_mc_trials": int(table["failed_mc_trials"].sum())}
+    return _emit(args, {key: table[key] for key in tp.SWEEP_COLUMNS}, results)
 
 
 # ======================================================================

@@ -259,9 +259,17 @@ def generate_regular(spec: EnsembleSpec, realization: int = 0) -> SparseSignatur
     parallel edge and a uniformly chosen partner edge and is accepted only
     if it creates no new parallel edge.  Total switch attempts are capped at
     ``100 * K * d``; exceeding the cap raises :class:`GenerationError`.
+
+    At d = N the only simple support is the complete one, and the repair
+    exhausts its cap before reaching it on many draws (7 of 40 at N = 10,
+    K = 15), so that support is returned directly: every (row, col) once,
+    with the entry values still drawn from the realization's stream.
     """
     n, k, d = spec.n_resources, spec.n_users, spec.col_degree
     rng = stream(spec.seed, realization)
+    if d == n:
+        rows, cols = np.divmod(np.arange(n * k, dtype=np.int64), k)
+        return SparseSignatureMatrix(spec, rows, cols, _draw_values(rng, n * k, spec.entry_mode))
     cols = np.repeat(np.arange(k, dtype=np.int64), d)
     rows = np.repeat(np.arange(n, dtype=np.int64), spec.row_degree)
     rows = rows[rng.permutation(rows.size)]

@@ -112,8 +112,12 @@ def regular_throughput(snr: float, p: DensityParams) -> float:
     The root cancels once ``q < 0``: at (beta, d) = (10, 2), ``C`` is within
     6.9e-16 of a 50-digit reference over ``SNR_BRACKET`` (-60 to 60 dB), but
     1.6e-10 off at 120 dB, 5.7e-3 at 155 dB and divides by zero at 160 dB.
+    So an snr above the bracket, like a negative one, raises ``ValueError``.
     """
     snr = _check_snr(snr)
+    if snr > SNR_BRACKET[1]:
+        raise ValueError(f"snr must not exceed SNR_BRACKET's {SNR_BRACKET[1]:g}, where the "
+                         f"regular closed form loses digits, got {snr}")
     t2 = snr / p.d
     bd = p.beta * p.d
     b = (bd - 1.0) * t2
@@ -465,48 +469,43 @@ class SweepSpec:
         return abs(bd - round(bd)) <= 1e-9 and round(bd) > 1
 
 
-def sweep(spec: SweepSpec) -> list[dict[str, float | bool | None]]:
+def sweep(spec: SweepSpec) -> dict[str, np.ndarray]:
     """Evaluate the requested curves at every sweep point.
 
-    Returns one mapping per point with the keys of ``SWEEP_COLUMNS`` plus
-    ``failed_mc_trials`` (Monte Carlo trials skipped at that point) and
-    ``failed``; curves that were not requested stay None.  A failed row has
-    every curve cell None under a ``failed`` flag, with no trial count, and
-    the batch continues.  Of the asymptotic curves only ``dense_rs`` is
-    integrated; ``regular`` and ``cover_wyner`` are closed forms.
+    Returns the table as columns, one cell per point: every key of
+    ``SWEEP_COLUMNS`` maps to a float64 array, NaN where a curve was not
+    requested or the row failed, and ``failed_mc_trials`` (int64, the Monte
+    Carlo trials skipped at that point) and ``failed`` (bool) follow.  A
+    failed row has every curve cell NaN and no trial count, and the batch
+    continues.  Of the asymptotic curves only ``dense_rs`` is integrated;
+    ``regular`` and ``cover_wyner`` are closed forms.
 
     The rows are grouped by (beta, selector), the curve an Eb/N0 is
     inverted on: the dense and Cover-Wyner curves select themselves, and the
     regular and MC curves the row's degree (the MC curves run at the regular
-    curve's snr).  Each group runs once: one :func:`snr_for_ebno` call over
-    its rows' targets (or the fixed snr), one evaluation of its asymptotic
-    curve, and one :func:`finite_n_throughput_mc` call per MC curve on the
-    ensemble its (beta, d) fixes.  So an Eb/N0 or sparsity sweep inverts the
-    dense and Cover-Wyner curves once, an Eb/N0 sweep draws each MC ensemble
-    once (common random numbers across its markers), and load and sparsity
+    curve's snr).  Each group runs once and fills its rows' cells by index:
+    one :func:`snr_for_ebno` call over its rows' targets (or the fixed snr),
+    one evaluation of its asymptotic curve, and one
+    :func:`finite_n_throughput_mc` call per MC curve on the ensemble its
+    (beta, d) fixes.  So an Eb/N0 or sparsity sweep inverts the dense and
+    Cover-Wyner curves once, an Eb/N0 sweep draws each MC ensemble once
+    (common random numbers across its markers), and load and sparsity
     sweeps change the ensemble at every point.  A call that raises one of
     ``NUMERICAL_ERRORS`` fails the group's live rows, and later groups skip
     them; a later dense or Cover-Wyner group that fails a row discards its
     MC draws.  Two loads that round to one ensemble make one MC call each,
     with the bits of one shared call.
     """
-    rows = []
-    for x in spec.values:
-        row = dict.fromkeys(SWEEP_COLUMNS)
-        row.update(x=float(x), failed_mc_trials=0, failed=False)
-        rows.append(row)
-
-    def fail(served: list[dict]) -> None:
-        for row in served:
-            row.update(dict.fromkeys(SWEEP_COLUMNS[1:]), failed_mc_trials=0, failed=True)
-
+    n = len(spec.values)
+    table = {key: np.full(n, np.nan) for key in SWEEP_COLUMNS}
+    table.update(x=np.array(spec.values, dtype=np.float64),
+                 failed_mc_trials=np.zeros(n, dtype=np.int64), failed=np.zeros(n, dtype=bool))
     for (beta, selector), members in spec._groups().items():
         curves = ((selector,) if selector in _NAMED_CURVES else
                   tuple(c for c in spec.curves if c not in _NAMED_CURVES))
-        live = [i for i in members if not rows[i]["failed"]]
+        live = [i for i in members if not table["failed"][i]]
         if not live:
             continue
-        cells, n_failed = {}, 0  # column -> one value per live row
         try:
             if spec.snr_db is not None:
                 snrs = np.full(len(live), db_to_linear(spec.snr_db))
@@ -518,14 +517,14 @@ def sweep(spec: SweepSpec) -> list[dict[str, float | bool | None]]:
                     res = finite_n_throughput_mc(spec._ensemble(beta, selector), snrs,
                                                  spec.mc_trials,
                                                  irregular=(curve is Curve.IRREGULAR_MC))
-                    cells[curve.value], cells[curve.value + "_stderr"] = res.mean, res.stderr
-                    n_failed += res.n_failed
+                    table[curve.value][live] = res.mean
+                    table[curve.value + "_stderr"][live] = res.stderr
+                    table["failed_mc_trials"][live] += res.n_failed
                 else:
-                    cells[curve.value] = _curve_throughput(beta, selector)(snrs)
+                    table[curve.value][live] = _curve_throughput(beta, selector)(snrs)
         except NUMERICAL_ERRORS:
-            fail([rows[i] for i in live])
-            continue
-        for k, i in enumerate(live):
-            rows[i].update({key: column[k].item() for key, column in cells.items()})
-            rows[i]["failed_mc_trials"] += n_failed
-    return rows
+            for key in SWEEP_COLUMNS[1:]:
+                table[key][live] = np.nan
+            table["failed_mc_trials"][live] = 0
+            table["failed"][live] = True
+    return table

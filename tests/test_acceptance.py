@@ -39,6 +39,8 @@ PINNED = {
     ("quadrature_stability", "abs_diff_doubled_start"): (None, "fast", "<", 1e-9),
     ("ebno_round_trip", "rel_err"): (None, "fast", "<", 1e-6),
     ("throughput_closed_form_vs_quadrature", "max_rel_err"): (None, "fast", "<", 1e-9),
+    ("routes_vs_closed_form", "tree_max_rel_err"): (None, "fast", "<", 1e-10),
+    ("routes_vs_closed_form", "graph_max_rel_err"): (None, "fast", "<", 1e-6),
     ("scaled_spectrum_ks", "ks_ones"): (5, "full", "<", 0.02),
     ("scaled_spectrum_ks", "ks_rademacher"): (5, "full", "<", 0.02),
     ("scaled_spectrum_ks", "ks_ones_vs_rademacher"): (5, "full", "<", 0.02),

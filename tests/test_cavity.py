@@ -718,6 +718,16 @@ class TestRoutesMatchClosedForm:
         for got, want in zip(cavity_on_tree(p, w), gram_transform(w, p)):
             assert np.all(np.abs(got - want) < bound * np.abs(want))
 
+    @settings(max_examples=60, deadline=None)
+    @given(p=admissible, log_eps=st.floats(-6.0, 0.0))
+    def test_tree_route_over_the_admissible_domain(self, p, log_eps):
+        # the grid above gates 16 (beta, d); this holds the whole domain
+        lam = np.linspace(p.lambda_minus - 1.0, p.lambda_plus + 1.0, 50)
+        w = lam + 1j * 10.0 ** log_eps
+        got, want = cavity_on_tree(p, w)[1], gram_transform(w, p)[1]
+        assert not np.isnan(got).any()
+        assert np.all(np.abs(got - want) < 1e-8 * np.abs(want))
+
     def test_graph_route_on_a_regular_draw(self):
         run = cavity_on_graph(sample_matrix(1000, 1500, 2, mode=EntryMode.ONES), OFF_AXIS)
         want = gram_transform(OFF_AXIS, P_DEFAULT)[1]

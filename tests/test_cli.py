@@ -322,6 +322,13 @@ class TestSimulate:
         assert manifest["results"]["n_eigenvalues_pooled"] == 20 * 120 - 20
         assert manifest["results"]["ks_distance"] < 0.05
 
+    def test_degree_equal_to_resources_runs(self, tmp_path):
+        # the complete support, where switch repair ran out of its cap at seed 0
+        out = tmp_path / "sim.csv"
+        assert run(["simulate", "--n", "10", "--beta", "1.5", "--d", "10",
+                    "--trials", "2", "--out", str(out)]) == 0
+        assert read_manifest(out)["results"]["n_eigenvalues_pooled"] == 2 * 10
+
     def test_unrealizable_load_exits_2(self, tmp_path):
         assert run(["simulate", "--n", "10", "--beta", "1.27", "--d", "2",
                     "--trials", "2", "--out", str(tmp_path / "x.csv")]) == 2
@@ -552,12 +559,54 @@ class TestSweep:
                     "--out", str(tmp_path / "x.csv")]) == 2
 
 
+class TestTablesPinned:
+    """Table bytes in both formats, and the manifest's results, of every
+    table-writing path that no other digest covers."""
+
+    DENSITY = ["density", "--beta", "1.5", "--d", "3", "--points", "32"]
+    CAVITY = ["cavity", "--beta", "1.5", "--d", "2", "--points", "16"]  # graph columns blank
+    SWEEP = ["sweep", "--variable", "ebno", "--beta", "1.5", "--d", "2", "--seed", "5"]
+    FINE = [*SWEEP, "--range", "0", "20", "21"]
+    MC = [*SWEEP, "--values", "4,10", "--curves", "regular,regular_mc,irregular_mc",
+          "--mc-n", "10", "--mc-trials", "300"]
+    ONE_TRIAL = ["sweep", "--variable", "sparsity", "--values", "2,4", "--beta", "1.5",
+                 "--snr-db", "10", "--curves", "regular,regular_mc,irregular_mc",
+                 "--mc-n", "10", "--mc-trials", "1", "--seed", "5"]  # stderr blank
+    NO_FAILURES = "82677c5f5b5e1da6e370de93fb27052eab6c2af6c9b642ba84c2f5d23b3f1e96"
+
+    @pytest.mark.parametrize("argv,fmt,sha256,results_sha256", [
+        (DENSITY, "csv", "fde679700293c3d6f6e232e83bdb23df14f37c3329498ac4dcaf2f60784cd91d",
+         "29606dd450f6e34ada409108989ee9d7fa424d0b232573d325dc2a788f0b568a"),
+        (DENSITY, "json", "14286ba5a3fe0002beb24621dca4b12986508b9f6fd171c07820217c2d9d23b7",
+         "29606dd450f6e34ada409108989ee9d7fa424d0b232573d325dc2a788f0b568a"),
+        (CAVITY, "csv", "bae1811b61bf812504faf6731f7420e9ba736739bef9977686e9eac7ac6aa986",
+         "084958abafd107304c580dee64f85296c368ff7d679b72aed81aa1c438019d67"),
+        (CAVITY, "json", "ac3c36996c5c5051da8ac4a398764149509d8092a3ec6686badb921d2e17bddb",
+         "084958abafd107304c580dee64f85296c368ff7d679b72aed81aa1c438019d67"),
+        (FINE, "json", "03a52b682f45e0644a2001268a33d988acd42c708b51e2d03517bba4d1edc566",
+         NO_FAILURES),
+        (MC, "json", "3b827d30b4da14773598bedfe64af6f9046ffb7e963ecae257361f3dcf73ba33",
+         NO_FAILURES),
+        (ONE_TRIAL, "csv", "b44956b69796c5d5f3d6635737bc6fbcf41c7c8acd088de409fff7ecd98e9dd4",
+         NO_FAILURES),
+        (ONE_TRIAL, "json", "3d5a2a72dd73d769ab985119e15409eb53cc2d6840b2869462c101b102cc1e9f",
+         NO_FAILURES),
+    ], ids=["density_csv", "density_json", "cavity_csv", "cavity_json", "sweep_fine_json",
+            "sweep_mc_json", "sweep_one_trial_csv", "sweep_one_trial_json"])
+    def test_table_bytes_are_pinned(self, tmp_path, argv, fmt, sha256, results_sha256):
+        out = tmp_path / f"table.{fmt}"
+        assert run([*argv, "--format", fmt, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+        results = json.dumps(read_manifest(out)["results"], sort_keys=True)
+        assert hashlib.sha256(results.encode()).hexdigest() == results_sha256
+
+
 class TestValidate:
     def test_fast_suite_passes(self, capsys):
         assert run(["validate", "--level", "fast"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[-1] == "10/10 checks passed"
-        assert len(lines) == 11
+        assert lines[-1] == "11/11 checks passed"
+        assert len(lines) == 12
         assert all(line.startswith("PASS ") for line in lines[:-1])
 
     def test_failed_scalar_points_fail_the_cavity_check(self, monkeypatch):
@@ -591,7 +640,7 @@ class TestValidate:
         assert run(["validate", "--level", "fast", "--out", str(report)]) == 3
         out = capsys.readouterr().out
         assert "raised" not in out
-        assert out.strip().endswith("3/10 checks passed")
+        assert out.strip().endswith("4/11 checks passed")
         gates = read_manifest(report)["results"]["gates"]
         assert all(g["value"] is not None for g in gates)
         # the corrupted density does not outlive its patch
@@ -609,7 +658,7 @@ class TestValidate:
         assert run(["validate", "--level", "fast", "--out", str(report)]) == 3
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == f"FAIL {first.name}: raised GenerationError: forced"
-        assert lines[-1] == "9/10 checks passed"
+        assert lines[-1] == "10/11 checks passed"
         gates = read_manifest(report)["results"]["gates"]
         assert [g["value"] for g in gates if g["check"] == first.name] == [None]
 
@@ -617,14 +666,14 @@ class TestValidate:
         out = tmp_path / "report.txt"
         assert run(["validate", "--level", "fast", "--out", str(out)]) == 0
         capsys.readouterr()
-        assert out.read_text().strip().endswith("10/10 checks passed")
+        assert out.read_text().strip().endswith("11/11 checks passed")
         manifest = Path(str(out) + ".manifest.json").read_bytes()
         results = json.loads(manifest)["results"]
         gates = results.pop("gates")
-        assert results == {"level": "fast", "n_checks": 10, "n_failed": 0}
+        assert results == {"level": "fast", "n_checks": 11, "n_failed": 0}
         fast = [(check, quantity, op, tol) for (check, quantity), (_, level, op, tol)
                 in PINNED.items() if level == "fast"]
-        assert len(gates) == len(fast) == 16
+        assert len(gates) == len(fast) == 18
         assert [(g["check"], g["quantity"], g["op"], g["tolerance"])
                 for g in gates] == fast
         assert all(g["passed"] and g["margin"] >= 0.0 for g in gates)

@@ -116,6 +116,24 @@ class TestGenerateRegular:
         c = common.data[common.row != common.col]
         assert np.sum(c * (c - 1)) / 4 / 2600 < 0.05
 
+    @pytest.mark.parametrize("mode", list(EntryMode))
+    def test_degree_equal_to_resources_draws_the_complete_support(self, mode):
+        # the one simple support at d = N; switch repair ran out of its cap on
+        # realization 0 here
+        spec = make_spec(10, 15, 10, mode, seed=0)
+        for t in range(4):
+            m = generate_regular(spec, realization=t)
+            assert m.regular
+            assert np.array_equal(m.to_dense() != 0, np.ones((10, 15), dtype=bool))
+            assert set(np.unique(m.values)) == (
+                {1.0} if mode is EntryMode.ONES else {-1.0, 1.0})
+
+    def test_complete_support_signs_differ_across_realizations(self):
+        spec = make_spec(10, 15, 10, EntryMode.RADEMACHER, seed=0)
+        a, b = (generate_regular(spec, realization=t) for t in (0, 1))
+        assert np.array_equal(a.rows, b.rows) and np.array_equal(a.cols, b.cols)
+        assert not np.array_equal(a.values, b.values)
+
     def test_generation_failure_reports_cap(self, monkeypatch):
         # with a zero switch budget any realization containing a parallel
         # edge must report failure instead of looping

@@ -74,6 +74,15 @@ class TestRegularThroughput:
         with pytest.raises(ValueError):
             regular_throughput(-1.0, P_DEFAULT)
 
+    @pytest.mark.parametrize("snr", [1e16, math.nextafter(1e6, math.inf)])
+    def test_rejects_snr_above_the_bracket(self, snr):
+        # 1e16 divides by zero in the root, and 155 dB is 5.7e-3 off
+        with pytest.raises(ValueError, match="SNR_BRACKET"):
+            regular_throughput(snr, DensityParams(beta=10.0, d=2.0))
+
+    def test_top_of_the_bracket_runs(self):
+        assert 0.0 < regular_throughput(1e6, DensityParams(beta=10.0, d=2.0)) < math.inf
+
 
 class TestRegularClosedForm:
     @staticmethod
@@ -478,10 +487,10 @@ class TestSweepSpec:
 
     @pytest.mark.parametrize("snr_db", [60.0, -60.0])
     def test_snr_at_the_bracket_ends_runs(self, snr_db):
-        (row,) = sweep(SweepSpec(variable=SweepVariable.LOAD, values=(10.0,), d=2.0,
-                                 snr_db=snr_db))
-        assert not row["failed"]
-        assert all(0.0 < row[c.value] < math.inf for c in tp.DEFAULT_CURVES)
+        table = sweep(SweepSpec(variable=SweepVariable.LOAD, values=(10.0,), d=2.0,
+                                snr_db=snr_db))
+        assert table["failed"].tolist() == [False]
+        assert all(0.0 < table[c.value][0] < math.inf for c in tp.DEFAULT_CURVES)
 
     @pytest.mark.parametrize("fields", [
         dict(variable=SweepVariable.EBNO, values=(10.0, 20.0, -5.0)),
@@ -577,12 +586,12 @@ class TestSweep:
         spec = SweepSpec(variable=SweepVariable.LOAD,
                          values=(1.0, 1.5, 2.0, 2.5, 3.0),
                          d=2.0, ebno_db=10.0)
-        rows = sweep(spec)
-        assert len(rows) == 5
-        for row in rows:
-            assert not row["failed"]
-            assert row["cover_wyner"] >= row["regular"] > row["dense_rs"]
-            assert row["regular_mc"] is None
+        table = sweep(spec)
+        assert all(column.shape == (5,) for column in table.values())
+        assert not table["failed"].any()
+        assert (table["cover_wyner"] >= table["regular"]).all()
+        assert (table["regular"] > table["dense_rs"]).all()
+        assert np.isnan(table["regular_mc"]).all()
 
     def test_one_inversion_per_selector(self, monkeypatch):
         # the MC curves run at the regular curve's snr and reuse its inversion
@@ -598,27 +607,27 @@ class TestSweep:
                          curves=(Curve.REGULAR_MC, Curve.DENSE_RS, Curve.REGULAR,
                                  Curve.IRREGULAR_MC, Curve.COVER_WYNER),
                          mc_n=10, mc_trials=3)
-        (row,) = sweep(spec)
+        table = sweep(spec)
         assert selectors == [2.0, Curve.DENSE_RS, Curve.COVER_WYNER]
-        assert row["regular"] == regular_throughput(real(db_to_linear(10.0), 1.5, 2.0),
-                                                    P_DEFAULT)
+        assert table["regular"].tolist() == [
+            regular_throughput(real(db_to_linear(10.0), 1.5, 2.0), P_DEFAULT)]
 
     def test_sparsity_sweep_decreases_toward_dense(self):
         spec = SweepSpec(variable=SweepVariable.SPARSITY,
                          values=(2.0, 4.0, 10.0, 40.0),
                          beta=1.5, ebno_db=10.0)
-        rows = sweep(spec)
-        regs = [row["regular"] for row in rows]
+        table = sweep(spec)
+        regs = table["regular"]
         assert all(a > b for a, b in zip(regs, regs[1:]))
-        assert all(r > row["dense_rs"] for r, row in zip(regs, rows))
+        assert (regs > table["dense_rs"]).all()
 
     def test_ebno_sweep_monotone(self):
         spec = SweepSpec(variable=SweepVariable.EBNO,
                          values=(0.0, 4.0, 8.0, 12.0),
                          beta=1.5, d=2.0)
-        rows = sweep(spec)
+        table = sweep(spec)
         for key in ("regular", "dense_rs", "cover_wyner"):
-            vals = [row[key] for row in rows]
+            vals = table[key]
             assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_only_the_dense_curve_is_integrated(self, quadrature_calls):
@@ -626,12 +635,12 @@ class TestSweep:
         closed = SweepSpec(variable=SweepVariable.EBNO, values=values,
                            beta=1.5, d=2.0,
                            curves=(Curve.REGULAR, Curve.COVER_WYNER))
-        assert not any(row["failed"] for row in sweep(closed))
+        assert not sweep(closed)["failed"].any()
         assert quadrature_calls == []
         with_dense = SweepSpec(variable=SweepVariable.EBNO, values=values,
                                beta=1.5, d=2.0,
                                curves=(Curve.REGULAR, Curve.DENSE_RS, Curve.COVER_WYNER))
-        assert not any(row["failed"] for row in sweep(with_dense))
+        assert not sweep(with_dense)["failed"].any()
         assert len(quadrature_calls) > 0
 
     def test_dense_sweep_integrates_in_few_quadratures(self, quadrature_calls):
@@ -639,7 +648,7 @@ class TestSweep:
         spec = SweepSpec(variable=SweepVariable.EBNO,
                          values=tuple(np.linspace(0.0, 20.0, 201)), beta=1.5, d=2.0,
                          curves=(Curve.DENSE_RS,))
-        assert not any(row["failed"] for row in sweep(spec))
+        assert not sweep(spec)["failed"].any()
         assert 0 < len(quadrature_calls) <= 40
 
     def test_out_of_reach_level_fails_before_any_step(self, curve_snrs):
@@ -662,18 +671,18 @@ class TestSweep:
 
         monkeypatch.setattr(tp, "dense_rs_throughput", fails_at_load_two)
         # a load sweep inverts each row on its own
-        rows = sweep(SweepSpec(variable=SweepVariable.LOAD, values=(1.5, 2.0, 2.5),
-                               d=2.0, ebno_db=10.0, curves=curves, mc_n=10, mc_trials=3))
-        assert [row["failed"] for row in rows] == [False, True, False]
-        assert all(rows[1][key] is None for key in SWEEP_COLUMNS[1:])
-        assert rows[1]["failed_mc_trials"] == 0
-        assert all(rows[i][key] is not None for i in (0, 2)
+        table = sweep(SweepSpec(variable=SweepVariable.LOAD, values=(1.5, 2.0, 2.5),
+                                d=2.0, ebno_db=10.0, curves=curves, mc_n=10, mc_trials=3))
+        assert table["failed"].tolist() == [False, True, False]
+        assert all(np.isnan(table[key][1]) for key in SWEEP_COLUMNS[1:])
+        assert table["failed_mc_trials"][1] == 0
+        assert all(np.isfinite(table[key][[0, 2]]).all()
                    for key in ("regular", "dense_rs", "regular_mc"))
         # a sparsity sweep inverts the dense curve once, for every row
-        rows = sweep(SweepSpec(variable=SweepVariable.SPARSITY, values=(2.0, 3.0),
-                               beta=2.0, ebno_db=10.0))
-        assert [row["failed"] for row in rows] == [True, True]
-        assert all(row[key] is None for row in rows for key in SWEEP_COLUMNS[1:])
+        table = sweep(SweepSpec(variable=SweepVariable.SPARSITY, values=(2.0, 3.0),
+                                beta=2.0, ebno_db=10.0))
+        assert table["failed"].tolist() == [True, True]
+        assert all(np.isnan(table[key]).all() for key in SWEEP_COLUMNS[1:])
 
     def test_mc_curves_carry_errors(self):
         spec = SweepSpec(variable=SweepVariable.EBNO, values=(10.0,),
@@ -681,12 +690,14 @@ class TestSweep:
                          curves=(Curve.REGULAR, Curve.REGULAR_MC,
                                  Curve.IRREGULAR_MC),
                          mc_n=10, mc_trials=200, seed=1)
-        row = sweep(spec)[0]
-        assert list(row) == [*SWEEP_COLUMNS, "failed_mc_trials", "failed"]
-        assert row["failed_mc_trials"] == 0
-        assert row["regular_mc_stderr"] > 0.0
-        assert row["irregular_mc_stderr"] > 0.0
-        assert abs(row["regular_mc"] - row["regular"]) < 0.1
+        table = sweep(spec)
+        assert list(table) == [*SWEEP_COLUMNS, "failed_mc_trials", "failed"]
+        assert [table[key].dtype for key in table] == [
+            *[np.float64] * len(SWEEP_COLUMNS), np.int64, np.bool_]
+        assert table["failed_mc_trials"].tolist() == [0]
+        assert table["regular_mc_stderr"][0] > 0.0
+        assert table["irregular_mc_stderr"][0] > 0.0
+        assert abs(table["regular_mc"][0] - table["regular"][0]) < 0.1
 
     def test_failed_point_is_marked_and_batch_continues(self, monkeypatch):
         from regnoma import throughput as tp
@@ -699,13 +710,12 @@ class TestSweep:
                          beta=1.5, d=2.0,
                          curves=(Curve.REGULAR, Curve.IRREGULAR_MC, Curve.REGULAR_MC),
                          mc_n=10, mc_trials=5)
-        rows = sweep(spec)
-        assert all(list(row) == [*SWEEP_COLUMNS, "failed_mc_trials", "failed"]
-                   for row in rows)
-        assert [row["failed"] for row in rows] == [True, True]
+        table = sweep(spec)
+        assert list(table) == [*SWEEP_COLUMNS, "failed_mc_trials", "failed"]
+        assert table["failed"].tolist() == [True, True]
         # the one failed MC call blanks every cell of the rows it served
-        assert all(row[key] is None for row in rows for key in SWEEP_COLUMNS[1:])
-        assert [row["failed_mc_trials"] for row in rows] == [0, 0]
+        assert all(np.isnan(table[key]).all() for key in SWEEP_COLUMNS[1:])
+        assert table["failed_mc_trials"].tolist() == [0, 0]
 
     def test_ebno_sweep_draws_each_ensemble_once(self, monkeypatch):
         calls = {"generate_regular": 0, "generate_irregular": 0}
@@ -721,13 +731,13 @@ class TestSweep:
                          beta=1.5, d=2.0,
                          curves=(Curve.REGULAR_MC, Curve.IRREGULAR_MC),
                          mc_n=10, mc_trials=6)
-        assert not any(row["failed"] for row in sweep(spec))
+        assert not sweep(spec)["failed"].any()
         assert calls == {"generate_regular": 6, "generate_irregular": 6}
         # a load sweep changes the ensemble at every point
         spec = SweepSpec(variable=SweepVariable.LOAD, values=(1.5, 2.0),
                          d=2.0, ebno_db=10.0, curves=(Curve.REGULAR_MC,),
                          mc_n=10, mc_trials=6)
-        assert not any(row["failed"] for row in sweep(spec))
+        assert not sweep(spec)["failed"].any()
         assert calls == {"generate_regular": 6 + 2 * 6, "generate_irregular": 6}
 
     @pytest.mark.parametrize("variable,values,fixed,expected", [
@@ -747,10 +757,10 @@ class TestSweep:
             return real(spec, snr, trials, irregular=irregular)
 
         monkeypatch.setattr(tp, "finite_n_throughput_mc", recording)
-        rows = sweep(SweepSpec(variable=variable, values=values,
-                               curves=(Curve.REGULAR_MC, Curve.IRREGULAR_MC),
-                               mc_n=10, mc_trials=3, **fixed))
-        assert not any(row["failed"] for row in rows)
+        table = sweep(SweepSpec(variable=variable, values=values,
+                                curves=(Curve.REGULAR_MC, Curve.IRREGULAR_MC),
+                                mc_n=10, mc_trials=3, **fixed))
+        assert not table["failed"].any()
         assert calls == expected
 
     @pytest.mark.parametrize("variable,values,fixed", [
@@ -762,8 +772,12 @@ class TestSweep:
         common = dict(variable=variable, curves=(Curve.IRREGULAR_MC, Curve.REGULAR,
                                                  Curve.REGULAR_MC),
                       mc_n=10, mc_trials=8, seed=3, **fixed)
-        rows = sweep(SweepSpec(values=values, **common))
-        assert rows == [sweep(SweepSpec(values=(x,), **common))[0] for x in values]
+        table = sweep(SweepSpec(values=values, **common))
+        points = [sweep(SweepSpec(values=(x,), **common)) for x in values]
+        assert all(list(point) == list(table) for point in points)
+        for key, column in table.items():  # NaN cells equal NaN cells
+            np.testing.assert_array_equal(column, np.concatenate([p[key] for p in points]),
+                                          strict=True)
 
     def test_a_failed_mc_call_spares_other_ensembles(self, monkeypatch):
         real = tp.generate_regular
@@ -777,10 +791,10 @@ class TestSweep:
         spec = SweepSpec(variable=SweepVariable.LOAD, values=(1.5, 2.0, 2.5),
                          d=2.0, ebno_db=10.0, curves=(Curve.REGULAR, Curve.REGULAR_MC),
                          mc_n=10, mc_trials=5)
-        rows = sweep(spec)
-        assert [row["failed"] for row in rows] == [False, True, False]
-        assert rows[1]["regular"] is None and rows[1]["regular_mc"] is None
-        assert all(rows[i]["regular_mc"] is not None for i in (0, 2))
+        table = sweep(spec)
+        assert table["failed"].tolist() == [False, True, False]
+        assert np.isnan(table["regular"][1]) and np.isnan(table["regular_mc"][1])
+        assert np.isfinite(table["regular_mc"][[0, 2]]).all()
 
     def test_failed_mc_trials_are_counted_per_row(self, monkeypatch):
         from regnoma.ensembles import generate_regular as real_generate
@@ -796,11 +810,11 @@ class TestSweep:
                          curves=(Curve.REGULAR, Curve.REGULAR_MC,
                                  Curve.IRREGULAR_MC),
                          mc_n=10, mc_trials=5)
-        rows = sweep(spec)
+        table = sweep(spec)
         # the irregular sampler is not patched, so only the regular curve loses trials
-        assert [row["failed_mc_trials"] for row in rows] == [2, 2]
-        assert not any(row["failed"] for row in rows)
-        assert all(np.isfinite(row["regular_mc"]) for row in rows)
+        assert table["failed_mc_trials"].tolist() == [2, 2]
+        assert not table["failed"].any()
+        assert np.isfinite(table["regular_mc"]).all()
 
     @pytest.mark.parametrize("fields", [
         dict(variable=SweepVariable.SPARSITY, values=(2.5,), beta=2.0, snr_db=10.0,
@@ -859,5 +873,4 @@ class TestSweep:
                 continue
             accepted.append(x)
         assert 0 < len(accepted) < len(values)
-        rows = sweep(SweepSpec(values=tuple(accepted), **common))
-        assert not any(row["failed"] for row in rows)
+        assert not sweep(SweepSpec(values=tuple(accepted), **common))["failed"].any()
