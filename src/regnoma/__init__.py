@@ -21,7 +21,7 @@ from .throughput import (Curve, MCResult, SweepSpec, SweepVariable,
                          ebno_from_snr, finite_n_throughput_mc,
                          regular_throughput, snr_for_ebno, sweep)
 
-__version__ = "0.19.0"
+__version__ = "0.20.0"
 
 __all__ = [
     "__version__",

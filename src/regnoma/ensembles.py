@@ -153,7 +153,8 @@ class SparseSignatureMatrix:
 
     The coordinates may be given as any sequences of one length; they are
     stored as parallel int64, int64 and float64 arrays sorted by (row, col).
-    Coordinates outside [0, N) x [0, K) raise ValueError.
+    Coordinates outside [0, N) x [0, K), and a cell given more than once,
+    raise ValueError.
     """
 
     spec: EnsembleSpec
@@ -168,14 +169,21 @@ class SparseSignatureMatrix:
         if rows.ndim != 1 or rows.shape != cols.shape or rows.shape != values.shape:
             raise ValueError(f"rows, cols and values need one 1-D length, got shapes "
                              f"{rows.shape}, {cols.shape} and {values.shape}")
-        order = np.lexsort((cols, rows))
-        self.rows, self.cols, self.values = rows[order], cols[order], values[order]
-        # sorted rows are bounded by their ends, and a negative col reads as a
-        # huge unsigned one, so one max bounds the cols
+        # a negative coordinate reads as a huge unsigned one, so one max bounds each
         n, k = self.spec.n_resources, self.spec.n_users
-        if rows.size and not (0 <= self.rows[0] and self.rows[-1] < n
+        if rows.size and not (rows.view(np.uint64).max() < n
                               and cols.view(np.uint64).max() < k):
             raise ValueError(f"coordinates outside [0, {n}) x [0, {k})")
+        # a bounded cell's key row * K + col orders cells as (row, col) does, so
+        # any sort of distinct keys is lexsort's, and a repeated cell is adjacent
+        keys = rows * k + cols
+        order = keys.argsort()
+        keys = keys[order]
+        repeated = keys[1:] == keys[:-1]
+        if np.count_nonzero(repeated):
+            r, c = divmod(int(keys[repeated.argmax()]), k)
+            raise ValueError(f"cell ({r}, {c}) is given more than once")
+        self.rows, self.cols, self.values = rows[order], cols[order], values[order]
 
     @property
     def nnz(self) -> int:

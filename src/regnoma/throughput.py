@@ -287,10 +287,10 @@ def finite_n_throughput_mc(spec: EnsembleSpec, snr: float | np.ndarray, trials: 
                            irregular: bool = False) -> MCResult:
     """Average finite-size throughput over sampled realizations.
 
-    ``snr`` is a scalar or a 1-D array of snrs.  Each trial is drawn and
-    eigensolved once, then every snr is evaluated on its eigenvalues, so an
-    array call returns, snr by snr, the bits of one scalar call per snr at
-    the cost of one.  Every snr is checked before the first draw.
+    ``snr`` is a scalar or a 1-D array of snrs, all checked before any draw.
+    Trial t's Gram goes into one N x N buffer and its eigenvalues into row t
+    of a trials x N array; every snr is then evaluated on those rows, so an
+    array call returns, snr by snr, the bits of one scalar call per snr.
 
     Trial ``t`` runs on the PCG64 stream seeded with ``spec.seed XOR t``;
     trials run serially in trial order.  Seeds are not independent runs:
@@ -307,30 +307,30 @@ def finite_n_throughput_mc(spec: EnsembleSpec, snr: float | np.ndarray, trials: 
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     gen = generate_irregular if irregular else generate_regular
-    scale = 2.0 * spec.n_resources * LN2
-    values = np.empty((snrs.size, trials))  # one row per snr, one column per trial
+    g = np.empty((spec.n_resources, spec.n_resources))
+    eigs = np.empty((trials, spec.n_resources))  # row t: trial t's eigenvalues
     drawn = np.zeros(trials, dtype=bool)
     for t in range(trials):
         try:
-            eigs = np.linalg.eigvalsh(gen(spec, realization=t).gram())
+            eigs[t] = np.linalg.eigvalsh(gen(spec, realization=t).gram(g))
         except (GenerationError, np.linalg.LinAlgError):
             continue  # counted as failed
         drawn[t] = True
-        # row j sums log1p(snrs[j] * eigs) as a lone 1-D sum would, bit for bit
-        values[:, t] = np.log1p(np.multiply.outer(snrs, eigs)).sum(axis=1) / scale
 
     n_good = int(drawn.sum())
     if n_good == 0:
         raise GenerationError(f"all {trials} trials failed")
-    means, stderrs = [], []
-    for row in values:
-        good = row[drawn]
-        means.append(float(good.mean()))
-        stderrs.append(float(good.std(ddof=1) / math.sqrt(n_good)) if n_good > 1
-                       else float("inf"))
+    good = eigs[drawn]
+    values = np.empty((snrs.size, n_good))  # one row per snr, one column per trial
+    for s, row in zip(snrs, values):  # an snr at a time: no snrs x trials x N array
+        np.log1p(s * good).sum(axis=1, out=row)  # per trial, a lone 1-D sum's bits
+    values /= 2.0 * spec.n_resources * LN2
+    means = values.mean(axis=1)
+    stderrs = (values.std(axis=1, ddof=1) / math.sqrt(n_good) if n_good > 1
+               else np.full(snrs.size, math.inf))
     if np.ndim(snr) == 0:
-        return MCResult(means[0], stderrs[0], n_good, trials - n_good)
-    return MCResult(np.array(means), np.array(stderrs), n_good, trials - n_good)
+        return MCResult(float(means[0]), float(stderrs[0]), n_good, trials - n_good)
+    return MCResult(means, stderrs, n_good, trials - n_good)
 
 
 # ======================================================================

@@ -345,6 +345,28 @@ class TestCoordinateInput:
         with pytest.raises(ValueError, match=r"outside \[0, 3\) x \[0, 3\)"):
             SparseSignatureMatrix(make_spec(3, 3, 2), rows, cols, np.ones(3))
 
+    @pytest.mark.parametrize("n,k,rows,cols,cell", [
+        (2, 2, [0, 0, 1], [0, 0, 1], (0, 0)),
+        (3, 3, [2, 1, 0, 2], [1, 2, 0, 1], (2, 1)),
+        (3, 3, [2, 2, 0, 1, 0], [2, 2, 1, 0, 1], (0, 1)),  # the first in (row, col) order
+    ])
+    def test_repeated_cells_rejected(self, n, k, rows, cols, cell):
+        # a repeat would count twice in the degrees and the pair-sum Gram, but
+        # once in the dense Gram
+        with pytest.raises(ValueError, match=rf"cell \({cell[0]}, {cell[1]}\) is given "
+                                             "more than once"):
+            SparseSignatureMatrix(make_spec(n, k, 2), rows, cols, np.ones(len(rows)))
+
+    @pytest.mark.parametrize("gen", [generate_regular, generate_irregular])
+    def test_one_repeat_in_a_large_draw_rejected(self, gen):
+        m = gen(make_spec(520, 1560, 4, seed=5))
+        i = m.nnz // 2
+        rows, cols = np.append(m.rows, m.rows[i]), np.append(m.cols, m.cols[i])
+        with pytest.raises(ValueError, match=rf"cell \({m.rows[i]}, {m.cols[i]}\) is given"):
+            SparseSignatureMatrix(m.spec, rows[::-1], cols[::-1], np.ones(rows.size))
+        assert_same_coordinates(SparseSignatureMatrix(m.spec, m.rows[::-1], m.cols[::-1],
+                                                      m.values[::-1]), m)
+
 
 def dense_gram(m):
     a = m.to_dense()

@@ -1,6 +1,7 @@
 """Throughput quadrature, baselines, Eb/N0 mapping, Monte Carlo, sweeps."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from regnoma import quadrature
 from regnoma import throughput as tp
-from regnoma.ensembles import EnsembleSpec, EntryMode, GenerationError
+from regnoma.ensembles import (EnsembleSpec, EntryMode, GenerationError,
+                               SparseSignatureMatrix)
 from regnoma.spectra import DensityParams, analytic_density, gram_transform
 from regnoma.throughput import (LN2, SWEEP_COLUMNS, Curve, MCResult, SweepSpec,
                                 SweepVariable, cover_wyner_bound, db_to_linear,
@@ -371,6 +373,50 @@ class TestFiniteNThroughputMC:
     def test_requires_at_least_one_trial(self):
         with pytest.raises(ValueError):
             finite_n_throughput_mc(mc_spec(), 10.0, 0)
+
+    @pytest.mark.parametrize("irregular", [False, True])
+    def test_equals_a_per_trial_loop_bit_for_bit(self, irregular):
+        # the reference: one 1-D sum per trial and snr, then 1-D mean and std
+        spec, snrs, trials = mc_spec(seed=5), np.array([0.0, 0.3, 10.0, 1e3]), 40
+        gen = tp.generate_irregular if irregular else tp.generate_regular
+        eigs = [np.linalg.eigvalsh(gen(spec, realization=t).gram()) for t in range(trials)]
+        res = finite_n_throughput_mc(spec, snrs, trials, irregular)
+        for j, snr in enumerate(snrs):
+            per_trial = np.array([np.log1p(snr * e).sum() / (2.0 * 10 * LN2) for e in eigs])
+            assert res.mean[j] == per_trial.mean()
+            assert res.stderr[j] == per_trial.std(ddof=1) / math.sqrt(trials)
+
+    @pytest.mark.parametrize("irregular", [False, True])
+    def test_one_gram_buffer_serves_every_trial(self, monkeypatch, irregular):
+        spec = mc_spec(seed=4)
+        expected = finite_n_throughput_mc(spec, np.array([0.5, 10.0]), 6, irregular)
+        buffers = []
+        gram = SparseSignatureMatrix.gram
+
+        def spy(self, out=None):
+            buffers.append(out)
+            return gram(self, out)
+
+        monkeypatch.setattr(SparseSignatureMatrix, "gram", spy)
+        res = finite_n_throughput_mc(spec, np.array([0.5, 10.0]), 6, irregular)
+        assert len(buffers) == 6 and buffers[0] is not None
+        assert all(b is buffers[0] for b in buffers)
+        assert res.mean.tobytes() == expected.mean.tobytes()
+        assert res.stderr.tobytes() == expected.stderr.tobytes()
+
+    def test_many_snrs_and_trials_stay_small_in_memory(self):
+        # one snrs x trials x N temporary would peak near 61.5 MB here; a small
+        # call first keeps one-off lazy imports out of the count
+        snrs = np.logspace(-3, 3, 201)
+        finite_n_throughput_mc(mc_spec(seed=1), snrs[:2], 3)
+        tracemalloc.start()
+        try:
+            res = finite_n_throughput_mc(mc_spec(seed=1), snrs, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.n_trials == 2000 and res.mean.shape == (201,)
+        assert peak < 8e6
 
     @settings(max_examples=40, deadline=None)
     @given(snrs=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e4)),
