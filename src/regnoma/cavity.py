@@ -53,6 +53,7 @@ __all__ = [
     "GraphCavityMessages",
     "cavity_on_tree",
     "cavity_on_graph",
+    "check_epsilon",
 ]
 
 DAMPING = 0.5

@@ -34,6 +34,7 @@ __all__ = [
     "GenerationError",
     "generate_regular",
     "generate_irregular",
+    "stream",
 ]
 
 
@@ -147,14 +148,32 @@ class EnsembleSpec:
 # Matrix container
 # ======================================================================
 
+def _coordinates(x, name: str) -> np.ndarray:
+    """``x`` as int64; a value the cast would change raises ValueError.
+
+    Integer input, which every sampler passes, skips the comparison.
+    """
+    a = np.asarray(x)
+    if a.dtype.kind in "biu":
+        return a.astype(np.int64, copy=False)
+    with np.errstate(invalid="ignore"):
+        out = a.astype(np.int64)
+    changed = out != a
+    if np.count_nonzero(changed):
+        i = int(changed.argmax())
+        raise ValueError(f"{name}[{i}] = {a.flat[i]} is not an integral coordinate")
+    return out
+
+
 @dataclass
 class SparseSignatureMatrix:
     """A sampled N x K signature matrix in coordinate form.
 
     The coordinates may be given as any sequences of one length; they are
     stored as parallel int64, int64 and float64 arrays sorted by (row, col).
-    Coordinates outside [0, N) x [0, K), and a cell given more than once,
-    raise ValueError.
+    A coordinate that is not a whole number (0.5, but not 1.0), coordinates
+    outside [0, N) x [0, K), and a cell given more than once raise
+    ValueError.
     """
 
     spec: EnsembleSpec
@@ -163,8 +182,8 @@ class SparseSignatureMatrix:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        rows = np.asarray(self.rows, dtype=np.int64)
-        cols = np.asarray(self.cols, dtype=np.int64)
+        rows = _coordinates(self.rows, "rows")
+        cols = _coordinates(self.cols, "cols")
         values = np.asarray(self.values, dtype=np.float64)
         if rows.ndim != 1 or rows.shape != cols.shape or rows.shape != values.shape:
             raise ValueError(f"rows, cols and values need one 1-D length, got shapes "

@@ -223,6 +223,8 @@ def pooled_spectrum(spec: EnsembleSpec, trials: int) -> np.ndarray:
     Every realization writes its Gram matrix into one N x N buffer, so a
     pool of many draws does not allocate, and page-fault, a fresh one each.
     """
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     g = np.empty((spec.n_resources, spec.n_resources))
     return np.concatenate([empirical_spectrum(generate_regular(spec, realization=t), g)
                            for t in range(trials)])
@@ -252,6 +254,8 @@ def spectrum_histogram(eigenvalues: np.ndarray, p: DensityParams,
     Eigenvalues outside the padded range land in the edge bins via
     clipping so mass is never silently dropped.
     """
+    if bins < 1:
+        raise ValueError(f"need at least one bin, got {bins}")
     pooled = _nonempty(eigenvalues)
     lo, hi = p.lambda_minus - 0.1, p.lambda_plus + 0.1
     edges = np.linspace(lo, hi, bins + 1)

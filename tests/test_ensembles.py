@@ -345,6 +345,23 @@ class TestCoordinateInput:
         with pytest.raises(ValueError, match=r"outside \[0, 3\) x \[0, 3\)"):
             SparseSignatureMatrix(make_spec(3, 3, 2), rows, cols, np.ones(3))
 
+    @pytest.mark.parametrize("rows,cols,first", [
+        ([0.5, 1, 0, 1], [0, 0, 1, 1], r"rows\[0\] = 0.5"),
+        ([0, 1, 0, 1], [0, 0, 1.25, 1.5], r"cols\[2\] = 1.25"),
+        ([0, 1, np.nan, 1], [0, 0, 1, 1], r"rows\[2\] = nan"),
+        ([0, 1, 0, 1], np.array([0, 0, np.inf, 1]), r"cols\[2\] = inf"),
+    ])
+    def test_fractional_coordinates_rejected(self, rows, cols, first):
+        # the int64 cast would truncate 0.5 to row 0 and accept the matrix
+        with pytest.raises(ValueError, match=first + " is not an integral coordinate"):
+            SparseSignatureMatrix(make_spec(2, 2, 2), rows, cols, np.ones(4))
+
+    def test_integral_floats_accepted(self):
+        from_floats = SparseSignatureMatrix(make_spec(2, 2, 2), [1.0, 0.0, 1.0, 0.0],
+                                            np.array([1.0, 1.0, 0.0, 0.0]), np.ones(4))
+        assert_same_coordinates(from_floats, SparseSignatureMatrix(
+            make_spec(2, 2, 2), [1, 0, 1, 0], [1, 1, 0, 0], np.ones(4)))
+
     @pytest.mark.parametrize("n,k,rows,cols,cell", [
         (2, 2, [0, 0, 1], [0, 0, 1], (0, 0)),
         (3, 3, [2, 1, 0, 2], [1, 2, 0, 1], (2, 1)),

@@ -494,6 +494,11 @@ class TestPooledSpectrum:
         assert all(b is buffers[0] for b in buffers)
         assert pooled.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_rejected(self, trials):
+        with pytest.raises(ValueError, match=f"need at least one trial, got {trials}"):
+            pooled_spectrum(EnsembleSpec(n_resources=10, n_users=15, col_degree=2), trials)
+
 
 def pooled_samples(n_real, **kwargs):
     return np.concatenate([empirical_spectrum(sample_matrix(realization=t, **kwargs))
@@ -544,6 +549,12 @@ class TestSpectrumHistogram:
     def test_custom_bins(self):
         centers, _ = spectrum_histogram(pooled_samples(2), P_DEFAULT, bins=25)
         assert centers.size == 25
+
+    @pytest.mark.parametrize("bins", [0, -3])
+    def test_no_bins_rejected(self, bins):
+        # zero bins returned two empty arrays
+        with pytest.raises(ValueError, match=f"need at least one bin, got {bins}"):
+            spectrum_histogram(np.array([1.0]), P_DEFAULT, bins=bins)
 
     def test_tracks_analytic_overlay(self):
         samples = pooled_samples(40, n=120, k=180)
