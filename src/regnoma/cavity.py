@@ -184,8 +184,8 @@ def cavity_on_graph(matrix: SparseSignatureMatrix, w) -> GraphCavityMessages:
 
     ``w`` is a complex scalar or a 1-D array of Gram points, all swept in
     one run, each point stopping at its own sweep.  Updates use squared
-    entry values, which are 1 in both entry modes, so only the support of A
-    matters.  :func:`_sweep` runs the message classes of
+    entry values, which are 1 because the matrix holds only +-1, so only the
+    support of A matters.  :func:`_sweep` runs the message classes of
     :func:`_message_classes`.  A point that is not finite or has
     Im w <= 0 is rejected before any sweep.  A point whose largest
     per-sweep message change is still at least ``GRAPH_TOL`` after

@@ -3,8 +3,8 @@
 Each :class:`Check` is data: a name, a level (``fast`` runs in seconds,
 ``full`` adds sampled ensembles), the acceptance criterion it serves, the
 bounds its measurements must meet, and a function that measures them.
-``validate`` runs the registry and ``tests/test_acceptance.py`` runs it one
-criterion at a time, so both hold the same checks at the same tolerances.
+``validate`` and ``tests/test_acceptance.py`` (one criterion at a time) both
+run it through :func:`run_checks`: one runner, one policy for a raising check.
 
 A measuring function takes the ``seed`` of the sampled ensembles.
 Wherever it reads the closed-form law, it calls this module's
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .ensembles import EnsembleSpec, EntryMode, generate_regular
 from .spectra import (DensityParams, analytic_density, gram_transform, kesten_mckay_density,
                       ks_distance, marchenko_pastur_density, pooled_spectrum)
 
-__all__ = ["Bound", "Gate", "Check", "CHECKS"]
+__all__ = ["Bound", "Gate", "Check", "run_checks", "CHECKS"]
 
 _OPS = {"<": operator.lt, ">": operator.gt, ">=": operator.ge, "==": operator.eq}
 
@@ -79,9 +79,26 @@ class Check:
     measure: Callable[[int], tuple[float, ...]]
     bounds: tuple[Bound, ...]
 
-    def run(self, seed: int) -> list[Gate]:
-        values = self.measure(seed)
-        return [Gate(b, float(v)) for b, v in zip(self.bounds, values, strict=True)]
+
+def run_checks(checks: Sequence[Check], seed: int) -> tuple[str, int, list[dict]]:
+    """Run ``checks`` in order at ``seed``: the report (a PASS/FAIL line per check,
+    then the count), the number failed and a record per gate.  A check that
+    raises one of ``NUMERICAL_ERRORS`` fails with NaN gates and a line naming it."""
+    lines, records, n_failed = [], [], 0
+    for check in checks:
+        try:
+            values = check.measure(seed)
+            gates = [Gate(b, float(v)) for b, v in zip(check.bounds, values, strict=True)]
+            passed, detail = all(g.passed for g in gates), "; ".join(map(str, gates))
+        except tp.NUMERICAL_ERRORS as exc:
+            gates = [Gate(b, math.nan) for b in check.bounds]
+            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+        n_failed += not passed
+        lines.append(f"{'PASS' if passed else 'FAIL'} {check.name}: {detail}")
+        records += [{"check": check.name, **vars(g.bound), "value": g.value,
+                     "margin": g.margin, "passed": g.passed} for g in gates]
+    lines.append(f"{len(checks) - n_failed}/{len(checks)} checks passed")
+    return "\n".join(lines) + "\n", n_failed, records
 
 
 # ======================================================================

@@ -28,7 +28,6 @@ import numpy as np
 from . import __version__
 from . import cavity as cavity_mod
 from . import throughput as tp
-from .checks import CHECKS, Gate
 from .ensembles import EnsembleSpec, EntryMode, generate_regular
 from .spectra import (DensityParams, analytic_density, ks_distance, pooled_spectrum,
                       spectrum_histogram)
@@ -237,32 +236,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 # ======================================================================
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from .checks import CHECKS, run_checks  # only validate loads the registry
     checks = [c for c in CHECKS if args.level == "full" or c.level == "fast"]
-    lines, records = [], []
-    n_fail = 0
-    for check in checks:
-        try:
-            gates = check.run(args.seed)
-            ok = all(g.passed for g in gates)
-            detail = "; ".join(map(str, gates))
-        except tp.NUMERICAL_ERRORS as exc:
-            gates = [Gate(b, math.nan) for b in check.bounds]  # recorded as null
-            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        n_fail += not ok
-        lines.append(f"{'PASS' if ok else 'FAIL'} {check.name}: {detail}")
-        records.extend({"check": check.name, "quantity": g.bound.quantity,
-                        "op": g.bound.op, "tolerance": g.bound.tolerance,
-                        "value": g.value, "margin": g.margin, "passed": g.passed}
-                       for g in gates)
-    lines.append(f"{len(checks) - n_fail}/{len(checks)} checks passed")
-    report = "\n".join(lines) + "\n"
+    report, n_fail, gates = run_checks(checks, args.seed)
     sys.stdout.write(report)
     if args.out is not None:
         data = report.encode()
         _overwrite(args.out, data)
-        _write_manifest(args, args.out, data,
-                        {"level": args.level, "n_checks": len(checks),
-                         "n_failed": n_fail, "gates": records})
+        _write_manifest(args, args.out, data, {"level": args.level, "n_checks": len(checks),
+                                               "n_failed": n_fail, "gates": gates})
     return EXIT_OK if n_fail == 0 else EXIT_NUMERICAL
 
 

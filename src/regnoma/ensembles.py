@@ -172,8 +172,8 @@ class SparseSignatureMatrix:
     The coordinates may be given as any sequences of one length; they are
     stored as parallel int64, int64 and float64 arrays sorted by (row, col).
     A coordinate that is not a whole number (0.5, but not 1.0), coordinates
-    outside [0, N) x [0, K), and a cell given more than once raise
-    ValueError.
+    outside [0, N) x [0, K), a cell given more than once, and a value other
+    than +1 or -1 (0, 2.0, NaN, inf) raise ValueError.
     """
 
     spec: EnsembleSpec
@@ -188,6 +188,10 @@ class SparseSignatureMatrix:
         if rows.ndim != 1 or rows.shape != cols.shape or rows.shape != values.shape:
             raise ValueError(f"rows, cols and values need one 1-D length, got shapes "
                              f"{rows.shape}, {cols.shape} and {values.shape}")
+        off = np.abs(values) != 1.0  # NaN included
+        if np.count_nonzero(off):
+            i = int(off.argmax())
+            raise ValueError(f"values[{i}] = {values[i]} is not +1 or -1")
         # a negative coordinate reads as a huge unsigned one, so one max bounds each
         n, k = self.spec.n_resources, self.spec.n_users
         if rows.size and not (rows.view(np.uint64).max() < n
@@ -236,8 +240,8 @@ class SparseSignatureMatrix:
         ``v v'`` of its entry pairs into cell ``(r, r')`` of the zeroed
         buffer with one in-place ``np.add.at``: the dense A is never formed,
         and the cost is the sum of squared column degrees instead of N*N*K.
-        Every product is +-1 and every sum a small integer, so both paths
-        give the same bits.
+        Every value is +-1, so every product is too and every sum a small
+        integer, and both paths give the same bits.
         """
         n, k = self.spec.n_resources, self.spec.n_users
         if out is None:

@@ -1,14 +1,19 @@
 """Release gate: one test per acceptance criterion, each with a runtime budget.
 
 Each test runs the registry entries of ``regnoma.checks`` that serve its
-criterion, the same entries ``regnoma validate`` runs, and prints as a
-single pass/fail line under pytest -v.  Tolerances and budgets are fixed;
-do not loosen them to make a failing build green.
+criterion through ``checks.run_checks``, the runner ``regnoma validate``
+uses, and prints as a single pass/fail line under pytest -v.  Tolerances
+and budgets are fixed; do not loosen them to make a failing build green.
 """
 
+import dataclasses
+import re
 import time
 
-from regnoma.checks import CHECKS
+import pytest
+
+from regnoma import checks, cli
+from regnoma.ensembles import GenerationError
 
 # seeds of the sampled-ensemble criteria.  stream(seed, i) is PCG64(seed ^ i),
 # so seeds 1 and 2 draw the same set of streams as seed 0 at criterion 6's
@@ -54,20 +59,32 @@ PINNED = {
 
 
 def run_criterion(criterion):
-    checks = [c for c in CHECKS if c.criterion == criterion]
-    assert checks
+    served = [c for c in checks.CHECKS if c.criterion == criterion]
+    assert served
     start = time.perf_counter()
-    gates = [g for c in checks
-             for g in c.run(SEED.get(criterion, 0))]
+    report, n_failed, _ = checks.run_checks(served, SEED.get(criterion, 0))
     elapsed = time.perf_counter() - start
-    assert [str(g) for g in gates if not g.passed] == []
+    assert n_failed == 0, report
     assert elapsed < BUDGET_S[criterion]
 
 
 def test_registry_matches_pinned_tolerances():
     registry = {(c.name, b.quantity): (c.criterion, c.level, b.op, b.tolerance)
-                for c in CHECKS for b in c.bounds}
+                for c in checks.CHECKS for b in c.bounds}
     assert list(registry.items()) == list(PINNED.items())
+
+
+def test_a_raising_check_fails_its_criterion_with_validates_line(monkeypatch, capsys):
+    def broken(seed):
+        raise GenerationError("forced")
+
+    first = dataclasses.replace(checks.CHECKS[0], measure=broken)
+    monkeypatch.setattr(checks, "CHECKS", (first, *checks.CHECKS[1:]))
+    line = f"FAIL {first.name}: raised GenerationError: forced"
+    with pytest.raises(AssertionError, match=f"(?m)^{re.escape(line)}$"):
+        run_criterion(first.criterion)
+    assert cli.main(["validate", "--level", "fast"]) == 3
+    assert capsys.readouterr().out.splitlines()[0] == line
 
 
 def test_criterion_1_kesten_mckay_identity():

@@ -101,12 +101,14 @@ class TestEntryPoint:
 
     def test_import_leaves_scipy_unloaded(self):
         # every CLI run pays the start-up: scipy.stats costs about a second to
-        # import and scipy.sparse ~0.17 s; only validate --level full needs scipy
+        # import and scipy.sparse ~0.17 s; only validate --level full needs scipy.
+        # Only validate reads the check registry, so only validate loads it
         proc = run_python("-c", "import sys, regnoma.cli; "
                                 "print(sorted(m for m in sys.modules "
-                                "if m.partition('.')[0] == 'scipy'))")
+                                "if m.partition('.')[0] == 'scipy'), "
+                                "'regnoma.checks' in sys.modules)")
         assert proc.returncode == 0
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.strip() == "[] False"
 
     def test_cli_imports_only_traced_layers_and_checks(self):
         # the benchmark tracer times the layers' public functions; work that cli
@@ -615,25 +617,26 @@ class TestValidate:
     def test_failed_scalar_points_fail_the_cavity_check(self, monkeypatch):
         no_root_anywhere(monkeypatch)
         check = next(c for c in CHECKS if c.name == "scalar_cavity_agreement")
-        n_failed = check.run(0)[0]
-        assert n_failed.value == 512 and not n_failed.passed
+        _, n_failed, gates = checks.run_checks([check], 0)
+        assert n_failed == 1
+        assert gates[0]["value"] == 512 and not gates[0]["passed"]
 
     def test_injected_sign_flip_is_detected(self, tmp_path, capsys, monkeypatch):
         # a check that reads the law must fail by its gates under the flip,
         # and one whose measurements do not move must still pass
         fast = [c for c in CHECKS if c.level == "fast"]
-        true_values = {c.name: [g.value for g in c.run(0)] for c in fast}
+        true_values = {c.name: [g["value"] for g in checks.run_checks([c], 0)[2]] for c in fast}
         monkeypatch.setattr(checks, "analytic_density",
                             lambda lam, p: -analytic_density(lam, p))
         reads_law = []
         for check in fast:
-            gates = check.run(0)
-            if [g.value for g in gates] != true_values[check.name]:
+            _, n_failed, gates = checks.run_checks([check], 0)
+            if [g["value"] for g in gates] != true_values[check.name]:
                 reads_law.append(check.name)
-                assert all(np.isfinite(g.value) for g in gates), check.name
-                assert not all(g.passed for g in gates), check.name
+                assert all(np.isfinite(g["value"]) for g in gates), check.name
+                assert n_failed == 1, check.name
             else:
-                assert all(g.passed for g in gates), check.name
+                assert n_failed == 0, check.name
         assert reads_law == [
             "kesten_mckay_identity", "density_normalization", "density_first_moment",
             "marchenko_pastur_limit", "scalar_cavity_agreement", "quadrature_stability",
@@ -655,8 +658,8 @@ class TestValidate:
         def broken(seed):
             raise GenerationError("forced")
 
-        first = dataclasses.replace(cli.CHECKS[0], measure=broken)
-        monkeypatch.setattr(cli, "CHECKS", (first, *cli.CHECKS[1:]))
+        first = dataclasses.replace(CHECKS[0], measure=broken)
+        monkeypatch.setattr(checks, "CHECKS", (first, *CHECKS[1:]))
         report = tmp_path / "r.txt"
         assert run(["validate", "--level", "fast", "--out", str(report)]) == 3
         lines = capsys.readouterr().out.strip().splitlines()

@@ -1,9 +1,12 @@
 """Ensemble specs, samplers and their random streams."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy import sparse, stats
 
 from regnoma import ensembles
@@ -362,6 +365,27 @@ class TestCoordinateInput:
         assert_same_coordinates(from_floats, SparseSignatureMatrix(
             make_spec(2, 2, 2), [1, 0, 1, 0], [1, 1, 0, 0], np.ones(4)))
 
+    @pytest.mark.parametrize("values,first", [
+        ([1.0, 0.0, -1.0, 1.0], r"values\[1\] = 0.0"),
+        ([1.0, -1.0, 2.0, 0.5], r"values\[2\] = 2.0"),  # the first of two
+        ([-1.0, 1.0, 1.0, -2.0], r"values\[3\] = -2.0"),
+        ([np.nan, 1.0, 1.0, 1.0], r"values\[0\] = nan"),
+        ([1.0, 1.0, 1.0, np.inf], r"values\[3\] = inf"),
+        ([1.0, -np.inf, 1.0, 1.0], r"values\[1\] = -inf"),
+    ])
+    def test_values_other_than_plus_or_minus_one_rejected(self, values, first):
+        # both Gram paths and the graph route's squared entries assume +-1
+        with pytest.raises(ValueError, match=first + r" is not \+1 or -1$"):
+            SparseSignatureMatrix(make_spec(2, 2, 2), [0, 0, 1, 1], [0, 1, 0, 1], values)
+
+    @pytest.mark.parametrize("value", [2.0, np.nan])
+    def test_one_bad_value_in_a_draw_rejected(self, value):
+        m = generate_regular(make_spec(200, 300, 2))
+        values = m.values.copy()
+        values[7] = value
+        with pytest.raises(ValueError, match=rf"values\[7\] = {value} is not"):
+            SparseSignatureMatrix(m.spec, m.rows, m.cols, values)
+
     @pytest.mark.parametrize("n,k,rows,cols,cell", [
         (2, 2, [0, 0, 1], [0, 0, 1], (0, 0)),
         (3, 3, [2, 1, 0, 2], [1, 2, 0, 1], (2, 1)),
@@ -390,6 +414,20 @@ def dense_gram(m):
     return (a @ a.T) / m.spec.col_degree
 
 
+@st.composite
+def small_specs(draw):
+    """An admissible spec with N <= 12 and 2 <= d <= N, in either entry mode."""
+    n = draw(st.integers(2, 12))
+    d = draw(st.integers(2, n))
+    # K = N r / d is whole when the row degree r is a multiple of d / gcd(N, d),
+    # and r >= d gives K >= N
+    step = d // math.gcd(n, d)
+    lowest = math.ceil(d / step)
+    row_degree = step * draw(st.integers(lowest, lowest + 3))
+    return make_spec(n, n * row_degree // d, d, draw(st.sampled_from(list(EntryMode))),
+                     draw(st.integers(0, 2**64 - 1)))
+
+
 class TestGram:
     @pytest.mark.parametrize("n,k,d,pair_sum", [
         (10, 15, 2, False),
@@ -405,6 +443,22 @@ class TestGram:
         for t in range(3):
             m = gen(spec, realization=t)
             assert m.gram().tobytes() == dense_gram(m).tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(spec=small_specs(), gen=st.sampled_from([generate_regular, generate_irregular]),
+           realization=st.integers(0, 100))
+    @example(spec=make_spec(4, 6, 4, EntryMode.RADEMACHER, seed=1), gen=generate_regular,
+             realization=0)
+    def test_both_paths_give_the_same_bytes_on_any_small_spec(self, spec, gen, realization):
+        # the irregular sampler needs d < N; the regular one takes d = N too
+        assume(gen is generate_regular or spec.col_degree < spec.n_resources)
+        m = gen(spec, realization)
+        grams = []
+        for max_cells in (0, 10**9):  # the pair sum, then the dense product
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ensembles, "DENSE_GRAM_MAX_CELLS", max_cells)
+                grams.append(m.gram().tobytes())
+        assert grams[0] == grams[1]
 
     def test_irregular_with_empty_rows_and_columns(self):
         spec = make_spec(200, 300, 2, seed=6)
