@@ -42,7 +42,6 @@ __all__ = [
     "kesten_mckay_density",
     "marchenko_pastur_density",
     "analytic_cdf",
-    "empirical_spectrum",
     "pooled_spectrum",
     "ks_distance",
     "spectrum_histogram",
@@ -197,47 +196,61 @@ def analytic_cdf(lam: np.ndarray | float, p: DensityParams) -> np.ndarray | floa
 # Empirical spectra
 # ======================================================================
 
-def empirical_spectrum(matrix: SparseSignatureMatrix,
-                       out: np.ndarray | None = None) -> np.ndarray:
-    """Sorted eigenvalues of A A^T / d, deterministic ones dropped.
+def _sampled_eigenvalues(sample: Callable[..., SparseSignatureMatrix], spec: EnsembleSpec,
+                         trials: int, skip: tuple[type[Exception], ...] = ()) -> np.ndarray:
+    """Eigenvalues of A A^T / d of realizations 0 .. trials - 1, row t for draw t.
 
-    In ONES mode the all-ones vector is an exact eigenvector of a regular
-    matrix and contributes a deterministic eigenvalue beta * d; values
-    within ``TRIVIAL_TOL`` of it are dropped so distribution comparisons
-    see the random part only.  ``out``, if given, is the N x N buffer the
-    Gram matrix is written into (see ``SparseSignatureMatrix.gram``).  A
-    failed eigensolve raises ``np.linalg.LinAlgError``.
-    """
-    eigs = np.linalg.eigvalsh(matrix.gram(out))
-    spec = matrix.spec
-    if spec.entry_mode is EntryMode.ONES and matrix.regular:
-        bd = float(spec.beta * spec.col_degree)
-        eigs = eigs[np.abs(eigs - bd) > TRIVIAL_TOL]
-    return eigs
-
-
-def pooled_spectrum(spec: EnsembleSpec, trials: int) -> np.ndarray:
-    """The :func:`empirical_spectrum` of regular realizations 0 .. trials - 1,
-    concatenated in realization order.
-
-    Every realization writes its Gram matrix into one N x N buffer, so a
-    pool of many draws does not allocate, and page-fault, a fresh one each.
+    ``sample(spec, realization=t)`` draws each matrix, and every draw writes
+    its Gram matrix into one N x N buffer, so many draws do not allocate,
+    and page-fault, a fresh one each.  A draw or eigensolve that raises one
+    of ``skip`` leaves its row NaN; any other error propagates at that draw.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     g = np.empty((spec.n_resources, spec.n_resources))
-    return np.concatenate([empirical_spectrum(generate_regular(spec, realization=t), g)
-                           for t in range(trials)])
+    eigs = np.full((trials, spec.n_resources), np.nan)
+    for t in range(trials):
+        try:
+            eigs[t] = np.linalg.eigvalsh(sample(spec, realization=t).gram(g))
+        except skip:
+            pass
+    return eigs
+
+
+def pooled_spectrum(spec: EnsembleSpec, trials: int) -> np.ndarray:
+    """Eigenvalues of A A^T / d of regular realizations 0 .. trials - 1,
+    each draw's in ascending order, concatenated in realization order.
+
+    In ONES mode the all-ones vector is an exact eigenvector of a regular
+    matrix and contributes a deterministic eigenvalue beta * d; values
+    within ``TRIVIAL_TOL`` of it are dropped so distribution comparisons
+    see the random part only.  The pool is a single result: a draw or
+    eigensolve that fails raises its own exception at that draw.
+    """
+    eigs = _sampled_eigenvalues(generate_regular, spec, trials)
+    if spec.entry_mode is EntryMode.ONES:
+        bd = float(spec.beta * spec.col_degree)
+        return eigs[np.abs(eigs - bd) > TRIVIAL_TOL]
+    return eigs.ravel()
 
 
 def _nonempty(eigenvalues: np.ndarray) -> np.ndarray:
-    if not np.size(eigenvalues):
+    """``eigenvalues`` as float64; none at all, or a NaN or inf, raises ValueError."""
+    a = np.asarray(eigenvalues, dtype=np.float64)
+    if not a.size:
         raise ValueError("need at least one eigenvalue")
-    return np.asarray(eigenvalues, dtype=np.float64)
+    bad = ~np.isfinite(a)
+    if np.count_nonzero(bad):
+        i = int(bad.argmax())
+        raise ValueError(f"eigenvalues[{i}] = {a.flat[i]} is not finite")
+    return a
 
 
 def ks_distance(eigenvalues: np.ndarray, p: DensityParams) -> float:
-    """Kolmogorov-Smirnov distance of pooled eigenvalues to the analytic law."""
+    """Kolmogorov-Smirnov distance of pooled eigenvalues to the analytic law.
+
+    An empty pool, or a NaN or infinite eigenvalue, raises ValueError.
+    """
     pooled = np.sort(_nonempty(eigenvalues))
     n = pooled.size
     cdf = analytic_cdf(pooled, p)
@@ -252,7 +265,8 @@ def spectrum_histogram(eigenvalues: np.ndarray, p: DensityParams,
 
     Returns (bin centers, empirical density) of the pooled eigenvalues.
     Eigenvalues outside the padded range land in the edge bins via
-    clipping so mass is never silently dropped.
+    clipping so mass is never silently dropped; an empty pool, or a NaN or
+    infinite eigenvalue, raises ValueError.
     """
     if bins < 1:
         raise ValueError(f"need at least one bin, got {bins}")

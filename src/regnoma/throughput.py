@@ -29,7 +29,7 @@ import numpy as np
 from . import quadrature
 from .ensembles import (EnsembleSpec, EntryMode, GenerationError,
                         _bernoulli_probability, generate_irregular, generate_regular)
-from .spectra import DensityParams, marchenko_pastur_density
+from .spectra import DensityParams, _sampled_eigenvalues, marchenko_pastur_density
 
 __all__ = [
     "NUMERICAL_ERRORS",
@@ -288,9 +288,11 @@ def finite_n_throughput_mc(spec: EnsembleSpec, snr: float | np.ndarray, trials: 
     """Average finite-size throughput over sampled realizations.
 
     ``snr`` is a scalar or a 1-D array of snrs, all checked before any draw.
-    Trial t's Gram goes into one N x N buffer and its eigenvalues into row t
-    of a trials x N array; every snr is then evaluated on those rows, so an
-    array call returns, snr by snr, the bits of one scalar call per snr.
+    The trials are drawn by the loop that also serves
+    :func:`~regnoma.spectra.pooled_spectrum`: trial t's Gram goes into one
+    N x N buffer and its eigenvalues into row t of a trials x N array.
+    Every snr is then evaluated on those rows, so an array call returns,
+    snr by snr, the bits of one scalar call per snr.
 
     Trial ``t`` runs on the PCG64 stream seeded with ``spec.seed XOR t``;
     trials run serially in trial order.  Seeds are not independent runs:
@@ -299,24 +301,15 @@ def finite_n_throughput_mc(spec: EnsembleSpec, snr: float | np.ndarray, trials: 
     (:func:`~regnoma.ensembles.stream`).  Every eigenvalue enters the
     per-trial sum, including the deterministic one of ONES-mode matrices,
     matching the finite-size formula exactly.  A trial whose draw or
-    eigensolve fails is skipped at every snr and counted once.
+    eigensolve fails (``GenerationError``, ``LinAlgError``) leaves its row
+    NaN, and is skipped at every snr and counted once.
     """
     snrs = _check_snrs(snr)
     if snrs.size == 0:
         raise ValueError("need at least one snr")
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
-    gen = generate_irregular if irregular else generate_regular
-    g = np.empty((spec.n_resources, spec.n_resources))
-    eigs = np.empty((trials, spec.n_resources))  # row t: trial t's eigenvalues
-    drawn = np.zeros(trials, dtype=bool)
-    for t in range(trials):
-        try:
-            eigs[t] = np.linalg.eigvalsh(gen(spec, realization=t).gram(g))
-        except (GenerationError, np.linalg.LinAlgError):
-            continue  # counted as failed
-        drawn[t] = True
-
+    eigs = _sampled_eigenvalues(generate_irregular if irregular else generate_regular,
+                                spec, trials, skip=(GenerationError, np.linalg.LinAlgError))
+    drawn = ~np.isnan(eigs).any(axis=1)  # a failed trial's row stays NaN
     n_good = int(drawn.sum())
     if n_good == 0:
         raise GenerationError(f"all {trials} trials failed")

@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from regnoma.ensembles import (EnsembleSpec, EntryMode, SparseSignatureMatrix,
-                               generate_regular)
-from regnoma import quadrature
+from regnoma import quadrature, spectra
+from regnoma.ensembles import (EnsembleSpec, EntryMode, GenerationError,
+                               SparseSignatureMatrix, generate_regular)
 from regnoma.quadrature import BLOCK, partial_integrals, support_integral
-from regnoma.spectra import (DensityParams, analytic_cdf, analytic_density,
-                             empirical_spectrum, gram_transform, kesten_mckay_density,
-                             ks_distance, marchenko_pastur_density, pooled_spectrum,
-                             spectrum_histogram)
+from regnoma.spectra import (TRIVIAL_TOL, DensityParams, analytic_cdf, analytic_density,
+                             gram_transform, kesten_mckay_density, ks_distance,
+                             marchenko_pastur_density, pooled_spectrum, spectrum_histogram)
 
 P_DEFAULT = DensityParams(beta=1.5, d=2.0)
 
@@ -423,38 +422,36 @@ class TestAnalyticCdf:
         assert np.array_equal(whole, np.concatenate(blocks))
 
 
-def sample_matrix(n=60, k=90, d=2, mode=EntryMode.RADEMACHER, seed=0,
-                  realization=0):
-    spec = EnsembleSpec(n_resources=n, n_users=k, col_degree=d,
-                        entry_mode=mode, seed=seed)
-    return generate_regular(spec, realization=realization)
+def sample_spec(n=60, k=90, d=2, mode=EntryMode.RADEMACHER, seed=0):
+    return EnsembleSpec(n_resources=n, n_users=k, col_degree=d, entry_mode=mode, seed=seed)
 
 
-class TestEmpiricalSpectrum:
+class TestPooledSpectrum:
     def test_forced_two_by_two_eigenvalues(self):
         # the all-ones 2x2 Gram matrix at d = 2 has eigenvalues 0 and 2; the
         # deterministic 2 = beta * d is dropped
-        eigs = empirical_spectrum(sample_matrix(2, 2, 2, EntryMode.ONES))
+        eigs = pooled_spectrum(sample_spec(2, 2, 2, EntryMode.ONES), 1)
         assert eigs.shape == (1,) and abs(eigs[0]) < 1e-12
 
     def test_ones_mode_top_eigenvalue_is_load_times_degree(self):
-        m = sample_matrix(mode=EntryMode.ONES)
-        full = np.linalg.eigvalsh(m.gram())
+        spec = sample_spec(mode=EntryMode.ONES)
+        full = np.linalg.eigvalsh(generate_regular(spec).gram())
         assert abs(full[-1] - 3.0) < 1e-8
-        assert np.array_equal(empirical_spectrum(m), full[:-1])
+        assert np.array_equal(pooled_spectrum(spec, 1), full[:-1])
 
     def test_rademacher_mode_has_no_trivial_flags(self):
-        m = sample_matrix()
-        assert np.array_equal(empirical_spectrum(m), np.linalg.eigvalsh(m.gram()))
+        spec = sample_spec()
+        assert np.array_equal(pooled_spectrum(spec, 1),
+                              np.linalg.eigvalsh(generate_regular(spec).gram()))
 
     def test_sorted_and_positive_semidefinite(self):
-        eigs = empirical_spectrum(sample_matrix(seed=3))
+        eigs = pooled_spectrum(sample_spec(seed=3), 1)
         assert (np.diff(eigs) >= 0.0).all()
         assert eigs.min() >= -1e-8
 
     def test_three_by_three_matches_characteristic_polynomial(self):
-        m = sample_matrix(3, 3, 2, seed=1)
-        g = m.gram()
+        spec = sample_spec(3, 3, 2, seed=1)
+        g = generate_regular(spec).gram()
         # cubic coefficients from traces and the explicit 3x3 determinant,
         # independent of the symmetric eigensolver
         tr = np.trace(g)
@@ -464,23 +461,25 @@ class TestEmpiricalSpectrum:
                + g[0, 2] * (g[1, 0] * g[2, 1] - g[1, 1] * g[2, 0]))
         coeffs = [1.0, -tr, 0.5 * (tr * tr - tr2), -det]
         roots = np.sort(np.roots(coeffs).real)
-        assert np.allclose(empirical_spectrum(m), roots, atol=1e-8)
+        assert np.allclose(pooled_spectrum(spec, 1), roots, atol=1e-8)
 
     def test_nontrivial_drops_flagged_values(self):
-        m = sample_matrix(mode=EntryMode.ONES)
-        eigs = empirical_spectrum(m)
-        assert eigs.size == m.spec.n_resources - 1
-        assert abs(eigs.max() - 3.0) > 1e-6
+        spec = sample_spec(mode=EntryMode.ONES)
+        eigs = pooled_spectrum(spec, 4)
+        assert eigs.size == 4 * (spec.n_resources - 1)
+        assert np.abs(eigs - 3.0).min() > 1e-6
 
-
-class TestPooledSpectrum:
     @pytest.mark.parametrize("n,k,mode", [(10, 15, EntryMode.ONES),
                                           (200, 300, EntryMode.RADEMACHER)])
     def test_one_gram_buffer_serves_every_realization(self, monkeypatch, n, k, mode):
         spec = EnsembleSpec(n_resources=n, n_users=k, col_degree=2, entry_mode=mode,
                             seed=3)
-        expected = np.concatenate([empirical_spectrum(generate_regular(spec, realization=t))
-                                   for t in range(4)])
+        # the reference: one fresh Gram and eigensolve per draw, beta * d
+        # dropped from each draw's eigenvalues in ONES mode
+        draws = [np.linalg.eigvalsh(generate_regular(spec, realization=t).gram())
+                 for t in range(4)]
+        if mode is EntryMode.ONES:
+            draws = [e[np.abs(e - 3.0) > TRIVIAL_TOL] for e in draws]
         buffers = []
         gram = SparseSignatureMatrix.gram
 
@@ -492,17 +491,38 @@ class TestPooledSpectrum:
         pooled = pooled_spectrum(spec, 4)
         assert len(buffers) == 4 and buffers[0] is not None
         assert all(b is buffers[0] for b in buffers)
-        assert pooled.tobytes() == expected.tobytes()
+        assert pooled.tobytes() == np.concatenate(draws).tobytes()
+
+    @pytest.mark.parametrize("fail", ["draw", "eigensolve"])
+    def test_a_failed_draw_raises_its_own_error_at_that_draw(self, monkeypatch, fail):
+        # a pool is one result: realization 1 of 4 fails, and nothing after it runs
+        draws = []
+
+        def spy(spec, realization=0):
+            draws.append(realization)
+            if fail == "draw" and realization == 1:
+                raise GenerationError("forced draw failure")
+            return generate_regular(spec, realization=realization)
+
+        eigvalsh = np.linalg.eigvalsh
+
+        def broken(a):
+            if len(draws) == 2:
+                raise np.linalg.LinAlgError("forced eigensolve failure")
+            return eigvalsh(a)
+
+        monkeypatch.setattr(spectra, "generate_regular", spy)
+        if fail == "eigensolve":
+            monkeypatch.setattr(np.linalg, "eigvalsh", broken)
+        error = GenerationError if fail == "draw" else np.linalg.LinAlgError
+        with pytest.raises(error, match=f"^forced {fail} failure$"):
+            pooled_spectrum(sample_spec(10, 15), 4)
+        assert draws == [0, 1]
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_no_trials_rejected(self, trials):
         with pytest.raises(ValueError, match=f"need at least one trial, got {trials}"):
             pooled_spectrum(EnsembleSpec(n_resources=10, n_users=15, col_degree=2), trials)
-
-
-def pooled_samples(n_real, **kwargs):
-    return np.concatenate([empirical_spectrum(sample_matrix(realization=t, **kwargs))
-                           for t in range(n_real)])
 
 
 class TestKsDistance:
@@ -519,7 +539,7 @@ class TestKsDistance:
         assert ks_distance(reordered, p) == ks_distance(synthetic, p)
 
     def test_pooled_regular_spectra(self):
-        ks = ks_distance(pooled_samples(20), P_DEFAULT)
+        ks = ks_distance(pooled_spectrum(sample_spec(), 20), P_DEFAULT)
         assert ks < 0.05
 
     def test_degenerate_sample_at_lower_edge(self):
@@ -530,9 +550,21 @@ class TestKsDistance:
             with pytest.raises(ValueError, match="at least one eigenvalue"):
                 compare(np.array([]), P_DEFAULT)
 
+    @pytest.mark.parametrize("eigenvalues, message", [
+        ([1.0, 2.0, np.nan, 3.0], r"eigenvalues\[2\] = nan is not finite"),
+        ([1.0, np.inf, 2.0], r"eigenvalues\[1\] = inf is not finite"),
+        ([-np.inf, 1.0], r"eigenvalues\[0\] = -inf is not finite"),
+    ])
+    def test_non_finite_eigenvalue_rejected(self, eigenvalues, message):
+        # a NaN made the distance NaN and left the histogram, and +inf read
+        # as an eigenvalue above the support
+        for compare in (ks_distance, spectrum_histogram):
+            with pytest.raises(ValueError, match=message):
+                compare(np.array(eigenvalues), P_DEFAULT)
+
     def test_entry_modes_indistinguishable(self):
-        a = np.sort(pooled_samples(50, n=120, k=180, mode=EntryMode.ONES))
-        b = np.sort(pooled_samples(50, n=120, k=180))
+        a = np.sort(pooled_spectrum(sample_spec(120, 180, mode=EntryMode.ONES), 50))
+        b = np.sort(pooled_spectrum(sample_spec(120, 180), 50))
         both = np.concatenate([a, b])
         ks = np.max(np.abs(np.searchsorted(a, both, side="right") / a.size
                            - np.searchsorted(b, both, side="right") / b.size))
@@ -541,13 +573,13 @@ class TestKsDistance:
 
 class TestSpectrumHistogram:
     def test_density_normalized(self):
-        centers, dens = spectrum_histogram(pooled_samples(10), P_DEFAULT)
+        centers, dens = spectrum_histogram(pooled_spectrum(sample_spec(), 10), P_DEFAULT)
         width = centers[1] - centers[0]
         assert abs(dens.sum() * width - 1.0) < 1e-12
         assert centers.size == 100
 
     def test_custom_bins(self):
-        centers, _ = spectrum_histogram(pooled_samples(2), P_DEFAULT, bins=25)
+        centers, _ = spectrum_histogram(pooled_spectrum(sample_spec(), 2), P_DEFAULT, bins=25)
         assert centers.size == 25
 
     @pytest.mark.parametrize("bins", [0, -3])
@@ -557,7 +589,7 @@ class TestSpectrumHistogram:
             spectrum_histogram(np.array([1.0]), P_DEFAULT, bins=bins)
 
     def test_tracks_analytic_overlay(self):
-        samples = pooled_samples(40, n=120, k=180)
+        samples = pooled_spectrum(sample_spec(120, 180), 40)
         centers, dens = spectrum_histogram(samples, P_DEFAULT, bins=40)
         overlay = analytic_density(centers, P_DEFAULT)
         interior = (centers > P_DEFAULT.lambda_minus + 0.15) & \

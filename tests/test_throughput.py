@@ -12,7 +12,8 @@ from regnoma import quadrature
 from regnoma import throughput as tp
 from regnoma.ensembles import (EnsembleSpec, EntryMode, GenerationError,
                                SparseSignatureMatrix)
-from regnoma.spectra import DensityParams, analytic_density, gram_transform
+from regnoma.spectra import (DensityParams, analytic_density, gram_transform,
+                             pooled_spectrum)
 from regnoma.throughput import (LN2, SWEEP_COLUMNS, Curve, MCResult, SweepSpec,
                                 SweepVariable, cover_wyner_bound, db_to_linear,
                                 dense_rs_throughput, ebno_from_snr,
@@ -110,6 +111,8 @@ class TestRegularClosedForm:
         assert c_lo < c_mid < c_hi
         assert c_mid >= 0.5 * (c_lo + c_hi)
         assert c_hi <= cover_wyner_bound(hi, beta)
+        # the paper's ordering: regular beats dense by ~ beta snr^2 / (4 d ln 2)
+        assert dense_rs_throughput(lo, beta) < c_lo
 
     # references: 40-digit tanh-sinh integrals (mpmath) of the law over its
     # support, subdivided toward both edges; at these points a pole of the
@@ -381,6 +384,17 @@ class TestFiniteNThroughputMC:
         gen = tp.generate_irregular if irregular else tp.generate_regular
         eigs = [np.linalg.eigvalsh(gen(spec, realization=t).gram()) for t in range(trials)]
         res = finite_n_throughput_mc(spec, snrs, trials, irregular)
+        for j, snr in enumerate(snrs):
+            per_trial = np.array([np.log1p(snr * e).sum() / (2.0 * 10 * LN2) for e in eigs])
+            assert res.mean[j] == per_trial.mean()
+            assert res.stderr[j] == per_trial.std(ddof=1) / math.sqrt(trials)
+
+    def test_trials_are_the_draws_of_the_pooled_spectrum(self):
+        # one loop draws both: with Rademacher entries nothing is dropped from
+        # the pool, so its rows are the MC's trials in order
+        spec, snrs, trials = mc_spec(seed=6), np.array([0.3, 10.0, 1e3]), 25
+        eigs = pooled_spectrum(spec, trials).reshape(trials, spec.n_resources)
+        res = finite_n_throughput_mc(spec, snrs, trials)
         for j, snr in enumerate(snrs):
             per_trial = np.array([np.log1p(snr * e).sum() / (2.0 * 10 * LN2) for e in eigs])
             assert res.mean[j] == per_trial.mean()
