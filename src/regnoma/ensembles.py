@@ -10,13 +10,10 @@ only its edges, a binomial count of distinct cells, at O(E) cost.
 Sampling uses the configuration model: column stubs are matched to row stubs
 by a uniform random permutation, then parallel edges are removed with
 degree-preserving double-edge switches.  Randomness comes from the PCG64
-generator; the stream for realization ``i`` is seeded with ``seed XOR i``, so
-every realization can be drawn on its own and reruns are reproducible.  The
-streams of different seeds are not independent: ``seed XOR i`` runs over
-the same values for every seed that agrees above the bits of ``i``.  For any
-seed below 16, for instance, realizations 0..1999 draw the same 2000
-streams in another order, so Monte Carlo averages over them agree across
-those seeds.
+generator; realization ``i`` of seed ``s`` draws from the child stream
+``SeedSequence(s, spawn_key=(i,))``, so every realization can be drawn on
+its own, reruns are reproducible, and distinct (seed, realization) pairs
+give independent streams.
 """
 
 from __future__ import annotations
@@ -64,11 +61,12 @@ DENSE_GRAM_MAX_CELLS = 10_000
 def stream(seed: int, index: int = 0) -> np.random.Generator:
     """Return the PCG64 stream for realization ``index`` of a seeded ensemble.
 
-    The stream is seeded with ``seed XOR index``, so seeds collide: for
-    seeds below 16 the indices 0..1999 yield one set of 2000 streams,
-    permuted.
+    This is numpy's child-stream form, ``SeedSequence(seed,
+    spawn_key=(index,))``, the stream ``SeedSequence(seed).spawn`` hands
+    its ``index``-th child: the seed and the index are hashed together, so
+    distinct (seed, index) pairs give independent streams.
     """
-    return np.random.Generator(np.random.PCG64(seed ^ index))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
 
 
 # ======================================================================

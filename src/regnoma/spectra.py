@@ -50,6 +50,11 @@ __all__ = [
 TRIVIAL_TOL = 1e-6
 
 
+def _holds(cond: bool | np.ndarray) -> bool:
+    """Whether a condition on (beta, d) holds, at every law of a batch."""
+    return bool(cond.all()) if isinstance(cond, np.ndarray) else bool(cond)
+
+
 @dataclass(frozen=True)
 class DensityParams:
     """Parameters (beta, d) of the limiting law plus derived constants.
@@ -58,18 +63,23 @@ class DensityParams:
     d : real column degree, >= 1 + 1/beta, where the closed form is a
         probability law.  Non-integer d is allowed; the density extends
         analytically and is used for the dense-limit comparisons.
+
+    beta and d may also be 1-D arrays of one length, a batch of laws whose
+    derived constants are arrays too; the closed forms that read only
+    those constants (:func:`gram_transform` and the regular throughput)
+    then evaluate law by law, elementwise.
     """
 
     beta: float
     d: float
 
     def __post_init__(self) -> None:
-        if not self.beta >= 1.0:
+        if not _holds(self.beta >= 1.0):
             raise ValueError(f"load beta must be >= 1, got {self.beta}")
-        if not self.d >= 1.0 + 1.0 / self.beta:
+        if not _holds(self.d >= 1.0 + 1.0 / self.beta):
             raise ValueError(f"degree d must be >= 1 + 1/beta = {1.0 + 1.0 / self.beta}"
                              f" at beta = {self.beta}, got {self.d}")
-        if not (np.isfinite(self.beta) and np.isfinite(self.d)):
+        if not (_holds(np.isfinite(self.beta)) and _holds(np.isfinite(self.d))):
             raise ValueError(f"beta and d must be finite, got beta = {self.beta},"
                              f" d = {self.d}")
 
@@ -87,7 +97,7 @@ class DensityParams:
 
     @cached_property
     def lambda_minus(self) -> float:
-        return max(self.alpha + self.gamma - 2.0 * np.sqrt(self.alpha * self.gamma), 0.0)
+        return np.maximum(self.alpha + self.gamma - 2.0 * np.sqrt(self.alpha * self.gamma), 0.0)
 
     @cached_property
     def lambda_plus(self) -> float:
@@ -120,7 +130,8 @@ def gram_transform(w, p: DensityParams) -> tuple[np.ndarray, np.ndarray]:
         G     = 1 / (w - beta / (1 - alpha delta)),
 
     with principal roots, whose product adds to w - gamma + alpha without
-    cancellation.  Both take the shape of w.  A point lam + 0j gives the
+    cancellation.  Both take the shape of w, broadcast against p's
+    constants when p is a batch of laws.  A point lam + 0j gives the
     boundary value from above, so the density is ``-G.imag / pi`` there; a
     NaN point gives NaN, and nothing raises.
     """

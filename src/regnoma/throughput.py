@@ -12,16 +12,17 @@ counterpart averages ``1/(2N) sum log2(1 + snr lam_i)`` over sampled
 matrices.  Energy-per-bit ratios follow from ``Eb/N0 = beta snr / (2 C)``
 and are inverted by a bracketed secant search in log snr; the small-snr
 limit of that map is ln 2 for every curve.  The regular curve is always its
-exact closed form (see :func:`regular_throughput`), so no function here
-takes a density; the dense reference is integrated numerically.
+exact closed form, read off the law's transform at ``w = -1/snr`` (see
+:func:`regular_throughput`), so no function here takes a density; the dense
+reference is integrated numerically.  Every curve takes 1-D arrays of snrs.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -29,7 +30,8 @@ import numpy as np
 from . import quadrature
 from .ensembles import (EnsembleSpec, EntryMode, GenerationError,
                         _bernoulli_probability, generate_irregular, generate_regular)
-from .spectra import DensityParams, _sampled_eigenvalues, marchenko_pastur_density
+from .spectra import (DensityParams, _sampled_eigenvalues, gram_transform,
+                      marchenko_pastur_density)
 
 __all__ = [
     "NUMERICAL_ERRORS",
@@ -50,7 +52,7 @@ __all__ = [
 ]
 
 LN2 = math.log(2.0)
-SNR_BRACKET = (1e-6, 1e6)
+SNR_BRACKET = (1e-6, 1e6)  # the bracket of the Eb/N0 search, and the range of a fixed snr
 LOG_SNR_TOL = 1e-14  # final bracket width of the Eb/N0 inversion, in ln snr
 
 # what a single numerical result raises; batches catch exactly these, mark
@@ -78,54 +80,54 @@ def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
 
-def _check_snr(snr: float) -> float:
-    snr = float(snr)
-    if snr < 0.0 or not math.isfinite(snr):
-        raise ValueError(f"snr must be finite and >= 0, got {snr}")
-    return snr
-
-
 def _check_snrs(snr: float | np.ndarray) -> np.ndarray:
     """A scalar or 1-D array of snrs as a checked 1-D float array."""
     if np.ndim(snr) > 1:
         raise ValueError(f"snr must be a scalar or a 1-D array, got shape {np.shape(snr)}")
-    return np.array([_check_snr(s) for s in np.atleast_1d(snr).tolist()], dtype=np.float64)
+    snrs = np.atleast_1d(np.asarray(snr, dtype=np.float64))
+    bad = ~(np.isfinite(snrs) & (snrs >= 0.0))
+    if bad.any():
+        raise ValueError(f"snr must be finite and >= 0, got {snrs[bad][0]}")
+    return snrs
 
 
-def regular_throughput(snr: float, p: DensityParams) -> float:
+def regular_throughput(snr: float | np.ndarray, p: DensityParams) -> float | np.ndarray:
     """Asymptotic throughput of the regular ensemble, bits per resource use.
 
     The spectral average of the closed-form law is exact: with
-    ``t2 = snr / d``, ``b = (beta d - 1) t2`` and ``q = 1 + (d - 1) t2 - b``,
+    ``t2 = snr / d`` and the cavity pair (u, r),
 
-        u = 2 / (q + sqrt(q^2 + 4 b)),    r = 1 / (1 + b u),
         2 ln2 C = ln(1 + beta d t2 u) + beta ln(1 + d t2 r)
                   - beta d ln(1 + t2 u r).
 
     This is the Bethe free energy of ``log det(I + snr A A^T / d) / N`` on
     the biregular tree, the local limit of the sampled graphs: ``u`` and
     ``r`` are the user-side and resource-side cavity variances of the
-    precision matrix ``[[I, i t A], [i t A^T, I]]``, and their fixed point
-    is the quadratic solved for ``u``.  The energy is stationary in both,
-    so rounding in ``u`` enters ``C`` only at second order.
+    precision matrix ``[[I, i t A], [i t A^T, I]]``.  Their fixed point is
+    the law's transform at ``w = -1/snr``: with ``delta`` of
+    :func:`~regnoma.spectra.gram_transform` there,
 
-    The root cancels once ``q < 0``: at (beta, d) = (10, 2), ``C`` is within
-    6.9e-16 of a 50-digit reference over ``SNR_BRACKET`` (-60 to 60 dB), but
-    1.6e-10 off at 120 dB, 5.7e-3 at 155 dB and divides by zero at 160 dB.
-    So an snr above the bracket, like a negative one, raises ``ValueError``.
+        r = -delta / snr,    u = 1 / (1 - alpha delta),
+
+    and ``delta``'s root does not cancel at real ``w < 0``, so every snr
+    keeps its digits.  The energy is stationary in both, so rounding in
+    (u, r) enters ``C`` only at second order.  Below snr 1e-300, where
+    ``-1/snr`` can overflow, ``C`` is its first-order term
+    ``beta snr / (2 ln2)``, exact to rounding there; snr 0 gives +0.0.
+
+    ``snr`` is a scalar (giving a float) or a 1-D array, whose values are
+    the bits of scalar calls.  ``p`` may be a batch of laws of the array's
+    length (see :class:`~regnoma.spectra.DensityParams`), one law per snr.
     """
-    snr = _check_snr(snr)
-    if snr > SNR_BRACKET[1]:
-        raise ValueError(f"snr must not exceed SNR_BRACKET's {SNR_BRACKET[1]:g}, where the "
-                         f"regular closed form loses digits, got {snr}")
-    t2 = snr / p.d
-    bd = p.beta * p.d
-    b = (bd - 1.0) * t2
-    q = 1.0 + (p.d - 1.0) * t2 - b
-    u = 2.0 / (q + math.sqrt(q * q + 4.0 * b))
-    r = 1.0 / (1.0 + b * u)
-    return (math.log1p(bd * t2 * u) + p.beta * math.log1p(p.d * t2 * r)
-            - bd * math.log1p(t2 * u * r)) / (2.0 * LN2)
+    snrs = _check_snrs(snr)
+    tiny = snrs < 1e-300
+    s = np.where(tiny, 1.0, snrs)
+    delta = gram_transform(-1.0 / s, p)[0].real
+    t2, bd = s / p.d, p.beta * p.d
+    u, r = 1.0 / (1.0 - p.alpha * delta), -delta / s
+    out = np.where(tiny, p.beta * snrs, np.log1p(bd * t2 * u) + p.beta * np.log1p(p.d * t2 * r)
+                   - bd * np.log1p(t2 * u * r)) / (2.0 * LN2)
+    return float(out[0]) if np.ndim(snr) == 0 else out
 
 
 def dense_rs_throughput(snr: float | np.ndarray, beta: float) -> float | np.ndarray:
@@ -145,10 +147,11 @@ def dense_rs_throughput(snr: float | np.ndarray, beta: float) -> float | np.ndar
     return float(out[0]) if np.ndim(snr) == 0 else out
 
 
-def cover_wyner_bound(snr: float, beta: float) -> float:
-    """Orthogonal multiple-access ceiling ``1/2 log2(1 + beta snr)``."""
-    snr = _check_snr(snr)
-    return 0.5 * math.log1p(beta * snr) / LN2
+def cover_wyner_bound(snr: float | np.ndarray, beta: float) -> float | np.ndarray:
+    """Orthogonal multiple-access ceiling ``1/2 log2(1 + beta snr)``, at a
+    scalar or a 1-D array of snrs."""
+    out = 0.5 * np.log1p(beta * _check_snrs(snr)) / LN2
+    return float(out[0]) if np.ndim(snr) == 0 else out
 
 
 def ebno_from_snr(snr: float | np.ndarray, beta: float,
@@ -164,42 +167,58 @@ def ebno_from_snr(snr: float | np.ndarray, beta: float,
     return float(out[0]) if np.ndim(snr) == 0 else out
 
 
-def _curve_throughput(beta: float, d: float | Curve) -> Callable[[np.ndarray], np.ndarray]:
-    """The curve that ``d`` selects, at a 1-D array of snrs; the closed forms
-    run snr by snr."""
+def _at(v, rows: np.ndarray):
+    """A parameter's value at ``rows``: a scalar is every row's, an array has one per row."""
+    return v if np.ndim(v) == 0 else v[rows]
+
+
+def _curve_throughput(beta: float | np.ndarray, d: float | np.ndarray | Curve
+                      ) -> Callable[[np.ndarray], np.ndarray]:
+    """The curve that ``d`` selects, at a 1-D array of snrs.  ``beta`` and a
+    degree ``d`` are scalars or arrays with a value per snr, one curve per
+    snr; the dense curve takes one beta."""
     if d is Curve.DENSE_RS:
-        return lambda snrs: dense_rs_throughput(np.atleast_1d(snrs), beta)
+        if np.ndim(beta) != 0:
+            raise ValueError("the dense curve is integrated at one beta per call")
+        return lambda snrs: dense_rs_throughput(snrs, beta)
     if d is Curve.COVER_WYNER:
-        point = functools.partial(cover_wyner_bound, beta=beta)
-    elif isinstance(d, (Curve, str)):
+        return lambda snrs: cover_wyner_bound(snrs, beta)
+    if isinstance(d, (Curve, str)):
         raise ValueError(f"unknown curve selector {d!r}")
-    else:
-        point = functools.partial(regular_throughput, p=DensityParams(beta=beta, d=float(d)))
-    return lambda snrs: np.array([point(s) for s in np.atleast_1d(snrs).tolist()])
+    p = DensityParams(beta=beta, d=d)
+    return lambda snrs: regular_throughput(snrs, p)
 
 
-def _reach(targets: list[float], beta: float, d: float | Curve) -> tuple[float, float]:
-    """The linear Eb/N0 of the curve ``d`` selects at the ends of ``SNR_BRACKET``;
-    a target not strictly between them, ln 2 or less included, raises ``ValueError``."""
+def _reach(targets: np.ndarray, beta: float | np.ndarray,
+           d: float | np.ndarray | Curve) -> tuple[np.ndarray, np.ndarray]:
+    """The linear Eb/N0 of each target's curve at the ends of ``SNR_BRACKET``
+    (one value for all when the curve is shared); a target not strictly
+    between them, ln 2 or less included, raises ``ValueError``."""
     def db(x: float) -> str:  # in dB where the ratio has a logarithm
         return f"{10.0 * math.log10(x):.10g} dB" if x > 0.0 else f"{x} (linear)"
 
-    bracket = np.array(SNR_BRACKET)
-    e_lo, e_hi = ebno_from_snr(bracket, beta, _curve_throughput(beta, d)(bracket)).tolist()
-    curve = f"the {d.value if isinstance(d, Curve) else f'regular (d = {d})'} curve"
-    for target in targets:
-        if not e_lo < target:
+    laws = np.broadcast(beta, d).size
+    rows = np.tile(np.arange(laws), 2)
+    ends = np.repeat(SNR_BRACKET, laws)
+    b = _at(beta, rows)
+    e_lo, e_hi = np.split(ebno_from_snr(ends, b, _curve_throughput(b, _at(d, rows))(ends)), 2)
+    bad = np.flatnonzero(~((e_lo < targets) & (e_hi > targets)))
+    if bad.size:
+        i = bad[0]
+        target, lo, hi = targets[i], e_lo[i % laws], e_hi[i % laws]
+        name = d.value if isinstance(d, Curve) else f"regular (d = {_at(d, i)})"
+        curve = f"the {name} curve"
+        if not lo < target:
             raise ValueError(f"Eb/N0 {db(target)} is not above the minimum achievable on "
-                             f"{curve}, {db(e_lo)} at snr = {SNR_BRACKET[0]}; a level at or "
+                             f"{curve}, {db(lo)} at snr = {SNR_BRACKET[0]}; a level at or "
                              f"below the minimum achievable has no snr")
-        if not e_hi > target:
-            raise ValueError(f"Eb/N0 {db(target)} is not reachable below snr = "
-                             f"{SNR_BRACKET[1]} on {curve}, which ends at {db(e_hi)}")
+        raise ValueError(f"Eb/N0 {db(target)} is not reachable below snr = "
+                         f"{SNR_BRACKET[1]} on {curve}, which ends at {db(hi)}")
     return e_lo, e_hi
 
 
-def snr_for_ebno(ebno_target: float | np.ndarray, beta: float,
-                 d: float | Curve) -> float | np.ndarray:
+def snr_for_ebno(ebno_target: float | np.ndarray, beta: float | np.ndarray,
+                 d: float | np.ndarray | Curve) -> float | np.ndarray:
     """Invert the Eb/N0 map on the curve selected by ``d``.
 
     ``d`` is a degree for the regular curve, or ``Curve.DENSE_RS`` or
@@ -214,24 +233,28 @@ def snr_for_ebno(ebno_target: float | np.ndarray, beta: float,
     in snr.  Only the dense curve is integrated; the regular and
     Cover-Wyner curves are closed forms.
 
-    ``ebno_target`` is a scalar or a 1-D array of targets on the one curve.
-    An array runs one search: each step evaluates the curve once at the
-    points still running (one quadrature for the dense curve), and each
-    point stops at its own step with the bits of a scalar call.  Every
-    target is checked against the bracket before the first step.
+    ``ebno_target`` is a scalar or a 1-D array of targets.  An array runs
+    one search: each step evaluates the curve once at the points still
+    running (one quadrature for the dense curve), and each point stops at
+    its own step with the bits of a scalar call.  With an array of
+    targets, ``beta`` and a degree ``d`` may be arrays of its length too,
+    one curve per target (the dense curve takes one beta).  Every target
+    is checked against the bracket before the first step.
     """
     if np.ndim(ebno_target) > 1:
         raise ValueError(
             f"Eb/N0 target must be a scalar or a 1-D array, got shape {np.shape(ebno_target)}")
     targets = np.atleast_1d(np.asarray(ebno_target, dtype=np.float64))
-    cfun = _curve_throughput(beta, d)
+    beta, d = (v if np.ndim(v) == 0 else np.asarray(v, dtype=np.float64) for v in (beta, d))
+    if any(np.ndim(v) and np.shape(v) != targets.shape for v in (beta, d)):
+        raise ValueError("beta and d must be scalars or arrays of the targets' shape")
 
     def log(v: np.ndarray) -> np.ndarray:
         # libm per point: numpy's log differs from it in the last bit
         return np.array([math.log(x) for x in v.tolist()])
 
     lo, hi = SNR_BRACKET
-    e_lo, e_hi = _reach(targets.tolist(), beta, d)
+    e_lo, e_hi = _reach(targets, beta, d)
     # the residual ln(Eb/N0 / target) is close to linear in ln snr away from ln 2
     f_lo, f_hi = log(e_lo / targets), log(e_hi / targets)
     x_lo, x_hi = np.full(targets.size, math.log(lo)), np.full(targets.size, math.log(hi))
@@ -246,7 +269,8 @@ def snr_for_ebno(ebno_target: float | np.ndarray, beta: float,
         # a point within rounding of an end would barely shrink the bracket
         x = np.minimum(np.maximum(x, x_lo + 0.5 * LOG_SNR_TOL), x_hi - 0.5 * LOG_SNR_TOL)
         snrs = np.array([math.exp(v) for v in x.tolist()])
-        f = log(ebno_from_snr(snrs, beta, cfun(snrs)) / targets[live])
+        b = _at(beta, live)
+        f = log(ebno_from_snr(snrs, b, _curve_throughput(b, _at(d, live))(snrs)) / targets[live])
         low = f < 0.0
         f_lo, f_hi = (np.where(low, f, np.where(kept > 0, 0.5 * f_lo, f_lo)),
                       np.where(low, np.where(kept < 0, 0.5 * f_hi, f_hi), f))
@@ -294,11 +318,10 @@ def finite_n_throughput_mc(spec: EnsembleSpec, snr: float | np.ndarray, trials: 
     Every snr is then evaluated on those rows, so an array call returns,
     snr by snr, the bits of one scalar call per snr.
 
-    Trial ``t`` runs on the PCG64 stream seeded with ``spec.seed XOR t``;
-    trials run serially in trial order.  Seeds are not independent runs:
-    for any two seeds below 16, 2000 trials draw the same 2000 streams in
-    another order, so their means agree to rounding
-    (:func:`~regnoma.ensembles.stream`).  Every eigenvalue enters the
+    Trial ``t`` runs on the child stream ``SeedSequence(spec.seed,
+    spawn_key=(t,))`` (:func:`~regnoma.ensembles.stream`); trials run
+    serially in trial order, and distinct seeds give independent runs.
+    Every eigenvalue enters the
     per-trial sum, including the deterministic one of ONES-mode matrices,
     matching the finite-size formula exactly.  A trial whose draw or
     eigensolve fails (``GenerationError``, ``LinAlgError``) leaves its row
@@ -409,22 +432,42 @@ class SweepSpec:
                 if Curve.IRREGULAR_MC in self.curves:
                     _bernoulli_probability(ens)
         if self.snr_db is None:  # every row has an Eb/N0 level to invert
-            for (beta, selector), levels in self._groups().items():
+            for (selector, beta), rows in self._groups().items():
                 try:
-                    _reach([db_to_linear(x) for x in levels.values()], beta, selector)
+                    _reach(*self._inversion(selector, beta, rows))
                 except NUMERICAL_ERRORS:
                     continue  # sweep fails the rows this curve serves
 
-    def _groups(self) -> dict[tuple[float, float | Curve], dict[int, float | None]]:
-        """(beta, selector) -> {row index: Eb/N0 in dB, or None at a fixed snr};
-        the selector is the curve a row's Eb/N0 is inverted on (see :func:`sweep`)."""
-        groups: dict[tuple[float, float | Curve], dict[int, float | None]] = {}
-        for i, x in enumerate(self.values):
-            beta, d, ebno_db = self._point(x)
-            for curve in self.curves:
-                selector = curve if curve in _NAMED_CURVES else d
-                groups.setdefault((beta, selector), {})[i] = ebno_db
+    def _groups(self) -> dict[tuple[Curve, float | None], list[int]]:
+        """(selector, beta) -> the rows inverted on the selector's curve (see
+        :func:`sweep`), in the order of ``curves``: ``Curve.REGULAR`` stands for
+        the regular and MC curves, and ``beta`` is a dense group's one load,
+        None for the others."""
+        groups: dict[tuple[Curve, float | None], list[int]] = {}
+        for selector in dict.fromkeys(c if c in _NAMED_CURVES else Curve.REGULAR
+                                      for c in self.curves):
+            if selector is Curve.DENSE_RS:
+                for i, beta in enumerate(self._rows[0].tolist()):
+                    groups.setdefault((selector, beta), []).append(i)
+            else:
+                groups[selector, None] = list(range(len(self.values)))
         return groups
+
+    @cached_property
+    def _rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every row's load, degree and linear Eb/N0 target (NaN at a fixed snr)."""
+        betas, ds, levels = zip(*map(self._point, self.values))
+        return (np.array(betas), np.array(ds),
+                np.array([math.nan if x is None else db_to_linear(x) for x in levels]))
+
+    def _inversion(self, selector: Curve, beta: float | None, rows: list[int]
+                   ) -> tuple[np.ndarray, float | np.ndarray, np.ndarray | Curve]:
+        """The targets, ``beta`` and ``d`` that invert ``rows`` on the selector's
+        curve with :func:`snr_for_ebno`: every row's own load and, on the regular
+        curve, its own degree; a dense group's one load."""
+        betas, ds, targets = (v[rows] for v in self._rows)
+        return (targets, beta if selector is Curve.DENSE_RS else betas,
+                ds if selector is Curve.REGULAR else selector)
 
     def _point(self, x: float) -> tuple[float | None, float | None, float | None]:
         """The (beta, d, ebno_db) of the row at axis value ``x``."""
@@ -473,18 +516,20 @@ def sweep(spec: SweepSpec) -> dict[str, np.ndarray]:
     continues.  Of the asymptotic curves only ``dense_rs`` is integrated;
     ``regular`` and ``cover_wyner`` are closed forms.
 
-    The rows are grouped by (beta, selector), the curve an Eb/N0 is
-    inverted on: the dense and Cover-Wyner curves select themselves, and the
-    regular and MC curves the row's degree (the MC curves run at the regular
-    curve's snr).  Each group runs once and fills its rows' cells by index:
-    one :func:`snr_for_ebno` call over its rows' targets (or the fixed snr),
-    one evaluation of its asymptotic curve, and one
-    :func:`finite_n_throughput_mc` call per MC curve on the ensemble its
-    (beta, d) fixes.  So an Eb/N0 or sparsity sweep inverts the dense and
-    Cover-Wyner curves once, an Eb/N0 sweep draws each MC ensemble once
+    The rows are grouped by the curve an Eb/N0 is inverted on: the dense and
+    Cover-Wyner curves select themselves, and the regular and MC curves the
+    regular curve (the MC curves run at its snr).  The dense curve is
+    integrated at one load per group; the closed-form curves take every
+    row, each at its own (beta, d).  Each group runs once and fills its
+    rows' cells by index: one :func:`snr_for_ebno` call over its rows'
+    targets (or the fixed snr) and one evaluation of its asymptotic curve;
+    the regular group then makes one :func:`finite_n_throughput_mc` call
+    per MC curve and (beta, d), on the ensemble that fixes.  So every sweep
+    inverts the regular and Cover-Wyner curves once, an Eb/N0 or sparsity
+    sweep the dense curve once, an Eb/N0 sweep draws each MC ensemble once
     (common random numbers across its markers), and load and sparsity
     sweeps change the ensemble at every point.  A call that raises one of
-    ``NUMERICAL_ERRORS`` fails the group's live rows, and later groups skip
+    ``NUMERICAL_ERRORS`` fails the rows it served, and later groups skip
     them; a later dense or Cover-Wyner group that fails a row discards its
     MC draws.  Two loads that round to one ensemble make one MC call each,
     with the bits of one shared call.
@@ -493,31 +538,44 @@ def sweep(spec: SweepSpec) -> dict[str, np.ndarray]:
     table = {key: np.full(n, np.nan) for key in SWEEP_COLUMNS}
     table.update(x=np.array(spec.values, dtype=np.float64),
                  failed_mc_trials=np.zeros(n, dtype=np.int64), failed=np.zeros(n, dtype=bool))
-    for (beta, selector), members in spec._groups().items():
-        curves = ((selector,) if selector in _NAMED_CURVES else
-                  tuple(c for c in spec.curves if c not in _NAMED_CURVES))
-        live = [i for i in members if not table["failed"][i]]
+
+    def fail(rows: list[int]) -> None:
+        for key in SWEEP_COLUMNS[1:]:
+            table[key][rows] = np.nan
+        table["failed_mc_trials"][rows] = 0
+        table["failed"][rows] = True
+
+    mc_curves = [c for c in spec.curves if c in _MC_CURVES]
+    for (selector, beta), rows in spec._groups().items():
+        live = [i for i in rows if not table["failed"][i]]
         if not live:
             continue
+        targets, *law = spec._inversion(selector, beta, live)
         try:
             if spec.snr_db is not None:
                 snrs = np.full(len(live), db_to_linear(spec.snr_db))
             else:
-                targets = np.array([db_to_linear(members[i]) for i in live])
-                snrs = snr_for_ebno(targets, beta, selector)
-            for curve in curves:
-                if curve in _MC_CURVES:
-                    res = finite_n_throughput_mc(spec._ensemble(beta, selector), snrs,
+                snrs = snr_for_ebno(targets, *law)
+            if selector in spec.curves:
+                table[selector.value][live] = _curve_throughput(*law)(snrs)
+        except NUMERICAL_ERRORS:
+            fail(live)
+            continue
+        if selector is not Curve.REGULAR:
+            continue
+        ensembles: dict[tuple[float, float], list[int]] = {}
+        for j, key in enumerate(zip(law[0].tolist(), law[1].tolist())):
+            ensembles.setdefault(key, []).append(j)
+        for (b, d), js in ensembles.items():
+            sub = [live[j] for j in js]
+            try:
+                for curve in mc_curves:
+                    res = finite_n_throughput_mc(spec._ensemble(b, d), snrs[js],
                                                  spec.mc_trials,
                                                  irregular=(curve is Curve.IRREGULAR_MC))
-                    table[curve.value][live] = res.mean
-                    table[curve.value + "_stderr"][live] = res.stderr
-                    table["failed_mc_trials"][live] += res.n_failed
-                else:
-                    table[curve.value][live] = _curve_throughput(beta, selector)(snrs)
-        except NUMERICAL_ERRORS:
-            for key in SWEEP_COLUMNS[1:]:
-                table[key][live] = np.nan
-            table["failed_mc_trials"][live] = 0
-            table["failed"][live] = True
+                    table[curve.value][sub] = res.mean
+                    table[curve.value + "_stderr"][sub] = res.stderr
+                    table["failed_mc_trials"][sub] += res.n_failed
+            except NUMERICAL_ERRORS:
+                fail(sub)
     return table

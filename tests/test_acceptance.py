@@ -15,11 +15,10 @@ import pytest
 from regnoma import checks, cli
 from regnoma.ensembles import GenerationError
 
-# seeds of the sampled-ensemble criteria.  stream(seed, i) is PCG64(seed ^ i),
-# so seeds 1 and 2 draw the same set of streams as seed 0 at criterion 6's
-# 10,000 and criterion 8's 200 trials, in another order: criterion 8 reads
-# 91.8611 at seeds 0, 1 and 2.  The seeds stay until the streams are
-# derived independently.
+# seeds of the sampled-ensemble criteria.  stream(seed, i) is the SeedSequence
+# child stream of (seed, i), so each seed draws its own trials: criterion 8's
+# gap reads 91.6-97.6 at seeds 0-3 (bound > 5).  The seeds were chosen when
+# seeds below 16 shared one set of streams, and stay as they are.
 SEED = {4: 0, 5: 0, 6: 1, 8: 2}
 BUDGET_S = {1: 1.0, 2: 5.0, 3: 5.0, 4: 120.0, 5: 180.0, 6: 300.0, 7: 30.0,
             8: 300.0, 9: 1.0}

@@ -567,28 +567,28 @@ class TestTablesPinned:
         (GRAPH_D3, "csv", "6ffe71e6b984d9b8bde70857cf3e49bba181f6a755aaa4cb9ce2e6b24682fe5e",
          "6301d35fc01c83d5a1db13e5b18e6b4dffb7b432eec8018bda23c46bf5dddb58"),
         ([*SIMULATE, *ONES, "--seed", "0"], "csv",
-         "36e8d8c30778564d903e32c7a3c8f00048f7d60d66350dffeaccceb619f42559",
-         "355161dc9b348eab8a08deb12488ff3dfcd0afa8b1eb6082a37fb7fdff8ad444"),
+         "620c578d38fc5d722995edd3d280df75c2326f9f8eb159a6dedcc242ad4817b1",
+         "6e7c571e9477a71bf2657d1d66a9fe2553b24787bac08739acccc49a5f8e3ba7"),
         ([*SIMULATE, *RADEMACHER, "--seed", "0"], "csv",
-         "947368be80f80a1fe19c8e56ae1a79d734429973d7a3bd3b232df0bfdbd98b1d",
-         "eec43ac24df29e4c00dfd3658b9f93654dbb88ed5d11c5e455b3c661b56c3f44"),
+         "958e5720c00811b8131de5e7f80dd3dac0fb0298189a1e5d6c0935628933007d",
+         "f09015e8811e18999182c50c63e5ea0449546477a547263c28d8f569af9d15b6"),
         ([*SIMULATE, *ONES, "--seed", str(2 ** 32)], "csv",
-         "dcb3bd1d6bfa78b0456015b04f5d50148635cc4e5c6ae0648cf339e74d8bfe56",
-         "da0e89e457a175707410ec6607e7a43e4f019c9be879527c7008aea7918878e7"),
+         "f5c77597b5aefc25f1689c3ee0188071b282d619a3149b2f9ae6ab6550c7527a",
+         "ef040ea954d998640c3a7e4b03d140ba33c0bb1d952d00580ee5cb4da0c86cf3"),
         ([*SIMULATE, *RADEMACHER, "--seed", str(2 ** 32)], "csv",
-         "a8a350a7e0f634ea424e11f3ce1e832fd19f9cd5ba5a058484a27825ec46ce8a",
-         "f0de0d514b6144767cf915413233549fd52e564b36a3c31678725bb0d5fd184a"),
-        (FINE, "csv", "729d2c4a972183b2ac9a083c567d3c5b3cfb4de6604434c8ce23430b72d63476",
+         "5c78c1bd63a97b3eee9bfb6c8f812c9e1b1476a17c831256d450a40ea63099c7",
+         "822018de08dd2fd5af546ffd5c481c566ee4175450515a3f11f3ba87884baa9d"),
+        (FINE, "csv", "283949294911a7f3b7aebee10dd6b80425f15178ca42a18da27beec3bf0a3bcb",
          NO_FAILURES),
-        (FINE, "json", "03a52b682f45e0644a2001268a33d988acd42c708b51e2d03517bba4d1edc566",
+        (FINE, "json", "7858bf94f81d60f9718ea568e4712c9c7d1e3864baccbbe249561379f3725615",
          NO_FAILURES),
-        (MC, "csv", "7ef9d1b1ec8bf596dfab5cfa1ce20c1f95d0df0b0e030e36c6feb65d1d14cbde",
+        (MC, "csv", "05d1e5942cd5b8a1f0c2c3a90658f819126e25b22aeb30400413333510cee1c6",
          NO_FAILURES),
-        (MC, "json", "3b827d30b4da14773598bedfe64af6f9046ffb7e963ecae257361f3dcf73ba33",
+        (MC, "json", "e3d1008d84281143236f0b06b1c3c3595cf9dc15e8e1055f1482d44c67f25a86",
          NO_FAILURES),
-        (ONE_TRIAL, "csv", "b44956b69796c5d5f3d6635737bc6fbcf41c7c8acd088de409fff7ecd98e9dd4",
+        (ONE_TRIAL, "csv", "76ef2a72a52a88aa84d7c43c4e3c59b7107526f7900f63f91a9dabafac76d8b0",
          NO_FAILURES),
-        (ONE_TRIAL, "json", "3d5a2a72dd73d769ab985119e15409eb53cc2d6840b2869462c101b102cc1e9f",
+        (ONE_TRIAL, "json", "2a3a4b5dc625a40e60d97f16cbbf68035538e53414660942b915327c6992b30a",
          NO_FAILURES),
     ], ids=["density_csv", "density_json", "cavity_csv", "cavity_json", "graph_csv",
             "graph_d3_csv", "simulate_ones_seed0_csv", "simulate_rademacher_seed0_csv",

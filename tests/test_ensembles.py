@@ -148,27 +148,27 @@ class TestGenerateRegular:
 
 
 # SHA-256 over (rows, cols, values) of every draw for seeds DIGEST_SEEDS and
-# realizations DIGEST_REALIZATIONS, recorded from the tuple-keyed repair the
-# sampler used before its integer-keyed rewrite; every spec needs repair
+# realizations DIGEST_REALIZATIONS, recorded on the SeedSequence child streams;
+# every spec needs repair
 DIGEST_SEEDS = (0, 7, 2**32)
 DIGEST_REALIZATIONS = range(4)
 DRAW_DIGESTS = {
     (10, 15, 2, EntryMode.ONES):
-        "b929ba6817986cc4ad6794e71bdbc8e1a889cfbcb2a55c2ab1b44f3a11d206f1",
+        "d309a4e46e330cdd6cdf03f28754e51c443174ebe78a6b236d8b40765e4a73aa",
     (10, 15, 2, EntryMode.RADEMACHER):
-        "180c5688449a8f94d9049f2d607b35eeecd181b7582e0f7db3648355d5fac9e8",
+        "11482f6f2f028bfb30b964f505c7a905bd04518ed0e6e1146caeeaf4db2b6da2",
     (30, 45, 2, EntryMode.ONES):
-        "35868d716714132c08ed292f5cfd2498055f77adff8ccedddba963db78583022",
+        "7f9224d155a8b18c1a8d7b279659e7bdef642b8ace5fcd33b8a3a07a638eea58",
     (30, 45, 2, EntryMode.RADEMACHER):
-        "d7420047edf46ac35af8c3043aa129833c96c364430fd2462ec738bd13c52d0e",
+        "6a1af1b301f3b71566ff56f34566c4fb8eda2d5c05ad060d96ca9301e180d319",
     (100, 300, 4, EntryMode.ONES):
-        "a08d68cdd346c2cd70e80cd71ed60923da72266ba4b5ce568f0b0deb728d3abc",
+        "9f57d45445f767174910f54670626c71f01e58dee01ea470b160cd5ce17daccf",
     (100, 300, 4, EntryMode.RADEMACHER):
-        "6ac9aab83894f4c227ba31805d926a407e4906af914584102ae51dcc3a36203c",
+        "6f96ce60f0006e3356924d3b410b80b67e2cd0468b1869860b984a5bf3ae5529",
     (520, 1560, 4, EntryMode.ONES):
-        "23a8ca5faf8b00f725ea4d387022880a0714a17ea56290250aee4520daad9117",
+        "6393756e5087d314df4e9dd2d215bb9f232d4a7617add36be0c8d910daeea279",
     (520, 1560, 4, EntryMode.RADEMACHER):
-        "2e5a291fbb161cbc09b445e1cb9e8334faac9a901a0b6e08377c6a7a2628ef4b",
+        "090fb41f66edfcef27c0d4b061b95c126d244d005a491ee43b02cc3a3cf63761",
 }
 
 
@@ -204,11 +204,11 @@ class TestDrawsPinned:
 # whose keys replay regular matchings
 IRREGULAR_DIGESTS = {
     (10, 15, 2, EntryMode.ONES):
-        "e665c24bd1138d83f15ff9484935a9d2dbc3a0ebdd3ddf235bd2d56be3c7fcf9",
+        "537e7799833f4e6f94e21cbd434b10205ae699bf0c6ea30d9e0740939fd309b3",
     (10, 15, 2, EntryMode.RADEMACHER):
-        "151e213b276b8cf4b011ff6b1dc0e58a4a561c179b96c21a99e7125d73293ef3",
+        "d274bb7687ea78fcdf4552751817f6f611d8e7772eaa0a5622bafe1bb7297cde",
     (200, 300, 2, EntryMode.RADEMACHER):
-        "805fee223a1a015bd9920326b1b7859690088a47f120283127a8e4eb386e04b3",
+        "c85b52938a2175d992e37658abdfbed79e34ae1f21006f821bcabba03b360c37",
 }
 
 
@@ -525,4 +525,9 @@ class TestStream:
         c = stream(123, 8).random(5)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_is_the_spawned_child_of_the_seed(self):
+        child = np.random.SeedSequence(123).spawn(8)[7]
+        assert np.array_equal(stream(123, 7).random(5),
+                              np.random.Generator(np.random.PCG64(child)).random(5))
 

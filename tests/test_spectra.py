@@ -107,6 +107,20 @@ class TestDensityParams:
             assert 0.0 <= p.alpha < 1.0
             assert p.gamma >= p.alpha
 
+    def test_batch_of_laws_is_elementwise(self):
+        betas, ds = np.array([1.0, 1.5, 10.0]), np.array([3.0, 2.0, 2.0])
+        batch = DensityParams(beta=betas, d=ds)
+        laws = [DensityParams(beta=b, d=d) for b, d in zip(betas.tolist(), ds.tolist())]
+        for name in ("alpha", "gamma", "lambda_minus", "lambda_plus"):
+            assert getattr(batch, name).tolist() == [getattr(p, name) for p in laws]
+        w = np.array([-2.0, 0.5 + 0.1j, 7.0 + 0j])
+        for got, want in zip(gram_transform(w, batch),
+                             zip(*(gram_transform(x, p) for x, p in zip(w, laws)))):
+            assert got.tolist() == list(want)
+        # one law outside the domain rejects the batch
+        with pytest.raises(ValueError, match=r"1 \+ 1/beta"):
+            DensityParams(beta=betas, d=np.array([3.0, 1.5, 2.0]))
+
     def test_from_ensemble(self):
         spec = EnsembleSpec(n_resources=100, n_users=150, col_degree=2,
                             entry_mode=EntryMode.ONES, seed=0)

@@ -77,14 +77,60 @@ class TestRegularThroughput:
         with pytest.raises(ValueError):
             regular_throughput(-1.0, P_DEFAULT)
 
-    @pytest.mark.parametrize("snr", [1e16, math.nextafter(1e6, math.inf)])
-    def test_rejects_snr_above_the_bracket(self, snr):
-        # 1e16 divides by zero in the root, and 155 dB is 5.7e-3 off
-        with pytest.raises(ValueError, match="SNR_BRACKET"):
-            regular_throughput(snr, DensityParams(beta=10.0, d=2.0))
+    # references: the Bethe energy in 100-digit arithmetic (mpmath), which
+    # agrees with a 60-digit tanh-sinh integral of the law to 1e-60 at every point
+    @pytest.mark.parametrize("beta, d, snr, reference", [
+        (10.0, 2.0, 1e-6, 7.2134373339765078978650257066912658074079078494896e-06),
+        (10.0, 2.0, 1.0, 1.7141678786313706228568537912041576008635171549959),
+        (10.0, 2.0, 1e6, 11.607756805034847051664336365735173214833900094288),
+        (10.0, 2.0, 1e10, 18.251612918674951955716815174117726813324590694266),
+        (10.0, 2.0, 1e16, 28.217397203329424783115125852211417548584698654555),
+        (1.5, 2.0, 1e-6, 1.0820201986470649178104616446005069657606134902181e-06),
+        (1.5, 2.0, 1.0, 0.61252648786594614440041941769187741692104739339725),
+        (1.5, 2.0, 1e6, 10.069544621276888935860219723571136576004652398378),
+        (1.5, 2.0, 1e10, 16.713399849352702363364730027058019138610531675643),
+        (1.5, 2.0, 1e16, 26.679184133918609833778790092525711740445444176146),
+    ])
+    def test_exact_up_to_snr_1e16(self, beta, d, snr, reference):
+        c = regular_throughput(snr, DensityParams(beta=beta, d=d))
+        assert abs(c / reference - 1.0) < 2e-15
 
-    def test_top_of_the_bracket_runs(self):
-        assert 0.0 < regular_throughput(1e6, DensityParams(beta=10.0, d=2.0)) < math.inf
+    @pytest.mark.parametrize("k, betas", [(3, (1.1, 1.2, 1.5, 2.0)),
+                                          (6, (1.2, 1.5, 2.0, 3.0, 4.0)),
+                                          (12, (1.2, 1.5, 2.0, 3.0, 4.0))])
+    def test_high_snr_gap_over_dense_depends_on_beta_d_alone(self, k, betas):
+        # 2 ln2 C - ln snr -> E[ln lam] as snr -> inf; above the Marchenko-Pastur
+        # E[ln lam] the regular law gains 1 + (k - 1) ln((k - 1)/k) at k = beta d
+        snr = 1e12
+        gap = 1.0 + (k - 1) * math.log((k - 1) / k)
+        for beta in betas:
+            e_mp = (beta - 1.0) * math.log(beta / (beta - 1.0)) - 1.0 + math.log(beta)
+            c = regular_throughput(snr, DensityParams(beta=beta, d=k / beta))
+            assert abs(2.0 * LN2 * c - math.log(snr) - e_mp - gap) < 1e-10
+
+    @pytest.mark.parametrize("snr", [1e-310, 5e-324])
+    def test_subnormal_snr_is_the_first_order_term(self, snr):
+        # -1/snr overflows below 5.6e-309; C = beta snr / (2 ln2) to rounding there
+        for p in (P_DEFAULT, DensityParams(beta=10.0, d=2.0)):
+            c = regular_throughput(snr, p)
+            assert 0.0 < c < math.inf
+            assert abs(c / (p.beta * snr / (2.0 * LN2)) - 1.0) < (1e-10 if snr > 1e-320 else 1.0)
+
+    def test_batch_of_laws_equals_scalar_calls(self):
+        betas, ds = np.array([1.0, 1.5, 10.0, 1.5]), np.array([3.0, 2.0, 2.0, 40.0])
+        snrs = np.array([1e-6, 10.0, 1e10, 0.0])
+        got = regular_throughput(snrs, DensityParams(beta=betas, d=ds))
+        assert got.tolist() == [regular_throughput(s, DensityParams(beta=b, d=d))
+                                for s, b, d in zip(snrs.tolist(), betas.tolist(), ds.tolist())]
+
+    def test_array_equals_scalar_calls_bit_for_bit(self):
+        snrs = np.concatenate(([0.0], np.geomspace(1e-6, 1e16, 301), [0.0]))
+        for p in (P_DEFAULT, DensityParams(beta=10.0, d=2.0), DensityParams(beta=1.0, d=3.0)):
+            curve = regular_throughput(snrs, p)
+            assert isinstance(curve, np.ndarray) and curve.shape == snrs.shape
+            assert curve.tolist() == [regular_throughput(s, p) for s in snrs.tolist()]
+        assert isinstance(regular_throughput(1.0, P_DEFAULT), float)
+        assert regular_throughput(np.array([]), P_DEFAULT).shape == (0,)
 
 
 class TestRegularClosedForm:
@@ -176,6 +222,14 @@ class TestCoverWynerBound:
                 cw = cover_wyner_bound(snr, beta)
                 assert cw >= regular_throughput(snr, DensityParams(beta=beta, d=2.0))
                 assert cw >= dense_rs_throughput(snr, beta)
+
+    def test_array_equals_scalar_calls(self):
+        snrs = np.concatenate(([0.0], np.geomspace(1e-6, 1e16, 61)))
+        bound = cover_wyner_bound(snrs, 1.5)
+        assert isinstance(bound, np.ndarray) and bound.shape == snrs.shape
+        assert bound.tolist() == [cover_wyner_bound(s, 1.5) for s in snrs.tolist()]
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            cover_wyner_bound(np.array([1.0, -1.0]), 1.5)
 
 
 class TestEbnoMapping:
@@ -321,6 +375,28 @@ class TestBatchedInversion:
             snr_for_ebno(np.array([db_to_linear(10.0), bad]), 1.5, Curve.DENSE_RS)
         assert set(curve_snrs) == set(tp.SNR_BRACKET)
 
+    @pytest.mark.parametrize("selector", ["degrees", Curve.COVER_WYNER])
+    def test_a_curve_per_target_equals_scalar_calls(self, selector):
+        targets = np.array([db_to_linear(x) for x in (0.0, 6.0, 6.0, 20.0)])
+        betas, ds = np.array([1.5, 1.5, 4.0, 2.0]), np.array([2.0, 12.0, 2.0, 3.0])
+        d = ds if selector == "degrees" else selector
+        snrs = snr_for_ebno(targets, betas, d)
+        assert snrs.tolist() == [
+            snr_for_ebno(t, b, x) for t, b, x in zip(
+                targets.tolist(), betas.tolist(),
+                ds.tolist() if selector == "degrees" else [selector] * 4)]
+
+    def test_a_curve_per_target_is_checked(self):
+        targets = np.full(3, db_to_linear(6.0))
+        with pytest.raises(ValueError, match="targets' shape"):
+            snr_for_ebno(targets, np.array([1.5, 2.0]), 2.0)
+        with pytest.raises(ValueError, match="one beta"):
+            snr_for_ebno(targets, np.full(3, 1.5), Curve.DENSE_RS)
+        # the reach names the curve of the target that misses it
+        with pytest.raises(ValueError, match=r"regular \(d = 2.0\) curve"):
+            snr_for_ebno(np.array([db_to_linear(6.0), db_to_linear(FLOOR_DB + 1e-6)]),
+                         1.5, np.array([12.0, 2.0]))
+
     def test_empty_and_multidimensional_targets(self):
         assert snr_for_ebno(np.array([]), 1.5, Curve.DENSE_RS).shape == (0,)
         with pytest.raises(ValueError, match="1-D array"):
@@ -353,6 +429,14 @@ class TestFiniteNThroughputMC:
         res = finite_n_throughput_mc(spec, 10.0, 100)
         asymptotic = regular_throughput(10.0, P_DEFAULT)
         assert abs(res.mean - asymptotic) < 3.0 * res.stderr + 0.01
+
+    def test_seeds_draw_independent_streams(self):
+        means = {finite_n_throughput_mc(EnsembleSpec(n_resources=10, n_users=15, col_degree=2,
+                                                     entry_mode=EntryMode.ONES, seed=seed),
+                                        10.0, 2000).mean
+                 for seed in (0, 3, 15)}
+        assert len(means) == 3
+        assert max(means) - min(means) > 1e-6
 
     def test_irregular_ensemble_runs(self):
         res = finite_n_throughput_mc(mc_spec(n=50, k=75, seed=3), 10.0, 30,
@@ -536,7 +620,7 @@ class TestSweepSpec:
     @pytest.mark.parametrize("snr_db", [61.0, -61.0, 1e308])
     def test_snr_outside_the_bracket_rejected_before_any_inversion(self, monkeypatch,
                                                                     snr_db):
-        # above 60 dB the regular closed form's root cancels; see regular_throughput
+        # the sweep's fixed snr keeps to SNR_BRACKET, the bracket of its Eb/N0 search
         def no_work(*args, **kwargs):
             raise AssertionError("ran a sweep point before the check")
 
@@ -672,6 +756,30 @@ class TestSweep:
         assert table["regular"].tolist() == [
             regular_throughput(real(db_to_linear(10.0), 1.5, 2.0), P_DEFAULT)]
 
+    @pytest.mark.parametrize("variable, values, fixed, dense", [
+        (SweepVariable.SPARSITY, (2.0, 4.0, 10.0), dict(beta=1.5), 1),
+        (SweepVariable.LOAD, (1.0, 1.5, 2.0), dict(d=2.0), 3),
+    ])
+    def test_closed_form_curves_invert_every_row_at_once(self, monkeypatch, variable,
+                                                         values, fixed, dense):
+        # the dense curve is integrated at one load per call
+        selectors = []
+        real = tp.snr_for_ebno
+
+        def recording(target, beta, d):
+            selectors.append(d if isinstance(d, Curve) else "degrees")
+            return real(target, beta, d)
+
+        monkeypatch.setattr(tp, "snr_for_ebno", recording)
+        spec = SweepSpec(variable=variable, values=values, ebno_db=6.0, **fixed)
+        table = sweep(spec)
+        assert sorted(map(str, selectors)) == sorted(
+            ["degrees", str(Curve.COVER_WYNER)] + [str(Curve.DENSE_RS)] * dense)
+        for i, x in enumerate(values):
+            beta, d, _ = spec._point(x)
+            snr = real(db_to_linear(6.0), beta, d)
+            assert table["regular"][i] == regular_throughput(snr, DensityParams(beta=beta, d=d))
+
     def test_sparsity_sweep_decreases_toward_dense(self):
         spec = SweepSpec(variable=SweepVariable.SPARSITY,
                          values=(2.0, 4.0, 10.0, 40.0),
@@ -718,7 +826,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("curves", [
         (Curve.REGULAR, Curve.DENSE_RS, Curve.REGULAR_MC),
-        # the dense group fails row 1 before its degree group draws for it
+        # the dense group fails row 1 before the regular group draws for it
         (Curve.DENSE_RS, Curve.REGULAR_MC, Curve.REGULAR),
     ], ids=["degree_first", "dense_first"])
     def test_a_failed_inversion_fails_every_row_it_served(self, monkeypatch, curves):
