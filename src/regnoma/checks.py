@@ -214,6 +214,24 @@ def _closed_form_vs_quadrature(seed):
     return (err,)
 
 
+def _high_snr_offset(seed):
+    # as snr -> inf, 2 ln2 C - ln snr -> E[ln lam], and the regular law's E[ln lam]
+    # exceeds the Marchenko-Pastur one by 1 + (k - 1) ln((k - 1)/k) at k = beta d;
+    # beta > 1 only, since at beta = 1 the support reaches lam = 0, where ln lam diverges
+    # support_integral: tol is absolute, and a pole just outside an edge can fool it
+    snr, offset_errs, limit_errs = 1e12, [], []
+    for p in (q for q in _MOMENT_GRID if q.beta > 1.0):
+        k = p.beta * p.d
+        log_moment = quadrature.support_integral(
+            lambda lam: analytic_density(lam, p), p.lambda_minus, p.lambda_plus,
+            weight=np.log, tol=1e-12)
+        mp = (p.beta - 1.0) * math.log(p.beta / (p.beta - 1.0)) - 1.0 + math.log(p.beta)
+        offset_errs.append(abs(log_moment - mp - (1.0 + (k - 1.0) * math.log((k - 1.0) / k))))
+        limit_errs.append(abs(2.0 * tp.LN2 * tp.regular_throughput(snr, p) - math.log(snr)
+                              - log_moment))
+    return np.max(offset_errs), np.max(limit_errs)  # NaN fails the gate
+
+
 def _ebno_round_trip(seed):
     target, p = tp.db_to_linear(10.0), DensityParams(beta=1.5, d=2.0)
     snr = tp.snr_for_ebno(target, p.beta, p.d)
@@ -302,6 +320,8 @@ CHECKS = (
           (Bound("max_rel_err", "<", 1e-9),)),
     Check("routes_vs_closed_form", "fast", None, _routes_vs_closed_form,
           (Bound("tree_max_rel_err", "<", 1e-10), Bound("graph_max_rel_err", "<", 1e-6))),
+    Check("high_snr_offset", "fast", None, _high_snr_offset,
+          (Bound("max_abs_offset_err", "<", 1e-12), Bound("max_abs_limit_err", "<", 1e-10))),
     Check("scaled_spectrum_ks", "full", 5, _scaled_spectrum,
           (Bound("ks_ones", "<", 0.02), Bound("ks_rademacher", "<", 0.02),
            Bound("ks_ones_vs_rademacher", "<", 0.02))),

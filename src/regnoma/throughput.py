@@ -130,20 +130,30 @@ def regular_throughput(snr: float | np.ndarray, p: DensityParams) -> float | np.
     return float(out[0]) if np.ndim(snr) == 0 else out
 
 
-def dense_rs_throughput(snr: float | np.ndarray, beta: float) -> float | np.ndarray:
+def dense_rs_throughput(snr: float | np.ndarray, beta: float | np.ndarray) -> float | np.ndarray:
     """Dense random-spreading reference throughput from the Marchenko-Pastur law.
 
-    ``snr`` is a scalar or a 1-D array of snrs; an array is integrated in
-    one :func:`~regnoma.quadrature.support_integral` call, snr by snr with
-    the bits of a scalar call, and gives an array.
+    ``snr`` is a scalar or a 1-D array, and ``beta`` one load or one per snr.
+    Each distinct load takes one :func:`~regnoma.quadrature.support_integral`
+    call, a weight row per snr, so each snr keeps the bits of a scalar call.
+    A load not finite and >= 1, or of another shape, raises ``ValueError``
+    before any quadrature.
     """
     snrs = _check_snrs(snr)
-    lo = (1.0 - math.sqrt(beta)) ** 2
-    hi = (1.0 + math.sqrt(beta)) ** 2
-    out = 0.5 * quadrature.support_integral(
-        lambda lam: marchenko_pastur_density(lam, beta),
-        lo, hi,
-        weight=lambda lam: np.log1p(np.multiply.outer(snrs, lam)) / LN2)
+    if np.ndim(beta) and np.shape(beta) != np.shape(snr):
+        raise ValueError(f"beta must be a scalar or of the snrs' shape, got {np.shape(beta)}")
+    betas = np.broadcast_to(np.asarray(beta, dtype=np.float64), snrs.shape)
+    bad = ~(np.isfinite(betas) & (betas >= 1.0))
+    if bad.any():
+        raise ValueError(f"load beta must be finite and >= 1, got {betas[bad][0]}")
+    out = np.empty(snrs.size)
+    for b in dict.fromkeys(betas.tolist()):
+        rows = betas == b
+        s = snrs[rows]
+        out[rows] = 0.5 * quadrature.support_integral(
+            lambda lam: marchenko_pastur_density(lam, b),
+            (1.0 - math.sqrt(b)) ** 2, (1.0 + math.sqrt(b)) ** 2,
+            weight=lambda lam: np.log1p(np.multiply.outer(s, lam)) / LN2)
     return float(out[0]) if np.ndim(snr) == 0 else out
 
 
@@ -176,10 +186,8 @@ def _curve_throughput(beta: float | np.ndarray, d: float | np.ndarray | Curve
                       ) -> Callable[[np.ndarray], np.ndarray]:
     """The curve that ``d`` selects, at a 1-D array of snrs.  ``beta`` and a
     degree ``d`` are scalars or arrays with a value per snr, one curve per
-    snr; the dense curve takes one beta."""
+    snr."""
     if d is Curve.DENSE_RS:
-        if np.ndim(beta) != 0:
-            raise ValueError("the dense curve is integrated at one beta per call")
         return lambda snrs: dense_rs_throughput(snrs, beta)
     if d is Curve.COVER_WYNER:
         return lambda snrs: cover_wyner_bound(snrs, beta)
@@ -206,8 +214,8 @@ def _reach(targets: np.ndarray, beta: float | np.ndarray,
     if bad.size:
         i = bad[0]
         target, lo, hi = targets[i], e_lo[i % laws], e_hi[i % laws]
-        name = d.value if isinstance(d, Curve) else f"regular (d = {_at(d, i)})"
-        curve = f"the {name} curve"
+        curve = (f"the {d.value} curve at beta = {_at(beta, i)}" if isinstance(d, Curve)
+                 else f"the regular curve at beta = {_at(beta, i)}, d = {_at(d, i)}")
         if not lo < target:
             raise ValueError(f"Eb/N0 {db(target)} is not above the minimum achievable on "
                              f"{curve}, {db(lo)} at snr = {SNR_BRACKET[0]}; a level at or "
@@ -235,11 +243,11 @@ def snr_for_ebno(ebno_target: float | np.ndarray, beta: float | np.ndarray,
 
     ``ebno_target`` is a scalar or a 1-D array of targets.  An array runs
     one search: each step evaluates the curve once at the points still
-    running (one quadrature for the dense curve), and each point stops at
-    its own step with the bits of a scalar call.  With an array of
-    targets, ``beta`` and a degree ``d`` may be arrays of its length too,
-    one curve per target (the dense curve takes one beta).  Every target
-    is checked against the bracket before the first step.
+    running (one quadrature per distinct load for the dense curve), and
+    each point stops at its own step with the bits of a scalar call.  With
+    an array of targets, ``beta`` and a degree ``d`` may be arrays of its
+    length too, one curve per target.  Every target is checked against the
+    bracket before the first step.
     """
     if np.ndim(ebno_target) > 1:
         raise ValueError(
@@ -382,7 +390,8 @@ class SweepSpec:
     checks every row before any point runs: its (beta, d), its operating
     point (an Eb/N0 level in the reach of every curve it is inverted on, a
     snr within ``SNR_BRACKET``) and, with an MC curve, its ensemble; the
-    irregular curve's Bernoulli(d/N) draws also need d < ``mc_n``.
+    irregular curve's Bernoulli(d/N) draws also need d < ``mc_n``.  A reach
+    is checked once per curve, over every row; a miss names the row's law.
     """
 
     variable: SweepVariable
@@ -432,26 +441,18 @@ class SweepSpec:
                 if Curve.IRREGULAR_MC in self.curves:
                     _bernoulli_probability(ens)
         if self.snr_db is None:  # every row has an Eb/N0 level to invert
-            for (selector, beta), rows in self._groups().items():
+            for selector in self._selectors:
                 try:
-                    _reach(*self._inversion(selector, beta, rows))
+                    _reach(*self._inversion(selector, np.arange(len(self.values))))
                 except NUMERICAL_ERRORS:
                     continue  # sweep fails the rows this curve serves
 
-    def _groups(self) -> dict[tuple[Curve, float | None], list[int]]:
-        """(selector, beta) -> the rows inverted on the selector's curve (see
-        :func:`sweep`), in the order of ``curves``: ``Curve.REGULAR`` stands for
-        the regular and MC curves, and ``beta`` is a dense group's one load,
-        None for the others."""
-        groups: dict[tuple[Curve, float | None], list[int]] = {}
-        for selector in dict.fromkeys(c if c in _NAMED_CURVES else Curve.REGULAR
-                                      for c in self.curves):
-            if selector is Curve.DENSE_RS:
-                for i, beta in enumerate(self._rows[0].tolist()):
-                    groups.setdefault((selector, beta), []).append(i)
-            else:
-                groups[selector, None] = list(range(len(self.values)))
-        return groups
+    @property
+    def _selectors(self) -> tuple[Curve, ...]:
+        """The curves an Eb/N0 is inverted on (see :func:`sweep`), in the order
+        of ``curves``: ``Curve.REGULAR`` stands for the regular and MC curves."""
+        return tuple(dict.fromkeys(c if c in _NAMED_CURVES else Curve.REGULAR
+                                   for c in self.curves))
 
     @cached_property
     def _rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -460,14 +461,13 @@ class SweepSpec:
         return (np.array(betas), np.array(ds),
                 np.array([math.nan if x is None else db_to_linear(x) for x in levels]))
 
-    def _inversion(self, selector: Curve, beta: float | None, rows: list[int]
-                   ) -> tuple[np.ndarray, float | np.ndarray, np.ndarray | Curve]:
+    def _inversion(self, selector: Curve, rows: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray | Curve]:
         """The targets, ``beta`` and ``d`` that invert ``rows`` on the selector's
         curve with :func:`snr_for_ebno`: every row's own load and, on the regular
-        curve, its own degree; a dense group's one load."""
+        curve, its own degree."""
         betas, ds, targets = (v[rows] for v in self._rows)
-        return (targets, beta if selector is Curve.DENSE_RS else betas,
-                ds if selector is Curve.REGULAR else selector)
+        return targets, betas, ds if selector is Curve.REGULAR else selector
 
     def _point(self, x: float) -> tuple[float | None, float | None, float | None]:
         """The (beta, d, ebno_db) of the row at axis value ``x``."""
@@ -516,23 +516,20 @@ def sweep(spec: SweepSpec) -> dict[str, np.ndarray]:
     continues.  Of the asymptotic curves only ``dense_rs`` is integrated;
     ``regular`` and ``cover_wyner`` are closed forms.
 
-    The rows are grouped by the curve an Eb/N0 is inverted on: the dense and
-    Cover-Wyner curves select themselves, and the regular and MC curves the
-    regular curve (the MC curves run at its snr).  The dense curve is
-    integrated at one load per group; the closed-form curves take every
-    row, each at its own (beta, d).  Each group runs once and fills its
-    rows' cells by index: one :func:`snr_for_ebno` call over its rows'
-    targets (or the fixed snr) and one evaluation of its asymptotic curve;
-    the regular group then makes one :func:`finite_n_throughput_mc` call
-    per MC curve and (beta, d), on the ensemble that fixes.  So every sweep
-    inverts the regular and Cover-Wyner curves once, an Eb/N0 or sparsity
-    sweep the dense curve once, an Eb/N0 sweep draws each MC ensemble once
-    (common random numbers across its markers), and load and sparsity
-    sweeps change the ensemble at every point.  A call that raises one of
-    ``NUMERICAL_ERRORS`` fails the rows it served, and later groups skip
-    them; a later dense or Cover-Wyner group that fails a row discards its
-    MC draws.  Two loads that round to one ensemble make one MC call each,
-    with the bits of one shared call.
+    Each curve an Eb/N0 is inverted on runs once, over every row not yet
+    failed, each row at its own (beta, d): the dense and Cover-Wyner curves
+    select themselves, and the regular and MC curves the regular curve (the
+    MC curves run at its snr).  A run is one :func:`snr_for_ebno` call over
+    the rows' targets (or the fixed snr) and one evaluation of its
+    asymptotic curve; the regular curve's run then makes one
+    :func:`finite_n_throughput_mc` call per MC curve and (beta, d), on the
+    ensemble that fixes.  So every sweep inverts each curve once, an Eb/N0
+    sweep draws each MC ensemble once (common random numbers across its
+    markers), and load and sparsity sweeps change the ensemble at every
+    point.  A call that raises one of ``NUMERICAL_ERRORS`` fails the rows
+    it served, and later curves skip them; a later dense or Cover-Wyner
+    run that fails discards the MC draws.  Two loads that round to one
+    ensemble make one MC call each, with the bits of one shared call.
     """
     n = len(spec.values)
     table = {key: np.full(n, np.nan) for key in SWEEP_COLUMNS}
@@ -546,11 +543,11 @@ def sweep(spec: SweepSpec) -> dict[str, np.ndarray]:
         table["failed"][rows] = True
 
     mc_curves = [c for c in spec.curves if c in _MC_CURVES]
-    for (selector, beta), rows in spec._groups().items():
-        live = [i for i in rows if not table["failed"][i]]
-        if not live:
+    for selector in spec._selectors:
+        live = np.flatnonzero(~table["failed"])
+        if not live.size:
             continue
-        targets, *law = spec._inversion(selector, beta, live)
+        targets, *law = spec._inversion(selector, live)
         try:
             if spec.snr_db is not None:
                 snrs = np.full(len(live), db_to_linear(spec.snr_db))
@@ -567,7 +564,7 @@ def sweep(spec: SweepSpec) -> dict[str, np.ndarray]:
         for j, key in enumerate(zip(law[0].tolist(), law[1].tolist())):
             ensembles.setdefault(key, []).append(j)
         for (b, d), js in ensembles.items():
-            sub = [live[j] for j in js]
+            sub = live[js]
             try:
                 for curve in mc_curves:
                     res = finite_n_throughput_mc(spec._ensemble(b, d), snrs[js],

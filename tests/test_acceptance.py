@@ -45,6 +45,8 @@ PINNED = {
     ("throughput_closed_form_vs_quadrature", "max_rel_err"): (None, "fast", "<", 1e-9),
     ("routes_vs_closed_form", "tree_max_rel_err"): (None, "fast", "<", 1e-10),
     ("routes_vs_closed_form", "graph_max_rel_err"): (None, "fast", "<", 1e-6),
+    ("high_snr_offset", "max_abs_offset_err"): (None, "fast", "<", 1e-12),
+    ("high_snr_offset", "max_abs_limit_err"): (None, "fast", "<", 1e-10),
     ("scaled_spectrum_ks", "ks_ones"): (5, "full", "<", 0.02),
     ("scaled_spectrum_ks", "ks_rademacher"): (5, "full", "<", 0.02),
     ("scaled_spectrum_ks", "ks_ones_vs_rademacher"): (5, "full", "<", 0.02),

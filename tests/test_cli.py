@@ -551,6 +551,9 @@ class TestTablesPinned:
     ONE_TRIAL = ["sweep", "--variable", "sparsity", "--values", "2,4", "--beta", "1.5",
                  "--snr-db", "10", "--curves", "regular,regular_mc,irregular_mc",
                  "--mc-n", "10", "--mc-trials", "1", "--seed", "5"]  # stderr blank
+    # the default curves on the throughput_ordering grid, a curve per row
+    LOAD = ["sweep", "--variable", "load", "--values", "1,1.5,2,2.5,3", "--d", "2",
+            "--ebno-db", "10", "--seed", "5"]
     NO_FAILURES = "82677c5f5b5e1da6e370de93fb27052eab6c2af6c9b642ba84c2f5d23b3f1e96"
 
     @pytest.mark.parametrize("argv,fmt,sha256,results_sha256", [
@@ -590,11 +593,16 @@ class TestTablesPinned:
          NO_FAILURES),
         (ONE_TRIAL, "json", "2a3a4b5dc625a40e60d97f16cbbf68035538e53414660942b915327c6992b30a",
          NO_FAILURES),
+        (LOAD, "csv", "770247e45653bcce7a65ab5cb3be44853b7482f11a4f8452a5cdba5278524986",
+         NO_FAILURES),
+        (LOAD, "json", "b03929d1e9c67fe7e4e13d1443a7ac23ec3cc24b51f58f79f1afe8df79a4ec96",
+         NO_FAILURES),
     ], ids=["density_csv", "density_json", "cavity_csv", "cavity_json", "graph_csv",
             "graph_d3_csv", "simulate_ones_seed0_csv", "simulate_rademacher_seed0_csv",
             "simulate_ones_seed2e32_csv", "simulate_rademacher_seed2e32_csv",
             "sweep_fine_csv", "sweep_fine_json", "sweep_mc_csv", "sweep_mc_json",
-            "sweep_one_trial_csv", "sweep_one_trial_json"])
+            "sweep_one_trial_csv", "sweep_one_trial_json", "sweep_load_csv",
+            "sweep_load_json"])
     def test_table_bytes_are_pinned(self, tmp_path, argv, fmt, sha256, results_sha256):
         out = tmp_path / f"table.{fmt}"
         assert run([*argv, "--format", fmt, "--out", str(out)]) == 0
@@ -610,8 +618,8 @@ class TestValidate:
     def test_fast_suite_passes(self, capsys):
         assert run(["validate", "--level", "fast"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[-1] == "11/11 checks passed"
-        assert len(lines) == 12
+        assert lines[-1] == "12/12 checks passed"
+        assert len(lines) == 13
         assert all(line.startswith("PASS ") for line in lines[:-1])
 
     def test_failed_scalar_points_fail_the_cavity_check(self, monkeypatch):
@@ -640,13 +648,13 @@ class TestValidate:
         assert reads_law == [
             "kesten_mckay_identity", "density_normalization", "density_first_moment",
             "marchenko_pastur_limit", "scalar_cavity_agreement", "quadrature_stability",
-            "throughput_closed_form_vs_quadrature"]
+            "throughput_closed_form_vs_quadrature", "high_snr_offset"]
 
         report = tmp_path / "r.txt"
         assert run(["validate", "--level", "fast", "--out", str(report)]) == 3
         out = capsys.readouterr().out
         assert "raised" not in out
-        assert out.strip().endswith("4/11 checks passed")
+        assert out.strip().endswith("4/12 checks passed")
         gates = read_manifest(report)["results"]["gates"]
         assert all(g["value"] is not None for g in gates)
         # the corrupted density does not outlive its patch
@@ -664,7 +672,7 @@ class TestValidate:
         assert run(["validate", "--level", "fast", "--out", str(report)]) == 3
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == f"FAIL {first.name}: raised GenerationError: forced"
-        assert lines[-1] == "10/11 checks passed"
+        assert lines[-1] == "11/12 checks passed"
         gates = read_manifest(report)["results"]["gates"]
         assert [g["value"] for g in gates if g["check"] == first.name] == [None]
 
@@ -672,14 +680,14 @@ class TestValidate:
         out = tmp_path / "report.txt"
         assert run(["validate", "--level", "fast", "--out", str(out)]) == 0
         capsys.readouterr()
-        assert out.read_text().strip().endswith("11/11 checks passed")
+        assert out.read_text().strip().endswith("12/12 checks passed")
         manifest = Path(str(out) + ".manifest.json").read_bytes()
         results = json.loads(manifest)["results"]
         gates = results.pop("gates")
-        assert results == {"level": "fast", "n_checks": 11, "n_failed": 0}
+        assert results == {"level": "fast", "n_checks": 12, "n_failed": 0}
         fast = [(check, quantity, op, tol) for (check, quantity), (_, level, op, tol)
                 in PINNED.items() if level == "fast"]
-        assert len(gates) == len(fast) == 18
+        assert len(gates) == len(fast) == 20
         assert [(g["check"], g["quantity"], g["op"], g["tolerance"])
                 for g in gates] == fast
         assert all(g["passed"] and g["margin"] >= 0.0 for g in gates)

@@ -208,6 +208,32 @@ class TestDenseRsThroughput:
                  - math.log2(math.e) * f / (4.0 * snr))
         assert abs(dense_rs_throughput(snr, beta) / (0.5 * two_c) - 1.0) < 1e-12
 
+    def test_load_per_snr_equals_scalar_calls_bit_for_bit(self, quadrature_calls):
+        snrs = np.logspace(-6, 6, 9)
+        betas = np.array([1.0, 1.5, 4.0] * 3)
+        curve = dense_rs_throughput(snrs, betas)
+        assert len(quadrature_calls) == 3  # one quadrature per distinct load
+        assert curve.tolist() == [
+            dense_rs_throughput(s, b) for s, b in zip(snrs.tolist(), betas.tolist())]
+
+    @pytest.mark.parametrize("snr,beta,match", [
+        (10.0, math.nan, "finite and >= 1"),
+        (np.array([1.0, 10.0]), np.array([1.5, 0.5]), "finite and >= 1"),
+        (np.array([1.0, 10.0, 100.0]), np.array([1.5, 2.0]), "snrs' shape"),
+        (10.0, np.array([1.5]), "snrs' shape"),
+    ])
+    def test_bad_load_rejected_before_any_quadrature(self, quadrature_calls, snr, beta,
+                                                     match):
+        with pytest.raises(ValueError, match=match):
+            dense_rs_throughput(snr, beta)
+        assert quadrature_calls == []
+
+    def test_converges_at_the_bracket_ends_over_every_load(self):
+        betas = np.concatenate(([1.0, 1.0 + 1e-12], np.geomspace(1.0 + 1e-6, 1e4, 62)))
+        for snr in tp.SNR_BRACKET:
+            curve = dense_rs_throughput(np.full(betas.size, snr), betas)
+            assert np.isfinite(curve).all() and (curve > 0.0).all()
+
 
 class TestCoverWynerBound:
     def test_zero_at_zero_snr(self):
@@ -390,12 +416,10 @@ class TestBatchedInversion:
         targets = np.full(3, db_to_linear(6.0))
         with pytest.raises(ValueError, match="targets' shape"):
             snr_for_ebno(targets, np.array([1.5, 2.0]), 2.0)
-        with pytest.raises(ValueError, match="one beta"):
-            snr_for_ebno(targets, np.full(3, 1.5), Curve.DENSE_RS)
-        # the reach names the curve of the target that misses it
-        with pytest.raises(ValueError, match=r"regular \(d = 2.0\) curve"):
+        # the reach names the law of the target that misses it
+        with pytest.raises(ValueError, match="regular curve at beta = 1.5, d = 2.0,"):
             snr_for_ebno(np.array([db_to_linear(6.0), db_to_linear(FLOOR_DB + 1e-6)]),
-                         1.5, np.array([12.0, 2.0]))
+                         np.array([2.0, 1.5]), np.array([12.0, 2.0]))
 
     def test_empty_and_multidimensional_targets(self):
         assert snr_for_ebno(np.array([]), 1.5, Curve.DENSE_RS).shape == (0,)
@@ -651,10 +675,11 @@ class TestSweepSpec:
 
     @pytest.mark.parametrize("values,match,curve", [
         # every curve's reach starts a few 1e-6 dB above ln 2
-        ((FLOOR_DB + 1e-6,), "not above the minimum achievable", "regular (d = 2.0)"),
+        ((FLOOR_DB + 1e-6,), "not above the minimum achievable",
+         "regular curve at beta = 1.5, d = 2.0"),
         # the regular and dense curves reach 48.7 dB below snr = 1e6, Cover-Wyner does not
-        ((10.0, 48.7), "not reachable below snr = 1000000.0", "cover_wyner"),
-    ])
+        ((10.0, 48.7), "not reachable below snr = 1000000.0", "cover_wyner curve at beta = 1.5"),
+    ], ids=["just_above_ln2", "above_cover_wyner_reach"])
     def test_level_outside_a_curve_reach_rejected_at_construction(
             self, monkeypatch, values, match, curve):
         calls = []
@@ -664,8 +689,15 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match=match) as info:
             SweepSpec(variable=SweepVariable.EBNO, values=values, beta=1.5, d=2.0)
         assert f"Eb/N0 {values[-1]:.10g} dB" in str(info.value)
-        assert f"on the {curve} curve" in str(info.value)
+        assert f"on the {curve}," in str(info.value)
         assert calls == []
+
+    def test_reach_error_names_the_load_that_misses(self, curve_snrs):
+        # the dense curve reaches 50 dB below snr = 1e6 at load 8 (55.4 dB), not at 1.5
+        with pytest.raises(ValueError, match="on the dense_rs curve at beta = 1.5, which"):
+            SweepSpec(variable=SweepVariable.LOAD, values=(8.0, 1.5, 1.0), d=2.0,
+                      ebno_db=50.0, curves=(Curve.DENSE_RS,))
+        assert set(curve_snrs) == set(tp.SNR_BRACKET)
 
     def test_ebno_sweep_rejects_fixed_operating_point(self):
         with pytest.raises(ValueError):
@@ -756,13 +788,13 @@ class TestSweep:
         assert table["regular"].tolist() == [
             regular_throughput(real(db_to_linear(10.0), 1.5, 2.0), P_DEFAULT)]
 
-    @pytest.mark.parametrize("variable, values, fixed, dense", [
-        (SweepVariable.SPARSITY, (2.0, 4.0, 10.0), dict(beta=1.5), 1),
-        (SweepVariable.LOAD, (1.0, 1.5, 2.0), dict(d=2.0), 3),
-    ])
-    def test_closed_form_curves_invert_every_row_at_once(self, monkeypatch, variable,
-                                                         values, fixed, dense):
-        # the dense curve is integrated at one load per call
+    @pytest.mark.parametrize("variable, values, fixed", [
+        (SweepVariable.SPARSITY, (2.0, 4.0, 10.0), dict(beta=1.5)),
+        (SweepVariable.LOAD, (1.0, 1.5, 2.0), dict(d=2.0)),
+    ], ids=["sparsity", "load"])
+    def test_every_curve_inverts_every_row_at_once(self, monkeypatch, variable, values,
+                                                   fixed):
+        # each curve takes one law per row, the dense curve a load per row
         selectors = []
         real = tp.snr_for_ebno
 
@@ -773,8 +805,7 @@ class TestSweep:
         monkeypatch.setattr(tp, "snr_for_ebno", recording)
         spec = SweepSpec(variable=variable, values=values, ebno_db=6.0, **fixed)
         table = sweep(spec)
-        assert sorted(map(str, selectors)) == sorted(
-            ["degrees", str(Curve.COVER_WYNER)] + [str(Curve.DENSE_RS)] * dense)
+        assert selectors == ["degrees", Curve.DENSE_RS, Curve.COVER_WYNER]
         for i, x in enumerate(values):
             beta, d, _ = spec._point(x)
             snr = real(db_to_linear(6.0), beta, d)
@@ -824,29 +855,31 @@ class TestSweep:
             SweepSpec(variable=SweepVariable.EBNO, values=(10.0, 60.0), beta=1.5, d=2.0)
         assert set(curve_snrs) == set(tp.SNR_BRACKET)
 
-    @pytest.mark.parametrize("curves", [
-        (Curve.REGULAR, Curve.DENSE_RS, Curve.REGULAR_MC),
-        # the dense group fails row 1 before the regular group draws for it
-        (Curve.DENSE_RS, Curve.REGULAR_MC, Curve.REGULAR),
+    @pytest.mark.parametrize("curves,draws", [
+        # the regular run draws for every row, and the dense run discards the draws
+        ((Curve.REGULAR, Curve.DENSE_RS, Curve.REGULAR_MC), 3),
+        # the dense run fails every row before the regular run draws for them
+        ((Curve.DENSE_RS, Curve.REGULAR_MC, Curve.REGULAR), 0),
     ], ids=["degree_first", "dense_first"])
-    def test_a_failed_inversion_fails_every_row_it_served(self, monkeypatch, curves):
-        real = tp.dense_rs_throughput
+    def test_a_failed_inversion_fails_every_row_it_served(self, monkeypatch, curves, draws):
+        real, real_mc, calls = tp.dense_rs_throughput, tp.finite_n_throughput_mc, []
 
         def fails_at_load_two(snr, beta):
-            if beta == 2.0:
+            if (np.asarray(beta) == 2.0).any():
                 raise quadrature.QuadratureError("forced")
             return real(snr, beta)
 
         monkeypatch.setattr(tp, "dense_rs_throughput", fails_at_load_two)
-        # a load sweep inverts each row on its own
+        monkeypatch.setattr(tp, "finite_n_throughput_mc",
+                            lambda *args, **kwargs: calls.append(1) or real_mc(*args, **kwargs))
+        # a load sweep inverts the dense curve once, for every row
         table = sweep(SweepSpec(variable=SweepVariable.LOAD, values=(1.5, 2.0, 2.5),
                                 d=2.0, ebno_db=10.0, curves=curves, mc_n=10, mc_trials=3))
-        assert table["failed"].tolist() == [False, True, False]
-        assert all(np.isnan(table[key][1]) for key in SWEEP_COLUMNS[1:])
-        assert table["failed_mc_trials"][1] == 0
-        assert all(np.isfinite(table[key][[0, 2]]).all()
-                   for key in ("regular", "dense_rs", "regular_mc"))
-        # a sparsity sweep inverts the dense curve once, for every row
+        assert len(calls) == draws
+        assert table["failed"].tolist() == [True, True, True]
+        assert all(np.isnan(table[key]).all() for key in SWEEP_COLUMNS[1:])
+        assert table["failed_mc_trials"].tolist() == [0, 0, 0]
+        # and so does a sparsity sweep
         table = sweep(SweepSpec(variable=SweepVariable.SPARSITY, values=(2.0, 3.0),
                                 beta=2.0, ebno_db=10.0))
         assert table["failed"].tolist() == [True, True]
