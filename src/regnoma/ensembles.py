@@ -300,8 +300,7 @@ def generate_regular(spec: EnsembleSpec, realization: int = 0) -> SparseSignatur
         rows, cols = np.divmod(np.arange(n * k, dtype=np.int64), k)
         return SparseSignatureMatrix(spec, rows, cols, _draw_values(rng, n * k, spec.entry_mode))
     cols = np.repeat(np.arange(k, dtype=np.int64), d)
-    rows = np.repeat(np.arange(n, dtype=np.int64), spec.row_degree)
-    rows = rows[rng.permutation(rows.size)]
+    rows = rng.permutation(np.repeat(np.arange(n, dtype=np.int64), spec.row_degree))
 
     # edge (r, c) is keyed r * K + c; before any switch, column c holds
     # positions c*d .. c*d + d - 1, so each parallel edge is found in its block

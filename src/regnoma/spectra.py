@@ -50,38 +50,45 @@ __all__ = [
 TRIVIAL_TOL = 1e-6
 
 
-def _holds(cond: bool | np.ndarray) -> bool:
-    """Whether a condition on (beta, d) holds, at every law of a batch."""
-    return bool(cond.all()) if isinstance(cond, np.ndarray) else bool(cond)
+def _check_loads(beta: float | np.ndarray) -> np.ndarray:
+    """A load K/N, or an array of loads, as a float array; a load that is
+    not finite and >= 1 raises ``ValueError`` naming the first."""
+    betas = np.asarray(beta, dtype=np.float64)
+    bad = ~(np.isfinite(betas) & (betas >= 1.0))
+    if bad.any():
+        raise ValueError(f"load beta must be finite and >= 1, got {betas[bad][0]}")
+    return betas
 
 
 @dataclass(frozen=True)
 class DensityParams:
     """Parameters (beta, d) of the limiting law plus derived constants.
 
-    beta : real load K/N, >= 1.
-    d : real column degree, >= 1 + 1/beta, where the closed form is a
-        probability law.  Non-integer d is allowed; the density extends
+    beta : real load K/N, finite and >= 1 (the rule of every load here).
+    d : finite real column degree, >= 1 + 1/beta, where the closed form is
+        a probability law.  Non-integer d is allowed; the density extends
         analytically and is used for the dense-limit comparisons.
 
     beta and d may also be 1-D arrays of one length, a batch of laws whose
     derived constants are arrays too; the closed forms that read only
     those constants (:func:`gram_transform` and the regular throughput)
-    then evaluate law by law, elementwise.
+    then evaluate law by law, elementwise.  A value outside its rule raises
+    ``ValueError`` naming it, the first one of a batch.
     """
 
     beta: float
     d: float
 
     def __post_init__(self) -> None:
-        if not _holds(self.beta >= 1.0):
-            raise ValueError(f"load beta must be >= 1, got {self.beta}")
-        if not _holds(self.d >= 1.0 + 1.0 / self.beta):
-            raise ValueError(f"degree d must be >= 1 + 1/beta = {1.0 + 1.0 / self.beta}"
-                             f" at beta = {self.beta}, got {self.d}")
-        if not (_holds(np.isfinite(self.beta)) and _holds(np.isfinite(self.d))):
-            raise ValueError(f"beta and d must be finite, got beta = {self.beta},"
-                             f" d = {self.d}")
+        betas, d = np.broadcast_arrays(_check_loads(self.beta),
+                                       np.asarray(self.d, dtype=np.float64))
+        low = ~(d >= 1.0 + 1.0 / betas)
+        if low.any():
+            b = betas[low][0]
+            raise ValueError(f"degree d must be >= 1 + 1/beta = {1.0 + 1.0 / b}"
+                             f" at beta = {b}, got {d[low][0]}")
+        if not np.isfinite(d).all():
+            raise ValueError(f"degree d must be finite, got {d[~np.isfinite(d)][0]}")
 
     @classmethod
     def from_ensemble(cls, spec: EnsembleSpec) -> "DensityParams":
@@ -178,10 +185,9 @@ def marchenko_pastur_density(lam: np.ndarray | float, beta: float) -> np.ndarray
     ``sqrt((lam - lo)(hi - lam)) / (2 pi lam)``.  This is the law of the
     N-dimensional Gram spectrum; the K-dimensional variant carries an extra
     1/beta and a point mass at zero and is not what the finite matrices
-    produce here.  NaN points are NaN.
+    produce here.  NaN points are NaN, and a bad load raises ``ValueError``.
     """
-    if not beta >= 1.0:
-        raise ValueError(f"load beta must be >= 1, got {beta}")
+    beta = _check_loads(beta).item()  # one law: an array of loads raises ValueError
     lo = (1.0 - np.sqrt(beta)) ** 2
     hi = (1.0 + np.sqrt(beta)) ** 2
     return _on_open_support(lam, lo, hi,

@@ -30,7 +30,7 @@ import numpy as np
 from . import quadrature
 from .ensembles import (EnsembleSpec, EntryMode, GenerationError,
                         _bernoulli_probability, generate_irregular, generate_regular)
-from .spectra import (DensityParams, _sampled_eigenvalues, gram_transform,
+from .spectra import (DensityParams, _check_loads, _sampled_eigenvalues, gram_transform,
                       marchenko_pastur_density)
 
 __all__ = [
@@ -80,15 +80,20 @@ def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
 
-def _check_snrs(snr: float | np.ndarray) -> np.ndarray:
-    """A scalar or 1-D array of snrs as a checked 1-D float array."""
+def _check_snrs(snr: float | np.ndarray, beta: float | np.ndarray = 1.0
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Every curve's input rule: a scalar or 1-D array of snrs, finite and >= 0,
+    and one load or a load per snr (:func:`~regnoma.spectra._check_loads`), as
+    checked 1-D float arrays of one length; any other input raises ``ValueError``."""
     if np.ndim(snr) > 1:
         raise ValueError(f"snr must be a scalar or a 1-D array, got shape {np.shape(snr)}")
     snrs = np.atleast_1d(np.asarray(snr, dtype=np.float64))
     bad = ~(np.isfinite(snrs) & (snrs >= 0.0))
     if bad.any():
         raise ValueError(f"snr must be finite and >= 0, got {snrs[bad][0]}")
-    return snrs
+    if np.ndim(beta) and np.shape(beta) != np.shape(snr):
+        raise ValueError(f"beta must be a scalar or of the snrs' shape, got {np.shape(beta)}")
+    return snrs, np.broadcast_to(_check_loads(beta), snrs.shape)
 
 
 def regular_throughput(snr: float | np.ndarray, p: DensityParams) -> float | np.ndarray:
@@ -119,7 +124,7 @@ def regular_throughput(snr: float | np.ndarray, p: DensityParams) -> float | np.
     the bits of scalar calls.  ``p`` may be a batch of laws of the array's
     length (see :class:`~regnoma.spectra.DensityParams`), one law per snr.
     """
-    snrs = _check_snrs(snr)
+    snrs = _check_snrs(snr, p.beta)[0]
     tiny = snrs < 1e-300
     s = np.where(tiny, 1.0, snrs)
     delta = gram_transform(-1.0 / s, p)[0].real
@@ -136,16 +141,9 @@ def dense_rs_throughput(snr: float | np.ndarray, beta: float | np.ndarray) -> fl
     ``snr`` is a scalar or a 1-D array, and ``beta`` one load or one per snr.
     Each distinct load takes one :func:`~regnoma.quadrature.support_integral`
     call, a weight row per snr, so each snr keeps the bits of a scalar call.
-    A load not finite and >= 1, or of another shape, raises ``ValueError``
-    before any quadrature.
+    A bad snr or load (see :func:`_check_snrs`) raises before any quadrature.
     """
-    snrs = _check_snrs(snr)
-    if np.ndim(beta) and np.shape(beta) != np.shape(snr):
-        raise ValueError(f"beta must be a scalar or of the snrs' shape, got {np.shape(beta)}")
-    betas = np.broadcast_to(np.asarray(beta, dtype=np.float64), snrs.shape)
-    bad = ~(np.isfinite(betas) & (betas >= 1.0))
-    if bad.any():
-        raise ValueError(f"load beta must be finite and >= 1, got {betas[bad][0]}")
+    snrs, betas = _check_snrs(snr, beta)
     out = np.empty(snrs.size)
     for b in dict.fromkeys(betas.tolist()):
         rows = betas == b
@@ -157,23 +155,25 @@ def dense_rs_throughput(snr: float | np.ndarray, beta: float | np.ndarray) -> fl
     return float(out[0]) if np.ndim(snr) == 0 else out
 
 
-def cover_wyner_bound(snr: float | np.ndarray, beta: float) -> float | np.ndarray:
+def cover_wyner_bound(snr: float | np.ndarray, beta: float | np.ndarray) -> float | np.ndarray:
     """Orthogonal multiple-access ceiling ``1/2 log2(1 + beta snr)``, at a
-    scalar or a 1-D array of snrs."""
-    out = 0.5 * np.log1p(beta * _check_snrs(snr)) / LN2
+    scalar or 1-D array of snrs and one load or a load per snr."""
+    snrs, betas = _check_snrs(snr, beta)
+    out = 0.5 * np.log1p(betas * snrs) / LN2
     return float(out[0]) if np.ndim(snr) == 0 else out
 
 
-def ebno_from_snr(snr: float | np.ndarray, beta: float,
+def ebno_from_snr(snr: float | np.ndarray, beta: float | np.ndarray,
                   c: float | np.ndarray) -> float | np.ndarray:
     """Linear energy-per-bit ratio ``beta * snr / (2 C)`` at throughput ``C``.
 
-    ``snr`` and ``c`` are scalars, or 1-D arrays of one length.
+    ``snr`` and ``c`` are scalars, or 1-D arrays of one length, and ``beta``
+    one load or a load per snr.
     """
-    snrs, cs = _check_snrs(snr), np.atleast_1d(np.asarray(c, dtype=np.float64))
+    (snrs, betas), cs = _check_snrs(snr, beta), np.atleast_1d(np.asarray(c, dtype=np.float64))
     if not (cs > 0.0).all():
         raise ValueError(f"throughput must be positive, got {c}")
-    out = beta * snrs / (2.0 * cs)
+    out = betas * snrs / (2.0 * cs)
     return float(out[0]) if np.ndim(snr) == 0 else out
 
 
@@ -335,7 +335,7 @@ def finite_n_throughput_mc(spec: EnsembleSpec, snr: float | np.ndarray, trials: 
     eigensolve fails (``GenerationError``, ``LinAlgError``) leaves its row
     NaN, and is skipped at every snr and counted once.
     """
-    snrs = _check_snrs(snr)
+    snrs = _check_snrs(snr)[0]
     if snrs.size == 0:
         raise ValueError("need at least one snr")
     eigs = _sampled_eigenvalues(generate_irregular if irregular else generate_regular,

@@ -1,6 +1,8 @@
 """Throughput quadrature, baselines, Eb/N0 mapping, Monte Carlo, sweeps."""
 
+import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,7 +15,7 @@ from regnoma import throughput as tp
 from regnoma.ensembles import (EnsembleSpec, EntryMode, GenerationError,
                                SparseSignatureMatrix)
 from regnoma.spectra import (DensityParams, analytic_density, gram_transform,
-                             pooled_spectrum)
+                             marchenko_pastur_density, pooled_spectrum)
 from regnoma.throughput import (LN2, SWEEP_COLUMNS, Curve, MCResult, SweepSpec,
                                 SweepVariable, cover_wyner_bound, db_to_linear,
                                 dense_rs_throughput, ebno_from_snr,
@@ -310,6 +312,72 @@ class TestEbnoMapping:
     def test_unknown_selector(self, selector):
         with pytest.raises(ValueError, match="unknown curve selector"):
             snr_for_ebno(db_to_linear(10.0), 1.5, selector)
+
+
+def regular_batch_throughput(snr, beta):
+    """The regular curve at degree 3, a batch of laws when ``beta`` is an array."""
+    d = 3.0 if np.ndim(beta) == 0 else np.full(np.shape(beta), 3.0)
+    return regular_throughput(snr, DensityParams(beta=beta, d=d))
+
+
+# every curve as a function of (snr, beta), each reading its loads through one rule
+LOAD_CURVES = {
+    "cover_wyner": cover_wyner_bound,
+    "ebno_from_snr": lambda snr, beta: ebno_from_snr(snr, beta, 0.25),
+    "dense_rs": dense_rs_throughput,
+    "regular_batch": regular_batch_throughput,
+}
+MP_GRID = np.linspace(0.0, 12.0, 25)
+
+
+class TestOneLoadRule:
+    """The curves and the Marchenko-Pastur law reject a bad load one way."""
+
+    @pytest.mark.parametrize("name", [*LOAD_CURVES, "marchenko_pastur"])
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -0.05, 0.5])
+    def test_bad_load_rejected_before_any_quadrature(self, quadrature_calls, name, beta):
+        message = rf"^load beta must be finite and >= 1, got {re.escape(str(beta))}$"
+        with pytest.raises(ValueError, match=message):
+            if name == "marchenko_pastur":
+                marchenko_pastur_density(MP_GRID, beta)
+            else:
+                LOAD_CURVES[name](10.0, beta)
+        if name != "marchenko_pastur":  # a load per snr names its first bad load
+            with pytest.raises(ValueError, match=message):
+                LOAD_CURVES[name](np.array([1.0, 10.0, 100.0]), np.array([1.5, beta, 0.25]))
+        assert quadrature_calls == []
+
+    @pytest.mark.parametrize("name", LOAD_CURVES)
+    @pytest.mark.parametrize("snr,beta", [
+        (np.array([1.0, 10.0, 100.0]), np.array([1.5, 2.0])),
+        (10.0, np.array([1.5])),
+    ])
+    def test_load_array_of_another_shape_rejected_before_any_quadrature(
+            self, quadrature_calls, name, snr, beta):
+        with pytest.raises(ValueError, match=r"^beta must be a scalar or of the snrs' shape, "
+                                             rf"got \({beta.size},\)$"):
+            LOAD_CURVES[name](snr, beta)
+        assert quadrature_calls == []
+
+    # digests of the curve at a load per snr, then at load 1.5, recorded
+    # before the curves shared their load rule
+    @pytest.mark.parametrize("name,digest", [
+        ("cover_wyner", "7e927537bd6327a7"),
+        ("ebno_from_snr", "daa7daa1c15f5cbd"),
+        ("dense_rs", "344ab8b8ed96c171"),
+        ("regular_batch", "c5a01e0582be9c01"),
+    ])
+    def test_valid_loads_keep_their_bits(self, name, digest):
+        curve = LOAD_CURVES[name]
+        snrs, loads = np.array([0.0, 1e-3, 1.0, 10.0, 1e4]), np.array([1.0, 1.5, 4.0, 1.5, 1.0])
+        per_snr = curve(snrs, loads)
+        assert per_snr.tolist() == [curve(s, b) for s, b in zip(snrs.tolist(), loads.tolist())]
+        values = np.concatenate([per_snr, curve(snrs, 1.5)])
+        assert hashlib.sha256(values.tobytes()).hexdigest()[:16] == digest
+
+    def test_marchenko_pastur_keeps_its_bits(self):
+        values = np.concatenate([marchenko_pastur_density(MP_GRID, b) for b in (1.0, 1.5, 4.0)])
+        assert hashlib.sha256(values.tobytes()).hexdigest()[:16] == "4e4bde6c74e729a2"
 
 
 def bisection_snr_for_ebno(target, beta, d):
