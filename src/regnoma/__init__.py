@@ -17,7 +17,7 @@ from .spectra import *
 from .cavity import *
 from .throughput import *
 
-__version__ = "0.26.0"
+__version__ = "0.27.0"
 
 __all__ = ["__version__", *ensembles.__all__, *quadrature.__all__, *spectra.__all__,
            *cavity.__all__, *throughput.__all__]

@@ -22,15 +22,25 @@ __all__ = ["QuadratureError", "support_integral", "partial_integrals"]
 # theta panels of the partial-integral table and Gauss-Legendre nodes per panel
 PANELS = 64
 PANEL_ORDER = 20
-# points per block of partial panels; bounds the temporaries of a large call.
-# Values are bit-identical for any BLOCK from 512 to 65,536.  The
-# 52,000-point CDF of a 100-trial N = 520 pool peaks at 5.3 MB under
-# tracemalloc, against 61.4 MB as one 65,536-point block.  Such large
-# blocks also raise glibc's dynamic mmap threshold to ~8 MB, so later
-# multi-MB arrays (a pooled spectrum's Gram matrices) came from the heap by
-# accident; with small blocks they are unmapped and page-faulted afresh on
-# every draw, which is why spectra.pooled_spectrum reuses one Gram buffer
-BLOCK = 4_096
+# points per block of partial panels; bounds the temporaries of a large call,
+# each (BLOCK, PANEL_ORDER) float array being ~160 KiB at 1,024 points.
+# Every point runs the same arithmetic in any block, and values are
+# bit-identical for any BLOCK from 512 to 65,536 (tested).  The 52,000-point
+# CDF of a 100-trial N = 520 pool (beta = 3, d = 4) peaks under tracemalloc at
+#   BLOCK     analytic_cdf   ks_distance
+#   512       1.13 MiB       1.98 MiB
+#   1,024     1.77 MiB       2.16 MiB
+#   2,048     2.76 MiB       3.15 MiB
+#   4,096     5.04 MiB       5.44 MiB
+#   65,536    58.6 MiB       59.0 MiB
+# and takes 30-72 ms at every size on a shared 2-vCPU VM, no size reliably
+# faster.  At 1,024 the KS step's temporaries stay below the draw loop's
+# own two N x N buffers (the Gram buffer that spectra shares across draws,
+# and eigvalsh's private copy of it), so that loop sets a pooled run's peak
+# RSS.  Blocks this small keep glibc's dynamic mmap threshold low, so a
+# multi-MB array is mapped and page-faulted afresh at every allocation,
+# which is why the draw loop reuses one Gram buffer
+BLOCK = 1_024
 # node budget of support_integral's doubling, read at call time
 N_MAX = 1 << 15
 

@@ -73,13 +73,18 @@ class DensityParams:
     derived constants are arrays too; the closed forms that read only
     those constants (:func:`gram_transform` and the regular throughput)
     then evaluate law by law, elementwise.  A value outside its rule raises
-    ``ValueError`` naming it, the first one of a batch.
+    ``ValueError`` naming it, the first one of a batch, and so do a 2-D
+    beta or d and two arrays of different lengths.
     """
 
     beta: float
     d: float
 
     def __post_init__(self) -> None:
+        shapes = {np.shape(self.beta), np.shape(self.d)} - {()}
+        if len(shapes) > 1 or any(len(s) > 1 for s in shapes):
+            raise ValueError(f"beta and d must be scalars or 1-D arrays of one length, got "
+                             f"shapes {np.shape(self.beta)} and {np.shape(self.d)}")
         betas, d = np.broadcast_arrays(_check_loads(self.beta),
                                        np.asarray(self.d, dtype=np.float64))
         low = ~(d >= 1.0 + 1.0 / betas)

@@ -122,9 +122,12 @@ def regular_throughput(snr: float | np.ndarray, p: DensityParams) -> float | np.
 
     ``snr`` is a scalar (giving a float) or a 1-D array, whose values are
     the bits of scalar calls.  ``p`` may be a batch of laws of the array's
-    length (see :class:`~regnoma.spectra.DensityParams`), one law per snr.
+    length (see :class:`~regnoma.spectra.DensityParams`), one law per snr;
+    a batch of any other length raises ``ValueError`` before any work.
     """
-    snrs = _check_snrs(snr, p.beta)[0]
+    # a batch of laws, whichever of beta and d makes it, has one law per snr
+    laws = np.broadcast_shapes(np.shape(p.beta), np.shape(p.d))
+    snrs = _check_snrs(snr, np.broadcast_to(p.beta, laws))[0]
     tiny = snrs < 1e-300
     s = np.where(tiny, 1.0, snrs)
     delta = gram_transform(-1.0 / s, p)[0].real

@@ -36,6 +36,14 @@ def quad_mass(density, lo, hi, weight=None):
     return val
 
 
+def pooled_ks_input():
+    """The law and 52,000 sorted points of the spectrum_pool KS step: 100
+    trials of N = 520 at beta = 3, d = 4."""
+    p = DensityParams(beta=3.0, d=4.0)
+    rng = np.random.default_rng(0)
+    return p, np.sort(rng.uniform(p.lambda_minus, p.lambda_plus, 52_000))
+
+
 def quad_cdf(p, x):
     """Distribution function by adaptive quadrature.
 
@@ -394,10 +402,7 @@ class TestAnalyticCdf:
         assert isinstance(scalar, float) and abs(scalar - vals[4]) < 1e-15
 
     def test_pooled_call_memory_is_bounded(self):
-        # the spectrum_pool KS size: 100 trials of N = 520
-        p = DensityParams(beta=3.0, d=4.0)
-        rng = np.random.default_rng(0)
-        lam = np.sort(rng.uniform(p.lambda_minus, p.lambda_plus, 52_000))
+        p, lam = pooled_ks_input()
         tracemalloc.start()
         try:
             analytic_cdf(lam, p)
@@ -407,17 +412,25 @@ class TestAnalyticCdf:
         assert peak < 100e6
 
     def test_pooled_call_peaks_at_a_few_blocks(self):
-        # the spectrum_pool KS size again: 61.4 MB as one 65,536-point block
-        p = DensityParams(beta=3.0, d=4.0)
-        rng = np.random.default_rng(0)
-        lam = np.sort(rng.uniform(p.lambda_minus, p.lambda_plus, 52_000))
+        # 61.4 MB as one 65,536-point block, 5.3 MB in 4,096-point blocks,
+        # 1.9 MB in 1,024-point blocks
+        p, lam = pooled_ks_input()
         tracemalloc.start()
         try:
             analytic_cdf(lam, p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16e6
+        assert peak < 3e6
+
+    @pytest.mark.parametrize("block", [512, 1024, 4096, 65536])
+    def test_block_size_changes_no_bit(self, monkeypatch, block):
+        p, lam = pooled_ks_input()
+        monkeypatch.setattr(quadrature, "BLOCK", 65536)
+        whole, ks = analytic_cdf(lam, p), ks_distance(lam, p)
+        monkeypatch.setattr(quadrature, "BLOCK", block)
+        assert np.array_equal(analytic_cdf(lam, p), whole)
+        assert ks_distance(lam, p) == ks
 
     def test_large_call_runs_in_bounded_blocks(self):
         # the 2.6M-point full-scale KS would need ~3 GB as one block

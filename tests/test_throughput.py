@@ -125,6 +125,19 @@ class TestRegularThroughput:
         assert got.tolist() == [regular_throughput(s, DensityParams(beta=b, d=d))
                                 for s, b, d in zip(snrs.tolist(), betas.tolist(), ds.tolist())]
 
+    @pytest.mark.parametrize("call,match", [
+        (lambda: regular_throughput(1.0, DensityParams(beta=1.5, d=np.array([2.0, 3.0]))),
+         "snrs' shape"),
+        (lambda: DensityParams(beta=np.array([1.5, 2.0, 3.0]), d=np.array([2.0, 3.0])),
+         "1-D arrays of one length"),
+        (lambda: regular_throughput(np.array([1.0, 2.0, 3.0]),
+                                    DensityParams(beta=1.5, d=np.array([2.0, 3.0]))),
+         "snrs' shape"),
+    ], ids=["two-laws-one-snr", "three-loads-two-degrees", "two-laws-three-snrs"])
+    def test_batch_of_laws_of_another_length_raises(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
     def test_array_equals_scalar_calls_bit_for_bit(self):
         snrs = np.concatenate(([0.0], np.geomspace(1e-6, 1e16, 301), [0.0]))
         for p in (P_DEFAULT, DensityParams(beta=10.0, d=2.0), DensityParams(beta=1.0, d=3.0)):
