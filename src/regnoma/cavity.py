@@ -71,11 +71,12 @@ MAX_SWEEPS = 10_000
 
 
 def _check_points(w) -> np.ndarray:
-    """``w`` as a complex array; a point not finite or with Im w <= 0 raises."""
+    """``w`` as a complex array; a point not finite or with Im w <= 0 raises
+    ``ValueError`` naming the first."""
     w = np.asarray(w, dtype=complex)
     bad = ~(np.isfinite(w) & (w.imag > 0.0))
     if bad.any():
-        raise ValueError(f"need a finite w with Im w > 0, got w = {w[bad]}")
+        raise ValueError(f"need a finite w with Im w > 0, got w = {w[bad][0]}")
     return w
 
 

@@ -23,7 +23,8 @@ import numpy as np
 
 from . import quadrature
 from . import throughput as tp
-from .cavity import EDGE_GAP, GRAPH_EPSILON, cavity_on_graph, cavity_on_tree
+from .cavity import (DEFAULT_EPSILON, EDGE_GAP, GRAPH_EPSILON, cavity_on_graph,
+                     cavity_on_tree)
 from .ensembles import EnsembleSpec, EntryMode, generate_regular
 from .spectra import (DensityParams, analytic_density, gram_transform, kesten_mckay_density,
                       ks_distance, marchenko_pastur_density, pooled_spectrum)
@@ -149,7 +150,7 @@ def _marchenko_pastur(seed):
 def _scalar_cavity(seed):
     p = DensityParams(beta=1.5, d=2.0)
     grid = np.linspace(p.lambda_minus, p.lambda_plus, 512)
-    _, tree = cavity_on_tree(p, grid + 1j * 1e-6)
+    _, tree = cavity_on_tree(p, grid + 1j * DEFAULT_EPSILON)
     scalar = -tree.imag / np.pi
     interior = (grid > p.lambda_minus + EDGE_GAP) & (grid < p.lambda_plus - EDGE_GAP)
     return (int(np.isnan(scalar).sum()),

@@ -175,9 +175,13 @@ def kesten_mckay_density(lam: np.ndarray | float, d: float) -> np.ndarray:
 
     Supported on [0, 4(d-1)/d]; edge values are 0 by convention (the upper
     edge diverges only in the degenerate case d = 2) and NaN points are NaN.
+    ``d`` is one law's degree, finite and > 1; an array of degrees, or a
+    degree outside that rule, raises ``ValueError``.
     """
-    if not d > 1.0:
-        raise ValueError(f"degree d must be > 1, got {d}")
+    if np.ndim(d):
+        raise ValueError(f"need one degree d, got shape {np.shape(d)}")
+    if not 1.0 < d < np.inf:
+        raise ValueError(f"degree d must be finite and > 1, got {d}")
     return _on_open_support(
         lam, 0.0, 4.0 * (d - 1.0) / d,
         lambda x: d * np.sqrt(4.0 * (d - 1.0) - d * x) / (2.0 * np.pi * (d - x) * np.sqrt(d * x)))

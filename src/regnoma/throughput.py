@@ -180,51 +180,42 @@ def ebno_from_snr(snr: float | np.ndarray, beta: float | np.ndarray,
     return float(out[0]) if np.ndim(snr) == 0 else out
 
 
-def _at(v, rows: np.ndarray):
-    """A parameter's value at ``rows``: a scalar is every row's, an array has one per row."""
-    return v if np.ndim(v) == 0 else v[rows]
-
-
-def _curve_throughput(beta: float | np.ndarray, d: float | np.ndarray | Curve
-                      ) -> Callable[[np.ndarray], np.ndarray]:
-    """The curve that ``d`` selects, at a 1-D array of snrs.  ``beta`` and a
-    degree ``d`` are scalars or arrays with a value per snr, one curve per
-    snr."""
+def _curve_throughput(betas: np.ndarray, d: np.ndarray | Curve
+                      ) -> Callable[..., np.ndarray]:
+    """The curve that ``d`` selects, one law per target: ``betas`` and a degree
+    ``d`` hold a value per target, and ``curve(snrs, rows)`` evaluates target
+    ``rows[i]``'s curve at ``snrs[i]`` (every target's by default)."""
     if d is Curve.DENSE_RS:
-        return lambda snrs: dense_rs_throughput(snrs, beta)
+        return lambda snrs, rows=slice(None): dense_rs_throughput(snrs, betas[rows])
     if d is Curve.COVER_WYNER:
-        return lambda snrs: cover_wyner_bound(snrs, beta)
-    if isinstance(d, (Curve, str)):
-        raise ValueError(f"unknown curve selector {d!r}")
-    p = DensityParams(beta=beta, d=d)
-    return lambda snrs: regular_throughput(snrs, p)
+        return lambda snrs, rows=slice(None): cover_wyner_bound(snrs, betas[rows])
+    return lambda snrs, rows=slice(None): regular_throughput(
+        snrs, DensityParams(beta=betas[rows], d=d[rows]))
 
 
-def _reach(targets: np.ndarray, beta: float | np.ndarray,
-           d: float | np.ndarray | Curve) -> tuple[np.ndarray, np.ndarray]:
-    """The linear Eb/N0 of each target's curve at the ends of ``SNR_BRACKET``
-    (one value for all when the curve is shared); a target not strictly
-    between them, ln 2 or less included, raises ``ValueError``."""
+def _reach(targets: np.ndarray, betas: np.ndarray,
+           d: np.ndarray | Curve) -> tuple[np.ndarray, np.ndarray]:
+    """The linear Eb/N0 of each target's curve at the ends of ``SNR_BRACKET``,
+    one law per target as in :func:`_curve_throughput`; a target not strictly
+    between them, ln 2 or less included, raises ``ValueError`` naming its law."""
     def db(x: float) -> str:  # in dB where the ratio has a logarithm
         return f"{10.0 * math.log10(x):.10g} dB" if x > 0.0 else f"{x} (linear)"
 
-    laws = np.broadcast(beta, d).size
-    rows = np.tile(np.arange(laws), 2)
-    ends = np.repeat(SNR_BRACKET, laws)
-    b = _at(beta, rows)
-    e_lo, e_hi = np.split(ebno_from_snr(ends, b, _curve_throughput(b, _at(d, rows))(ends)), 2)
+    rows = np.tile(np.arange(targets.size), 2)
+    ends = np.repeat(SNR_BRACKET, targets.size)
+    e_lo, e_hi = np.split(
+        ebno_from_snr(ends, betas[rows], _curve_throughput(betas, d)(ends, rows)), 2)
     bad = np.flatnonzero(~((e_lo < targets) & (e_hi > targets)))
     if bad.size:
         i = bad[0]
-        target, lo, hi = targets[i], e_lo[i % laws], e_hi[i % laws]
-        curve = (f"the {d.value} curve at beta = {_at(beta, i)}" if isinstance(d, Curve)
-                 else f"the regular curve at beta = {_at(beta, i)}, d = {_at(d, i)}")
-        if not lo < target:
-            raise ValueError(f"Eb/N0 {db(target)} is not above the minimum achievable on "
-                             f"{curve}, {db(lo)} at snr = {SNR_BRACKET[0]}; a level at or "
-                             f"below the minimum achievable has no snr")
-        raise ValueError(f"Eb/N0 {db(target)} is not reachable below snr = "
-                         f"{SNR_BRACKET[1]} on {curve}, which ends at {db(hi)}")
+        curve = (f"the {d.value} curve at beta = {betas[i]}" if isinstance(d, Curve)
+                 else f"the regular curve at beta = {betas[i]}, d = {d[i]}")
+        if not e_lo[i] < targets[i]:
+            raise ValueError(f"Eb/N0 {db(targets[i])} is not above the minimum achievable on "
+                             f"{curve}, {db(e_lo[i])} at snr = {SNR_BRACKET[0]}; a level at "
+                             f"or below the minimum achievable has no snr")
+        raise ValueError(f"Eb/N0 {db(targets[i])} is not reachable below snr = "
+                         f"{SNR_BRACKET[1]} on {curve}, which ends at {db(e_hi[i])}")
     return e_lo, e_hi
 
 
@@ -234,7 +225,7 @@ def snr_for_ebno(ebno_target: float | np.ndarray, beta: float | np.ndarray,
 
     ``d`` is a degree for the regular curve, or ``Curve.DENSE_RS`` or
     ``Curve.COVER_WYNER`` for the dense reference or the ceiling; any other
-    selector raises ``ValueError``.  The map is
+    selector raises ``ValueError`` before any other input is read.  The map is
     monotone increasing in snr with infimum ln 2, so the target (linear)
     must exceed ln 2.  The root is bracketed in log snr on [1e-6, 1e6] and
     found by the Illinois variant of regula falsi: a secant step on the
@@ -244,28 +235,33 @@ def snr_for_ebno(ebno_target: float | np.ndarray, beta: float | np.ndarray,
     in snr.  Only the dense curve is integrated; the regular and
     Cover-Wyner curves are closed forms.
 
-    ``ebno_target`` is a scalar or a 1-D array of targets.  An array runs
-    one search: each step evaluates the curve once at the points still
+    ``ebno_target`` is a scalar or a 1-D array of targets, and ``beta`` and
+    a degree ``d`` scalars or arrays of its length; a scalar is broadcast
+    to every target once, so the search holds one law per target.  An array
+    runs one search: each step evaluates the curve once at the points still
     running (one quadrature per distinct load for the dense curve), and
-    each point stops at its own step with the bits of a scalar call.  With
-    an array of targets, ``beta`` and a degree ``d`` may be arrays of its
-    length too, one curve per target.  Every target is checked against the
-    bracket before the first step.
+    each point stops at its own step with the bits of a scalar call.  Every
+    target is checked against the bracket before the first step.
     """
+    if isinstance(d, (Curve, str)) and d not in _NAMED_CURVES:
+        raise ValueError(f"unknown curve selector {d!r}")
     if np.ndim(ebno_target) > 1:
         raise ValueError(
             f"Eb/N0 target must be a scalar or a 1-D array, got shape {np.shape(ebno_target)}")
     targets = np.atleast_1d(np.asarray(ebno_target, dtype=np.float64))
-    beta, d = (v if np.ndim(v) == 0 else np.asarray(v, dtype=np.float64) for v in (beta, d))
     if any(np.ndim(v) and np.shape(v) != targets.shape for v in (beta, d)):
         raise ValueError("beta and d must be scalars or arrays of the targets' shape")
+    betas, d = (v if isinstance(v, Curve)
+                else np.broadcast_to(np.asarray(v, dtype=np.float64), targets.shape)
+                for v in (beta, d))
 
     def log(v: np.ndarray) -> np.ndarray:
         # libm per point: numpy's log differs from it in the last bit
         return np.array([math.log(x) for x in v.tolist()])
 
     lo, hi = SNR_BRACKET
-    e_lo, e_hi = _reach(targets, beta, d)
+    e_lo, e_hi = _reach(targets, betas, d)
+    curve = _curve_throughput(betas, d)
     # the residual ln(Eb/N0 / target) is close to linear in ln snr away from ln 2
     f_lo, f_hi = log(e_lo / targets), log(e_hi / targets)
     x_lo, x_hi = np.full(targets.size, math.log(lo)), np.full(targets.size, math.log(hi))
@@ -280,8 +276,7 @@ def snr_for_ebno(ebno_target: float | np.ndarray, beta: float | np.ndarray,
         # a point within rounding of an end would barely shrink the bracket
         x = np.minimum(np.maximum(x, x_lo + 0.5 * LOG_SNR_TOL), x_hi - 0.5 * LOG_SNR_TOL)
         snrs = np.array([math.exp(v) for v in x.tolist()])
-        b = _at(beta, live)
-        f = log(ebno_from_snr(snrs, b, _curve_throughput(b, _at(d, live))(snrs)) / targets[live])
+        f = log(ebno_from_snr(snrs, betas[live], curve(snrs, live)) / targets[live])
         low = f < 0.0
         f_lo, f_hi = (np.where(low, f, np.where(kept > 0, 0.5 * f_lo, f_lo)),
                       np.where(low, np.where(kept < 0, 0.5 * f_hi, f_hi), f))
@@ -371,6 +366,8 @@ class SweepVariable(Enum):
 
 
 _MC_CURVES = (Curve.REGULAR_MC, Curve.IRREGULAR_MC)
+# the fixed field a sweep reads from its values instead
+_SWEPT = {SweepVariable.LOAD: "beta", SweepVariable.SPARSITY: "d"}
 _NEEDS_FIXED = {SweepVariable.LOAD: "LOAD sweep needs a fixed degree d",
                 SweepVariable.SPARSITY: "SPARSITY sweep needs a fixed load beta",
                 SweepVariable.EBNO: "EBNO sweep needs fixed beta and d"}
@@ -387,14 +384,17 @@ class SweepSpec:
     ``values`` are loads (LOAD), degrees (SPARSITY) or Eb/N0 in dB (EBNO).
     The non-swept operating point comes from ``beta``, ``d`` and exactly one
     of ``snr_db`` or ``ebno_db`` (EBNO sweeps carry the operating point on
-    the axis).  Monte Carlo curves additionally need ``mc_n``, ``mc_trials``
-    and ``seed``; both MC curves run at the snr of the asymptotic regular
-    curve so ensembles are compared at equal received power.  Construction
-    checks every row before any point runs: its (beta, d), its operating
-    point (an Eb/N0 level in the reach of every curve it is inverted on, a
-    snr within ``SNR_BRACKET``) and, with an MC curve, its ensemble; the
-    irregular curve's Bernoulli(d/N) draws also need d < ``mc_n``.  A reach
-    is checked once per curve, over every row; a miss names the row's law.
+    the axis); a fixed value for the swept quantity raises ``ValueError``.
+    Monte Carlo curves additionally need ``mc_n``, ``mc_trials`` and
+    ``seed``; both MC curves run at the snr of the asymptotic regular curve
+    so ensembles are compared at equal received power.  Each row's
+    (beta, d, Eb/N0) is resolved once, into the table that construction
+    checks and :func:`sweep` runs.  Construction checks all rows as one
+    batch before any point runs: one ``DensityParams``, a LOAD sweep's
+    integer loads, the operating point (a snr within ``SNR_BRACKET``, an
+    Eb/N0 level in the reach of every curve it is inverted on) and, with an
+    MC curve, one ensemble per distinct (beta, d); the irregular curve's
+    Bernoulli(d/N) draws also need d < ``mc_n``.  A fault names its row.
     """
 
     variable: SweepVariable
@@ -424,29 +424,34 @@ class SweepSpec:
             raise ValueError("Monte Carlo curves need mc_n and mc_trials")
         if mc and self.mc_trials < 1:
             raise ValueError(f"need at least one trial, got {self.mc_trials}")
-        for x in self.values:
-            beta, d, ebno_db = self._point(x)
-            if beta is None or d is None:
-                raise ValueError(_NEEDS_FIXED[self.variable])
-            DensityParams(beta=beta, d=d)  # raises ValueError outside the domain
-            if self.variable is SweepVariable.LOAD and not self._integer_load(beta, d):
-                raise ValueError(
-                    f"beta * d must be an integer > 1 for a realizable ensemble, "
-                    f"got beta={beta}, d={d}")
-            level = self.snr_db if ebno_db is None else ebno_db
+        swept = _SWEPT.get(self.variable)
+        if any(getattr(self, name) is None for name in {"beta", "d"} - {swept}):
+            raise ValueError(_NEEDS_FIXED[self.variable])
+        if swept is not None and getattr(self, swept) is not None:
+            raise ValueError(f"{self.variable.name} sweep takes {swept} from its values, "
+                             f"got {swept} = {getattr(self, swept)}")
+        betas, ds, targets = self._rows
+        DensityParams(beta=betas, d=ds)  # raises ValueError at the first row outside the domain
+        whole = self._integer_load(betas, ds)
+        if self.variable is SweepVariable.LOAD and not whole.all():
+            i = whole.argmin()
+            raise ValueError(f"beta * d must be an integer > 1 for a realizable ensemble, "
+                             f"got beta={betas[i]}, d={ds[i]}")
+        for level in (self.values if self.variable is SweepVariable.EBNO
+                      else (self.snr_db if self.ebno_db is None else self.ebno_db,)):
             if not math.isfinite(level):
                 raise ValueError(f"Eb/N0 and snr in dB must be finite, got {level}")
-            lo, hi = (10.0 * math.log10(s) for s in SNR_BRACKET)
-            if ebno_db is None and not lo <= level <= hi:
-                raise ValueError(f"snr in dB must lie in [{lo:g}, {hi:g}], got {level}")
-            if mc:  # an unrealizable ensemble fails here, before any inversion or draw
-                ens = self._ensemble(beta, d)
+        lo, hi = (10.0 * math.log10(s) for s in SNR_BRACKET)
+        if self.snr_db is not None and not lo <= self.snr_db <= hi:
+            raise ValueError(f"snr in dB must lie in [{lo:g}, {hi:g}], got {self.snr_db}")
+        if mc:  # an unrealizable ensemble fails here, before any inversion or draw
+            for ens in self._ensembles.values():
                 if Curve.IRREGULAR_MC in self.curves:
                     _bernoulli_probability(ens)
         if self.snr_db is None:  # every row has an Eb/N0 level to invert
             for selector in self._selectors:
                 try:
-                    _reach(*self._inversion(selector, np.arange(len(self.values))))
+                    _reach(targets, betas, ds if selector is Curve.REGULAR else selector)
                 except NUMERICAL_ERRORS:
                     continue  # sweep fails the rows this curve serves
 
@@ -459,28 +464,20 @@ class SweepSpec:
 
     @cached_property
     def _rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every row's load, degree and linear Eb/N0 target (NaN at a fixed snr)."""
-        betas, ds, levels = zip(*map(self._point, self.values))
-        return (np.array(betas), np.array(ds),
-                np.array([math.nan if x is None else db_to_linear(x) for x in levels]))
+        """Every row's load, degree and linear Eb/N0 target (NaN at a fixed snr),
+        as float64 arrays: the swept one from ``values``, the others fixed."""
+        x = np.array(self.values, dtype=np.float64)
+        betas, ds, levels = (  # in SweepVariable's order; no ebno_db reads NaN
+            x if self.variable is var else np.full(x.size, np.nan if v is None else v)
+            for var, v in zip(SweepVariable, (self.beta, self.d, self.ebno_db)))
+        return betas, ds, np.array([db_to_linear(v) for v in levels.tolist()])
 
-    def _inversion(self, selector: Curve, rows: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray | Curve]:
-        """The targets, ``beta`` and ``d`` that invert ``rows`` on the selector's
-        curve with :func:`snr_for_ebno`: every row's own load and, on the regular
-        curve, its own degree."""
-        betas, ds, targets = (v[rows] for v in self._rows)
-        return targets, betas, ds if selector is Curve.REGULAR else selector
-
-    def _point(self, x: float) -> tuple[float | None, float | None, float | None]:
-        """The (beta, d, ebno_db) of the row at axis value ``x``."""
-        return (x if self.variable is SweepVariable.LOAD else self.beta,
-                x if self.variable is SweepVariable.SPARSITY else self.d,
-                x if self.variable is SweepVariable.EBNO else self.ebno_db)
-
-    def _ensemble(self, beta: float, d: float) -> EnsembleSpec:
-        """The Monte Carlo ensemble of the row at load ``beta`` and degree ``d``."""
-        return EnsembleSpec.from_load(self.mc_n, beta, d, self.entry_mode, self.seed)
+    @cached_property
+    def _ensembles(self) -> dict[tuple[float, float], EnsembleSpec]:
+        """The Monte Carlo ensemble of each distinct row (beta, d), in row order."""
+        betas, ds, _ = self._rows
+        return {key: EnsembleSpec.from_load(self.mc_n, *key, self.entry_mode, self.seed)
+                for key in dict.fromkeys(zip(betas.tolist(), ds.tolist()))}
 
     @classmethod
     def from_range(cls, variable: SweepVariable, lo: float, hi: float,
@@ -495,17 +492,18 @@ class SweepSpec:
         grid = np.linspace(lo, hi, steps)
         # without a degree the constructor rejects the LOAD sweep
         if variable is SweepVariable.LOAD and fixed.get("d") is not None:
-            grid = np.asarray([b for b in grid if cls._integer_load(b, fixed["d"])])
+            grid = grid[cls._integer_load(grid, fixed["d"])]
             if grid.size == 0:
                 raise ValueError(
                     "no grid point satisfies the integer beta * d constraint")
         return cls(variable=variable, values=tuple(float(x) for x in grid), **fixed)
 
     @staticmethod
-    def _integer_load(beta: float, d: float) -> bool:
-        """Whether beta * d is an integer > 1, as a realizable ensemble needs."""
-        bd = beta * d
-        return abs(bd - round(bd)) <= 1e-9 and round(bd) > 1
+    def _integer_load(beta: float | np.ndarray, d: float | np.ndarray) -> np.ndarray:
+        """Where beta * d is an integer > 1, as a realizable ensemble needs."""
+        bd = np.multiply(beta, d)
+        with np.errstate(invalid="ignore"):  # a non-finite product is no integer
+            return (np.abs(bd - np.round(bd)) <= 1e-9) & (np.round(bd) > 1)
 
 
 def sweep(spec: SweepSpec) -> dict[str, np.ndarray]:
@@ -545,32 +543,33 @@ def sweep(spec: SweepSpec) -> dict[str, np.ndarray]:
         table["failed_mc_trials"][rows] = 0
         table["failed"][rows] = True
 
+    betas, ds, targets = spec._rows
     mc_curves = [c for c in spec.curves if c in _MC_CURVES]
     for selector in spec._selectors:
         live = np.flatnonzero(~table["failed"])
         if not live.size:
             continue
-        targets, *law = spec._inversion(selector, live)
+        d = ds[live] if selector is Curve.REGULAR else selector
         try:
             if spec.snr_db is not None:
                 snrs = np.full(len(live), db_to_linear(spec.snr_db))
             else:
-                snrs = snr_for_ebno(targets, *law)
+                snrs = snr_for_ebno(targets[live], betas[live], d)
             if selector in spec.curves:
-                table[selector.value][live] = _curve_throughput(*law)(snrs)
+                table[selector.value][live] = _curve_throughput(betas[live], d)(snrs)
         except NUMERICAL_ERRORS:
             fail(live)
             continue
         if selector is not Curve.REGULAR:
             continue
         ensembles: dict[tuple[float, float], list[int]] = {}
-        for j, key in enumerate(zip(law[0].tolist(), law[1].tolist())):
+        for j, key in enumerate(zip(betas[live].tolist(), ds[live].tolist())):
             ensembles.setdefault(key, []).append(j)
-        for (b, d), js in ensembles.items():
+        for key, js in ensembles.items():
             sub = live[js]
             try:
                 for curve in mc_curves:
-                    res = finite_n_throughput_mc(spec._ensemble(b, d), snrs[js],
+                    res = finite_n_throughput_mc(spec._ensembles[key], snrs[js],
                                                  spec.mc_trials,
                                                  irregular=(curve is Curve.IRREGULAR_MC))
                     table[curve.value][sub] = res.mean

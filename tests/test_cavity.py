@@ -150,6 +150,13 @@ class TestSolveFixedPoint:
         with pytest.raises(ValueError, match="Im w > 0"):
             cavity_on_tree(P_DEFAULT, bad)
 
+    def test_a_bad_grid_names_one_point(self):
+        # the whole 512-point grid below the axis, but one point in the message
+        grid = np.linspace(P_DEFAULT.lambda_minus, P_DEFAULT.lambda_plus, 512)
+        with pytest.raises(ValueError, match="Im w > 0") as info:
+            cavity_on_tree(P_DEFAULT, grid - 1e-6j)
+        assert len(str(info.value)) < 100
+
     def test_results_take_the_shape_of_w(self):
         w = (np.linspace(0.5, 3.0, 6) + 1j * np.array([1e-6, 1e-2])[:, None]).reshape(2, 3, 2)
         flat = cavity_on_tree(P_DEFAULT, w.ravel())

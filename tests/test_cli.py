@@ -161,6 +161,25 @@ class TestEntryPoint:
         assert {argv[0] for argv in commands} == {
             "density", "cavity", "simulate", "sweep", "validate"}
 
+    def test_readme_python_blocks_compile_and_import(self):
+        # compiled, not run (the first block draws 200 matrices at N = 1000):
+        # a documented name the package renamed or dropped fails here
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        blocks = [b.split("```")[0] for b in readme.read_text().split("```python\n")[1:]]
+        missing = []
+        for block in blocks:
+            compile(block, "README.md", "exec")
+            for node in ast.walk(ast.parse(block)):
+                if isinstance(node, ast.Import):
+                    for alias in node.names:
+                        if alias.name.partition(".")[0] == "regnoma":
+                            importlib.import_module(alias.name)
+                elif isinstance(node, ast.ImportFrom) and node.module.partition(".")[0] == "regnoma":
+                    module = importlib.import_module(node.module)
+                    missing += [f"{node.module}.{alias.name}" for alias in node.names
+                                if not hasattr(module, alias.name)]
+        assert len(blocks) >= 3 and missing == []
+
 
 class TestDensity:
     def test_unit_load_grid_matches_kesten_mckay(self, tmp_path):
@@ -522,6 +541,18 @@ class TestSweep:
         assert "error:" in err and "must lie in [-60, 60]" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv,match", [
+        (["--variable", "load", "--values", "1,1.5", "--beta", "7", "--d", "2"],
+         "LOAD sweep takes beta from its values, got beta = 7.0"),
+        (["--variable", "sparsity", "--values", "2,3", "--beta", "1.5", "--d", "2"],
+         "SPARSITY sweep takes d from its values, got d = 2.0"),
+    ], ids=["load", "sparsity"])
+    def test_fixed_value_for_the_swept_quantity_exits_2(self, tmp_path, capsys, argv, match):
+        # no row would read it, so the manifest would record a parameter never used
+        assert run(["sweep", *argv, "--snr-db", "10", "--out", str(tmp_path / "x.csv")]) == 2
+        assert match in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_inconsistent_operating_point_exits_2(self, tmp_path):
         assert run(["sweep", "--variable", "ebno", "--values", "4,8",
                     "--beta", "1.5", "--d", "2", "--snr-db", "10",
@@ -554,6 +585,10 @@ class TestTablesPinned:
     # the default curves on the throughput_ordering grid, a curve per row
     LOAD = ["sweep", "--variable", "load", "--values", "1,1.5,2,2.5,3", "--d", "2",
             "--ebno-db", "10", "--seed", "5"]
+    LOAD_CSV = "770247e45653bcce7a65ab5cb3be44853b7482f11a4f8452a5cdba5278524986"
+    # the default curves over a degree grid at one Eb/N0, a degree per row
+    SPARSITY = ["sweep", "--variable", "sparsity", "--range", "2", "12", "11", "--beta", "1.5",
+                "--ebno-db", "6"]
     NO_FAILURES = "82677c5f5b5e1da6e370de93fb27052eab6c2af6c9b642ba84c2f5d23b3f1e96"
 
     @pytest.mark.parametrize("argv,fmt,sha256,results_sha256", [
@@ -593,16 +628,17 @@ class TestTablesPinned:
          NO_FAILURES),
         (ONE_TRIAL, "json", "2a3a4b5dc625a40e60d97f16cbbf68035538e53414660942b915327c6992b30a",
          NO_FAILURES),
-        (LOAD, "csv", "770247e45653bcce7a65ab5cb3be44853b7482f11a4f8452a5cdba5278524986",
-         NO_FAILURES),
+        (LOAD, "csv", LOAD_CSV, NO_FAILURES),
         (LOAD, "json", "b03929d1e9c67fe7e4e13d1443a7ac23ec3cc24b51f58f79f1afe8df79a4ec96",
+         NO_FAILURES),
+        (SPARSITY, "csv", "51b278af11a59ec6a0c42c09f151e2d3f88bdf3afbc2b1b6cb480bfad942de43",
          NO_FAILURES),
     ], ids=["density_csv", "density_json", "cavity_csv", "cavity_json", "graph_csv",
             "graph_d3_csv", "simulate_ones_seed0_csv", "simulate_rademacher_seed0_csv",
             "simulate_ones_seed2e32_csv", "simulate_rademacher_seed2e32_csv",
             "sweep_fine_csv", "sweep_fine_json", "sweep_mc_csv", "sweep_mc_json",
             "sweep_one_trial_csv", "sweep_one_trial_json", "sweep_load_csv",
-            "sweep_load_json"])
+            "sweep_load_json", "sweep_sparsity_csv"])
     def test_table_bytes_are_pinned(self, tmp_path, argv, fmt, sha256, results_sha256):
         out = tmp_path / f"table.{fmt}"
         assert run([*argv, "--format", fmt, "--out", str(out)]) == 0
@@ -612,6 +648,17 @@ class TestTablesPinned:
         assert hashlib.sha256(results_json.encode()).hexdigest() == results_sha256
         if "--graph-n" in argv:  # both biregular graphs lift onto two message classes
             assert results["graph_message_classes"] == 2
+
+    def test_readme_load_range_writes_the_load_table(self, tmp_path):
+        # the README's grid command: from_range's integer-load filter keeps the
+        # LOAD row's five loads, so it writes that row's bytes
+        argv = ["sweep", "--variable", "load", "--range", "1", "3", "9", "--d", "2",
+                "--ebno-db", "10"]
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        assert f"regnoma {' '.join(argv)} --out" in readme
+        out = tmp_path / "sweep.csv"
+        assert run([*argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.LOAD_CSV
 
 
 class TestValidate:

@@ -295,6 +295,16 @@ class TestKestenMcKay:
         with pytest.raises(ValueError):
             kesten_mckay_density(1.0, 1.0)
 
+    @pytest.mark.parametrize("d", [math.inf, math.nan])
+    def test_non_finite_degree_rejected(self, d):
+        # an infinite degree would give a unit-mass law no mass at all
+        with pytest.raises(ValueError, match="degree d must be finite and > 1"):
+            kesten_mckay_density(1.0, d)
+
+    def test_one_degree_per_call(self):
+        with pytest.raises(ValueError, match=r"^need one degree d, got shape \(2,\)$"):
+            kesten_mckay_density(1.0, np.array([2.0, 3.0]))
+
     def test_nan_points_stay_nan(self):
         vals = kesten_mckay_density(np.array([1.0, np.nan, 5.0]), 2.0)
         assert vals[0] == kesten_mckay_density(1.0, 2.0)

@@ -395,7 +395,12 @@ class TestOneLoadRule:
 
 def bisection_snr_for_ebno(target, beta, d):
     """The geometric bisection that snr_for_ebno replaced, kept as its reference."""
-    cfun = tp._curve_throughput(beta, d)
+    if d is Curve.DENSE_RS:
+        cfun = lambda snr: dense_rs_throughput(snr, beta)
+    elif d is Curve.COVER_WYNER:
+        cfun = lambda snr: cover_wyner_bound(snr, beta)
+    else:
+        cfun = lambda snr: regular_throughput(snr, DensityParams(beta=beta, d=d))
     lo, hi = tp.SNR_BRACKET
     for _ in range(200):
         mid = math.sqrt(lo * hi)
@@ -708,8 +713,8 @@ class TestSweepSpec:
                       beta=1.5, snr_db=10.0)
 
     @pytest.mark.parametrize("fields", [
-        dict(variable=SweepVariable.EBNO, values=(10.0, math.nan)),
-        dict(variable=SweepVariable.EBNO, values=(10.0, math.inf)),
+        dict(variable=SweepVariable.EBNO, values=(10.0, math.nan), beta=1.5),
+        dict(variable=SweepVariable.EBNO, values=(10.0, math.inf), beta=1.5),
         dict(variable=SweepVariable.LOAD, values=(1.5,), ebno_db=math.nan),
         dict(variable=SweepVariable.LOAD, values=(1.5,), snr_db=-math.inf),
     ])
@@ -720,7 +725,7 @@ class TestSweepSpec:
 
         monkeypatch.setattr(tp, "snr_for_ebno", no_work)
         with pytest.raises(ValueError, match="finite"):
-            sweep(SweepSpec(beta=1.5, d=2.0, **fields))
+            sweep(SweepSpec(d=2.0, **fields))
 
     @pytest.mark.parametrize("snr_db", [61.0, -61.0, 1e308])
     def test_snr_outside_the_bracket_rejected_before_any_inversion(self, monkeypatch,
@@ -742,8 +747,8 @@ class TestSweepSpec:
         assert all(0.0 < table[c.value][0] < math.inf for c in tp.DEFAULT_CURVES)
 
     @pytest.mark.parametrize("fields", [
-        dict(variable=SweepVariable.EBNO, values=(10.0, 20.0, -5.0)),
-        dict(variable=SweepVariable.EBNO, values=(10.0, -1.6)),
+        dict(variable=SweepVariable.EBNO, values=(10.0, 20.0, -5.0), beta=1.5),
+        dict(variable=SweepVariable.EBNO, values=(10.0, -1.6), beta=1.5),
         dict(variable=SweepVariable.LOAD, values=(1.5,), ebno_db=-2.0),
     ])
     def test_ebno_at_the_floor_rejected_before_any_inversion(self, monkeypatch, fields):
@@ -751,7 +756,7 @@ class TestSweepSpec:
         calls = []
         monkeypatch.setattr(tp, "snr_for_ebno", lambda *args: calls.append(args))
         with pytest.raises(ValueError, match="not above the minimum achievable"):
-            SweepSpec(beta=1.5, d=2.0, **fields)
+            SweepSpec(d=2.0, **fields)
         assert calls == []
 
     @pytest.mark.parametrize("values,match,curve", [
@@ -779,6 +784,19 @@ class TestSweepSpec:
             SweepSpec(variable=SweepVariable.LOAD, values=(8.0, 1.5, 1.0), d=2.0,
                       ebno_db=50.0, curves=(Curve.DENSE_RS,))
         assert set(curve_snrs) == set(tp.SNR_BRACKET)
+
+    @pytest.mark.parametrize("fields,match", [
+        (dict(variable=SweepVariable.LOAD, values=(1.0, 1.5), beta=7.0, d=2.0),
+         "^LOAD sweep takes beta from its values, got beta = 7.0$"),
+        (dict(variable=SweepVariable.SPARSITY, values=(2.0, 3.0), beta=1.5, d=5.0),
+         "^SPARSITY sweep takes d from its values, got d = 5.0$"),
+    ], ids=["load", "sparsity"])
+    def test_fixed_value_for_the_swept_quantity_rejected(self, fields, match):
+        with pytest.raises(ValueError, match=match):
+            SweepSpec(snr_db=10.0, **fields)
+        with pytest.raises(ValueError, match=match):
+            SweepSpec.from_range(fields["variable"], 1.0, 3.0, 5, snr_db=10.0,
+                                 **{k: fields[k] for k in ("beta", "d")})
 
     def test_ebno_sweep_rejects_fixed_operating_point(self):
         with pytest.raises(ValueError):
@@ -831,6 +849,12 @@ class TestSweepSpec:
     def test_range_constructor_needs_a_degree_for_loads(self):
         with pytest.raises(ValueError, match="LOAD sweep needs a fixed degree d"):
             SweepSpec.from_range(SweepVariable.LOAD, 1.0, 3.0, 9, ebno_db=10.0)
+
+    @pytest.mark.parametrize("d", [math.inf, math.nan])
+    def test_range_constructor_rejects_a_non_finite_degree(self, d):
+        # no load times a non-finite degree is an integer
+        with pytest.raises(ValueError, match="no grid point satisfies"):
+            SweepSpec.from_range(SweepVariable.LOAD, 1.0, 3.0, 9, d=d, ebno_db=10.0)
 
     def test_range_constructor_rejects_empty_admissible_set(self):
         with pytest.raises(ValueError):
@@ -888,7 +912,9 @@ class TestSweep:
         table = sweep(spec)
         assert selectors == ["degrees", Curve.DENSE_RS, Curve.COVER_WYNER]
         for i, x in enumerate(values):
-            beta, d, _ = spec._point(x)
+            beta, d = (x if variable is swept else fixed[name]
+                       for swept, name in ((SweepVariable.LOAD, "beta"),
+                                           (SweepVariable.SPARSITY, "d")))
             snr = real(db_to_linear(6.0), beta, d)
             assert table["regular"][i] == regular_throughput(snr, DensityParams(beta=beta, d=d))
 
