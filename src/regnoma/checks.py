@@ -233,6 +233,30 @@ def _high_snr_offset(seed):
     return np.max(offset_errs), np.max(limit_errs)  # NaN fails the gate
 
 
+def _high_snr_offset_unit_load(seed):
+    # at beta = 1 the support reaches lam = 0, so E[ln lam] is no support_integral;
+    # the closed form's limit there is (d - 1) ln((d - 1)/d), approached as
+    # + 2 sqrt((d - 1)/d) / sqrt(snr), and at snr 1e16 the rest is below rounding
+    snr = 1e16
+    return (np.max([abs(2.0 * tp.LN2 * tp.regular_throughput(snr, p) - math.log(snr)
+                        - (p.d - 1.0) * math.log((p.d - 1.0) / p.d)
+                        - 2.0 * math.sqrt((p.d - 1.0) / p.d / snr))
+                    for p in _MOMENT_GRID if p.beta == 1.0]),)
+
+
+def _wideband_second_order(seed):
+    # C = beta snr / (2 ln2) - m2 snr^2 / (4 ln2) + O(snr^3), with the regular law's
+    # m2 = beta^2 + beta - beta/d against the Marchenko-Pastur beta^2 + beta, so
+    # regular - dense = beta snr^2 / (4 d ln2) to a relative O(snr), and the
+    # wideband slope beta^2 / m2 orders the curves at Eb/N0 = ln 2 (Verdu, 2002)
+    # support_integral: tol is absolute, and a pole just outside an edge can fool it
+    snr = 1e-4
+    m2_errs = [abs(_moment(p, 2) - (p.beta ** 2 + p.beta - p.beta / p.d)) for p in _MOMENT_GRID]
+    gap_errs = [abs((tp.regular_throughput(snr, p) - tp.dense_rs_throughput(snr, p.beta))
+                    / (p.beta * snr ** 2 / (4.0 * p.d * tp.LN2)) - 1.0) for p in _MOMENT_GRID]
+    return np.max(m2_errs), np.max(gap_errs)
+
+
 def _ebno_round_trip(seed):
     target, p = tp.db_to_linear(10.0), DensityParams(beta=1.5, d=2.0)
     snr = tp.snr_for_ebno(target, p.beta, p.d)
@@ -273,7 +297,7 @@ def _graph_route(seed):
 
 def _finite_n_vs_asymptotic(seed):
     p = DensityParams(beta=1.5, d=2.0)
-    targets = np.array([tp.db_to_linear(ebno_db) for ebno_db in (4.0, 7.0, 10.0, 13.0)])
+    targets = tp.db_to_linear(np.array([4.0, 7.0, 10.0, 13.0]))
     snrs = tp.snr_for_ebno(targets, p.beta, p.d)
     asymptotic = tp.regular_throughput(snrs, p)
     mc = tp.finite_n_throughput_mc(_spec(10, seed), snrs, 10_000)
@@ -323,6 +347,11 @@ CHECKS = (
           (Bound("tree_max_rel_err", "<", 1e-10), Bound("graph_max_rel_err", "<", 1e-6))),
     Check("high_snr_offset", "fast", None, _high_snr_offset,
           (Bound("max_abs_offset_err", "<", 1e-12), Bound("max_abs_limit_err", "<", 1e-10))),
+    Check("high_snr_offset_unit_load", "fast", None, _high_snr_offset_unit_load,
+          (Bound("max_abs_limit_err", "<", 1e-12),)),
+    Check("wideband_second_order", "fast", None, _wideband_second_order,
+          (Bound("max_abs_second_moment_err", "<", 1e-10),
+           Bound("max_rel_gap_err", "<", 2e-3))),
     Check("scaled_spectrum_ks", "full", 5, _scaled_spectrum,
           (Bound("ks_ones", "<", 0.02), Bound("ks_rademacher", "<", 0.02),
            Bound("ks_ones_vs_rademacher", "<", 0.02))),

@@ -204,10 +204,14 @@ def marchenko_pastur_density(lam: np.ndarray | float, beta: float) -> np.ndarray
 
 
 def analytic_cdf(lam: np.ndarray | float, p: DensityParams) -> np.ndarray | float:
-    """Distribution function of the limiting law: 0 below, 1 above support, NaN at NaN."""
+    """Distribution function of the limiting law: 0 below, 1 above support, NaN at NaN.
+
+    ``lam`` of any shape gives an array of its shape (a float for a scalar);
+    the quadrature runs on the flattened points.
+    """
     lam = np.asarray(lam, dtype=np.float64)
-    scalar = lam.ndim == 0
-    lam = np.atleast_1d(lam)
+    shape = lam.shape
+    lam = lam.ravel()  # a view of a contiguous array: no copy for a 1-D pool
     nan = np.isnan(lam)
     if nan.any():  # a stand-in keeps NaN out of the quadrature; no copy otherwise
         lam = np.where(nan, p.lambda_minus, lam)
@@ -215,7 +219,7 @@ def analytic_cdf(lam: np.ndarray | float, p: DensityParams) -> np.ndarray | floa
         lambda x: analytic_density(x, p), p.lambda_minus, p.lambda_plus, lam)
     out[lam >= p.lambda_plus] = 1.0
     out[nan] = np.nan
-    return float(out[0]) if scalar else out
+    return out.reshape(shape) if shape else float(out[0])
 
 
 # ======================================================================

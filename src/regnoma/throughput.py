@@ -76,7 +76,7 @@ DEFAULT_CURVES = (Curve.REGULAR, Curve.DENSE_RS, Curve.COVER_WYNER)
 _NAMED_CURVES = (Curve.DENSE_RS, Curve.COVER_WYNER)
 
 
-def db_to_linear(x_db: float) -> float:
+def db_to_linear(x_db: float | np.ndarray) -> float | np.ndarray:
     return 10.0 ** (x_db / 10.0)
 
 
@@ -170,12 +170,15 @@ def ebno_from_snr(snr: float | np.ndarray, beta: float | np.ndarray,
                   c: float | np.ndarray) -> float | np.ndarray:
     """Linear energy-per-bit ratio ``beta * snr / (2 C)`` at throughput ``C``.
 
-    ``snr`` and ``c`` are scalars, or 1-D arrays of one length, and ``beta``
-    one load or a load per snr.
+    ``snr`` is a scalar or a 1-D array, and ``beta`` and ``c`` each one value
+    or a value per snr; any other shape raises ``ValueError``.
     """
-    (snrs, betas), cs = _check_snrs(snr, beta), np.atleast_1d(np.asarray(c, dtype=np.float64))
-    if not (cs > 0.0).all():
-        raise ValueError(f"throughput must be positive, got {c}")
+    snrs, betas = _check_snrs(snr, beta)
+    if np.ndim(c) and np.shape(c) != np.shape(snr):  # _check_snrs's rule for beta
+        raise ValueError(f"throughput must be a scalar or of the snrs' shape, got {np.shape(c)}")
+    cs = np.asarray(c, dtype=np.float64)
+    if not (cs > 0.0).all():  # name the first bad value, as _check_snrs does
+        raise ValueError(f"throughput must be positive, got {cs[~(cs > 0.0)].flat[0]}")
     out = betas * snrs / (2.0 * cs)
     return float(out[0]) if np.ndim(snr) == 0 else out
 
@@ -255,16 +258,11 @@ def snr_for_ebno(ebno_target: float | np.ndarray, beta: float | np.ndarray,
                 else np.broadcast_to(np.asarray(v, dtype=np.float64), targets.shape)
                 for v in (beta, d))
 
-    def log(v: np.ndarray) -> np.ndarray:
-        # libm per point: numpy's log differs from it in the last bit
-        return np.array([math.log(x) for x in v.tolist()])
-
-    lo, hi = SNR_BRACKET
     e_lo, e_hi = _reach(targets, betas, d)
     curve = _curve_throughput(betas, d)
     # the residual ln(Eb/N0 / target) is close to linear in ln snr away from ln 2
-    f_lo, f_hi = log(e_lo / targets), log(e_hi / targets)
-    x_lo, x_hi = np.full(targets.size, math.log(lo)), np.full(targets.size, math.log(hi))
+    f_lo, f_hi = np.log(e_lo / targets), np.log(e_hi / targets)
+    x_lo, x_hi = (np.full(targets.size, np.log(end)) for end in SNR_BRACKET)
     # written out rather than scipy.optimize.brentq: importing scipy.optimize
     # takes ~0.5 s and lifts a run's peak RSS from ~33 to ~77 MB
     kept = np.zeros(targets.size)  # -1 after the low end moved, +1 after the high end moved
@@ -275,8 +273,8 @@ def snr_for_ebno(ebno_target: float | np.ndarray, beta: float | np.ndarray,
         x = np.where((x_lo <= x) & (x <= x_hi), x, 0.5 * (x_lo + x_hi))
         # a point within rounding of an end would barely shrink the bracket
         x = np.minimum(np.maximum(x, x_lo + 0.5 * LOG_SNR_TOL), x_hi - 0.5 * LOG_SNR_TOL)
-        snrs = np.array([math.exp(v) for v in x.tolist()])
-        f = log(ebno_from_snr(snrs, betas[live], curve(snrs, live)) / targets[live])
+        snrs = np.exp(x)
+        f = np.log(ebno_from_snr(snrs, betas[live], curve(snrs, live)) / targets[live])
         low = f < 0.0
         f_lo, f_hi = (np.where(low, f, np.where(kept > 0, 0.5 * f_lo, f_lo)),
                       np.where(low, np.where(kept < 0, 0.5 * f_hi, f_hi), f))
@@ -290,8 +288,8 @@ def snr_for_ebno(ebno_target: float | np.ndarray, beta: float | np.ndarray,
         if live.size == 0:
             break
     log_snr[live] = 0.5 * (x_lo + x_hi)
-    snrs = [math.exp(v) for v in log_snr.tolist()]
-    return snrs[0] if np.ndim(ebno_target) == 0 else np.array(snrs)
+    snrs = np.exp(log_snr)
+    return float(snrs[0]) if np.ndim(ebno_target) == 0 else snrs
 
 
 # ======================================================================
@@ -470,7 +468,7 @@ class SweepSpec:
         betas, ds, levels = (  # in SweepVariable's order; no ebno_db reads NaN
             x if self.variable is var else np.full(x.size, np.nan if v is None else v)
             for var, v in zip(SweepVariable, (self.beta, self.d, self.ebno_db)))
-        return betas, ds, np.array([db_to_linear(v) for v in levels.tolist()])
+        return betas, ds, db_to_linear(levels)
 
     @cached_property
     def _ensembles(self) -> dict[tuple[float, float], EnsembleSpec]:

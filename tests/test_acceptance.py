@@ -47,6 +47,9 @@ PINNED = {
     ("routes_vs_closed_form", "graph_max_rel_err"): (None, "fast", "<", 1e-6),
     ("high_snr_offset", "max_abs_offset_err"): (None, "fast", "<", 1e-12),
     ("high_snr_offset", "max_abs_limit_err"): (None, "fast", "<", 1e-10),
+    ("high_snr_offset_unit_load", "max_abs_limit_err"): (None, "fast", "<", 1e-12),
+    ("wideband_second_order", "max_abs_second_moment_err"): (None, "fast", "<", 1e-10),
+    ("wideband_second_order", "max_rel_gap_err"): (None, "fast", "<", 2e-3),
     ("scaled_spectrum_ks", "ks_ones"): (5, "full", "<", 0.02),
     ("scaled_spectrum_ks", "ks_rademacher"): (5, "full", "<", 0.02),
     ("scaled_spectrum_ks", "ks_ones_vs_rademacher"): (5, "full", "<", 0.02),

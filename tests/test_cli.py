@@ -616,9 +616,9 @@ class TestTablesPinned:
         ([*SIMULATE, *RADEMACHER, "--seed", str(2 ** 32)], "csv",
          "5c78c1bd63a97b3eee9bfb6c8f812c9e1b1476a17c831256d450a40ea63099c7",
          "822018de08dd2fd5af546ffd5c481c566ee4175450515a3f11f3ba87884baa9d"),
-        (FINE, "csv", "283949294911a7f3b7aebee10dd6b80425f15178ca42a18da27beec3bf0a3bcb",
+        (FINE, "csv", "a2568ede2c799dfba08d7cf53f2c2115c365f7107e7cdbe0c5bd5f3be2007253",
          NO_FAILURES),
-        (FINE, "json", "7858bf94f81d60f9718ea568e4712c9c7d1e3864baccbbe249561379f3725615",
+        (FINE, "json", "886b73dd20e8d599de8ea6354eb70c54b4c41f3ec71aff1162b328cc166d93b9",
          NO_FAILURES),
         (MC, "csv", "05d1e5942cd5b8a1f0c2c3a90658f819126e25b22aeb30400413333510cee1c6",
          NO_FAILURES),
@@ -631,7 +631,7 @@ class TestTablesPinned:
         (LOAD, "csv", LOAD_CSV, NO_FAILURES),
         (LOAD, "json", "b03929d1e9c67fe7e4e13d1443a7ac23ec3cc24b51f58f79f1afe8df79a4ec96",
          NO_FAILURES),
-        (SPARSITY, "csv", "51b278af11a59ec6a0c42c09f151e2d3f88bdf3afbc2b1b6cb480bfad942de43",
+        (SPARSITY, "csv", "40595097398d99c144d74a5cb53fba0f2b00763a8b197d6d8ab187e48afad10c",
          NO_FAILURES),
     ], ids=["density_csv", "density_json", "cavity_csv", "cavity_json", "graph_csv",
             "graph_d3_csv", "simulate_ones_seed0_csv", "simulate_rademacher_seed0_csv",
@@ -665,8 +665,8 @@ class TestValidate:
     def test_fast_suite_passes(self, capsys):
         assert run(["validate", "--level", "fast"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[-1] == "12/12 checks passed"
-        assert len(lines) == 13
+        assert lines[-1] == "14/14 checks passed"
+        assert len(lines) == 15
         assert all(line.startswith("PASS ") for line in lines[:-1])
 
     def test_failed_scalar_points_fail_the_cavity_check(self, monkeypatch):
@@ -695,13 +695,14 @@ class TestValidate:
         assert reads_law == [
             "kesten_mckay_identity", "density_normalization", "density_first_moment",
             "marchenko_pastur_limit", "scalar_cavity_agreement", "quadrature_stability",
-            "throughput_closed_form_vs_quadrature", "high_snr_offset"]
+            "throughput_closed_form_vs_quadrature", "high_snr_offset",
+            "wideband_second_order"]
 
         report = tmp_path / "r.txt"
         assert run(["validate", "--level", "fast", "--out", str(report)]) == 3
         out = capsys.readouterr().out
         assert "raised" not in out
-        assert out.strip().endswith("4/12 checks passed")
+        assert out.strip().endswith("5/14 checks passed")
         gates = read_manifest(report)["results"]["gates"]
         assert all(g["value"] is not None for g in gates)
         # the corrupted density does not outlive its patch
@@ -719,7 +720,7 @@ class TestValidate:
         assert run(["validate", "--level", "fast", "--out", str(report)]) == 3
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == f"FAIL {first.name}: raised GenerationError: forced"
-        assert lines[-1] == "11/12 checks passed"
+        assert lines[-1] == "13/14 checks passed"
         gates = read_manifest(report)["results"]["gates"]
         assert [g["value"] for g in gates if g["check"] == first.name] == [None]
 
@@ -727,14 +728,14 @@ class TestValidate:
         out = tmp_path / "report.txt"
         assert run(["validate", "--level", "fast", "--out", str(out)]) == 0
         capsys.readouterr()
-        assert out.read_text().strip().endswith("12/12 checks passed")
+        assert out.read_text().strip().endswith("14/14 checks passed")
         manifest = Path(str(out) + ".manifest.json").read_bytes()
         results = json.loads(manifest)["results"]
         gates = results.pop("gates")
-        assert results == {"level": "fast", "n_checks": 12, "n_failed": 0}
+        assert results == {"level": "fast", "n_checks": 14, "n_failed": 0}
         fast = [(check, quantity, op, tol) for (check, quantity), (_, level, op, tol)
                 in PINNED.items() if level == "fast"]
-        assert len(gates) == len(fast) == 20
+        assert len(gates) == len(fast) == 23
         assert [(g["check"], g["quantity"], g["op"], g["tolerance"])
                 for g in gates] == fast
         assert all(g["passed"] and g["margin"] >= 0.0 for g in gates)

@@ -411,6 +411,15 @@ class TestAnalyticCdf:
         scalar = analytic_cdf(1.0, P_DEFAULT)
         assert isinstance(scalar, float) and abs(scalar - vals[4]) < 1e-15
 
+    def test_any_shape_gives_the_flat_calls_values_in_its_shape(self):
+        grid = np.array([-1.0, 0.3, np.nan, 1.0, 2.0, 5.0])
+        flat = analytic_cdf(grid, P_DEFAULT)
+        for shape in [(2, 3), (3, 1, 2)]:
+            vals = analytic_cdf(grid.reshape(shape), P_DEFAULT)
+            assert vals.shape == shape
+            assert np.array_equal(vals, flat.reshape(shape), equal_nan=True)
+        assert analytic_cdf(grid[:0].reshape(0, 3), P_DEFAULT).shape == (0, 3)
+
     def test_pooled_call_memory_is_bounded(self):
         p, lam = pooled_ks_input()
         tracemalloc.start()

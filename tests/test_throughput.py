@@ -283,6 +283,21 @@ class TestEbnoMapping:
     def test_rejects_nonpositive_throughput(self):
         with pytest.raises(ValueError):
             ebno_from_snr(1.0, 1.5, 0.0)
+        # an array names its first bad value, not the whole array
+        with pytest.raises(ValueError, match=r"must be positive, got nan$"):
+            ebno_from_snr(np.ones(2001), 1.5, np.r_[np.full(7, 0.5), np.nan, np.ones(1993)])
+
+    def test_a_throughput_per_snr(self):
+        snrs, cs = np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.6, 0.7])
+        per_snr = ebno_from_snr(snrs, 1.5, cs)
+        assert per_snr.tolist() == [ebno_from_snr(s, 1.5, c) for s, c in zip(snrs, cs)]
+
+    @pytest.mark.parametrize("snr,c", [(1.0, [0.5, 0.6, 0.7]), ([1.0, 2.0, 3.0], [0.5, 0.6]),
+                                       (1.0, [0.5]), ([1.0, 2.0], [[0.5, 0.6]])])
+    def test_rejects_a_throughput_of_another_shape(self, snr, c):
+        # a scalar snr once returned its first throughput's ratio and dropped the rest
+        with pytest.raises(ValueError, match="throughput must be a scalar or of the snrs' shape"):
+            ebno_from_snr(snr, 1.5, c)
 
     def test_round_trip_through_inverse(self):
         target = db_to_linear(10.0)
